@@ -11,7 +11,7 @@ from .denotational import (
     enumerate_operational,
 )
 from .entropy import Enumerator, EntropyExhausted, FinitePrefix, PrngStream, from_seed, split_seed
-from .measure import DiscMeasure, EPoint, XPoint, dirac, kleisli_extend, mass_split, tv_distance
+from .measure import DiscMeasure, EPoint, XPoint, dirac, kleisli_extend, tv_distance
 from .montecarlo import (
     Diverged,
     Ensemble,
@@ -27,7 +27,7 @@ from .montecarlo import (
     run_ensemble,
     sample_trajectory,
 )
-from .ode import ExactAffine, FlowMethod, OdeSystem, RungeKutta4, classify_affine, flow, flow_segment
+from .ode import ExactAffine, FlowMethod, RungeKutta4, classify_affine, flow
 from .parser import ParseError, parse_bool_expr, parse_file, parse_program
 from .smallstep import Config, Err, Normal, OutOfFuel, TimeStop, run_to_terminal, step, trace
 from .store import Store, Undefined, eval_bool, eval_expr, make_store, update

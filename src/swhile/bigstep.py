@@ -71,7 +71,6 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
             h, src = src.draw()
             store = update(store, node.var.index, h)
         elif nt is DiffBlock:
-            sys = ode.OdeSystem.of(node)
             try:
                 d = eval_expr(node.duration, store)
             except Undefined:
@@ -80,8 +79,8 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
                 return ERR
             try:
                 if d > t:
-                    return TimeStop(ode.flow(sys, store, t, flow_method))
-                store = ode.flow(sys, store, d, flow_method)
+                    return TimeStop(ode.flow(node, store, t, flow_method))
+                store = ode.flow(node, store, d, flow_method)
             except Undefined:
                 return ERR
             t -= d
@@ -139,7 +138,6 @@ def eval_functional(program, store, t: float, entropy, fuel: int, flow_method=No
             h, src = src.draw()
             store = update(store, node.var.index, h)
         elif nt is DiffBlock:
-            sys = ode.OdeSystem.of(node)
             try:
                 d = eval_expr(node.duration, store)
             except Undefined:
@@ -148,8 +146,8 @@ def eval_functional(program, store, t: float, entropy, fuel: int, flow_method=No
                 return BOTTOM
             try:
                 if d > t:
-                    return TimeStop(ode.flow(sys, store, t, flow_method))
-                store = ode.flow(sys, store, d, flow_method)
+                    return TimeStop(ode.flow(node, store, t, flow_method))
+                store = ode.flow(node, store, d, flow_method)
             except Undefined:
                 return BOTTOM
             t -= d

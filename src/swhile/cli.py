@@ -14,11 +14,12 @@ import json
 import secrets
 import sys
 
-from . import denotational, montecarlo, ode
+from . import denotational, montecarlo, ode, smallstep
 from .entropy import from_seed
 from .measure import XPoint, dirac
 from .parser import ParseError, parse_bool_expr, parse_file
-from .smallstep import Config, Err, Normal, OutOfFuel, TimeStop, config_json, trace
+# `trace` stays importable as cli.trace: bench/tracing.py wraps it by that name
+from .smallstep import Config, Err, Normal, TimeStop, config_json, trace  # noqa: F401
 from .store import make_store
 from .syntax import pretty_print
 
@@ -151,7 +152,8 @@ def cmd_run(args) -> int:
     seed = _seed_of(args)
     method = _flow_method(args.flow)
     config = Config(program, store, args.time, from_seed(seed))
-    configs, result = trace(config, args.fuel, method)
+    # without --trace the configurations are not kept: memory stays flat on long runs
+    result, steps, configs, _ = smallstep._close(config, args.fuel, method, keep_trace=args.trace)
     if args.trace:
         for c in configs:
             if args.format == "json":
@@ -160,8 +162,6 @@ def cmd_run(args) -> int:
                 prog = "<skip>" if c.program is None else pretty_print(c.program, table, inline=True)
                 vals = ", ".join(f"{n}={v!r}" for n, v in zip(table.names, c.store))
                 print(f"{prog} | {vals} | t={c.t!r}")
-    # each listed configuration is stepped exactly once
-    steps = result.steps if isinstance(result, OutOfFuel) else len(configs)
     rt = type(result)
     if rt is TimeStop:
         vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))

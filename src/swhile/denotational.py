@@ -85,7 +85,6 @@ def denote(program: Program, disc: Discretization, max_unfold: int, flow_method=
 
         return sample_kernel
     if t is DiffBlock:
-        sys = ode.OdeSystem.of(program)
         duration = program.duration
 
         def diff_kernel(pt: XPoint) -> DiscMeasure:
@@ -97,8 +96,8 @@ def denote(program: Program, disc: Discretization, max_unfold: int, flow_method=
                 return ZERO
             try:
                 if d > pt.t:
-                    return dirac(EPoint(ode.flow(sys, pt.store, pt.t, flow_method)))
-                return dirac(XPoint(ode.flow(sys, pt.store, d, flow_method), pt.t - d))
+                    return dirac(EPoint(ode.flow(program, pt.store, pt.t, flow_method)))
+                return dirac(XPoint(ode.flow(program, pt.store, d, flow_method), pt.t - d))
             except Undefined:
                 return ZERO
 

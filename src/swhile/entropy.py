@@ -101,8 +101,3 @@ def split_seed(base_seed: int, index: int) -> int:
     """
     z = (_mix64((base_seed & _MASK64) ^ _SPLIT_XOR) + index * _SPLIT_GAMMA) & _MASK64
     return _mix64(z)
-
-
-def draw(source):
-    """Functional draw: returns (value in [0,1], advanced source)."""
-    return source.draw()

@@ -121,13 +121,6 @@ def kleisli_extend(kernel):
     return extended
 
 
-def mass_split(mu: DiscMeasure):
-    """Partition into the E-point part and the X-point part."""
-    e = {pt: w for pt, w in mu.items() if type(pt) is EPoint}
-    x = {pt: w for pt, w in mu.items() if type(pt) is XPoint}
-    return DiscMeasure(e), DiscMeasure(x)
-
-
 def tv_distance(mu: DiscMeasure, nu: DiscMeasure):
     """Total variation norm of mu - nu: sum of |weight differences|."""
     points = set(mu.support()) | set(nu.support())

@@ -126,7 +126,7 @@ _RUN, _STOP, _ERRFLOW = 0, 1, 2
 
 @dataclass(frozen=True, slots=True)
 class _Record:
-    segments: tuple  # (system, entry store, duration, flag)
+    segments: tuple  # (differential block, entry store, duration, flag)
     tail: str  # "normal" | "timestop" | "error" | "diverged"
     final_store: object
     budget: int
@@ -156,7 +156,6 @@ def _record_run(program, store0: Store, t_end: float, entropy, fuel: int, flow_m
             h, src = src.draw()
             store = update(store, node.var.index, h)
         elif nt is DiffBlock:
-            sys = ode.OdeSystem.of(node)
             try:
                 d = eval_expr(node.duration, store)
             except Undefined:
@@ -164,15 +163,15 @@ def _record_run(program, store0: Store, t_end: float, entropy, fuel: int, flow_m
             if d < 0.0:
                 return _Record(tuple(segments), "error", None, fuel)
             if d > rem:
-                segments.append((sys, store, d, _STOP))
+                segments.append((node, store, d, _STOP))
                 return _Record(tuple(segments), "timestop", None, fuel)
             try:
-                evolved = ode.flow(sys, store, d, flow_method)
+                evolved = ode.flow(node, store, d, flow_method)
             except Undefined:
-                segments.append((sys, store, d, _ERRFLOW))
+                segments.append((node, store, d, _ERRFLOW))
                 return _Record(tuple(segments), "error", None, fuel)
             if d > 0.0:
-                segments.append((sys, store, d, _RUN))
+                segments.append((node, store, d, _RUN))
             store = evolved
             rem -= d
         elif nt is If:
@@ -196,14 +195,14 @@ def _record_run(program, store0: Store, t_end: float, entropy, fuel: int, flow_m
 
 def _read_record(record: _Record, g: float, flow_method):
     remaining = g
-    for sys, entry, duration, flag in record.segments:
+    for block, entry, duration, flag in record.segments:
         if flag == _RUN and duration <= remaining:
             remaining -= duration
             continue
         if flag == _ERRFLOW and duration <= remaining:
             return ErrorAt(g - remaining)
         try:
-            return Value(ode.flow(sys, entry, remaining, flow_method))
+            return Value(ode.flow(block, entry, remaining, flow_method))
         except Undefined:
             return ErrorAt(g - remaining)
     if record.tail == "normal":

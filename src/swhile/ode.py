@@ -1,35 +1,34 @@
 """Flows of differential blocks: the solution map (store, tau) -> store.
 
-Affine systems x' = Ax + c get a closed-form flow through the exponential
-of the augmented (n+1)x(n+1) matrix [[A, c], [0, 0]].  That matrix is
-nilpotent for every double-integrator-style block, in which case the
-exponential series terminates and the flow is an exact polynomial in tau;
-otherwise scipy's scaling-and-squaring exponential is used.  Non-affine
-systems fall back to fixed-step RK4.
+Each `DiffBlock` is compiled once, on its first flow, and the result is
+cached on the node itself (its non-compared `compiled` field), so every
+evaluator that flows the same node shares one piece of arithmetic.  The
+compiled flow is one of:
+
+* halted -- every derivative is zero, the store is returned unchanged;
+* nilpotent -- the system is affine, x' = Ax + c, and the augmented
+  (n+1)x(n+1) matrix M = [[A, c], [0, 0]] is nilpotent (every
+  double-integrator-style block), so the exponential series terminates
+  and each variable is an exact polynomial in tau.  Per variable, the
+  sparse coefficients of M^k/k! are kept as plain floats and the
+  polynomial is evaluated by Horner's rule; variables whose derivative is
+  zero keep their value bit for bit;
+* matrix exponential -- affine but not nilpotent: scipy's
+  scaling-and-squaring `expm` of M * tau;
+* non-affine -- fixed-step RK4 on the derivative expressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
 from .store import Store, Undefined, eval_expr
 from .syntax import Call, DiffBlock, Lit, Var
-
-
-@dataclass(frozen=True, slots=True)
-class OdeSystem:
-    """Derivative expression per variable, duration excluded."""
-
-    derivs: tuple
-
-    @staticmethod
-    def of(block: DiffBlock) -> "OdeSystem":
-        return OdeSystem(block.derivs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,13 +101,12 @@ def _linear_part(e, n: int):
     return None
 
 
-@lru_cache(maxsize=4096)
-def classify_affine(sys: OdeSystem):
+def classify_affine(block: DiffBlock):
     """(A, c) with x' = Ax + c, by structural inspection; None if non-affine."""
-    n = len(sys.derivs)
+    n = len(block.derivs)
     rows = []
     consts = []
-    for d in sys.derivs:
+    for d in block.derivs:
         part = _linear_part(d, n)
         if part is None:
             return None
@@ -118,61 +116,38 @@ def classify_affine(sys: OdeSystem):
     return np.array(rows), np.array(consts)
 
 
-@lru_cache(maxsize=4096)
-def _augmented(sys: OdeSystem):
-    """Augmented matrix, its nilpotency degree (or None), and cached powers."""
-    affine = classify_affine(sys)
-    if affine is None:
-        return None
-    a, c = affine
-    n = len(c)
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = a
-    m[:n, n] = c
-    powers = [np.eye(n + 1)]
-    degree = None
-    for k in range(1, n + 2):
-        nxt = powers[-1] @ m
-        if not nxt.any():
-            degree = k
-            break
-        powers.append(nxt)
-    return m, degree, powers
+_NON_AFFINE = object()  # compiled marker: no exact flow, RK4 only
 
 
-def flow(sys: OdeSystem, store: Store, tau: float, method: FlowMethod | None = None) -> Store:
-    """phi(store, tau): evolve the store tau time units along the system.
+def _halted(store: Store, tau: float) -> Store:
+    return store
 
-    With `method=None` the exact affine flow is used when the system is
-    affine and RK4(1e-3) otherwise.  Raises Undefined if a derivative (or
-    the flow itself) is undefined along the way.
+
+def _flow_polynomial(rows, store: Store, tau: float) -> Store:
+    """Horner evaluation of each moving variable's polynomial in tau.
+
+    `rows` holds (i, coefficients) per variable with a nonzero derivative;
+    the coefficients run from the highest power of tau down to tau^1,
+    each as (constant, ((j, weight), ...)) read off row i of M^k/k!.
+    The tau^0 coefficient is store[i] itself.
     """
-    if tau < 0:
-        raise ValueError("flow time must be nonnegative")
-    if method is None:
-        method = EXACT if classify_affine(sys) is not None else DEFAULT_RK4
-    if isinstance(method, ExactAffine):
-        aug = _augmented(sys)
-        if aug is None:
-            raise Undefined("exact flow requested for a non-affine system")
-        return _flow_affine(aug, store, tau)
-    return _flow_rk4(sys, store, tau, method.step)
+    out = list(store)
+    for i, coeffs in rows:
+        acc = 0.0
+        for const, terms in coeffs:
+            for j, w in terms:
+                const += w * store[j]
+            acc = (acc + const) * tau
+        out[i] = store[i] + acc
+    for v in out:
+        if not math.isfinite(v):
+            raise Undefined("flow produced a non-finite value")
+    return tuple(out)
 
 
-def _flow_affine(aug, store: Store, tau: float) -> Store:
-    m, degree, powers = aug
+def _flow_expm(m, store: Store, tau: float) -> Store:
     n = len(store)
-    if degree == 1:  # all-zero derivatives: the system is halted
-        return store
-    if degree is not None:
-        # nilpotent: the exponential series terminates exactly
-        phi = powers[0].copy()
-        scale = 1.0
-        for k in range(1, degree):
-            scale *= tau / k
-            phi += scale * powers[k]
-    else:
-        phi = expm(m * tau)
+    phi = expm(m * tau)
     vec = phi[:n, :] @ np.append(np.asarray(store, dtype=float), 1.0)
     out = tuple(map(float, vec))
     for v in out:
@@ -181,9 +156,69 @@ def _flow_affine(aug, store: Store, tau: float) -> Store:
     return out
 
 
-def _flow_rk4(sys: OdeSystem, store: Store, tau: float, step: float) -> Store:
-    derivs = sys.derivs
+def _compile(block: DiffBlock):
+    """The exact flow of `block` as a function (store, tau) -> store, or
+    `_NON_AFFINE`; cached on the block."""
+    exact = _NON_AFFINE
+    affine = classify_affine(block)
+    if affine is not None:
+        a, c = affine
+        n = len(c)
+        m = np.zeros((n + 1, n + 1))
+        m[:n, :n] = a
+        m[:n, n] = c
+        if not m.any():
+            exact = _halted
+        else:
+            powers = [m]
+            while powers[-1].any() and len(powers) <= n:
+                powers.append(powers[-1] @ m)
+            if powers[-1].any():
+                exact = partial(_flow_expm, m)
+            else:
+                exact = partial(_flow_polynomial, _polynomial_rows(powers[:-1], n))
+    object.__setattr__(block, "compiled", exact)
+    return exact
 
+
+def _polynomial_rows(powers, n: int):
+    """Sparse Horner coefficients from the nonzero powers M^1 .. M^(d-1)."""
+    scaled = [p / math.factorial(k) for k, p in enumerate(powers, start=1)]
+    rows = []
+    for i in range(n):
+        coeffs = [
+            (float(s[i, n]), tuple((j, float(s[i, j])) for j in range(n) if s[i, j] != 0.0))
+            for s in scaled
+        ]
+        while coeffs and coeffs[-1] == (0.0, ()):
+            coeffs.pop()
+        if coeffs:
+            rows.append((i, tuple(reversed(coeffs))))
+    return tuple(rows)
+
+
+def flow(block: DiffBlock, store: Store, tau: float, method: FlowMethod | None = None) -> Store:
+    """phi(store, tau): evolve the store tau time units along the block.
+
+    With `method=None` the exact affine flow is used when the system is
+    affine and RK4(1e-3) otherwise.  Raises Undefined if a derivative (or
+    the flow itself) is undefined along the way.
+    """
+    if tau < 0:
+        raise ValueError("flow time must be nonnegative")
+    if isinstance(method, RungeKutta4):
+        return _flow_rk4(block.derivs, store, tau, method.step)
+    exact = block.compiled
+    if exact is None:
+        exact = _compile(block)
+    if exact is _NON_AFFINE:
+        if method is None:
+            return _flow_rk4(block.derivs, store, tau, DEFAULT_RK4.step)
+        raise Undefined("exact flow requested for a non-affine system")
+    return exact(store, tau)
+
+
+def _flow_rk4(derivs: tuple, store: Store, tau: float, step: float) -> Store:
     def f(state):
         return [eval_expr(d, state) for d in derivs]
 
@@ -204,20 +239,3 @@ def _flow_rk4(sys: OdeSystem, store: Store, tau: float, step: float) -> Store:
                 raise Undefined("RK4 state became non-finite")
         remaining -= h
     return state
-
-
-def flow_segment(sys: OdeSystem, store: Store, duration: float, grid, method: FlowMethod | None = None):
-    """Flow sampled at each grid time within [0, duration].
-
-    Pointwise equal to `flow` at every grid time (same method).
-    """
-    prev = None
-    out = []
-    for t in grid:
-        if prev is not None and t < prev:
-            raise ValueError("grid times must be sorted")
-        if not 0.0 <= t <= duration:
-            raise ValueError("grid times must lie within [0, duration]")
-        prev = t
-        out.append((t, flow(sys, store, t, method)))
-    return out

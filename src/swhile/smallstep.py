@@ -106,7 +106,6 @@ def step(config: Config, flow_method=None) -> StepOutcome:
             return ERR
         return Resume(Config(None, update(config.store, p.var.index, v), config.t, config.entropy))
     if t is DiffBlock:
-        sys = ode.OdeSystem.of(p)
         try:
             d = eval_expr(p.duration, config.store)
         except Undefined:
@@ -115,11 +114,11 @@ def step(config: Config, flow_method=None) -> StepOutcome:
             return ERR
         if d > config.t:
             try:
-                return TimeStop(ode.flow(sys, config.store, config.t, flow_method))
+                return TimeStop(ode.flow(p, config.store, config.t, flow_method))
             except Undefined:
                 return ERR
         try:
-            evolved = ode.flow(sys, config.store, d, flow_method)
+            evolved = ode.flow(p, config.store, d, flow_method)
         except Undefined:
             return ERR
         return Resume(Config(None, evolved, config.t - d, config.entropy))

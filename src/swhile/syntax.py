@@ -9,7 +9,7 @@ their index into the program's variable table (for evaluation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 # Fixed stock of partial primitive functions, name -> arity.  "neg" is the
@@ -115,6 +115,12 @@ class DiffBlock:
 
     derivs: tuple
     duration: Expr
+    # the block's flow, compiled by `ode` on first use; not part of the value
+    compiled: object = field(default=None, init=False, compare=False, hash=False, repr=False)
+
+    def __reduce__(self):
+        # pickles (sent to --parallel workers) carry the value only
+        return DiffBlock, (self.derivs, self.duration)
 
 
 @dataclass(frozen=True, slots=True)

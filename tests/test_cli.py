@@ -86,6 +86,23 @@ def test_run_trace_jsonl(capsys):
     assert all(set(c) == {"program", "store", "t", "entropy"} for c in chain)
 
 
+def test_run_steps_same_with_and_without_trace(tmp_path, capsys):
+    normal = tmp_path / "normal.swl"
+    normal.write_text("x := 1 ; wait 0.5 ; x++")
+    err = tmp_path / "err.swl"
+    err.write_text("x := 1 ; wait 0.5 ; x := x / 0")
+    for path, time in ((PROGRAMS / "timestop.swl", "7.5"), (normal, "2"), (err, "2")):
+        args = ("run", path, "--time", time, "--seed", "1")
+        code, plain, _ = run_cli(capsys, *args)
+        traced_code, traced, _ = run_cli(capsys, *args, "--trace")
+        assert code == traced_code
+        steps = [line for line in plain.splitlines() if line.startswith("steps: ")]
+        assert len(steps) == 1
+        assert traced.splitlines()[-1] == steps[0]
+        # the trace lists each stepped configuration once
+        assert len(traced.splitlines()) - 2 == int(steps[0].split()[1])
+
+
 def test_run_with_init_override(tmp_path, capsys):
     f = tmp_path / "free.swl"
     f.write_text("x := n + 1 ; wait 10")

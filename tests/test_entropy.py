@@ -7,7 +7,6 @@ from swhile.entropy import (
     EntropyExhausted,
     FinitePrefix,
     PrngStream,
-    draw,
     from_seed,
     split_seed,
 )
@@ -70,11 +69,6 @@ def test_enumerator_follows_path():
     assert h == 0.75
     with pytest.raises(EntropyExhausted):
         rest.draw()
-
-
-def test_module_level_draw_matches_method():
-    src = from_seed(5)
-    assert draw(src) == src.draw()
 
 
 def test_split_seed_streams_differ_from_base_and_each_other():

@@ -10,7 +10,6 @@ from swhile.measure import (
     XPoint,
     dirac,
     kleisli_extend,
-    mass_split,
     tv_distance,
 )
 
@@ -106,25 +105,6 @@ def test_mass_contraction_randomized():
         k = random_kernel(i + 2000)
         mu = random_measure(rng)
         assert kleisli_extend(k)(mu).mass() <= mu.mass() + 1e-12
-
-
-def test_mass_split_pure_and_mixed():
-    x = XPoint((1.0,), 0.5)
-    e = EPoint((2.0,))
-    pure = dirac(x)
-    zero_part, x_part = mass_split(pure)
-    assert len(zero_part) == 0 and x_part == pure
-    mixed = DiscMeasure({e: 0.5, x: 0.5})
-    e_part, x_part = mass_split(mixed)
-    assert e_part.mass() == 0.5 and x_part.mass() == 0.5
-
-
-def test_mass_split_recombines():
-    rng = random.Random(6)
-    for _ in range(100):
-        mu = random_measure(rng)
-        e_part, x_part = mass_split(mu)
-        assert e_part + x_part == mu
 
 
 def test_tv_basic_values():

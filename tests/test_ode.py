@@ -1,23 +1,25 @@
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+from swhile import ode
+from swhile.montecarlo import TimeGrid, run_ensemble, sample_trajectory
 from swhile.ode import (
     EXACT,
-    OdeSystem,
     RungeKutta4,
     classify_affine,
     flow,
-    flow_segment,
 )
+from swhile.parser import parse_program
 from swhile.store import Undefined
-from swhile.syntax import Call, Lit, Var
+from swhile.syntax import Call, DiffBlock, Lit, Var
 
 
 def system(*derivs):
-    return OdeSystem(tuple(derivs))
+    return DiffBlock(tuple(derivs), Lit(1.0))
 
 
 def test_classify_double_integrator():
@@ -101,7 +103,7 @@ def _random_affine(rng, n):
             term = Call("*", (entry(i, j), Var(j, f"v{j}")))
             e = Call("+", (e, term))
         derivs.append(e)
-    return OdeSystem(tuple(derivs))
+    return system(*derivs)
 
 
 def test_semigroup_property_exact_affine():
@@ -145,19 +147,69 @@ def test_rk4_surfaces_blowup_as_undefined():
         flow(sys, (1.0,), 2.0, RungeKutta4(1e-3))
 
 
-def test_flow_segment_pointwise_equals_flow():
-    sys = system(Var(1, "v"), Lit(1.0))
-    store = (0.0, 0.0)
-    grid = (0.0, 1.0, 2.0)
-    for t, evolved in flow_segment(sys, store, 2.0, grid, EXACT):
-        assert evolved == flow(sys, store, t, EXACT)
+def test_exponential_growth_takes_expm_path():
+    # x' = x is affine but not nilpotent; no bundled program has such a block
+    sys = system(Var(0, "x"))
+    for tau in (0.0, 0.3, 1.0, 2.5):
+        (x,) = flow(sys, (1.0,), tau, EXACT)
+        assert abs(x - math.exp(tau)) <= 1e-12 * math.exp(tau)
+    assert sys.compiled.func is ode._flow_expm
 
 
-def test_flow_segment_edge_cases():
-    sys = system(Lit(0.0))
-    assert flow_segment(sys, (1.0,), 5.0, (0.0,)) == [(0.0, (1.0,))]
-    assert flow_segment(sys, (1.0,), 5.0, ()) == []
-    with pytest.raises(ValueError):
-        flow_segment(sys, (1.0,), 5.0, (6.0,))
-    with pytest.raises(ValueError):
-        flow_segment(sys, (1.0,), 5.0, (1.0, 0.5))
+def test_non_nilpotent_fast_equals_canonical():
+    grid = TimeGrid.regular(0.0, 3.0, 0.25)
+    program, _ = parse_program("x' = x for 10")
+    for fast in (True, False):
+        traj = sample_trajectory(program, (1.0,), grid, seed=0, fast=fast)
+        for g, pt in zip(grid.times, traj.points):
+            assert abs(pt.store[0] - math.exp(g)) <= 1e-12 * math.exp(g)
+    program, _ = parse_program("x := 1 ; while tt { d := unif(0, 1) ; x' = x for d ; x := x / 2 }")
+    for seed in range(5):
+        fast = sample_trajectory(program, (1.0, 0.0), grid, seed, fast=True)
+        canonical = sample_trajectory(program, (1.0, 0.0), grid, seed, fast=False)
+        assert fast == canonical
+
+
+def test_classify_affine_runs_once_per_block(monkeypatch):
+    calls = []
+    original = ode.classify_affine
+
+    def counting(block):
+        calls.append(block)
+        return original(block)
+
+    monkeypatch.setattr(ode, "classify_affine", counting)
+    source = ("p := 10 ; v := 0 ; while tt { d := unif(0, 1) ; "
+              "p' = v, v' = -9.8 for d ; v := -v ; wait d ; x' = sin(x) for d }")
+    program, table = parse_program(source)
+    grid = TimeGrid.regular(0.0, 5.0, 0.5)
+    for fast in (True, False):
+        run_ensemble(program, table, (10.0, 0.0, 0.0, 1.0), grid, 20, 7, fast=fast)
+    assert len(calls) == 3
+    assert len({id(b) for b in calls}) == 3
+
+
+def test_compiled_cache_is_not_part_of_the_value():
+    fresh = system(Var(1, "v"), Lit(-9.8))
+    used = system(Var(1, "v"), Lit(-9.8))
+    before = pickle.dumps(used)
+    flow(used, (10.0, 0.0), 1.0)
+    assert used.compiled is not None and fresh.compiled is None
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert pickle.dumps(used) == before == pickle.dumps(fresh)
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone == used and clone.compiled is None
+    assert flow(clone, (10.0, 0.0), 1.0) == flow(used, (10.0, 0.0), 1.0)
+
+
+def test_zero_derivative_rows_are_bit_identical():
+    # q and r do not move; p and v do, and reading them must not disturb q, r
+    sys = system(Var(1, "v"), Lit(-9.8), Lit(0.0), Lit(0.0))
+    rng = random.Random(11)
+    for _ in range(50):
+        store = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-1e300, 1e300), -0.0)
+        out = flow(sys, store, rng.uniform(0, 10), EXACT)
+        assert out[2] is store[2] and math.copysign(1.0, out[3]) == -1.0
+    halted = system(Lit(0.0), Lit(0.0))
+    store = (0.1, -0.0)
+    assert flow(halted, store, 3.0) is store
