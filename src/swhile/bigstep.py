@@ -44,66 +44,82 @@ BOTTOM = Bottom()
 FunOutcome = Normal | TimeStop | Bottom
 
 
-def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
+def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segments=None):
     """Terminal of the big-step relation; fuel bounds loop unfoldings.
 
     OutOfFuel is returned when the total number of true-guard loop
     unfoldings along the derivation exceeds `fuel`.
+
+    `segments`, when given a list, receives a record of the run and changes
+    no outcome.  Steps are numbered as the small-step closure counts
+    transitions (every node other than a sequence is one step).  Each
+    differential block with a positive duration d appends (block, entry
+    store, d, step) before it flows, and on exit the run appends
+    (None, None, None, last step).
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     store, t, src = config.store, config.t, config.entropy
     stack = [] if config.program is None else [config.program]
     unfolds = 0
-    while stack:
-        node = stack.pop()
-        nt = type(node)
-        if nt is Seq:
-            stack.append(node.rest)
-            stack.append(node.first)
-        elif nt is Assign:
-            try:
-                v = eval_expr(node.expr, store)
-            except Undefined:
-                return ERR
-            store = update(store, node.var.index, v)
-        elif nt is Sample:
-            h, src = src.draw()
-            store = update(store, node.var.index, h)
-        elif nt is DiffBlock:
-            try:
-                d = eval_expr(node.duration, store)
-            except Undefined:
-                return ERR
-            if d < 0.0:
-                return ERR
-            try:
-                if d > t:
-                    return TimeStop(ode.flow(node, store, t, flow_method))
-                store = ode.flow(node, store, d, flow_method)
-            except Undefined:
-                return ERR
-            t -= d
-        elif nt is If:
-            try:
-                guard = eval_bool(node.cond, store)
-            except Undefined:
-                return ERR
-            stack.append(node.then_branch if guard else node.else_branch)
-        elif nt is While:
-            try:
-                guard = eval_bool(node.cond, store)
-            except Undefined:
-                return ERR
-            if guard:
-                unfolds += 1
-                if unfolds > fuel:
-                    return OutOfFuel(unfolds - 1)
-                stack.append(node)
-                stack.append(node.body)
-        else:  # pragma: no cover
-            raise TypeError(f"not a program node: {node!r}")
-    return Normal(store, t, src)
+    steps = 0
+    try:
+        while stack:
+            node = stack.pop()
+            nt = type(node)
+            if nt is Seq:
+                stack.append(node.rest)
+                stack.append(node.first)
+                continue
+            steps += 1
+            if nt is Assign:
+                try:
+                    v = eval_expr(node.expr, store)
+                except Undefined:
+                    return ERR
+                store = update(store, node.var.index, v)
+            elif nt is Sample:
+                h, src = src.draw()
+                store = update(store, node.var.index, h)
+            elif nt is DiffBlock:
+                try:
+                    d = eval_expr(node.duration, store)
+                except Undefined:
+                    return ERR
+                if d < 0.0:
+                    return ERR
+                if segments is not None and d > 0.0:
+                    segments.append((node, store, d, steps))
+                try:
+                    if d > t:
+                        return TimeStop(ode.flow(node, store, t, flow_method))
+                    store = ode.flow(node, store, d, flow_method)
+                except Undefined:
+                    return ERR
+                t -= d
+            elif nt is If:
+                try:
+                    guard = eval_bool(node.cond, store)
+                except Undefined:
+                    return ERR
+                stack.append(node.then_branch if guard else node.else_branch)
+            elif nt is While:
+                try:
+                    guard = eval_bool(node.cond, store)
+                except Undefined:
+                    return ERR
+                if guard:
+                    unfolds += 1
+                    if unfolds > fuel:
+                        return OutOfFuel(unfolds - 1)
+                    stack.append(node)
+                    stack.append(node.body)
+            else:  # pragma: no cover
+                raise TypeError(f"not a program node: {node!r}")
+        return Normal(store, t, src)
+    finally:
+        if segments is not None:
+            segments.append((None, None, None, steps))
 
 
 def eval_functional(program, store, t: float, entropy, fuel: int, flow_method=None):

@@ -7,15 +7,18 @@ modes produce it:
 
 * canonical -- rerun the small-step closure once per grid time with the
   same seed-initialized entropy source;
-* fast (default) -- run once to the grid's end, record every positive-
-  duration flow segment and the discrete events between them, then read
-  grid values off the segments.
+* fast (default) -- one big-step run (`bigstep.eval_big`) to the last
+  grid time records every positive-duration flow segment with the
+  small-step count at its entry; the time-stop store is the last point and
+  every earlier point is read off the segments.
 
 Fast mode replays exactly the canonical arithmetic: reading a grid time g
 walks the recorded segments subtracting durations from g in run order (the
 same float operations the per-g rerun performs) and evolves the entry
 store of the segment the remainder lands in, so the two modes agree
-bit-for-bit on affine flows.
+bit-for-bit on affine flows.  Both modes spend `fuel` on small-step
+transitions, and an outcome reached after more than `fuel` steps is
+Diverged in either mode, so fuel cut-offs agree too.
 
 Error and fuel-exhausted runs are excluded from value statistics but
 always reported as counts next to them.
@@ -25,16 +28,19 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ode
+from .bigstep import eval_big
 from .entropy import from_seed, split_seed
 from .smallstep import Config, DEFAULT_FUEL, Err, Normal, TimeStop, _close
-from .store import Store, Undefined, eval_bool, eval_expr, update
-from .syntax import Assign, DiffBlock, If, Program, Sample, Seq, VarTable, While
+from .store import Store, Undefined, eval_bool
+from .store import eval_expr  # noqa: F401 -- unused here; tracers patch it by name
+from .syntax import Program, VarTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,99 +125,46 @@ class Ensemble:
     trajectories: tuple
 
 
-# --- fast mode: one recording pass, then segment reads -----------------------
+# --- fast mode: one recorded big-step run, then segment reads ----------------
 
-_RUN, _STOP, _ERRFLOW = 0, 1, 2
+def _read_segments(flows, result, last_step, g, fuel, flow_method):
+    """The canonical outcome at grid time g, read off a run to a time >= g.
 
-
-@dataclass(frozen=True, slots=True)
-class _Record:
-    segments: tuple  # (differential block, entry store, duration, flag)
-    tail: str  # "normal" | "timestop" | "error" | "diverged"
-    final_store: object
-    budget: int
-
-
-def _record_run(program, store0: Store, t_end: float, entropy, fuel: int, flow_method) -> _Record:
-    segments = []
-    store, rem, src = store0, t_end, entropy
-    stack = [] if program is None else [program]
-    ops = 0
-    while stack:
-        ops += 1
-        if ops > fuel:
-            return _Record(tuple(segments), "diverged", None, fuel)
-        node = stack.pop()
-        nt = type(node)
-        if nt is Seq:
-            stack.append(node.rest)
-            stack.append(node.first)
-        elif nt is Assign:
-            try:
-                v = eval_expr(node.expr, store)
-            except Undefined:
-                return _Record(tuple(segments), "error", None, fuel)
-            store = update(store, node.var.index, v)
-        elif nt is Sample:
-            h, src = src.draw()
-            store = update(store, node.var.index, h)
-        elif nt is DiffBlock:
-            try:
-                d = eval_expr(node.duration, store)
-            except Undefined:
-                return _Record(tuple(segments), "error", None, fuel)
-            if d < 0.0:
-                return _Record(tuple(segments), "error", None, fuel)
-            if d > rem:
-                segments.append((node, store, d, _STOP))
-                return _Record(tuple(segments), "timestop", None, fuel)
-            try:
-                evolved = ode.flow(node, store, d, flow_method)
-            except Undefined:
-                segments.append((node, store, d, _ERRFLOW))
-                return _Record(tuple(segments), "error", None, fuel)
-            if d > 0.0:
-                segments.append((node, store, d, _RUN))
-            store = evolved
-            rem -= d
-        elif nt is If:
-            try:
-                guard = eval_bool(node.cond, store)
-            except Undefined:
-                return _Record(tuple(segments), "error", None, fuel)
-            stack.append(node.then_branch if guard else node.else_branch)
-        elif nt is While:
-            try:
-                guard = eval_bool(node.cond, store)
-            except Undefined:
-                return _Record(tuple(segments), "error", None, fuel)
-            if guard:
-                stack.append(node)
-                stack.append(node.body)
-        else:  # pragma: no cover
-            raise TypeError(f"not a program node: {node!r}")
-    return _Record(tuple(segments), "normal", store, fuel)
-
-
-def _read_record(record: _Record, g: float, flow_method):
+    The rerun to g takes the same path up to the segment its remaining time
+    lands in: g walks the segments subtracting durations in run order, as
+    that rerun would, and a step past `fuel` is a fuel cut, as in `_close`.
+    """
+    failed = last_step if type(result) is Err else 0  # the step that erred; 0 matches no step
     remaining = g
-    for block, entry, duration, flag in record.segments:
-        if flag == _RUN and duration <= remaining:
-            remaining -= duration
-            continue
-        if flag == _ERRFLOW and duration <= remaining:
-            return ErrorAt(g - remaining)
-        try:
-            return Value(ode.flow(block, entry, remaining, flow_method))
-        except Undefined:
-            return ErrorAt(g - remaining)
-    if record.tail == "normal":
-        return TerminatedEarly(record.final_store, g - remaining)
-    if record.tail == "error":
-        return ErrorAt(g - remaining)
-    if record.tail == "diverged":
-        return Diverged(record.budget)
-    raise AssertionError("time-stop record without a covering segment")  # pragma: no cover
+    for block, entry, duration, step in flows:
+        if duration > remaining or step == failed:
+            if step > fuel:
+                return Diverged(fuel)
+            if duration <= remaining:  # g's run completes this flow, which errs
+                return ErrorAt(g - remaining)
+            try:
+                return Value(ode.flow(block, entry, remaining, flow_method))
+            except Undefined:
+                return ErrorAt(g - remaining)
+        remaining -= duration
+    if last_step > fuel:
+        return Diverged(fuel)
+    if type(result) is Normal:
+        return TerminatedEarly(result.store, g - remaining)
+    return ErrorAt(g - remaining)
+
+
+def _fast_points(program, store0, grid, seed, fuel, flow_method):
+    *times, last = grid.times
+    flows = []
+    result = eval_big(Config(program, store0, last, from_seed(seed)), fuel, flow_method, flows)
+    _, _, _, last_step = flows.pop()
+    points = [_read_segments(flows, result, last_step, g, fuel, flow_method) for g in times]
+    if type(result) is TimeStop and last_step <= fuel:
+        points.append(Value(result.store))
+    else:
+        points.append(_read_segments(flows, result, last_step, last, fuel, flow_method))
+    return tuple(points)
 
 
 def _canonical_point(program, store0, g, seed, fuel, flow_method):
@@ -241,8 +194,7 @@ def sample_trajectory(
     mode agrees with the per-time canonical rerun at every grid point.
     """
     if fast:
-        record = _record_run(program, store0, grid.end, from_seed(seed), fuel, flow_method)
-        points = tuple(_read_record(record, g, flow_method) for g in grid.times)
+        points = _fast_points(program, store0, grid, seed, fuel, flow_method)
     else:
         points = tuple(
             _canonical_point(program, store0, g, seed, fuel, flow_method) for g in grid.times
@@ -383,10 +335,18 @@ class HistogramResult:
 
 
 def _grid_index(grid: TimeGrid, t: float) -> int:
-    try:
-        return grid.times.index(t)
-    except ValueError:
-        raise ValueError(f"time {t!r} is not on the grid {grid.times}") from None
+    """Index of grid time t, or of the nearest grid time within rounding.
+
+    Regular grid times are start + i * step, so 0:1:0.1 holds
+    0.30000000000000004, which a time typed as 0.3 must still find.
+    """
+    times = grid.times
+    if t in times:
+        return times.index(t)
+    nearest = min(range(len(times)), key=lambda i: abs(times[i] - t))
+    if math.isclose(times[nearest], t, rel_tol=1e-9, abs_tol=1e-12):
+        return nearest
+    raise ValueError(f"time {t!r} is not on the grid {times}")
 
 
 def _var_index(table: VarTable, variable: str) -> int:

@@ -6,8 +6,10 @@ import pytest
 from swhile.bigstep import BOTTOM, check_agreement, eval_big, eval_functional
 from swhile.entropy import FinitePrefix, from_seed, split_seed
 from swhile.parser import parse_file, parse_program
-from swhile.smallstep import Config, Err, Normal, TimeStop
+from swhile.ode import EXACT, RungeKutta4
+from swhile.smallstep import Config, Err, Normal, OutOfFuel, TimeStop, _close
 from swhile.store import make_store
+from swhile.syntax import Seq
 
 from genprog import gen_program, gen_store, gen_table
 from progpath import program_files
@@ -31,6 +33,35 @@ def test_sampling_rule():
 def test_negative_duration_is_err():
     program, _ = parse_program("d := 0 - 1 ; wait d")
     assert eval_big(Config(program, (0.0,), 5.0, from_seed(0))) == Err()
+
+
+def test_recorded_steps_number_small_step_transitions():
+    rng = random.Random(4242)
+    compared = 0
+    for _ in range(300):
+        table = gen_table(rng)
+        program = gen_program(rng, table, depth=4)
+        config = Config(program, gen_store(rng, table), rng.choice((0.0, 0.5, 1.5, 3.0)),
+                        from_seed(rng.randrange(2 ** 32)))
+        method = rng.choice((EXACT, RungeKutta4(0.1)))
+        segments = []
+        big = eval_big(config, 200, method, segments)
+        assert eval_big(config, 200, method) == big
+        small, steps, configs, _ = _close(config, 10 ** 4, method, keep_trace=True)
+        if isinstance(big, OutOfFuel) or isinstance(small, OutOfFuel):
+            continue
+        *flows, (_, _, _, last_step) = segments
+        assert last_step == steps
+        for block, entry, _, step in flows:
+            # the configuration the small-step relation steps at that count
+            before = configs[step - 1]
+            node = before.program
+            while type(node) is Seq:
+                node = node.first
+            assert node == block
+            assert before.store == entry
+        compared += 1
+    assert compared > 200
 
 
 def test_functional_walkthrough():

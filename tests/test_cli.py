@@ -241,6 +241,19 @@ def test_histogram_time_off_grid_exits_cleanly(capsys):
     assert code == 1
 
 
+def test_histogram_time_matches_rounded_grid_time(capsys):
+    # 0:1:0.1 holds 0.30000000000000004 and 0.7000000000000001, not 0.3 and 0.7
+    for at, grid_time in (("0.3", 0.1 * 3), ("0.7", 0.1 * 7)):
+        base = ("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.1", "--runs", "3",
+                "--seed", "1")
+        code, typed, _ = run_cli(capsys, *base, "--hist", f"p@{at}")
+        assert code == 0
+        code, exact, _ = run_cli(capsys, *base, "--hist", f"p@{grid_time!r}")
+        assert code == 0
+        assert typed == exact
+        assert typed.splitlines()[-1] == "excluded,,0"
+
+
 def test_flow_flag_variants(capsys):
     for flow in ("exact", "rk4", "rk4:0.01", "auto"):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -21,9 +22,12 @@ from swhile.montecarlo import (
     write_histogram_csv,
     write_series_csv,
 )
+from swhile.ode import EXACT, RungeKutta4
 from swhile.parser import parse_bool_expr, parse_file, parse_program
 from swhile.store import make_store
+from swhile.syntax import Assign, BoolLit, Call, DiffBlock, Lit, Seq, Var, While
 
+from genprog import gen_program, gen_store, gen_table
 from progpath import PROGRAMS, program_files
 
 WALKTHROUGH = "x := 0 ; while tt { x++ ; wait 1 }"
@@ -101,14 +105,57 @@ def test_terminated_early_holds_final_store():
 
 
 def test_fast_agrees_with_canonical_on_corpus():
-    grid = TimeGrid.regular(0.0, 5.0, 0.5)
+    # the second grid's last time, 4.8, falls short of its end, 5.0
+    grids = (TimeGrid.regular(0.0, 5.0, 0.5), TimeGrid.regular(0.0, 5.0, 0.3))
     for path in program_files():
         program, table = parse_file(path)
         store = make_store(table)
-        for seed in (1, 2, 3):
-            fast = sample_trajectory(program, store, grid, seed=seed, fast=True)
-            slow = sample_trajectory(program, store, grid, seed=seed, fast=False)
-            assert fast == slow, path
+        for grid in grids:
+            for seed in (1, 2, 3):
+                fast = sample_trajectory(program, store, grid, seed=seed, fast=True)
+                slow = sample_trajectory(program, store, grid, seed=seed, fast=False)
+                assert fast == slow, (path, grid.times[-1])
+
+
+def test_fast_agrees_with_canonical_at_fuel_cutoff():
+    # fuel counts small-step transitions per grid time in both modes: the
+    # run to g=5 takes 19 steps and fits a budget of 20, the run to g=6 takes 22
+    program, _ = parse_program(WALKTHROUGH)
+    grid = TimeGrid.regular(0.0, 8.0, 1.0)
+    fast = sample_trajectory(program, (0.0,), grid, seed=1, fuel=20, fast=True)
+    slow = sample_trajectory(program, (0.0,), grid, seed=1, fuel=20, fast=False)
+    assert fast == slow
+    assert fast.points[4] == Value((5.0,))
+    assert fast.points[5] == Value((6.0,))
+    assert fast.points[6:] == (Diverged(20),) * 3
+
+
+def _counting_loop(rng, table):
+    """while tt { x++ ; wait d } on the table's first variable."""
+    x = Var(0, table.names[0])
+    wait = DiffBlock((Lit(0.0),) * len(table), Lit(rng.choice((0.0, 0.25, 0.5, 1.0))))
+    return While(BoolLit(True), Seq(Assign(x, Call("+", (x, Lit(1.0)))), wait))
+
+
+def test_fast_agrees_with_canonical_under_fuel_fuzz():
+    rng = random.Random(1123)
+    grid = TimeGrid.regular(0.0, 4.0, 0.5)
+    seen = set()
+    for _ in range(300):
+        table = gen_table(rng)
+        program = gen_program(rng, table, depth=3)
+        if rng.random() < 0.5:
+            program = Seq(program, _counting_loop(rng, table))
+        store = gen_store(rng, table)
+        seed = rng.randrange(2 ** 32)
+        # exact flows err on non-affine blocks; a coarse RK4 keeps the fuzz fast
+        method = rng.choice((EXACT, RungeKutta4(0.1)))
+        for fuel in (1, 2, 3, 5, 8, 13, 20, 40, 200):
+            fast = sample_trajectory(program, store, grid, seed, fuel, True, method)
+            slow = sample_trajectory(program, store, grid, seed, fuel, False, method)
+            assert fast == slow, (program, store, seed, fuel, method)
+            seen.update(type(pt) for pt in slow.points)
+    assert seen == {Value, TerminatedEarly, ErrorAt, Diverged}
 
 
 def test_ensembles_are_reproducible():
@@ -223,6 +270,16 @@ def test_moments_constant_variable():
     assert m.mean == 3.0
     assert m.std == 0.0
     assert m.count == 5
+
+
+def test_moments_accept_a_time_that_rounds_to_a_grid_time():
+    program, table = parse_program("x := 0 ; while tt { x++ ; wait 0.1 }")
+    grid = TimeGrid.regular(0.0, 1.0, 0.1)
+    assert 0.3 not in grid.times
+    ens = run_ensemble(program, table, (0.0,), grid, runs=2, base_seed=2)
+    assert moments(ens, "x", 0.3) == moments(ens, "x", grid.times[3])
+    with pytest.raises(ValueError):
+        moments(ens, "x", 0.35)
 
 
 def test_csv_and_json_export():
