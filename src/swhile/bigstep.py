@@ -50,19 +50,20 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
     OutOfFuel is returned when the total number of true-guard loop
     unfoldings along the derivation exceeds `fuel`.
 
-    `segments`, when given a list, receives a record of the run and changes
-    no outcome.  Steps are numbered as the small-step closure counts
-    transitions (every node other than a sequence is one step).  Each
-    differential block with a positive duration d appends (block, entry
-    store, d, step) before it flows, and on exit the run appends
-    (None, None, None, last step).
+    `segments`, when given a list, receives a record of the run.  Steps are
+    numbered as the small-step closure counts transitions (every node other
+    than a sequence is one step).  Each differential block with a positive
+    duration d appends (block, entry store, d, step) before it flows, and
+    on exit the run appends (None, None, None, last step).  A recording run
+    also stops before its step fuel + 1 and returns OutOfFuel(fuel): the
+    small-step closure cuts every step past `fuel`, so no reader needs it.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     store, t, src = config.store, config.t, config.entropy
     stack = [] if config.program is None else [config.program]
     unfolds = 0
-    steps = 0
+    steps = 0  # counted only while recording
     try:
         while stack:
             node = stack.pop()
@@ -71,7 +72,10 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
                 stack.append(node.rest)
                 stack.append(node.first)
                 continue
-            steps += 1
+            if segments is not None:
+                steps += 1
+                if steps > fuel:
+                    return OutOfFuel(fuel)
             if nt is Assign:
                 try:
                     v = eval_expr(node.expr, store)

@@ -132,11 +132,20 @@ def _grid_of(args) -> montecarlo.TimeGrid:
     return montecarlo.TimeGrid.regular(args.start, args.end, args.step)
 
 
+def _parsed(parse, *args):
+    """`parse(*args)`; input nested deeper than the recursive parser can
+    follow is a diagnostic (exit 1), not a traceback."""
+    try:
+        return parse(*args)
+    except RecursionError:
+        raise ValueError("nesting too deep to parse") from None
+
+
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_parse(args) -> int:
-    program, table = parse_file(args.file)
+    program, table = _parsed(parse_file, args.file)
     if args.json:
         print(json.dumps({"variables": list(table.names),
                           "program": _program_json(program, table)}, sort_keys=True))
@@ -147,7 +156,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_run(args) -> int:
-    program, table = parse_file(args.file)
+    program, table = _parsed(parse_file, args.file)
     store = _initial_store(table, args.init)
     seed = _seed_of(args)
     method = _flow_method(args.flow)
@@ -182,7 +191,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    program, table = parse_file(args.file)
+    program, table = _parsed(parse_file, args.file)
     store = _initial_store(table, args.init)
     seed = _seed_of(args)
     method = _flow_method(args.flow)
@@ -207,7 +216,7 @@ def cmd_simulate(args) -> int:
                 write_csv(sys.stdout)
 
     if args.check and args.interval:
-        cond = parse_bool_expr(args.check, table)
+        cond = _parsed(parse_bool_expr, args.check, table)
         result = montecarlo.interval_probability(ensemble, cond, args.interval[0], args.interval[1])
         payload = {
             "fraction": result.fraction,
@@ -222,7 +231,7 @@ def cmd_simulate(args) -> int:
         ), payload)
         return 0
     if args.check:
-        cond = parse_bool_expr(args.check, table)
+        cond = _parsed(parse_bool_expr, args.check, table)
         series = montecarlo.probability_over_time(ensemble, cond)
         payload = {"times": list(series.times), "fractions": list(series.fractions),
                    "excluded": list(series.excluded)}
@@ -243,7 +252,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_adequacy(args) -> int:
-    program, table = parse_file(args.file)
+    program, table = _parsed(parse_file, args.file)
     store = _initial_store(table, args.init)
     method = _flow_method(args.flow)
     if args.time:

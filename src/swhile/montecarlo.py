@@ -222,15 +222,20 @@ def run_ensemble(
     """Independent trajectories with per-run seeds split off `base_seed`.
 
     Results are aggregated by run index, so a parallel run (`workers` > 1)
-    produces byte-identical output to a serial one.
+    produces byte-identical output to a serial one.  A parallel run splits
+    the runs into chunks of ceil(runs / min(workers, runs)) consecutive
+    runs and starts one worker process per chunk.
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if workers is not None and workers < 1:
+        raise ValueError("need at least one worker")
     seeds = [split_seed(base_seed, i) for i in range(runs)]
     tasks = [(program, store0, grid, s, fuel, fast, flow_method) for s in seeds]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trajectories = tuple(pool.map(_trajectory_task, tasks, chunksize=64))
+    if workers is not None and workers > 1:
+        chunk = -(-runs // min(workers, runs))
+        with ProcessPoolExecutor(max_workers=-(-runs // chunk)) as pool:
+            trajectories = tuple(pool.map(_trajectory_task, tasks, chunksize=chunk))
     else:
         trajectories = tuple(_trajectory_task(t) for t in tasks)
     return Ensemble(program, table, store0, grid, base_seed, trajectories)

@@ -3,7 +3,7 @@
 Each `DiffBlock` is compiled once, on its first flow, and the result is
 cached on the node itself (its non-compared `compiled` field), so every
 evaluator that flows the same node shares one piece of arithmetic.  The
-compiled flow is one of:
+exact flow is classified on the first flow that may use it, and is one of:
 
 * halted -- every derivative is zero, the store is returned unchanged;
 * nilpotent -- the system is affine, x' = Ax + c, and the augmented
@@ -15,7 +15,15 @@ compiled flow is one of:
   zero keep their value bit for bit;
 * matrix exponential -- affine but not nilpotent: scipy's
   scaling-and-squaring `expm` of M * tau;
-* non-affine -- fixed-step RK4 on the derivative expressions.
+* non-affine -- fixed-step RK4 (the default step, 1e-3).
+
+Every RK4 flow -- a non-affine block under the default method, or any
+block under an explicit `RungeKutta4` -- runs the block's RK4 kernel: one
+Python function generated from the derivative expressions on the first
+RK4 flow, with each stage's derivatives as straight-line code over one
+local per variable.  Its arithmetic and its errors are those of
+evaluating the derivative trees with `eval_expr` at every stage, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -116,7 +124,17 @@ def classify_affine(block: DiffBlock):
     return np.array(rows), np.array(consts)
 
 
-_NON_AFFINE = object()  # compiled marker: no exact flow, RK4 only
+_NON_AFFINE = object()  # exact-flow marker: the system is not affine
+
+
+class _Flows:
+    """A block's compiled flows, each built on its first use."""
+
+    __slots__ = ("exact", "rk4")
+
+    def __init__(self):
+        self.exact = None  # (store, tau) -> store, or _NON_AFFINE
+        self.rk4 = None  # (store, tau, step) -> store, from _rk4_kernel
 
 
 def _halted(store: Store, tau: float) -> Store:
@@ -156,9 +174,9 @@ def _flow_expm(m, store: Store, tau: float) -> Store:
     return out
 
 
-def _compile(block: DiffBlock):
+def _exact_flow(block: DiffBlock):
     """The exact flow of `block` as a function (store, tau) -> store, or
-    `_NON_AFFINE`; cached on the block."""
+    `_NON_AFFINE`."""
     exact = _NON_AFFINE
     affine = classify_affine(block)
     if affine is not None:
@@ -177,7 +195,6 @@ def _compile(block: DiffBlock):
                 exact = partial(_flow_expm, m)
             else:
                 exact = partial(_flow_polynomial, _polynomial_rows(powers[:-1], n))
-    object.__setattr__(block, "compiled", exact)
     return exact
 
 
@@ -206,36 +223,170 @@ def flow(block: DiffBlock, store: Store, tau: float, method: FlowMethod | None =
     """
     if tau < 0:
         raise ValueError("flow time must be nonnegative")
+    flows = block.compiled
+    if flows is None:
+        flows = _Flows()
+        object.__setattr__(block, "compiled", flows)
     if isinstance(method, RungeKutta4):
-        return _flow_rk4(block.derivs, store, tau, method.step)
-    exact = block.compiled
+        return _rk4(block, flows)(store, tau, method.step)
+    exact = flows.exact
     if exact is None:
-        exact = _compile(block)
-    if exact is _NON_AFFINE:
-        if method is None:
-            return _flow_rk4(block.derivs, store, tau, DEFAULT_RK4.step)
-        raise Undefined("exact flow requested for a non-affine system")
-    return exact(store, tau)
+        exact = flows.exact = _exact_flow(block)
+    if exact is not _NON_AFFINE:
+        return exact(store, tau)
+    if method is None:
+        return _rk4(block, flows)(store, tau, DEFAULT_RK4.step)
+    raise Undefined("exact flow requested for a non-affine system")
 
 
-def _flow_rk4(derivs: tuple, store: Store, tau: float, step: float) -> Store:
-    def f(state):
-        return [eval_expr(d, state) for d in derivs]
+def _rk4(block: DiffBlock, flows: _Flows):
+    kernel = flows.rk4
+    if kernel is None:
+        kernel = flows.rk4 = _rk4_kernel(block.derivs)
+    return kernel
 
-    state = tuple(store)
-    remaining = tau
-    while remaining > 0.0:
-        h = step if remaining >= step else remaining
-        k1 = f(state)
-        k2 = f(tuple(x + 0.5 * h * k for x, k in zip(state, k1)))
-        k3 = f(tuple(x + 0.5 * h * k for x, k in zip(state, k2)))
-        k4 = f(tuple(x + h * k for x, k in zip(state, k3)))
-        state = tuple(
-            x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        for v in state:
-            if not math.isfinite(v):
-                raise Undefined("RK4 state became non-finite")
-        remaining -= h
-    return state
+
+# --- the RK4 kernel: straight-line Python generated from the derivatives ----
+#
+# Each call node becomes one assignment to a temporary followed by the
+# checks eval_expr makes at that node, in eval_expr's order (the divisor of
+# a division is evaluated and tested before its numerator).  Variables and
+# literals are read directly: variables from one local per store entry,
+# literals from locals unpacked from a constants tuple, so no value is ever
+# written into the source text; the text holds only generated names,
+# integer indices and primitive operators.
+
+
+def _linearize(e, consts: list, code: list):
+    """Append the call nodes of `e` to `code` in evaluation order.
+
+    Returns the reference of e's value: ("var", index), ("const", index
+    into `consts`) or ("temp", index into `code`).  Each `code` entry is
+    (op, argument references), or ("divisor", (reference,)) for the zero
+    test that eval_expr makes on a divisor before it evaluates the
+    numerator.  Iterative, so any depth eval_expr can evaluate is accepted.
+    """
+    values = []
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        t = type(item)
+        if t is Var:
+            values.append(("var", item.index))
+        elif t is Lit:
+            values.append(("const", len(consts)))
+            consts.append(item.value)
+        elif t is Call:
+            args = item.args
+            if item.op == "/":
+                stack += [("/", 2), args[0], ("divisor", 0), args[1]]
+            else:
+                stack.append((item.op, len(args)))
+                stack.extend(reversed(args))
+        elif item[0] == "divisor":
+            code.append(("divisor", (values[-1],)))
+        else:
+            op, arity = item
+            refs = tuple(values[-arity:])
+            del values[-arity:]
+            if op == "/":
+                refs = refs[::-1]  # the divisor was evaluated first
+            values.append(("temp", len(code)))
+            code.append((op, refs))
+    return values[0]
+
+
+def _name(ref, roots: dict, inputs: str, slopes: str) -> str:
+    """The local holding `ref` in a stage that reads the store from
+    `<inputs>0, <inputs>1, ...` and leaves derivative i in `<slopes>i`."""
+    kind, i = ref
+    if kind == "var":
+        return f"{inputs}{i}"
+    if kind == "const":
+        return f"K{i}"
+    return f"{slopes}{roots[i]}" if i in roots else f"t{i}"
+
+
+def _stage_lines(code, roots: dict, inputs: str, slopes: str) -> list:
+    """Source lines of one RK4 stage: every derivative, in eval_expr's order."""
+    lines = []
+    for index, (op, refs) in enumerate(code):
+        a = [_name(r, roots, inputs, slopes) for r in refs]
+        if op == "divisor":
+            lines.append(f'if {a[0]} == 0.0: raise Undefined("division by zero")')
+            continue
+        out = _name(("temp", index), roots, inputs, slopes)
+        if op in ("+", "-", "*", "/"):
+            lines.append(f"{out} = {a[0]} {op} {a[1]}")
+        elif op == "neg":
+            lines.append(f"{out} = -{a[0]}")
+        elif op == "exp":
+            lines += ["try:", f"    {out} = exp({a[0]})", "except OverflowError:",
+                      '    raise Undefined("exp overflow") from None']
+        elif op == "ln":
+            lines.append(f'if {a[0]} <= 0.0: '
+                         f'raise Undefined(f"ln of non-positive value {{{a[0]}!r}}")')
+            lines.append(f"{out} = log({a[0]})")
+        elif op == "sqrt":
+            lines.append(f'if {a[0]} < 0.0: raise Undefined(f"sqrt of negative value {{{a[0]}!r}}")')
+            lines.append(f"{out} = sqrt({a[0]})")
+        elif op in ("sin", "cos"):
+            lines.append(f"{out} = {op}({a[0]})")
+        else:  # pragma: no cover - Call.__post_init__ rejects unknown ops
+            raise ValueError(f"unknown primitive {op!r}")
+        lines.append(f"if not isfinite({out}): "
+                     f"raise Undefined(\"non-finite result in '{op}'\")")
+    return lines
+
+
+def _rk4_kernel(derivs: tuple):
+    """Fixed-step RK4 over `derivs` as a function (store, tau, step) -> store.
+
+    The arithmetic is the classic scheme's, operation for operation: stage
+    stores x + 0.5 * h * k (x + h * k for the last) and the update
+    x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d), for every variable, so the
+    result is bit-identical to evaluating the derivative trees with
+    eval_expr at each stage; the state is checked finite after each step.
+    """
+    n = len(derivs)
+    consts, code = [], []
+    outs = [_linearize(d, consts, code) for d in derivs]
+    roots = {i: j for j, (kind, i) in enumerate(outs) if kind == "temp"}
+
+    def slope(j: int, inputs: str, slopes: str) -> str:
+        return _name(outs[j], roots, inputs, slopes)
+
+    def names(prefix: str, count: int) -> str:
+        return "(" + "".join(f"{prefix}{i}, " for i in range(count)) + ")"
+
+    body = ["h = step if remaining >= step else remaining"]
+    body += _stage_lines(code, roots, "x", "a")
+    body.append("h2 = 0.5 * h")
+    body += [f"u{j} = x{j} + h2 * {slope(j, 'x', 'a')}" for j in range(n)]
+    body += _stage_lines(code, roots, "u", "b")
+    body += [f"v{j} = x{j} + h2 * {slope(j, 'u', 'b')}" for j in range(n)]
+    body += _stage_lines(code, roots, "v", "c")
+    body += [f"w{j} = x{j} + h * {slope(j, 'v', 'c')}" for j in range(n)]
+    body += _stage_lines(code, roots, "w", "d")
+    body.append("h6 = h / 6.0")
+    body += [f"n{j} = x{j} + h6 * ({slope(j, 'x', 'a')} + 2.0 * {slope(j, 'u', 'b')}"
+             f" + 2.0 * {slope(j, 'v', 'c')} + {slope(j, 'w', 'd')})" for j in range(n)]
+    body += [f'if not isfinite(n{j}): raise Undefined("RK4 state became non-finite")'
+             for j in range(n)]
+    body += [f"x{j} = n{j}" for j in range(n)]
+    body.append("remaining -= h")
+    source = "\n".join([
+        "def make(K):",
+        f"    {names('K', len(consts))} = K",
+        "    def rk4(store, tau, step):",
+        f"        {names('x', n)} = store",
+        "        remaining = tau",
+        "        while remaining > 0.0:",
+        *("            " + line for line in body),
+        f"        return {names('x', n)}",
+        "    return rk4",
+    ])
+    namespace = {"Undefined": Undefined, "isfinite": math.isfinite, "log": math.log,
+                 "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp}
+    exec(compile(source, "<rk4 kernel>", "exec"), namespace)
+    return namespace["make"](tuple(consts))

@@ -115,7 +115,9 @@ class DiffBlock:
 
     derivs: tuple
     duration: Expr
-    # the block's flow, compiled by `ode` on first use; not part of the value
+    # the block's flows, compiled by `ode` on first use (the exact flow and
+    # the generated RK4 kernel, each built when a flow first needs it); not
+    # part of the value
     compiled: object = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __reduce__(self):

@@ -273,6 +273,21 @@ def test_simulate_parallel_output_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_simulate_parallel_zero_exits_cleanly(capsys):
+    code, out, err = run_cli(capsys, "simulate", PROGRAMS / "ctrw.swl", "--runs", "4",
+                             "--grid", "0:2:0.5", "--seed", "21", "--parallel", "0")
+    assert code == 1
+    assert out == "" and "worker" in err
+
+
+def test_deep_nesting_is_a_diagnostic(tmp_path, capsys):
+    deep = tmp_path / "deep.swl"
+    deep.write_text("x := " + "(" * 3000 + "1" + ")" * 3000)
+    code, out, err = run_cli(capsys, "run", deep, "--time", "1")
+    assert code == 1
+    assert out == "" and "nesting too deep" in err
+
+
 def test_auto_seed_is_reported(capsys):
     code, _, err = run_cli(
         capsys, "simulate", PROGRAMS / "timestop.swl", "--runs", "1", "--grid", "0:1:1"

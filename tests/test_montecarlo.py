@@ -22,8 +22,11 @@ from swhile.montecarlo import (
     write_histogram_csv,
     write_series_csv,
 )
+from swhile.bigstep import eval_big
+from swhile.entropy import from_seed
 from swhile.ode import EXACT, RungeKutta4
 from swhile.parser import parse_bool_expr, parse_file, parse_program
+from swhile.smallstep import Config, OutOfFuel
 from swhile.store import make_store
 from swhile.syntax import Assign, BoolLit, Call, DiffBlock, Lit, Seq, Var, While
 
@@ -130,11 +133,27 @@ def test_fast_agrees_with_canonical_at_fuel_cutoff():
     assert fast.points[6:] == (Diverged(20),) * 3
 
 
+def test_recording_run_stops_after_fuel_steps():
+    # a loop that diverges in zero time: only the first fuel + 1 steps matter
+    program, _ = parse_program("x := 0 ; while tt { x++ ; x++ ; x++ ; x++ }")
+    segments = []
+    result = eval_big(Config(program, (0.0,), 1.0, from_seed(0)), 500, None, segments)
+    assert segments == [(None, None, None, 501)]
+    assert result == OutOfFuel(500)
+    grid = TimeGrid.regular(0.0, 1.0, 0.5)
+    fast = sample_trajectory(program, (0.0,), grid, seed=0, fuel=500, fast=True)
+    slow = sample_trajectory(program, (0.0,), grid, seed=0, fuel=500, fast=False)
+    assert fast == slow
+    assert fast.points == (Diverged(500),) * 3
+
+
 def _counting_loop(rng, table):
-    """while tt { x++ ; wait d } on the table's first variable."""
+    """while tt { x++ ; ... ; x++ ; wait d } on the table's first variable."""
     x = Var(0, table.names[0])
-    wait = DiffBlock((Lit(0.0),) * len(table), Lit(rng.choice((0.0, 0.25, 0.5, 1.0))))
-    return While(BoolLit(True), Seq(Assign(x, Call("+", (x, Lit(1.0)))), wait))
+    body = DiffBlock((Lit(0.0),) * len(table), Lit(rng.choice((0.0, 0.25, 0.5, 1.0))))
+    for _ in range(rng.randint(1, 4)):
+        body = Seq(Assign(x, Call("+", (x, Lit(1.0)))), body)
+    return While(BoolLit(True), body)
 
 
 def test_fast_agrees_with_canonical_under_fuel_fuzz():
@@ -184,9 +203,21 @@ def test_parallel_matches_serial():
     program, table = parse_file(PROGRAMS / "ctrw.swl")
     grid = TimeGrid.regular(0.0, 2.0, 0.5)
     store = make_store(table)
-    serial = run_ensemble(program, table, store, grid, runs=8, base_seed=1)
-    parallel = run_ensemble(program, table, store, grid, runs=8, base_seed=1, workers=2)
-    assert serial.trajectories == parallel.trajectories
+    # more workers than runs, and runs that do not divide evenly
+    for runs, workers in ((8, 2), (1, 2), (7, 3)):
+        serial = run_ensemble(program, table, store, grid, runs=runs, base_seed=1)
+        parallel = run_ensemble(program, table, store, grid, runs=runs, base_seed=1,
+                                workers=workers)
+        assert serial.trajectories == parallel.trajectories
+
+
+def test_parallel_rejects_fewer_than_one_worker():
+    program, table = parse_file(PROGRAMS / "ctrw.swl")
+    grid = TimeGrid.regular(0.0, 2.0, 0.5)
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            run_ensemble(program, table, make_store(table), grid, runs=4, base_seed=5,
+                         workers=workers)
 
 
 def test_probability_series_literals():

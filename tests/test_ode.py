@@ -14,8 +14,10 @@ from swhile.ode import (
     flow,
 )
 from swhile.parser import parse_program
-from swhile.store import Undefined
+from swhile.store import Undefined, eval_expr
 from swhile.syntax import Call, DiffBlock, Lit, Var
+
+from genprog import gen_expr, gen_table
 
 
 def system(*derivs):
@@ -153,7 +155,7 @@ def test_exponential_growth_takes_expm_path():
     for tau in (0.0, 0.3, 1.0, 2.5):
         (x,) = flow(sys, (1.0,), tau, EXACT)
         assert abs(x - math.exp(tau)) <= 1e-12 * math.exp(tau)
-    assert sys.compiled.func is ode._flow_expm
+    assert sys.compiled.exact.func is ode._flow_expm
 
 
 def test_non_nilpotent_fast_equals_canonical():
@@ -189,6 +191,29 @@ def test_classify_affine_runs_once_per_block(monkeypatch):
     assert len({id(b) for b in calls}) == 3
 
 
+def test_rk4_kernel_is_built_once_per_block(monkeypatch):
+    built = []
+    original = ode._rk4_kernel
+
+    def counting(derivs):
+        built.append(derivs)
+        return original(derivs)
+
+    monkeypatch.setattr(ode, "_rk4_kernel", counting)
+    source = ("th := 1 ; om := 0 ; p := 10 ; v := 0 ; while tt { d := unif(0, 1) ; "
+              "th' = om, om' = -sin(th) for d ; p' = v, v' = -9.8 for d ; "
+              "om := om + unif(-1/2, 1/2) ; x' = cos(x) for d }")
+    program, table = parse_program(source)
+    grid = TimeGrid.regular(0.0, 3.0, 0.5)
+    store = (0.0,) * len(table)
+    for fast in (True, False):
+        run_ensemble(program, table, store, grid, 10, 3, fast=fast)
+    assert len(built) == 2  # the affine block takes its exact flow
+    for fast in (True, False):
+        run_ensemble(program, table, store, grid, 10, 3, fast=fast, flow_method=RungeKutta4(0.1))
+    assert len(built) == 3  # an explicit RK4 flow needs the affine block's kernel too
+
+
 def test_compiled_cache_is_not_part_of_the_value():
     fresh = system(Var(1, "v"), Lit(-9.8))
     used = system(Var(1, "v"), Lit(-9.8))
@@ -213,3 +238,86 @@ def test_zero_derivative_rows_are_bit_identical():
     halted = system(Lit(0.0), Lit(0.0))
     store = (0.1, -0.0)
     assert flow(halted, store, 3.0) is store
+
+
+def _flow_rk4(derivs: tuple, store, tau: float, step: float):
+    """Reference RK4 that walks the derivative trees with eval_expr."""
+
+    def f(state):
+        return [eval_expr(d, state) for d in derivs]
+
+    state = tuple(store)
+    remaining = tau
+    while remaining > 0.0:
+        h = step if remaining >= step else remaining
+        k1 = f(state)
+        k2 = f(tuple(x + 0.5 * h * k for x, k in zip(state, k1)))
+        k3 = f(tuple(x + 0.5 * h * k for x, k in zip(state, k2)))
+        k4 = f(tuple(x + h * k for x, k in zip(state, k3)))
+        state = tuple(
+            x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+        )
+        for v in state:
+            if not math.isfinite(v):
+                raise Undefined("RK4 state became non-finite")
+        remaining -= h
+    return state
+
+
+def _bits(thunk):
+    """The flow's result as float.hex strings, or its Undefined reason."""
+    try:
+        return tuple(v.hex() for v in thunk())
+    except Undefined as exc:
+        return ("Undefined", exc.reason)
+
+
+def _assert_kernel_matches_reference(derivs, store, tau, step):
+    expected = _bits(lambda: _flow_rk4(derivs, store, tau, step))
+    got = _bits(lambda: flow(system(*derivs), store, tau, RungeKutta4(step)))
+    assert got == expected, (derivs, store, tau, step)
+    return expected[:1] == ("Undefined",)
+
+
+def test_rk4_kernel_is_bit_identical_to_the_tree_walk():
+    rng = random.Random(2024)
+    undefined = 0
+    for _ in range(600):
+        table = gen_table(rng, 4)
+        derivs = tuple(gen_expr(rng, table, 4, allow_exp=True) if rng.random() < 0.8
+                       else Lit(0.0) for _ in table.names)
+        store = tuple(rng.choice((-0.0, 0.0, round(rng.uniform(-3.0, 3.0), 3)))
+                      for _ in table.names)
+        tau = rng.choice((0.0, 0.05, 0.3, 1.0, rng.uniform(0.0, 2.0)))
+        step = rng.choice((1e-3, 0.01, 0.1, 0.7))
+        undefined += _assert_kernel_matches_reference(derivs, store, tau, step)
+    # both sides raise on the same inputs, and there are such inputs
+    assert 50 < undefined < 400
+
+
+def test_rk4_kernel_edge_systems():
+    x = Var(0, "x")
+    cases = [
+        ((Lit(math.inf),), (1.0,)),  # a literal inf derivative: the state check raises
+        ((Lit(math.inf), Lit(0.0)), (1.0, -0.0)),
+        ((Call("neg", (x,)),), (-0.0,)),  # one variable, a signed zero
+        # the divisor is tested before the numerator, whose ln would fail too
+        ((Call("/", (Call("ln", (Call("neg", (x,)),)), Call("-", (x, x)))),), (2.0,)),
+        ((Call("exp", (Call("*", (x, x)),)),), (30.0,)),  # exp overflow
+        ((Call("*", (Call("*", (x, Lit(1e200))), Lit(1e200))),), (1.0,)),  # a product overflows
+        ((Call("sqrt", (Call("-", (Lit(0.5), x)),)),), (0.4,)),  # sqrt leaves its domain
+        ((), ()),  # no variables
+    ]
+    for derivs, store in cases:
+        for tau in (0.0, 0.35, 1.0):
+            _assert_kernel_matches_reference(derivs, store, tau, 0.1)
+
+
+def test_rk4_kernel_accepts_derivatives_deeper_than_the_recursion_limit():
+    # x + 0.0 + 0.0 + ... is x, so the flow is x' = x's bit for bit
+    deep = Var(0, "x")
+    for _ in range(3000):
+        deep = Call("+", (deep, Lit(0.0)))
+    out = flow(system(deep), (0.75,), 0.5, RungeKutta4(0.1))
+    assert out == _flow_rk4((Var(0, "x"),), (0.75,), 0.5, 0.1)
