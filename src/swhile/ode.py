@@ -65,18 +65,38 @@ def _linear_part(e, n: int):
     Subtrees without variables are folded to constants; folding failures
     (e.g. a division by zero among constants) make the system non-affine
     so the RK4 fallback surfaces the evaluation error at run time.
+    Iterative (post-order over an explicit stack), so a derivative deeper
+    than the recursion limit is classified too.
     """
-    t = type(e)
-    if t is Lit:
-        return np.zeros(n), e.value
-    if t is Var:
-        coeff = np.zeros(n)
-        coeff[e.index] = 1.0
-        return coeff, 0.0
-    op = e.op
-    parts = [_linear_part(a, n) for a in e.args]
-    if any(p is None for p in parts):
-        return None
+    values = []
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        t = type(item)
+        if t is Lit:
+            values.append((np.zeros(n), item.value))
+        elif t is Var:
+            coeff = np.zeros(n)
+            coeff[item.index] = 1.0
+            values.append((coeff, 0.0))
+        elif t is Call:
+            args = item.args
+            stack.append((item.op, len(args)))
+            stack.extend(reversed(args))
+        else:
+            op, arity = item
+            parts = values[-arity:]
+            del values[-arity:]
+            part = _combine(op, parts, n)
+            if part is None:
+                return None  # a non-affine subterm makes every ancestor non-affine
+            values.append(part)
+    return values[0]
+
+
+def _combine(op: str, parts: list, n: int):
+    """The linear part of a call `op` whose arguments have linear parts
+    `parts`, or None if the call is not affine."""
     if op == "+":
         (c1, k1), (c2, k2) = parts
         return c1 + c2, k1 + k2

@@ -18,6 +18,15 @@ shape and side condition match:
 
 Guards compare doubles exactly: a block whose duration equals t finishes
 with zero time left rather than time-stopping.
+
+The rules live in `_transition`, which works on a configuration's four
+fields.  It applies the sequencing rule along the whole left spine in one
+loop, without recursion, so a left-nested sequence of any depth steps, and
+it still rebuilds the residual program term on every transition: the
+configurations visited are the terms the rules rewrite.  `step` wraps it
+for a `Config`; the closure `_close` keeps the fields in locals and builds
+a `Config` only for the trace (`keep_trace`, i.e. `swhile run --trace`) and
+for the last configuration it returns.
 """
 
 from __future__ import annotations
@@ -43,6 +52,14 @@ DEFAULT_FUEL = 10 ** 6
 
 @dataclass(frozen=True, slots=True)
 class Config:
+    """A configuration: remaining program, store, remaining time t, entropy.
+
+    t must be nonnegative.  Configurations that the closure never builds
+    satisfy this too: time only shrinks by a block's duration d with
+    0 <= d <= t, and then the IEEE difference t - d is >= 0 (rounding is
+    monotone and the exact difference is >= 0).
+    """
+
     program: object  # Program | None, None meaning the empty stack (skip)
     store: Store
     t: float
@@ -86,95 +103,115 @@ StepOutcome = Err | TimeStop | Resume
 Terminal = Err | TimeStop | Normal
 
 
+def _transition(program, store: Store, t: float, entropy, flow_method):
+    """The one transition from the configuration with these four fields.
+
+    Returns the successor's fields (program, store, t, entropy) as a
+    tuple, or ERR, or a TimeStop.  `program` must not be None.
+
+    The Seq rule is applied along the left spine in one loop: walk down
+    `first` while the node is a Seq, collecting the `rest`s; apply the
+    atomic, If or While rule to the leftmost non-Seq node; then rebuild
+    the residual spine innermost first, each level becoming its `rest`
+    when the stepped head completed and Seq(head, rest) otherwise.  Err
+    and time-stops propagate through sequencing unchanged.
+    """
+    rests = []
+    while type(program) is Seq:
+        rests.append(program.rest)
+        program = program.first
+    kind = type(program)
+    if kind is Sample:
+        h, entropy = entropy.draw()
+        store = update(store, program.var.index, h)
+        program = None
+    elif kind is Assign:
+        try:
+            v = eval_expr(program.expr, store)
+        except Undefined:
+            return ERR
+        store = update(store, program.var.index, v)
+        program = None
+    elif kind is DiffBlock:
+        try:
+            d = eval_expr(program.duration, store)
+        except Undefined:
+            return ERR
+        if d < 0.0:
+            return ERR
+        if d > t:
+            try:
+                return TimeStop(ode.flow(program, store, t, flow_method))
+            except Undefined:
+                return ERR
+        try:
+            store = ode.flow(program, store, d, flow_method)
+        except Undefined:
+            return ERR
+        # 0 <= d <= t, so the IEEE difference is >= 0 (see Config): the
+        # remaining time stays nonnegative with no Config to check it
+        t = t - d
+        program = None
+    elif kind is If:
+        try:
+            guard = eval_bool(program.cond, store)
+        except Undefined:
+            return ERR
+        program = program.then_branch if guard else program.else_branch
+    elif kind is While:
+        try:
+            guard = eval_bool(program.cond, store)
+        except Undefined:
+            return ERR
+        program = Seq(program.body, program) if guard else None
+    else:  # pragma: no cover
+        raise TypeError(f"not a program node: {program!r}")
+    for rest in reversed(rests):
+        program = rest if program is None else Seq(program, rest)
+    return program, store, t, entropy
+
+
 def step(config: Config, flow_method=None) -> StepOutcome:
     """Apply the unique matching transition rule once.
 
     The configuration's program must be nonempty; stepping the empty
     stack is a caller error.
     """
-    p = config.program
-    if p is None:
+    if config.program is None:
         raise ValueError("cannot step the empty program stack")
-    t = type(p)
-    if t is Sample:
-        h, src = config.entropy.draw()
-        return Resume(Config(None, update(config.store, p.var.index, h), config.t, src))
-    if t is Assign:
-        try:
-            v = eval_expr(p.expr, config.store)
-        except Undefined:
-            return ERR
-        return Resume(Config(None, update(config.store, p.var.index, v), config.t, config.entropy))
-    if t is DiffBlock:
-        try:
-            d = eval_expr(p.duration, config.store)
-        except Undefined:
-            return ERR
-        if d < 0.0:
-            return ERR
-        if d > config.t:
-            try:
-                return TimeStop(ode.flow(p, config.store, config.t, flow_method))
-            except Undefined:
-                return ERR
-        try:
-            evolved = ode.flow(p, config.store, d, flow_method)
-        except Undefined:
-            return ERR
-        return Resume(Config(None, evolved, config.t - d, config.entropy))
-    if t is If:
-        try:
-            guard = eval_bool(p.cond, config.store)
-        except Undefined:
-            return ERR
-        chosen = p.then_branch if guard else p.else_branch
-        return Resume(Config(chosen, config.store, config.t, config.entropy))
-    if t is While:
-        try:
-            guard = eval_bool(p.cond, config.store)
-        except Undefined:
-            return ERR
-        if guard:
-            return Resume(Config(Seq(p.body, p), config.store, config.t, config.entropy))
-        return Resume(Config(None, config.store, config.t, config.entropy))
-    if t is Seq:
-        head = step(Config(p.first, config.store, config.t, config.entropy), flow_method)
-        ht = type(head)
-        if ht is Resume:
-            inner = head.config
-            rest = p.rest if inner.program is None else Seq(inner.program, p.rest)
-            return Resume(Config(rest, inner.store, inner.t, inner.entropy))
-        return head  # Err and TimeStop propagate through sequencing
-    raise TypeError(f"not a program node: {p!r}")  # pragma: no cover
+    out = _transition(config.program, config.store, config.t, config.entropy, flow_method)
+    if type(out) is tuple:
+        return Resume(Config(*out))
+    return out
 
 
 def _close(config: Config, fuel: int, flow_method=None, keep_trace: bool = False):
-    """Iterate `step` to a terminal.
+    """Iterate the transition relation to a terminal.
 
     Returns (result, steps, configs, last), where `last` is the final
     configuration reached -- for Err outcomes its `t` field is the
-    remaining time at the erroring step.
+    remaining time at the erroring step.  Configurations are built only
+    for `configs` (when `keep_trace`) and for `last`.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     configs = [config] if keep_trace else None
+    program, store, t, entropy = config.program, config.store, config.t, config.entropy
     steps = 0
     while True:
-        if config.program is None:
-            return Normal(config.store, config.t, config.entropy), steps, configs, config
+        if program is None:
+            return Normal(store, t, entropy), steps, configs, Config(None, store, t, entropy)
         if steps >= fuel:
-            return OutOfFuel(steps), steps, configs, config
-        out = step(config, flow_method)
+            return OutOfFuel(steps), steps, configs, Config(program, store, t, entropy)
+        out = _transition(program, store, t, entropy, flow_method)
         steps += 1
-        ot = type(out)
-        if ot is Resume:
-            config = out.config
-            # the empty-stack configuration IS the Normal terminal; listing
-            # it again as an intermediate configuration would double it
-            if keep_trace and config.program is not None:
-                configs.append(config)
-            continue
-        return out, steps, configs, config
+        if type(out) is not tuple:
+            return out, steps, configs, Config(program, store, t, entropy)
+        program, store, t, entropy = out
+        # the empty-stack configuration IS the Normal terminal; listing
+        # it again as an intermediate configuration would double it
+        if keep_trace and program is not None:
+            configs.append(Config(program, store, t, entropy))
 
 
 def run_to_terminal(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):

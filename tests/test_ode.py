@@ -321,3 +321,26 @@ def test_rk4_kernel_accepts_derivatives_deeper_than_the_recursion_limit():
         deep = Call("+", (deep, Lit(0.0)))
     out = flow(system(deep), (0.75,), 0.5, RungeKutta4(0.1))
     assert out == _flow_rk4((Var(0, "x"),), (0.75,), 0.5, 0.1)
+
+
+def test_default_flow_accepts_a_non_affine_derivative_deeper_than_the_recursion_limit():
+    # classify_affine rejects sin(sin(...sin(x)...)) without recursing, so the
+    # default method falls back to the default RK4 step
+    deep = Var(0, "x")
+    for _ in range(600):
+        deep = Call("sin", (deep,))
+    out = flow(system(deep), (0.3,), 0.01)
+    assert out == flow(system(deep), (0.3,), 0.01, RungeKutta4())
+    assert out[0].hex() == (0.30068732537157755).hex()
+
+
+def test_affine_derivative_deeper_than_the_recursion_limit_takes_the_exact_flow():
+    # x + 0.0 + 0.0 + ... is x' = x: the expm flow, bit for bit
+    deep = Var(0, "x")
+    for _ in range(3000):
+        deep = Call("+", (deep, Lit(0.0)))
+    block = system(deep)
+    a, c = classify_affine(block)
+    assert np.array_equal(a, [[1.0]]) and np.array_equal(c, [0.0])
+    assert flow(block, (0.75,), 0.5) == flow(system(Var(0, "x")), (0.75,), 0.5)
+    assert block.compiled.exact.func is ode._flow_expm

@@ -3,23 +3,26 @@ import random
 
 import pytest
 
+from swhile import ode
 from swhile.bigstep import eval_big
 from swhile.entropy import EntropyExhausted, FinitePrefix, from_seed
 from swhile.parser import parse_program
 from swhile.smallstep import (
+    ERR,
     Config,
     Err,
     Normal,
     OutOfFuel,
     Resume,
     TimeStop,
+    _close,
     config_json,
     run_to_terminal,
     step,
     trace,
 )
-from swhile.store import Undefined, eval_expr
-from swhile.syntax import DiffBlock, Sample, Seq
+from swhile.store import Undefined, eval_bool, eval_expr, update
+from swhile.syntax import Assign, Call, DiffBlock, If, Lit, Sample, Seq, Var, While
 
 from genprog import gen_program, gen_store, gen_table
 
@@ -200,3 +203,125 @@ def test_config_json_lines():
         payload = json.loads(line)
         assert set(payload) == {"program", "store", "t", "entropy"}
     assert json.loads(lines[0])["t"] == 2.0
+
+
+# The transition relation as the rules read, one recursive call per Seq
+# level and one Config per level: the reference that the iterative
+# smallstep._transition is checked against.
+def _step_reference(config, flow_method=None):
+    p = config.program
+    if p is None:
+        raise ValueError("cannot step the empty program stack")
+    t = type(p)
+    if t is Sample:
+        h, src = config.entropy.draw()
+        return Resume(Config(None, update(config.store, p.var.index, h), config.t, src))
+    if t is Assign:
+        try:
+            v = eval_expr(p.expr, config.store)
+        except Undefined:
+            return ERR
+        return Resume(Config(None, update(config.store, p.var.index, v), config.t, config.entropy))
+    if t is DiffBlock:
+        try:
+            d = eval_expr(p.duration, config.store)
+        except Undefined:
+            return ERR
+        if d < 0.0:
+            return ERR
+        if d > config.t:
+            try:
+                return TimeStop(ode.flow(p, config.store, config.t, flow_method))
+            except Undefined:
+                return ERR
+        try:
+            evolved = ode.flow(p, config.store, d, flow_method)
+        except Undefined:
+            return ERR
+        return Resume(Config(None, evolved, config.t - d, config.entropy))
+    if t is If:
+        try:
+            guard = eval_bool(p.cond, config.store)
+        except Undefined:
+            return ERR
+        chosen = p.then_branch if guard else p.else_branch
+        return Resume(Config(chosen, config.store, config.t, config.entropy))
+    if t is While:
+        try:
+            guard = eval_bool(p.cond, config.store)
+        except Undefined:
+            return ERR
+        if guard:
+            return Resume(Config(Seq(p.body, p), config.store, config.t, config.entropy))
+        return Resume(Config(None, config.store, config.t, config.entropy))
+    if t is Seq:
+        head = _step_reference(Config(p.first, config.store, config.t, config.entropy), flow_method)
+        if type(head) is Resume:
+            inner = head.config
+            rest = p.rest if inner.program is None else Seq(inner.program, p.rest)
+            return Resume(Config(rest, inner.store, inner.t, inner.entropy))
+        return head
+    raise TypeError(f"not a program node: {p!r}")
+
+
+def _close_reference(config, fuel, flow_method=None):
+    """(configs visited, terminal, steps, last configuration) by the reference."""
+    configs = [config]
+    steps = 0
+    while True:
+        if config.program is None:
+            return configs, Normal(config.store, config.t, config.entropy), steps, config
+        if steps >= fuel:
+            return configs, OutOfFuel(steps), steps, config
+        out = _step_reference(config, flow_method)
+        steps += 1
+        if type(out) is not Resume:
+            return configs, out, steps, config
+        config = out.config
+        if config.program is not None:
+            configs.append(config)
+
+
+def _key(config):
+    return (config.program, [v.hex() for v in config.store], config.t.hex(), config.entropy)
+
+
+def test_transitions_match_the_recursive_reference_on_fuzzed_programs():
+    rng = random.Random(5150)
+    kinds = set()
+    for case in range(500):
+        table = gen_table(rng)
+        program = gen_program(rng, table, depth=4)
+        if case % 3 == 0:  # deepen the left spine
+            program = Seq(Seq(program, gen_program(rng, table, depth=2)),
+                          gen_program(rng, table, depth=2))
+        config = Config(program, gen_store(rng, table), rng.choice((0.0, 0.5, 1.5, 4.0)),
+                        from_seed(case))
+        fuel = rng.choice((1, 3, 10, 40, 200))
+        want_configs, want, want_steps, want_last = _close_reference(config, fuel)
+        configs, terminal = trace(config, fuel)
+        assert [_key(c) for c in configs] == [_key(c) for c in want_configs]
+        # repr prints floats exactly, so -0.0 and 0.0 stores differ
+        assert repr(terminal) == repr(want)
+        result, steps, _, last = _close(config, fuel)
+        assert repr(result) == repr(want) and steps == want_steps
+        assert _key(last) == _key(want_last)
+        for c in configs[:3]:
+            assert step(c) == _step_reference(c)
+        kinds.add(type(want))
+    assert kinds == {Err, TimeStop, Normal, OutOfFuel}
+
+
+def test_left_nested_sequence_deeper_than_the_recursion_limit():
+    # ((x := 0 ; x := x + 1) ; x := x + 1) ; ... built programmatically: the
+    # parser nests statement lists to the right
+    depth = 1200
+    x = Var(0, "x")
+    bump = Assign(x, Call("+", (x, Lit(1.0))))
+    program = Assign(x, Lit(0.0))
+    for _ in range(depth):
+        program = Seq(program, bump)
+    config = Config(program, (7.0,), 1.0, from_seed(0))
+    result = run_to_terminal(config)
+    assert result == eval_big(config)
+    assert result == Normal((float(depth),), 1.0, from_seed(0))
