@@ -13,6 +13,16 @@ are the `max_unfold`-th Kleene approximant: approximant 0 is the zero
 measure, approximant i+1 unfolds once.  The enumeration side truncates
 loops at the same index, which is exactly what makes the two sides
 comparable at finite depth.
+
+The denotation is computed as a frontier iteration over measures: the
+whole input measure is pushed through the program node by node, equal
+points are merged, and a loop is a sequence of rounds over its frontier
+(see `_push`).  No step recurses, so neither `max_unfold` nor the length
+of a `Seq` chain is bounded by Python's recursion limit, and the cost
+grows with the number of distinct points rather than the number of
+paths.  The enumeration side stays a walk over every draw sequence: it
+is the independent operational semantics the denotation is checked
+against.
 """
 
 from __future__ import annotations
@@ -24,7 +34,10 @@ from fractions import Fraction
 from . import ode
 from .bigstep import BOTTOM, eval_functional
 from .entropy import Enumerator, EntropyExhausted
-from .measure import DiscMeasure, EPoint, XPoint, ZERO, dirac, kleisli_extend, tv_distance
+from .measure import DiscMeasure, EPoint, XPoint, dirac, tv_distance
+# `_push` extends kernels to measures itself; kleisli_extend stays a module
+# attribute because bench/tracing.py counts its calls by name.
+from .measure import kleisli_extend  # noqa: F401
 from .smallstep import Normal
 from .store import Undefined, eval_bool, eval_expr, update
 from .syntax import Assign, DiffBlock, If, Program, Sample, Seq, While
@@ -61,85 +74,170 @@ class Discretization:
 
 
 def denote(program: Program, disc: Discretization, max_unfold: int, flow_method=None):
-    """The program's kernel: X-point -> finite-support subdistribution."""
-    t = type(program)
-    if t is Assign:
-        index, expr = program.var.index, program.expr
+    """The program's kernel: X-point -> finite-support subdistribution.
 
-        def assign_kernel(pt: XPoint) -> DiscMeasure:
-            try:
-                v = eval_expr(expr, pt.store)
-            except Undefined:
-                return ZERO
-            return dirac(XPoint(update(pt.store, index, v), pt.t))
+    Applying the kernel pushes the point mass through the program as a
+    frontier (see `_push`).  With rational weights the result is exact;
+    with float weights, weights reaching one point along several paths
+    are summed in frontier order, so they may differ in the last bit from
+    a per-path evaluation.
+    """
 
-        return assign_kernel
-    if t is Sample:
-        index = program.var.index
-        atoms, weight = disc.atoms, disc.atom_weight
+    def kernel(pt: XPoint) -> DiscMeasure:
+        return _push(program, dirac(pt), disc, max_unfold, flow_method)
 
-        def sample_kernel(pt: XPoint) -> DiscMeasure:
-            return DiscMeasure(
-                {XPoint(update(pt.store, index, a), pt.t): weight for a in atoms}
-            )
+    return kernel
 
-        return sample_kernel
-    if t is DiffBlock:
-        duration = program.duration
 
-        def diff_kernel(pt: XPoint) -> DiscMeasure:
-            try:
-                d = eval_expr(duration, pt.store)
-            except Undefined:
-                return ZERO
-            if d < 0.0:
-                return ZERO
-            try:
-                if d > pt.t:
-                    return dirac(EPoint(ode.flow(program, pt.store, pt.t, flow_method)))
-                return dirac(XPoint(ode.flow(program, pt.store, d, flow_method), pt.t - d))
-            except Undefined:
-                return ZERO
+# Continuation frames on `_push`'s work stack, interleaved with program nodes.
+_ELSE, _JOIN, _ROUND = "else", "join", "round"
 
-        return diff_kernel
-    if t is If:
-        cond = program.cond
-        then_kernel = denote(program.then_branch, disc, max_unfold, flow_method)
-        else_kernel = denote(program.else_branch, disc, max_unfold, flow_method)
 
-        def if_kernel(pt: XPoint) -> DiscMeasure:
-            try:
-                guard = eval_bool(cond, pt.store)
-            except Undefined:
-                return ZERO
-            return then_kernel(pt) if guard else else_kernel(pt)
+def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: int,
+          flow_method) -> DiscMeasure:
+    """The Kleisli extension of `denote(program, ...)`, applied to `mu`.
 
-        return if_kernel
-    if t is Seq:
-        first_kernel = denote(program.first, disc, max_unfold, flow_method)
-        rest_extended = kleisli_extend(denote(program.rest, disc, max_unfold, flow_method))
+    The X-mass is a frontier (point -> weight) pushed through the program
+    one node at a time, with a work stack instead of recursion:
 
-        def seq_kernel(pt: XPoint) -> DiscMeasure:
-            return rest_extended(first_kernel(pt))
+    * an atomic node maps every frontier point once, and its X-output is
+      one validated `DiscMeasure`;
+    * `If` splits the frontier by its guard (guard errors lose their mass),
+      runs each branch on its share and merges the two outputs;
+    * `Seq` pushes its rest, then its first, on the stack;
+    * `While` runs up to `max_unfold` rounds.  Each round splits the
+      frontier by the guard: false points leave the loop, error points are
+      dropped, and true points go once through the body, whose output is
+      the next frontier.  What is left after the last round is dropped:
+      the loop denotes its `max_unfold`-th Kleene approximant, the index
+      at which `enumerate_operational` truncates.
 
-        return seq_kernel
-    if t is While:
-        cond = program.cond
-        body_kernel = denote(program.body, disc, max_unfold, flow_method)
+    E-points, wherever they arise, go straight to the output, as the
+    extension passes them through everything that follows; their weights
+    are validated with the output measure.
 
-        def approximant(i: int, pt: XPoint) -> DiscMeasure:
-            if i == 0:
-                return ZERO
-            try:
-                guard = eval_bool(cond, pt.store)
-            except Undefined:
-                return ZERO
-            if not guard:
-                return dirac(pt)
-            return kleisli_extend(lambda q: approximant(i - 1, q))(body_kernel(pt))
-
-        return lambda pt: approximant(max_unfold, pt)
-    raise TypeError(f"not a program node: {program!r}")  # pragma: no cover
+    Equal points are merged as they arrive.  This is the identification
+    the output measure makes anyway, and no later step can tell merged
+    points apart: store entries are finite floats, so equal stores differ
+    at most in the sign of a zero, and every guard (`<=`), error test
+    (`/` tests `d == 0.0`, `ln` and `sqrt` compare with zero, durations
+    with `<` and `>`), primitive and flow maps equal arguments to equal
+    results or errs on both.  So cost grows with the number of distinct
+    points per node, not with the number of paths.
+    """
+    out = {}
+    frontier = {}
+    for pt, w in mu.items():
+        if type(pt) is EPoint:
+            out[pt] = w
+        else:
+            frontier[pt] = w
+    atoms, atom_weight = disc.atoms, disc.atom_weight
+    todo = [program]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is tuple:
+            tag = node[0]
+            if tag == _ELSE:
+                # the frontier is the then-branch's output
+                todo.append((_JOIN, frontier))
+                todo.append(node[1])
+                frontier = node[2]
+            elif tag == _JOIN:
+                # a non-empty frontier that has been through a node is a
+                # DiscMeasure, so the two outputs add as measures
+                then_out = node[1]
+                if then_out:
+                    frontier = then_out + frontier if frontier else then_out
+            else:
+                # _ROUND: the frontier enters the loop's guard
+                _, loop, left, stay = node
+                through = {}
+                if left:
+                    cond = loop.cond
+                    for pt, w in frontier.items():
+                        try:
+                            guard = eval_bool(cond, pt.store)
+                        except Undefined:
+                            continue
+                        if guard:
+                            through[pt] = w
+                        else:
+                            stay[pt] = stay.get(pt, 0) + w
+                if through:
+                    todo.append((_ROUND, loop, left - 1, stay))
+                    todo.append(loop.body)
+                    frontier = through
+                else:
+                    frontier = DiscMeasure(stay)
+            continue
+        if not frontier:
+            continue
+        if t is Seq:
+            todo.append(node.rest)
+            todo.append(node.first)
+        elif t is Assign:
+            index, expr = node.var.index, node.expr
+            acc = {}
+            for pt, w in frontier.items():
+                try:
+                    v = eval_expr(expr, pt.store)
+                except Undefined:
+                    continue
+                q = XPoint(update(pt.store, index, v), pt.t)
+                acc[q] = acc.get(q, 0) + w
+            frontier = DiscMeasure(acc)
+        elif t is Sample:
+            index = node.var.index
+            acc = {}
+            for pt, w in frontier.items():
+                store, rem = pt.store, pt.t
+                v = w * atom_weight
+                for a in atoms:
+                    q = XPoint(update(store, index, a), rem)
+                    acc[q] = acc.get(q, 0) + v
+            frontier = DiscMeasure(acc)
+        elif t is DiffBlock:
+            duration = node.duration
+            acc = {}
+            for pt, w in frontier.items():
+                store, rem = pt.store, pt.t
+                try:
+                    d = eval_expr(duration, store)
+                except Undefined:
+                    continue
+                if d < 0.0:
+                    continue
+                try:
+                    if d > rem:
+                        e = EPoint(ode.flow(node, store, rem, flow_method))
+                        out[e] = out.get(e, 0) + w
+                    else:
+                        q = XPoint(ode.flow(node, store, d, flow_method), rem - d)
+                        acc[q] = acc.get(q, 0) + w
+                except Undefined:
+                    continue
+            frontier = DiscMeasure(acc)
+        elif t is If:
+            cond = node.cond
+            then_share, else_share = {}, {}
+            for pt, w in frontier.items():
+                try:
+                    guard = eval_bool(cond, pt.store)
+                except Undefined:
+                    continue
+                (then_share if guard else else_share)[pt] = w
+            todo.append((_ELSE, node.else_branch, else_share))
+            todo.append(node.then_branch)
+            frontier = then_share
+        elif t is While:
+            todo.append((_ROUND, node, max_unfold, {}))
+        else:  # pragma: no cover
+            raise TypeError(f"not a program node: {node!r}")
+    for pt, w in frontier.items():
+        out[pt] = w
+    return DiscMeasure(out)
 
 
 def enumerate_operational(
@@ -221,7 +319,7 @@ def adequacy_check(
         for q, v in branch.items():
             lhs_acc[q] = lhs_acc.get(q, 0) + w * v
     operational = DiscMeasure(lhs_acc)
-    denotational = kleisli_extend(denote(program, disc, max_unfold, flow_method))(mu0)
+    denotational = _push(program, mu0, disc, max_unfold, flow_method)
     tv = tv_distance(operational, denotational)
     return AdequacyReport(
         tv=float(tv),

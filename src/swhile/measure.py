@@ -31,7 +31,7 @@ class XPoint:
     t: float
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:  # also rejects NaN, for which t < 0 is false
             raise ValueError("remaining time must be nonnegative")
 
 

@@ -54,10 +54,10 @@ DEFAULT_FUEL = 10 ** 6
 class Config:
     """A configuration: remaining program, store, remaining time t, entropy.
 
-    t must be nonnegative.  Configurations that the closure never builds
-    satisfy this too: time only shrinks by a block's duration d with
-    0 <= d <= t, and then the IEEE difference t - d is >= 0 (rounding is
-    monotone and the exact difference is >= 0).
+    t must be nonnegative, and so not NaN.  Configurations that the
+    closure never builds satisfy this too: time only shrinks by a block's
+    duration d with 0 <= d <= t, and then the IEEE difference t - d is
+    >= 0 (rounding is monotone and the exact difference is >= 0).
     """
 
     program: object  # Program | None, None meaning the empty stack (skip)
@@ -66,7 +66,7 @@ class Config:
     entropy: object
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:  # also rejects NaN, for which t < 0 is false
             raise ValueError("remaining time must be nonnegative")
 
 

@@ -193,16 +193,7 @@ def wait_block(duration: Expr, var_count: int) -> DiffBlock:
 def seq_normal(p: Program) -> Program:
     """Right-associate every Seq spine (the parser's normal form)."""
     if isinstance(p, Seq):
-        items = []
-
-        def walk(q):
-            if isinstance(q, Seq):
-                walk(q.first)
-                walk(q.rest)
-            else:
-                items.append(seq_normal(q))
-
-        walk(p)
+        items = [seq_normal(q) for q in _stmt_list(p)]
         out = items[-1]
         for stmt in reversed(items[:-1]):
             out = Seq(stmt, out)
@@ -260,10 +251,15 @@ def pretty_bool(b: BoolExpr, prec: int = 0) -> str:
 
 
 def _stmt_list(p: Program):
-    while isinstance(p, Seq):
-        yield p.first
-        p = p.rest
-    yield p
+    """The statements of a Seq tree, left to right, however it is nested."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Seq):
+            stack.append(q.rest)
+            stack.append(q.first)
+        else:
+            yield q
 
 
 def pretty_print(p: Program, table: VarTable, indent: int = 0, inline: bool = False) -> str:
@@ -304,8 +300,6 @@ def _pretty_stmt(p: Program, table: VarTable, indent: int, inline: bool) -> str:
         return f"if {pretty_bool(p.cond)} then {t} else {e}"
     if isinstance(p, While):
         return f"while {pretty_bool(p.cond)} do {_pretty_block(p.body, table, indent, inline)}"
-    if isinstance(p, Seq):
-        return _pretty_block(p, table, indent, inline)
     raise TypeError(f"not a program node: {p!r}")
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from swhile.cli import main
 
 from progpath import PROGRAMS
@@ -231,6 +233,38 @@ def test_negative_time_exits_cleanly(capsys):
     )
     assert code == 1
     assert "nonnegative" in err
+
+
+def test_nan_time_exits_cleanly(capsys):
+    # NaN < 0 is false, so a "t < 0" test let NaN through: run burned the
+    # whole fuel budget and adequacy passed with empty supports
+    code, _, err = run_cli(
+        capsys, "run", PROGRAMS / "timestop.swl", "--time", "nan", "--seed", "1"
+    )
+    assert code == 1
+    assert "error: remaining time must be nonnegative" in err
+    code, out, err = run_cli(
+        capsys, "adequacy", PROGRAMS / "timestop.swl", "--time", "nan", "--rational"
+    )
+    assert code == 1
+    assert out == ""
+    assert "error: remaining time must be nonnegative" in err
+
+
+@pytest.mark.parametrize("unfold, support", [(900, 0), (1100, 1)])
+def test_adequacy_on_a_loop_unfolded_past_the_recursion_limit(tmp_path, capsys, unfold, support):
+    # 1001 rounds run the loop out: below that the approximant is the zero
+    # measure on both sides, above it both put mass 1 on x = 1001
+    f = tmp_path / "count.swl"
+    f.write_text("x := 0 ; while x <= 1000 { x++ }")
+    code, out, _ = run_cli(
+        capsys, "adequacy", f, "--unfold", unfold, "--time", "1", "--rational"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    check = payload["checks"][0]
+    assert check["operational_support"] == check["denotational_support"] == support
 
 
 def test_histogram_time_off_grid_exits_cleanly(capsys):

@@ -1,19 +1,23 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from swhile import denotational, ode
 from swhile.denotational import (
     BranchExplosion,
     Discretization,
+    _push,
     adequacy_check,
     denote,
     enumerate_operational,
 )
 from swhile.entropy import FinitePrefix
-from swhile.measure import DiscMeasure, EPoint, XPoint, dirac, kleisli_extend, tv_distance
+from swhile.measure import ZERO, DiscMeasure, EPoint, XPoint, dirac, kleisli_extend, tv_distance
 from swhile.parser import parse_program
-from swhile.store import make_store
+from swhile.store import Undefined, eval_bool, eval_expr, make_store, update
+from swhile.syntax import Assign, Call, DiffBlock, If, Lit, Sample, Seq, Var, While
 
 from genprog import gen_program, gen_store, gen_table
 
@@ -172,3 +176,177 @@ def test_enumeration_agrees_with_functional_prefix_runs():
             pt = XPoint(run.store, run.t)
             total[pt] = total.get(pt, 0) + 0.25
     assert tv_distance(out, DiscMeasure(total)) == 0
+
+
+# The denotation as the clauses read: one kernel per node, built by
+# recursion, a Seq as nested Kleisli extensions and a loop as per-point
+# recursion over the Kleene index.  It is the reference that the frontier
+# iteration in denotational._push is checked against.
+def _denote_reference(program, disc, max_unfold, flow_method=None):
+    t = type(program)
+    if t is Assign:
+        index, expr = program.var.index, program.expr
+
+        def assign_kernel(pt):
+            try:
+                v = eval_expr(expr, pt.store)
+            except Undefined:
+                return ZERO
+            return dirac(XPoint(update(pt.store, index, v), pt.t))
+
+        return assign_kernel
+    if t is Sample:
+        index = program.var.index
+        atoms, weight = disc.atoms, disc.atom_weight
+
+        def sample_kernel(pt):
+            return DiscMeasure({XPoint(update(pt.store, index, a), pt.t): weight for a in atoms})
+
+        return sample_kernel
+    if t is DiffBlock:
+        duration = program.duration
+
+        def diff_kernel(pt):
+            try:
+                d = eval_expr(duration, pt.store)
+            except Undefined:
+                return ZERO
+            if d < 0.0:
+                return ZERO
+            try:
+                if d > pt.t:
+                    return dirac(EPoint(ode.flow(program, pt.store, pt.t, flow_method)))
+                return dirac(XPoint(ode.flow(program, pt.store, d, flow_method), pt.t - d))
+            except Undefined:
+                return ZERO
+
+        return diff_kernel
+    if t is If:
+        cond = program.cond
+        then_kernel = _denote_reference(program.then_branch, disc, max_unfold, flow_method)
+        else_kernel = _denote_reference(program.else_branch, disc, max_unfold, flow_method)
+
+        def if_kernel(pt):
+            try:
+                guard = eval_bool(cond, pt.store)
+            except Undefined:
+                return ZERO
+            return then_kernel(pt) if guard else else_kernel(pt)
+
+        return if_kernel
+    if t is Seq:
+        first_kernel = _denote_reference(program.first, disc, max_unfold, flow_method)
+        rest_extended = kleisli_extend(
+            _denote_reference(program.rest, disc, max_unfold, flow_method))
+
+        def seq_kernel(pt):
+            return rest_extended(first_kernel(pt))
+
+        return seq_kernel
+    if t is While:
+        cond = program.cond
+        body_kernel = _denote_reference(program.body, disc, max_unfold, flow_method)
+
+        def approximant(i, pt):
+            if i == 0:
+                return ZERO
+            try:
+                guard = eval_bool(cond, pt.store)
+            except Undefined:
+                return ZERO
+            if not guard:
+                return dirac(pt)
+            return kleisli_extend(lambda q: approximant(i - 1, q))(body_kernel(pt))
+
+        return lambda pt: approximant(max_unfold, pt)
+    raise TypeError(f"not a program node: {program!r}")
+
+
+def _assert_matches(got, want, exact):
+    if exact:
+        assert got == want
+    else:
+        assert set(got.support()) == set(want.support())
+        assert tv_distance(got, want) <= 1e-12
+
+
+def test_frontier_matches_the_recursive_reference_on_fuzzed_programs():
+    rng = random.Random(6061)
+    masses = set()
+    for case in range(400):
+        table = gen_table(rng)
+        program = gen_program(rng, table, depth=4)
+        k = rng.choice((1, 2, 3))
+        unfold = rng.randrange(5)
+        pt = XPoint(gen_store(rng, table), rng.choice((0.0, 0.5, 1.5, 4.0)))
+        for exact in (True, False):
+            disc = Discretization(k, exact=exact)
+            got = denote(program, disc, unfold)(pt)
+            _assert_matches(got, _denote_reference(program, disc, unfold)(pt), exact)
+            if exact:
+                m = got.mass()
+                masses.add("zero" if m == 0 else "full" if m == 1 else "partial")
+        if case % 4 == 0:
+            # a mixed input measure: E-mass passes through, X-mass is pushed
+            # as one frontier
+            other = XPoint(gen_store(rng, table), rng.choice((0.0, 0.5, 1.5, 4.0)))
+            mu = DiscMeasure({pt: Fraction(1, 2), other: Fraction(1, 4),
+                              EPoint(gen_store(rng, table)): Fraction(1, 8)})
+            disc = Discretization(k, exact=True)
+            want = kleisli_extend(_denote_reference(program, disc, unfold))(mu)
+            assert _push(program, mu, disc, unfold, None) == want
+    assert masses == {"zero", "partial", "full"}
+
+
+def test_negative_zero_and_zero_stores_merge(monkeypatch):
+    # both branches leave x equal to zero, with opposite signs; the frontier
+    # holds one point afterwards, so the loop guard runs once per round
+    program, table = parse_program(
+        "b := unif(0, 1) ; if b <= 0.5 then x := 0 * -1 else x := 0 ; b := 0 ;"
+        " while x <= 1 { x := x + 1 }")
+    disc = Discretization(2, exact=True)
+    pt = XPoint((0.7, 0.7), 1.0)
+    calls = []
+
+    def counting(cond, store):
+        calls.append(store)
+        return eval_bool(cond, store)
+
+    monkeypatch.setattr(denotational, "eval_bool", counting)
+    got = denote(program, disc, 4)(pt)
+    monkeypatch.undo()
+    assert len(calls) == 2 + 3  # the If's two points, then three rounds
+    assert calls[2] == (0.0, 0.0)
+    assert got == DiscMeasure({XPoint((0.0, 2.0), 1.0): 1})
+    assert got == _denote_reference(program, disc, 4)(pt)
+
+
+def test_seq_of_500_assignments():
+    x = Var(0, "x")
+    bump = Assign(x, Call("+", (x, Lit(1.0))))
+    left = right = Assign(x, Lit(0.0))
+    for _ in range(500):
+        left, right = Seq(left, bump), Seq(bump, right)
+    disc = Discretization(2)
+    assert denote(left, disc, 1)(XPoint((7.0,), 1.0)) == dirac(XPoint((500.0,), 1.0))
+    assert denote(right, disc, 1)(XPoint((7.0,), 1.0)) == dirac(XPoint((0.0,), 1.0))
+
+
+def test_loop_unfolded_2000_times():
+    program, _ = parse_program("x := 0 ; while x <= 1000 { x++ }")
+    out = denote(program, Discretization(2, exact=True), 2000)(XPoint((0.0,), 1.0))
+    assert out == DiscMeasure({XPoint((1001.0,), 1.0): 1})
+
+
+def test_walk_of_18_flips_is_denoted_by_distinct_points():
+    program, table = parse_program(
+        "x := 0 ; c := 1 ; while c <= 18 { bernoulli(1/2, x++, x--) ; c++ }")
+    disc = Discretization(2, exact=True)
+    start = time.perf_counter()
+    out = denote(program, disc, 19)(XPoint(make_store(table), 1.0))
+    elapsed = time.perf_counter() - start
+    # x in -18, -16, ..., 18 with the last flip's draw: up (0.25) ends at
+    # x >= -16, down (0.75) at x <= 16
+    assert len(out) == 2 * 18 and out.mass() == 1
+    assert out.weight(XPoint((18.0, 19.0, 0.25), 1.0)) == Fraction(1, 2 ** 18)
+    assert elapsed < 1.0, elapsed

@@ -92,3 +92,31 @@ def test_pretty_parenthesizes_by_precedence():
 def test_pretty_handles_nested_negation():
     program, table = parse_program("x := 1 ; x := -(-x)")
     assert parse_program(pretty_print(program, table)) == (program, table)
+
+
+def _right_spine(p):
+    """The statements of a right-nested Seq chain, walked without recursion
+    (the dataclass == recurses once per level)."""
+    out = []
+    while isinstance(p, Seq):
+        assert not isinstance(p.first, Seq)
+        out.append(p.first)
+        p = p.rest
+    return out + [p]
+
+
+def test_printers_flatten_a_sequence_deeper_than_the_recursion_limit():
+    # ((x := 0 ; x := x + 1) ; x := x + 1) ; ... built programmatically: the
+    # parser nests statement lists to the right
+    x = Var(0, "x")
+    bump = Assign(x, Call("+", (x, Lit(1.0))))
+    program = Assign(x, Lit(0.0))
+    for _ in range(1200):
+        program = Seq(program, bump)
+    table = VarTable(("x",))
+    normal = _right_spine(seq_normal(program))
+    assert normal == [Assign(x, Lit(0.0))] + [bump] * 1200
+    for inline in (False, True):
+        reparsed, table2 = parse_program(pretty_print(program, table, inline=inline))
+        assert table2 == table
+        assert _right_spine(reparsed) == normal
