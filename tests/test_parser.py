@@ -157,6 +157,32 @@ def test_normal_helper_names_avoid_collisions():
     assert table.names == ("x1", "x1_2", "x2", "x")
 
 
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        # the draw comes first, then the rescale reads b before a
+        ("x := unif(a, b)", ("x", "b", "a")),
+        # the outer guard is allocated before the branches are desugared
+        (
+            "x := 0 ; bernoulli(1/2, bernoulli(r, x++, y := 1), x--)",
+            ("x", "x_f", "x_f_2", "r", "y"),
+        ),
+        (
+            "if z <= 0 then bernoulli(p, x++, x--) else bernoulli(q, y++, y--)",
+            ("z", "x_f", "p", "x", "x_f_2", "q", "y"),
+        ),
+        # helper names avoid names the program reads, even later in the source
+        ("y := x_f ; bernoulli(1/2, x := 1, x := 2)", ("y", "x_f", "x_f_2", "x")),
+        ("bernoulli(1/2, x := 1, x := 2) ; y := x_f", ("x_f_2", "x", "y", "x_f")),
+        ("y := x1 ; x := normal(0, 1)", ("y", "x1", "x1_2", "x2", "x")),
+        ("x := unif(0,1) + normal(x, 1)", ("x_s", "x1", "x2", "x_s_2", "x")),
+    ],
+)
+def test_variable_table_is_first_occurrence_in_desugared_program(source, names):
+    _, table = parse_program(source)
+    assert table.names == names
+
+
 def test_bernoulli_desugars_to_guarded_branch():
     program, table = parse_program("x := 0 ; bernoulli(1/2, x++, x--)")
     assert table.names == ("x", "x_f")

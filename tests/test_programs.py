@@ -1,5 +1,7 @@
 """Every bundled example program parses, runs, and simulates cleanly."""
 
+import json
+
 import pytest
 
 from swhile.entropy import from_seed
@@ -9,7 +11,9 @@ from swhile.smallstep import Config, Err, OutOfFuel, run_to_terminal
 from swhile.store import make_store
 from swhile.syntax import pretty_print
 
-from progpath import program_files
+from progpath import ROOT, program_files
+
+GOLDEN = ROOT / "tests" / "golden" / "parse"
 
 
 @pytest.mark.parametrize("path", program_files(), ids=lambda p: p.stem)
@@ -18,6 +22,18 @@ def test_program_parses_and_round_trips(path):
 
     program, table = parse_file(path)
     assert parse_program(pretty_print(program, table)) == (program, table)
+
+
+@pytest.mark.parametrize(
+    "path", program_files() + [ROOT / "bench" / "pendulum.swl"], ids=lambda p: p.stem
+)
+def test_parse_json_matches_golden(path, capsys):
+    # pins the desugared AST and the variable-table order of every bundled program
+    from swhile.cli import main
+
+    assert main(["parse", "--json", str(path)]) == 0
+    expected = json.loads((GOLDEN / f"{path.stem}.json").read_text())
+    assert json.loads(capsys.readouterr().out) == expected
 
 
 @pytest.mark.parametrize("path", program_files(), ids=lambda p: p.stem)
