@@ -121,12 +121,17 @@ def _seed_of(args) -> int:
     return seed
 
 
+def _regular_grid(text: str) -> montecarlo.TimeGrid:
+    """The `--grid START:END:STEP` value of `simulate` and `adequacy`."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError("--grid expects START:END:STEP")
+    return montecarlo.TimeGrid.regular(*map(float, parts))
+
+
 def _grid_of(args) -> montecarlo.TimeGrid:
     if args.grid:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise ValueError("--grid expects START:END:STEP")
-        return montecarlo.TimeGrid.regular(float(parts[0]), float(parts[1]), float(parts[2]))
+        return _regular_grid(args.grid)
     if args.end is None:
         raise ValueError("simulate needs --grid S:E:STEP or --end E")
     return montecarlo.TimeGrid.regular(args.start, args.end, args.step)
@@ -139,6 +144,14 @@ def _parsed(parse, *args):
         return parse(*args)
     except RecursionError:
         raise ValueError("nesting too deep to parse") from None
+
+
+def _check_of(args, table):
+    """The `--check` condition, with its parse errors placed in its own text."""
+    try:
+        return _parsed(parse_bool_expr, args.check, table)
+    except ParseError as exc:
+        raise ValueError(f"--check {args.check!r}: {exc}") from None
 
 
 # --- subcommands -----------------------------------------------------------
@@ -191,7 +204,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.interval is not None and args.check is None:
+        raise ValueError("--interval needs --check")
     program, table = _parsed(parse_file, args.file)
+    cond = None if args.check is None else _check_of(args, table)
     store = _initial_store(table, args.init)
     seed = _seed_of(args)
     method = _flow_method(args.flow)
@@ -216,7 +232,6 @@ def cmd_simulate(args) -> int:
                 write_csv(sys.stdout)
 
     if args.check and args.interval:
-        cond = _parsed(parse_bool_expr, args.check, table)
         result = montecarlo.interval_probability(ensemble, cond, args.interval[0], args.interval[1])
         payload = {
             "fraction": result.fraction,
@@ -231,7 +246,6 @@ def cmd_simulate(args) -> int:
         ), payload)
         return 0
     if args.check:
-        cond = _parsed(parse_bool_expr, args.check, table)
         series = montecarlo.probability_over_time(ensemble, cond)
         payload = {"times": list(series.times), "fractions": list(series.fractions),
                    "excluded": list(series.excluded)}
@@ -258,8 +272,7 @@ def cmd_adequacy(args) -> int:
     if args.time:
         times = list(args.time)
     elif args.grid:
-        parts = args.grid.split(":")
-        times = list(montecarlo.TimeGrid.regular(float(parts[0]), float(parts[1]), float(parts[2])).times)
+        times = list(_regular_grid(args.grid).times)
     else:
         times = [0.0, 0.5, 1.0, 1.5, 2.0]
     disc = denotational.Discretization(args.k, exact=args.rational)
@@ -323,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bins", type=int, default=10, metavar="B")
     s.add_argument("--check", default=None, metavar="EXPR",
                    help="boolean condition; emits its probability over time")
-    s.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"))
+    s.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"),
+                   help="with --check: the fraction of runs where it holds at a grid time in [A, B]")
     s.add_argument("--parallel", type=int, default=None, metavar="P")
     _add_common(s)
     s.set_defaults(func=cmd_simulate)

@@ -73,6 +73,8 @@ class TimeGrid:
 
     @classmethod
     def regular(cls, start: float, end: float, step: float) -> "TimeGrid":
+        if not all(math.isfinite(v) for v in (start, end, step)):
+            raise ValueError("grid start, end and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
         times = []

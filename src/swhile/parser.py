@@ -16,10 +16,19 @@ ever sees core constructs:
 In an assignment right-hand side, `unif(a,b)`, `exp(l)` and `normal(m,s)`
 are sampler references (so `x := exp(2) + sqrt(3)` draws from the shifted
 exponential); everywhere else `exp` is the scalar exponential primitive.
+Helper variables (`x_f`, `x1`, `x2`, `x_s`) get a `_2`, `_3`, ... suffix
+when the source already uses the name.
 
-Variables are declared implicitly: the variable table collects every
-name the program mentions, in first-occurrence order.  Names that are
-only ever read keep whatever value the initial store gives them.
+A parse is two walks.  One recursive descent parses and desugars at once:
+each statement becomes the list of core statements it expands to, still
+over names, while the variable table is collected.  Resolution then maps
+names to table indices.
+
+Variables are declared implicitly: the variable table lists every name
+in the order of its first occurrence in the desugared program, so a
+sampler's helper draws come before its target (`x := normal(0, 1)` gives
+`x1, x2, x`).  Names that are only ever read keep whatever value the
+initial store gives them.
 """
 
 from __future__ import annotations
@@ -113,7 +122,7 @@ def tokenize(source: str):
     return tokens
 
 
-# --- raw (pre-resolution) trees ----------------------------------------------
+# --- name-level trees ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class RLit:
@@ -133,63 +142,54 @@ class RCall:
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass
 class RSampler:
+    """A draw in an assignment right-hand side; once expanded, it reads `name`."""
+
     kind: str
     args: tuple
     line: int
     col: int
+    name: str | None = None
 
 
 @dataclass(frozen=True)
 class RAssign:
     name: str
     rhs: object
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
 class RSample:
     name: str
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
 class RDiff:
-    pairs: tuple  # ((name, expr, line, col), ...)
+    derivs: dict  # name -> derivative expression, listed names only
     duration: object
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
 class RIf:
     cond: object
-    then_branch: tuple
-    else_branch: tuple
+    then_branch: list
+    else_branch: list
 
 
 @dataclass(frozen=True)
 class RWhile:
     cond: object
-    body: tuple
-
-
-@dataclass(frozen=True)
-class RBernoulli:
-    ratio: object
-    then_branch: tuple
-    else_branch: tuple
-    line: int
-    col: int
+    body: list
 
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        # helper variables avoid every name the source mentions
+        self.used = RESERVED | {t.text for t in tokens if t.kind == "ident"}
+        self.vars = {}  # the variable table, in first-occurrence order
 
     def peek(self, k=0) -> Token:
         return self.tokens[min(self.i + k, len(self.tokens) - 1)]
@@ -213,28 +213,58 @@ class _Parser:
             self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
+    def expect_end(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.error(f"unexpected trailing input {tok.text!r}")
+
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def fresh(self, base: str) -> str:
+        name = base
+        k = 2
+        while name in self.used:
+            name = f"{base}_{k}"
+            k += 1
+        self.used.add(name)
+        return name
+
+    def note(self, *items):
+        """Add the names in `items` (names, expressions, guards, atomic
+        statements) to the variable table, left to right."""
+        for item in items:
+            if isinstance(item, str):
+                self.vars[item] = None
+            elif isinstance(item, (RVar, RSampler, RSample)):
+                self.vars[item.name] = None
+            elif isinstance(item, RAssign):
+                self.note(item.name, item.rhs)
+            elif isinstance(item, RCall):
+                self.note(*item.args)
+            elif isinstance(item, tuple):  # a guard: (tag, operand, ...)
+                self.note(*item[1:])
+
     # -- programs -------------------------------------------------------------
 
-    def parse_program(self) -> tuple:
-        stmts = [self.parse_statement()]
+    def parse_program(self) -> list:
+        stmts = self.parse_statement()
         while self.at(";"):
             self.advance()
             if self.at("}") or self.at("eof"):
                 break  # trailing separator
-            stmts.append(self.parse_statement())
-        return tuple(stmts)
+            stmts += self.parse_statement()
+        return stmts
 
-    def parse_block(self) -> tuple:
+    def parse_block(self) -> list:
         self.expect("{")
         body = self.parse_program()
         self.expect("}")
         return body
 
-    def parse_statement(self, in_bernoulli: bool = False):
+    def parse_statement(self) -> list:
+        """One statement, desugared into the list of core statements it stands for."""
         tok = self.peek()
         if tok.kind == "{":
             return self.parse_block()
@@ -244,34 +274,39 @@ class _Parser:
         if word == "if":
             self.advance()
             cond = self.parse_bool()
+            self.note(cond)
             if not self.at_ident("then"):
                 self.error("expected 'then'")
             self.advance()
-            then_branch = self._branch(self.parse_statement(in_bernoulli))
+            then_branch = self.parse_statement()
             if not self.at_ident("else"):
                 self.error("expected 'else'")
             self.advance()
-            else_branch = self._branch(self.parse_statement(in_bernoulli))
-            return RIf(cond, then_branch, else_branch)
+            return [RIf(cond, then_branch, self.parse_statement())]
         if word == "while":
             self.advance()
             cond = self.parse_bool()
+            self.note(cond)
             if self.at_ident("do"):
                 self.advance()
-            return RWhile(cond, self.parse_block())
+            return [RWhile(cond, self.parse_block())]
         if word == "wait":
             self.advance()
-            return RDiff((), self.parse_expr(), tok.line, tok.col)
+            duration = self.parse_expr()
+            self.note(duration)
+            return [RDiff({}, duration)]
         if word == "bernoulli":
             self.advance()
+            guard = self.fresh("x_f")
             self.expect("(")
             ratio = self.parse_expr()
+            self.note(guard, ratio)
             self.expect(",")
-            left = self._branch(self._bernoulli_branch())
+            left = self._bernoulli_branch()
             self.expect(",")
-            right = self._branch(self._bernoulli_branch())
+            right = self._bernoulli_branch()
             self.expect(")")
-            return RBernoulli(ratio, left, right, tok.line, tok.col)
+            return [RSample(guard), RIf(("leq", RVar(guard, tok.line, tok.col), ratio), left, right)]
         if word in RESERVED:
             self.error(f"{word!r} is reserved and cannot start a statement")
         # ident-led: diff list, assignment, or increment sugar
@@ -282,45 +317,96 @@ class _Parser:
         if nxt.kind == "++" or nxt.kind == "--":
             self.advance()
             op = "+" if nxt.kind == "++" else "-"
-            return RAssign(word, RCall(op, (RVar(word, tok.line, tok.col), RLit(1.0))), tok.line, tok.col)
+            self.note(word)
+            return [RAssign(word, RCall(op, (RVar(word, tok.line, tok.col), RLit(1.0))))]
         if nxt.kind == ":=":
             self.advance()
-            rhs = self.parse_expr(allow_samplers=True)
-            return RAssign(word, rhs, tok.line, tok.col)
+            start = self.i
+            samplers = []
+            rhs = self.parse_expr(samplers)
+            # the target is not reserved, so any token spelling it is a read
+            reads_target = any(t.text == word for t in self.tokens[start:self.i])
+            return self.assign(word, rhs, samplers, reads_target)
         self.error(f"expected ':=', '++', '--', or \"'\" after {word!r}", nxt)
 
-    def _bernoulli_branch(self):
+    def _bernoulli_branch(self) -> list:
         tok = self.peek()
         if tok.kind == "ident" and tok.text not in RESERVED and self.at("'", 1):
             self.error("wrap differential blocks in braces inside bernoulli(...)")
-        return self.parse_statement(in_bernoulli=True)
+        return self.parse_statement()
 
-    @staticmethod
-    def _branch(stmt) -> tuple:
-        return stmt if isinstance(stmt, tuple) else (stmt,)
-
-    def parse_diff(self) -> RDiff:
-        first = self.peek()
-        pairs = []
-        seen = set()
+    def parse_diff(self) -> list:
+        derivs = {}
         while True:
             name_tok = self.expect("ident")
-            if name_tok.text in RESERVED:
-                self.error(f"{name_tok.text!r} is reserved", name_tok)
-            if name_tok.text in seen:
-                self.error(f"duplicate derivative for {name_tok.text!r}", name_tok)
-            seen.add(name_tok.text)
+            name = name_tok.text
+            if name in RESERVED:
+                self.error(f"{name!r} is reserved", name_tok)
+            if name in derivs:
+                self.error(f"duplicate derivative for {name!r}", name_tok)
             self.expect("'")
             self.expect("=")
-            pairs.append((name_tok.text, self.parse_expr(), name_tok.line, name_tok.col))
-            if self.at(","):
-                self.advance()
-                continue
-            break
+            derivs[name] = self.parse_expr()
+            self.note(name, derivs[name])
+            if not self.at(","):
+                break
+            self.advance()
         if not self.at_ident("for"):
             self.error("expected 'for' after derivative list")
         self.advance()
-        return RDiff(tuple(pairs), self.parse_expr(), first.line, first.col)
+        duration = self.parse_expr()
+        self.note(duration)
+        return [RDiff(derivs, duration)]
+
+    # -- sampler expansion ------------------------------------------------------
+
+    def assign(self, name: str, rhs, samplers: list, reads_target: bool) -> list:
+        """`name := rhs`, with each draw in `rhs` hoisted into statements of its own."""
+        out = []
+        if len(samplers) == 1 and not reads_target:
+            # one draw, target unused elsewhere: reuse the target as scratch
+            self.expand_sampler(samplers[0], name, out)
+        else:
+            for s in samplers:
+                self.expand_sampler(s, self.fresh(f"{name}_s"), out)
+        if not (isinstance(rhs, RSampler) and rhs.name == name):  # else the draw is all of it
+            out.append(RAssign(name, rhs))
+        self.note(*out)
+        return out
+
+    def expand_sampler(self, s: RSampler, target: str, out: list):
+        """Append the core statements that store a draw from `s` in `target`."""
+        s.name = target
+        var = RVar(target, s.line, s.col)
+        if s.kind == "unif":
+            a, b = s.args
+            out.append(RSample(target))
+            if isinstance(a, RLit) and isinstance(b, RLit):
+                if a.value > b.value:
+                    raise ParseError("unif(a,b) needs a <= b", s.line, s.col)
+                if a.value == 0.0 and b.value == 1.0:
+                    return
+            out.append(RAssign(target, RCall("+", (RCall("*", (RCall("-", (b, a)), var)), a))))
+        elif s.kind == "exp":
+            (lam,) = s.args
+            out.append(RSample(target))
+            out.append(RAssign(target, RCall("/", (RCall("neg", (RCall("ln", (var,)),)), lam))))
+        else:  # normal, by Box-Muller
+            m, sd = s.args
+            h1 = RVar(self.fresh("x1"), s.line, s.col)
+            h2 = RVar(self.fresh("x2"), s.line, s.col)
+            out.append(RSample(h1.name))
+            out.append(RSample(h2.name))
+            box_muller = RCall(
+                "*",
+                (
+                    RCall("sqrt", (RCall("*", (RLit(-2.0), RCall("ln", (h1,)))),)),
+                    RCall("cos", (RCall("*", (RCall("*", (RLit(2.0), RLit(math.pi))), h2)),)),
+                ),
+            )
+            out.append(RAssign(target, box_muller))
+            if not (isinstance(m, RLit) and m.value == 0.0 and isinstance(sd, RLit) and sd.value == 1.0):
+                out.append(RAssign(target, RCall("+", (m, RCall("*", (sd, var))))))
 
     # -- boolean conditions -----------------------------------------------------
 
@@ -361,37 +447,38 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------------
 
-    def parse_expr(self, allow_samplers: bool = False):
-        e = self.parse_term(allow_samplers)
+    def parse_expr(self, samplers: list | None = None):
+        """An expression; `samplers` collects its draws, and None forbids them."""
+        e = self.parse_term(samplers)
         while self.at("+") or self.at("-"):
             op = self.advance().kind
-            e = RCall(op, (e, self.parse_term(allow_samplers)))
+            e = RCall(op, (e, self.parse_term(samplers)))
         return e
 
-    def parse_term(self, allow_samplers: bool):
-        e = self.parse_factor(allow_samplers)
+    def parse_term(self, samplers):
+        e = self.parse_factor(samplers)
         while self.at("*") or self.at("/"):
             op = self.advance().kind
-            e = RCall(op, (e, self.parse_factor(allow_samplers)))
+            e = RCall(op, (e, self.parse_factor(samplers)))
         return e
 
-    def parse_factor(self, allow_samplers: bool):
+    def parse_factor(self, samplers):
         if self.at("-"):
             self.advance()
-            inner = self.parse_factor(allow_samplers)
+            inner = self.parse_factor(samplers)
             if isinstance(inner, RLit):
                 return RLit(-inner.value)
             return RCall("neg", (inner,))
-        return self.parse_primary(allow_samplers)
+        return self.parse_primary(samplers)
 
-    def parse_primary(self, allow_samplers: bool):
+    def parse_primary(self, samplers):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
             return RLit(tok.value)
         if tok.kind == "(":
             self.advance()
-            e = self.parse_expr(allow_samplers)
+            e = self.parse_expr(samplers)
             self.expect(")")
             return e
         if tok.kind != "ident":
@@ -401,7 +488,7 @@ class _Parser:
             self.advance()
             return RLit(math.pi)
         if name in SAMPLERS and self.at("(", 1):
-            if not allow_samplers:
+            if samplers is None:
                 if name in FUNCTIONS:  # plain exp(e) outside an assignment RHS
                     return self.parse_call(name)
                 self.error(
@@ -416,7 +503,8 @@ class _Parser:
             self.expect(")")
             if len(args) != SAMPLERS[name]:
                 self.error(f"{name!r} expects {SAMPLERS[name]} arguments", tok)
-            return RSampler(name, tuple(args), tok.line, tok.col)
+            samplers.append(RSampler(name, tuple(args), tok.line, tok.col))
+            return samplers[-1]
         if name in FUNCTIONS:
             return self.parse_call(name)
         if name in RESERVED:
@@ -439,240 +527,7 @@ class _Parser:
         return RCall(name, tuple(args))
 
 
-# --- desugaring ---------------------------------------------------------------
-
-
-def _collect_samplers(e, out):
-    if isinstance(e, RSampler):
-        for a in e.args:
-            _collect_samplers(a, out)  # nested samplers are rejected below
-        out.append(e)
-    elif isinstance(e, RCall):
-        for a in e.args:
-            _collect_samplers(a, out)
-
-
-def _mentions(e, name: str) -> bool:
-    if isinstance(e, RVar):
-        return e.name == name
-    if isinstance(e, (RCall, RSampler)):
-        return any(_mentions(a, name) for a in e.args)
-    return False
-
-
-def _substitute(e, target: RSampler, replacement):
-    if e is target:
-        return replacement
-    if isinstance(e, RCall):
-        return RCall(e.op, tuple(_substitute(a, target, replacement) for a in e.args))
-    return e
-
-
-def _neg(e):
-    return RLit(-e.value) if isinstance(e, RLit) else RCall("neg", (e,))
-
-
-class _Desugarer:
-    def __init__(self, used_names):
-        self.used = set(used_names)
-
-    def fresh(self, base: str) -> str:
-        name = base
-        k = 2
-        while name in self.used or name in RESERVED:
-            name = f"{base}_{k}"
-            k += 1
-        self.used.add(name)
-        return name
-
-    def block(self, stmts) -> tuple:
-        out = []
-        for stmt in stmts:
-            self.statement(stmt, out)
-        return tuple(out)
-
-    def statement(self, stmt, out: list):
-        if isinstance(stmt, tuple):  # braced block: inline its statements
-            out.extend(self.block(stmt))
-        elif isinstance(stmt, RAssign):
-            self.assign(stmt, out)
-        elif isinstance(stmt, RBernoulli):
-            guard = self.fresh("x_f")
-            out.append(RSample(guard, stmt.line, stmt.col))
-            out.append(
-                RIf(
-                    ("leq", RVar(guard, stmt.line, stmt.col), stmt.ratio),
-                    self.block(stmt.then_branch),
-                    self.block(stmt.else_branch),
-                )
-            )
-        elif isinstance(stmt, RIf):
-            out.append(RIf(stmt.cond, self.block(stmt.then_branch), self.block(stmt.else_branch)))
-        elif isinstance(stmt, RWhile):
-            out.append(RWhile(stmt.cond, self.block(stmt.body)))
-        else:
-            out.append(stmt)
-
-    def assign(self, stmt: RAssign, out: list):
-        samplers: list[RSampler] = []
-        _collect_samplers(stmt.rhs, samplers)
-        if not samplers:
-            out.append(stmt)
-            return
-        for s in samplers:
-            for a in s.args:
-                if any(isinstance(x, RSampler) for x in _flatten(a)):
-                    raise ParseError("sampler arguments must be sampler-free", s.line, s.col)
-        rhs = stmt.rhs
-        if isinstance(rhs, RSampler) and not any(_mentions(a, stmt.name) for a in rhs.args):
-            self.expand_sampler(rhs, stmt.name, stmt.line, stmt.col, out)
-            return
-        if len(samplers) == 1 and not _mentions(rhs, stmt.name):
-            # one draw, target unused elsewhere: reuse the target as scratch
-            s = samplers[0]
-            self.expand_sampler(s, stmt.name, stmt.line, stmt.col, out)
-            new_rhs = _substitute(rhs, s, RVar(stmt.name, stmt.line, stmt.col))
-            out.append(RAssign(stmt.name, new_rhs, stmt.line, stmt.col))
-            return
-        new_rhs = rhs
-        for s in samplers:
-            helper = self.fresh(f"{stmt.name}_s")
-            self.expand_sampler(s, helper, s.line, s.col, out)
-            new_rhs = _substitute(new_rhs, s, RVar(helper, s.line, s.col))
-        out.append(RAssign(stmt.name, new_rhs, stmt.line, stmt.col))
-
-    def expand_sampler(self, s: RSampler, target: str, line: int, col: int, out: list):
-        var = RVar(target, line, col)
-        if s.kind == "unif":
-            a, b = s.args
-            if isinstance(a, RLit) and isinstance(b, RLit):
-                if a.value > b.value:
-                    raise ParseError("unif(a,b) needs a <= b", s.line, s.col)
-                if a.value == 0.0 and b.value == 1.0:
-                    out.append(RSample(target, line, col))
-                    return
-            out.append(RSample(target, line, col))
-            out.append(
-                RAssign(target, RCall("+", (RCall("*", (RCall("-", (b, a)), var)), a)), line, col)
-            )
-        elif s.kind == "exp":
-            (lam,) = s.args
-            out.append(RSample(target, line, col))
-            out.append(
-                RAssign(target, RCall("/", (_neg(RCall("ln", (var,))), lam)), line, col)
-            )
-        elif s.kind == "normal":
-            m, sd = s.args
-            h1 = self.fresh("x1")
-            h2 = self.fresh("x2")
-            out.append(RSample(h1, line, col))
-            out.append(RSample(h2, line, col))
-            box_muller = RCall(
-                "*",
-                (
-                    RCall("sqrt", (RCall("*", (RLit(-2.0), RCall("ln", (RVar(h1, line, col),)))),)),
-                    RCall("cos", (RCall("*", (RCall("*", (RLit(2.0), RLit(math.pi))), RVar(h2, line, col))),)),
-                ),
-            )
-            out.append(RAssign(target, box_muller, line, col))
-            if not (isinstance(m, RLit) and m.value == 0.0 and isinstance(sd, RLit) and sd.value == 1.0):
-                out.append(RAssign(target, RCall("+", (m, RCall("*", (sd, var)))), line, col))
-        else:  # pragma: no cover - parser only produces the three kinds
-            raise AssertionError(s.kind)
-
-
-def _flatten(e):
-    yield e
-    if isinstance(e, (RCall, RSampler)):
-        for a in e.args:
-            yield from _flatten(a)
-
-
-# --- variable-table inference and resolution -----------------------------------
-
-
-def _collect_variables(stmts, order: list, seen: set):
-    """Every name occurring as a target or a read, in first-occurrence order."""
-
-    def add(name):
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
-    def expr(e):
-        for node in _flatten(e):
-            if isinstance(node, RVar):
-                add(node.name)
-
-    def boolean(b):
-        tag = b[0]
-        if tag == "leq":
-            expr(b[1])
-            expr(b[2])
-        elif tag in ("and", "or"):
-            boolean(b[1])
-            boolean(b[2])
-
-    for stmt in stmts:
-        if isinstance(stmt, RAssign):
-            add(stmt.name)
-            expr(stmt.rhs)
-        elif isinstance(stmt, RSample):
-            add(stmt.name)
-        elif isinstance(stmt, RDiff):
-            for name, e, _, _ in stmt.pairs:
-                add(name)
-                expr(e)
-            expr(stmt.duration)
-        elif isinstance(stmt, RIf):
-            boolean(stmt.cond)
-            _collect_variables(stmt.then_branch, order, seen)
-            _collect_variables(stmt.else_branch, order, seen)
-        elif isinstance(stmt, RWhile):
-            boolean(stmt.cond)
-            _collect_variables(stmt.body, order, seen)
-
-
-def _collect_names(stmts, out: set):
-    def expr_names(e):
-        for node in _flatten(e):
-            if isinstance(node, RVar):
-                out.add(node.name)
-
-    for stmt in stmts:
-        if isinstance(stmt, tuple):
-            _collect_names(stmt, out)
-        elif isinstance(stmt, RAssign):
-            out.add(stmt.name)
-            expr_names(stmt.rhs)
-        elif isinstance(stmt, RSample):
-            out.add(stmt.name)
-        elif isinstance(stmt, RDiff):
-            for name, e, _, _ in stmt.pairs:
-                out.add(name)
-                expr_names(e)
-            expr_names(stmt.duration)
-        elif isinstance(stmt, RBernoulli):
-            expr_names(stmt.ratio)
-            _collect_names(stmt.then_branch, out)
-            _collect_names(stmt.else_branch, out)
-        elif isinstance(stmt, RIf):
-            _bool_names(stmt.cond, expr_names)
-            _collect_names(stmt.then_branch, out)
-            _collect_names(stmt.else_branch, out)
-        elif isinstance(stmt, RWhile):
-            _bool_names(stmt.cond, expr_names)
-            _collect_names(stmt.body, out)
-
-
-def _bool_names(b, expr_names):
-    tag = b[0]
-    if tag == "leq":
-        expr_names(b[1])
-        expr_names(b[2])
-    elif tag in ("and", "or"):
-        _bool_names(b[1], expr_names)
-        _bool_names(b[2], expr_names)
+# --- resolution ----------------------------------------------------------------
 
 
 class _Resolver:
@@ -682,7 +537,7 @@ class _Resolver:
     def expr(self, e):
         if isinstance(e, RLit):
             return Lit(e.value)
-        if isinstance(e, RVar):
+        if isinstance(e, (RVar, RSampler)):  # an expanded draw reads its variable
             if e.name not in self.table:
                 raise ParseError(f"unknown variable {e.name!r}", e.line, e.col)
             return Var(self.table.index(e.name), e.name)
@@ -697,7 +552,7 @@ class _Resolver:
         cls = And if tag == "and" else Or
         return cls(self.boolean(b[1]), self.boolean(b[2]))
 
-    def var(self, name: str, line: int, col: int) -> Var:
+    def var(self, name: str) -> Var:
         return Var(self.table.index(name), name)
 
     def block(self, stmts) -> Program:
@@ -709,12 +564,12 @@ class _Resolver:
 
     def statement(self, stmt) -> Program:
         if isinstance(stmt, RAssign):
-            return Assign(self.var(stmt.name, stmt.line, stmt.col), self.expr(stmt.rhs))
+            return Assign(self.var(stmt.name), self.expr(stmt.rhs))
         if isinstance(stmt, RSample):
-            return Sample(self.var(stmt.name, stmt.line, stmt.col))
+            return Sample(self.var(stmt.name))
         if isinstance(stmt, RDiff):
             derivs = [Lit(0.0)] * len(self.table)
-            for name, e, _, _ in stmt.pairs:
+            for name, e in stmt.derivs.items():
                 derivs[self.table.index(name)] = self.expr(e)
             return DiffBlock(tuple(derivs), self.expr(stmt.duration))
         if isinstance(stmt, RIf):
@@ -732,16 +587,12 @@ def parse_program(source: str) -> tuple[Program, VarTable]:
     variable problem.
     """
     tokens = tokenize(source)
-    raw = _Parser(tokens).parse_program()
-    names: set = set()
-    _collect_names(raw, names)
-    core = _Desugarer(names).block(raw)
-    order: list = []
-    _collect_variables(core, order, set())
-    if not order:
-        tok = tokens[0]
-        raise ParseError("program mentions no variables", tok.line, tok.col)
-    table = VarTable(order)
+    parser = _Parser(tokens)
+    core = parser.parse_program()
+    parser.expect_end()
+    if not parser.vars:
+        raise ParseError("program mentions no variables", tokens[0].line, tokens[0].col)
+    table = VarTable(parser.vars)
     return _Resolver(table).block(core), table
 
 
@@ -749,9 +600,7 @@ def parse_bool_expr(source: str, table: VarTable):
     """Parse a standalone boolean condition against an existing table."""
     parser = _Parser(tokenize(source))
     raw = parser.parse_bool()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    parser.expect_end()
     return _Resolver(table).boolean(raw)
 
 

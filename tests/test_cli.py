@@ -328,3 +328,43 @@ def test_auto_seed_is_reported(capsys):
     )
     assert code == 0
     assert err.startswith("seed: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "adequacy"])
+def test_grid_needs_three_fields(capsys, command):
+    seed = ("--seed", "1") if command == "simulate" else ()
+    code, out, err = run_cli(capsys, command, PROGRAMS / "ball.swl", "--grid", "0:1", *seed)
+    assert code == 1
+    assert out == "" and err == "error: --grid expects START:END:STEP\n"
+
+
+@pytest.mark.parametrize("grid", ["0:nan:0.1", "0:inf:0.1", "nan:1:0.1", "-inf:1:0.1", "0:1:nan"])
+@pytest.mark.parametrize("command", ["simulate", "adequacy"])
+def test_non_finite_grid_exits_cleanly(capsys, command, grid):
+    # a NaN or infinite bound used to grow the list of grid times without end
+    seed = ("--seed", "1") if command == "simulate" else ()
+    # "--grid=..." keeps argparse from reading "-inf:1:0.1" as an option
+    code, out, err = run_cli(capsys, command, PROGRAMS / "ball.swl", f"--grid={grid}", *seed)
+    assert code == 1
+    assert out == "" and err == "error: grid start, end and step must be finite\n"
+
+
+@pytest.mark.parametrize("check", ["x <=", ""])
+def test_check_parse_error_names_the_check_text(capsys, check):
+    # an empty --check used to be skipped, so the ensemble CSV came out instead
+    code, out, err = run_cli(
+        capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--check", check, "--seed", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: --check {check!r}: 1:1: ")
+    assert "ball.swl" not in err
+
+
+def test_interval_without_check_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--interval", "0", "1",
+        "--seed", "1",
+    )
+    assert code == 1
+    assert out == "" and err == "error: --interval needs --check\n"

@@ -183,6 +183,23 @@ def test_variable_table_is_first_occurrence_in_desugared_program(source, names):
     assert table.names == names
 
 
+def test_unif_bound_error_is_reported_before_a_later_syntax_error():
+    # desugaring happens as each statement is parsed, so the earlier error wins
+    with pytest.raises(ParseError) as exc:
+        parse_program("x := unif(4, 2) ; x := (")
+    assert (exc.value.line, exc.value.col) == (1, 6)
+    assert exc.value.message == "unif(a,b) needs a <= b"
+
+
+@pytest.mark.parametrize("source, col", [("x := 1 y := 2", 8), ("x := 1 }", 8), ("x := 1 ; }", 10)])
+def test_trailing_input_is_rejected(source, col):
+    # a missing ';' used to end the program silently at the first statement
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert exc.value.message.startswith("unexpected trailing input")
+
+
 def test_bernoulli_desugars_to_guarded_branch():
     program, table = parse_program("x := 0 ; bernoulli(1/2, x++, x--)")
     assert table.names == ("x", "x_f")
