@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
             else:
                 write_csv(sys.stdout)
 
-    if args.check and args.interval:
+    if cond is not None and args.interval is not None:
         result = montecarlo.interval_probability(ensemble, cond, args.interval[0], args.interval[1])
         payload = {
             "fraction": result.fraction,
@@ -245,7 +245,7 @@ def cmd_simulate(args) -> int:
             f"runs,{result.runs}\nexcluded,{result.excluded}\n# {result.note}\n"
         ), payload)
         return 0
-    if args.check:
+    if cond is not None:
         series = montecarlo.probability_over_time(ensemble, cond)
         payload = {"times": list(series.times), "fractions": list(series.fractions),
                    "excluded": list(series.excluded)}
