@@ -14,6 +14,8 @@ from swhile.syntax import pretty_print
 from progpath import ROOT, program_files
 
 GOLDEN = ROOT / "tests" / "golden" / "parse"
+GOLDEN_TRACE = ROOT / "tests" / "golden" / "trace"
+BUNDLED = program_files() + [ROOT / "bench" / "pendulum.swl"]
 
 
 @pytest.mark.parametrize("path", program_files(), ids=lambda p: p.stem)
@@ -24,9 +26,7 @@ def test_program_parses_and_round_trips(path):
     assert parse_program(pretty_print(program, table)) == (program, table)
 
 
-@pytest.mark.parametrize(
-    "path", program_files() + [ROOT / "bench" / "pendulum.swl"], ids=lambda p: p.stem
-)
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 def test_parse_json_matches_golden(path, capsys):
     # pins the desugared AST and the variable-table order of every bundled program
     from swhile.cli import main
@@ -34,6 +34,18 @@ def test_parse_json_matches_golden(path, capsys):
     assert main(["parse", "--json", str(path)]) == 0
     expected = json.loads((GOLDEN / f"{path.stem}.json").read_text())
     assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "jsonl")])
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_run_trace_matches_golden(path, fmt, suffix, capsys):
+    # pins every configuration `run --trace` prints, byte for byte: the
+    # residual program text, the store, t and (in JSON) the entropy position
+    from swhile.cli import main
+
+    assert main(["run", str(path), "--time", "1.5", "--seed", "1", "--trace", "--format", fmt]) == 0
+    expected = (GOLDEN_TRACE / f"{path.stem}.{suffix}").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
 
 
 @pytest.mark.parametrize("path", program_files(), ids=lambda p: p.stem)
