@@ -131,10 +131,14 @@ def _regular_grid(text: str) -> montecarlo.TimeGrid:
 
 def _grid_of(args) -> montecarlo.TimeGrid:
     if args.grid:
+        if (args.start, args.end, args.step) != (None, None, None):
+            raise ValueError("--grid cannot be combined with --start, --end or --step")
         return _regular_grid(args.grid)
     if args.end is None:
         raise ValueError("simulate needs --grid S:E:STEP or --end E")
-    return montecarlo.TimeGrid.regular(args.start, args.end, args.step)
+    start = 0.0 if args.start is None else args.start
+    step = 0.1 if args.step is None else args.step
+    return montecarlo.TimeGrid.regular(start, args.end, step)
 
 
 def _parsed(parse, *args):
@@ -269,6 +273,8 @@ def cmd_adequacy(args) -> int:
     program, table = _parsed(parse_file, args.file)
     store = _initial_store(table, args.init)
     method = _flow_method(args.flow)
+    if args.time and args.grid:
+        raise ValueError("--time cannot be combined with --grid")
     if args.time:
         times = list(args.time)
     elif args.grid:
@@ -335,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("simulate", help="run an ensemble and export statistics")
     s.add_argument("file")
     s.add_argument("--grid", default=None, metavar="S:E:STEP")
-    s.add_argument("--start", type=float, default=0.0)
-    s.add_argument("--end", type=float, default=None)
-    s.add_argument("--step", type=float, default=0.1)
+    s.add_argument("--start", type=float, default=None, help="without --grid (default 0)")
+    s.add_argument("--end", type=float, default=None, help="without --grid")
+    s.add_argument("--step", type=float, default=None, help="without --grid (default 0.1)")
     s.add_argument("--runs", type=int, default=1, metavar="N")
     s.add_argument("--out", default=None, metavar="PATH")
     s.add_argument("--format", choices=["csv", "json"], default="csv")

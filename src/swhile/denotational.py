@@ -247,6 +247,14 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
     return DiscMeasure(out)
 
 
+def _check_bounds(max_unfold: int, branch_cap: int) -> None:
+    if max_unfold < 0:
+        raise ValueError("the Kleene index must be nonnegative")
+    if branch_cap < 1:
+        # every enumeration explores its root, so a smaller cap always fires
+        raise ValueError("the branch cap must be at least 1")
+
+
 def enumerate_operational(
     program: Program,
     store: tuple,
@@ -266,10 +274,9 @@ def enumerate_operational(
     there with its state (see `bigstep._functional`), and each child
     resumes from that state with a source holding just its own atom, so
     every edge of the tree is evaluated once.  `explored` counts the
-    tree's nodes, root included, and `branch_cap` bounds it.
+    tree's nodes, root included, and `branch_cap` (at least 1) bounds it.
     """
-    if max_unfold < 0:
-        raise ValueError("the Kleene index must be nonnegative")
+    _check_bounds(max_unfold, branch_cap)
     atoms = disc.atoms
     weight = disc.atom_weight
     acc: dict = {}
@@ -329,8 +336,7 @@ def adequacy_check(
     at the same Kleene index, so they must coincide point for point; the
     report's tv field is the total variation distance between them.
     """
-    if max_unfold < 0:
-        raise ValueError("the Kleene index must be nonnegative")
+    _check_bounds(max_unfold, branch_cap)
     lhs_acc: dict = {}
     for pt, w in mu0.items():
         if type(pt) is EPoint:

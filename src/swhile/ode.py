@@ -49,8 +49,10 @@ class RungeKutta4:
     step: float = 1e-3
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("RK4 step must be positive")
+        step = self.step
+        if not 0 < step < math.inf:  # also rejects NaN
+            raise ValueError("RK4 step must be finite" if step == math.inf
+                             else "RK4 step must be positive")
 
 
 FlowMethod = ExactAffine | RungeKutta4

@@ -19,14 +19,16 @@ shape and side condition match:
 Guards compare doubles exactly: a block whose duration equals t finishes
 with zero time left rather than time-stopping.
 
-The rules live in `_transition`, which works on a configuration's four
-fields.  It applies the sequencing rule along the whole left spine in one
-loop, without recursion, so a left-nested sequence of any depth steps, and
-it still rebuilds the residual program term on every transition: the
-configurations visited are the terms the rules rewrite.  `step` wraps it
-for a `Config`; the closure `_close` keeps the fields in locals and builds
-a `Config` only for the trace (`keep_trace`, i.e. `swhile run --trace`) and
-for the last configuration it returns.
+The non-Seq rules live once, in `_rule`.  `_transition` applies the
+sequencing rule along the whole left spine in one loop, without
+recursion, then `_rule` to the leftmost node, and rebuilds the residual
+program term with `_term`; `step` wraps it for a `Config`.  The closure
+`_close` keeps the residual program as a zipper instead -- a focus node
+and the stack of the `rest`s of the Seqs above it -- and builds a term,
+and a `Config`, only when one is observed: for the trace (`keep_trace`,
+i.e. `swhile run --trace`) and for the last configuration it returns.  Its
+cost is per step, independent of how deeply the Seqs nest, and the terms
+it builds are exactly those that `_transition` would.
 """
 
 from __future__ import annotations
@@ -106,72 +108,89 @@ StepOutcome = Err | TimeStop | Resume
 Terminal = Err | TimeStop | Normal
 
 
-def _transition(program, store: Store, t: float, entropy, flow_method):
-    """The one transition from the configuration with these four fields.
+def _rule(node, store: Store, t: float, entropy, flow_method):
+    """The one transition of the non-Seq node `node` in this state.
 
-    Returns the successor's fields (program, store, t, entropy) as a
-    tuple, or ERR, or a TimeStop.  `program` must not be None.
-
-    The Seq rule is applied along the left spine in one loop: walk down
-    `first` while the node is a Seq, collecting the `rest`s; apply the
-    atomic, If or While rule to the leftmost non-Seq node; then rebuild
-    the residual spine innermost first, each level becoming its `rest`
-    when the stepped head completed and Seq(head, rest) otherwise.  Err
-    and time-stops propagate through sequencing unchanged.
+    Returns the successor's fields (focus, store, t, entropy) as a tuple,
+    where the focus is what replaces `node` in the residual program --
+    None when it completed, the chosen branch for If, Seq(body, loop)
+    for a While whose guard holds -- or ERR, or a TimeStop.
     """
-    rests = []
-    while type(program) is Seq:
-        rests.append(program.rest)
-        program = program.first
-    kind = type(program)
+    kind = type(node)
     if kind is Sample:
         h, entropy = entropy.draw()
-        store = update(store, program.var.index, h)
-        program = None
-    elif kind is Assign:
+        return None, update(store, node.var.index, h), t, entropy
+    if kind is Assign:
         try:
-            v = eval_expr(program.expr, store)
+            v = eval_expr(node.expr, store)
         except Undefined:
             return ERR
-        store = update(store, program.var.index, v)
-        program = None
-    elif kind is DiffBlock:
+        return None, update(store, node.var.index, v), t, entropy
+    if kind is DiffBlock:
         try:
-            d = eval_expr(program.duration, store)
+            d = eval_expr(node.duration, store)
         except Undefined:
             return ERR
         if d < 0.0:
             return ERR
         if d > t:
             try:
-                return TimeStop(ode.flow(program, store, t, flow_method))
+                return TimeStop(ode.flow(node, store, t, flow_method))
             except Undefined:
                 return ERR
         try:
-            store = ode.flow(program, store, d, flow_method)
+            store = ode.flow(node, store, d, flow_method)
         except Undefined:
             return ERR
         # 0 <= d <= t, so the IEEE difference is >= 0 (see Config): the
         # remaining time stays nonnegative with no Config to check it
-        t = t - d
-        program = None
-    elif kind is If:
+        return None, store, t - d, entropy
+    if kind is If:
         try:
-            guard = eval_bool(program.cond, store)
+            guard = eval_bool(node.cond, store)
         except Undefined:
             return ERR
-        program = program.then_branch if guard else program.else_branch
-    elif kind is While:
+        return (node.then_branch if guard else node.else_branch), store, t, entropy
+    if kind is While:
         try:
-            guard = eval_bool(program.cond, store)
+            guard = eval_bool(node.cond, store)
         except Undefined:
             return ERR
-        program = Seq(program.body, program) if guard else None
-    else:  # pragma: no cover
-        raise TypeError(f"not a program node: {program!r}")
+        return (Seq(node.body, node) if guard else None), store, t, entropy
+    raise TypeError(f"not a program node: {node!r}")  # pragma: no cover
+
+
+def _term(focus, rests):
+    """The residual program of the zipper (focus, rests), or None if empty.
+
+    `rests` holds the `rest` of every Seq above the focus, innermost last;
+    the fold rebuilds the spine innermost first, each level becoming its
+    `rest` when the focus below it is None and Seq(focus, rest) otherwise.
+    """
     for rest in reversed(rests):
-        program = rest if program is None else Seq(program, rest)
-    return program, store, t, entropy
+        focus = rest if focus is None else Seq(focus, rest)
+    return focus
+
+
+def _transition(program, store: Store, t: float, entropy, flow_method):
+    """The one transition from the configuration with these four fields.
+
+    Returns the successor's fields (program, store, t, entropy) as a
+    tuple, or ERR, or a TimeStop.  `program` must not be None.  The Seq
+    rule is applied along the whole left spine in one loop: walk down
+    `first`, collecting the `rest`s, apply `_rule` to the leftmost node,
+    and rebuild the residual term with `_term`.  Err and time-stops
+    propagate through sequencing unchanged.
+    """
+    rests = []
+    while type(program) is Seq:
+        rests.append(program.rest)
+        program = program.first
+    out = _rule(program, store, t, entropy, flow_method)
+    if type(out) is not tuple:
+        return out
+    focus, store, t, entropy = out
+    return _term(focus, rests), store, t, entropy
 
 
 def step(config: Config, flow_method=None) -> StepOutcome:
@@ -195,26 +214,40 @@ def _close(config: Config, fuel: int, flow_method=None, keep_trace: bool = False
     configuration reached -- for Err outcomes its `t` field is the
     remaining time at the erroring step.  Configurations are built only
     for `configs` (when `keep_trace`) and for `last`.
+
+    The residual program is kept as a zipper: a focus node and the stack
+    `rests` of the `rest` of every Seq above it, innermost on top.  A
+    completed focus gives way to the next rest, a Seq focus is walked down
+    its left spine, and any other focus takes its one `_rule`.  The term
+    is built by `_term` only for a configuration that is produced, so a
+    step costs the same however deeply its Seqs nest.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     configs = [config] if keep_trace else None
-    program, store, t, entropy = config.program, config.store, config.t, config.entropy
+    focus, store, t, entropy = config.program, config.store, config.t, config.entropy
+    rests = []
+    push, pop = rests.append, rests.pop
     steps = 0
     while True:
-        if program is None:
-            return Normal(store, t, entropy), steps, configs, Config(None, store, t, entropy)
+        if focus is None:
+            if not rests:
+                return Normal(store, t, entropy), steps, configs, Config(None, store, t, entropy)
+            focus = pop()
+        while type(focus) is Seq:
+            push(focus.rest)
+            focus = focus.first
         if steps >= fuel:
-            return OutOfFuel(steps), steps, configs, Config(program, store, t, entropy)
-        out = _transition(program, store, t, entropy, flow_method)
+            return OutOfFuel(steps), steps, configs, Config(_term(focus, rests), store, t, entropy)
+        out = _rule(focus, store, t, entropy, flow_method)
         steps += 1
         if type(out) is not tuple:
-            return out, steps, configs, Config(program, store, t, entropy)
-        program, store, t, entropy = out
+            return out, steps, configs, Config(_term(focus, rests), store, t, entropy)
+        focus, store, t, entropy = out
         # the empty-stack configuration IS the Normal terminal; listing
         # it again as an intermediate configuration would double it
-        if keep_trace and program is not None:
-            configs.append(Config(program, store, t, entropy))
+        if keep_trace and (focus is not None or rests):
+            configs.append(Config(_term(focus, rests), store, t, entropy))
 
 
 def run_to_terminal(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):

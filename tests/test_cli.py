@@ -5,7 +5,7 @@ import pytest
 from swhile import montecarlo
 from swhile.cli import main
 
-from progpath import PROGRAMS
+from progpath import PROGRAMS, ROOT
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +231,17 @@ def test_adequacy_branch_cap_exit_code(tmp_path, capsys):
     assert "cap" in out
 
 
+@pytest.mark.parametrize("cap, want", [("0", 1), ("-1", 1), ("5", 5)])
+def test_adequacy_cap_below_one_is_a_diagnostic(capsys, cap, want):
+    # --cap -1 used to exit 5 with "enumeration explored 1 branches, cap is -1"
+    code, out, err = run_cli(capsys, "adequacy", PROGRAMS / "ball.swl", f"--cap={cap}", "--time", "1")
+    assert code == want
+    if want == 1:
+        assert out == "" and err == "error: the branch cap must be at least 1\n"
+    else:
+        assert json.loads(out)["error"] == "enumeration explored 6 branches, cap is 5"
+
+
 def test_bad_init_values_exit_cleanly(capsys):
     code, _, err = run_cli(
         capsys, "run", PROGRAMS / "timestop.swl", "--time", "1",
@@ -316,6 +327,14 @@ def test_flow_flag_variants(capsys):
         assert "x = 2.0" in out
 
 
+def test_infinite_rk4_step_is_a_diagnostic(capsys):
+    # used to exit 0 after one RK4 step per flow
+    code, out, err = run_cli(capsys, "simulate", ROOT / "bench" / "pendulum.swl", "--runs", "2",
+                             "--grid", "0:1:0.5", "--seed", "1", "--flow", "rk4:inf")
+    assert code == 1
+    assert out == "" and err == "error: RK4 step must be finite\n"
+
+
 def test_simulate_parallel_output_matches_serial(capsys):
     base = ("simulate", PROGRAMS / "ctrw.swl", "--runs", "6",
             "--grid", "0:2:0.5", "--seed", "21")
@@ -377,6 +396,25 @@ def test_check_parse_error_names_the_check_text(capsys, check):
     assert out == ""
     assert err.startswith(f"error: --check {check!r}: 1:1: ")
     assert "ball.swl" not in err
+
+
+@pytest.mark.parametrize("flag", [("--start", "0"), ("--end", "3"), ("--step", "0.25")])
+def test_simulate_grid_with_another_time_flag_is_an_error(capsys, flag):
+    # the grid used to win and the other flag was dropped without a word
+    code, out, err = run_cli(
+        capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", *flag, "--seed", "1"
+    )
+    assert code == 1
+    assert out == "" and err == "error: --grid cannot be combined with --start, --end or --step\n"
+
+
+def test_adequacy_time_with_grid_is_an_error(capsys):
+    # --grid used to be dropped in favour of --time
+    code, out, err = run_cli(
+        capsys, "adequacy", PROGRAMS / "ball.swl", "--time", "1", "--grid", "0:2:1"
+    )
+    assert code == 1
+    assert out == "" and err == "error: --time cannot be combined with --grid\n"
 
 
 def test_interval_without_check_is_an_error(capsys):

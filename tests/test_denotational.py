@@ -446,6 +446,18 @@ def test_each_branch_draws_once(monkeypatch):
         assert len(drawn) == explored - 1
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_branch_cap_below_one_is_rejected(cap):
+    # such a cap used to fire on the root, reported as a branch explosion;
+    # adequacy_check gets an E-point, which never reaches the enumeration
+    program, _ = parse_program("x := 0 ; wait 1")
+    disc = Discretization(2)
+    for call in (lambda: enumerate_operational(program, (0.0,), 1.0, disc, 2, cap),
+                 lambda: adequacy_check(program, dirac(EPoint((0.0,))), disc, 2, cap)):
+        with pytest.raises(ValueError, match="the branch cap must be at least 1"):
+            call()
+
+
 def test_negative_kleene_index_is_rejected():
     # denote's kernel used to run loop rounds without end for max_unfold < 0;
     # the program has no loop, so a missing check shows as no error, not a hang

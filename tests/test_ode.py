@@ -142,6 +142,18 @@ def test_rk4_surfaces_undefined_derivatives():
         flow(sys, (0.0,), 1.0, RungeKutta4(0.1))
 
 
+@pytest.mark.parametrize("step, message", [
+    (math.inf, "RK4 step must be finite"),
+    (0.0, "RK4 step must be positive"),
+    (-0.1, "RK4 step must be positive"),
+    (math.nan, "RK4 step must be positive"),
+])
+def test_rk4_rejects_a_step_that_is_not_positive_and_finite(step, message):
+    # an infinite step used to be accepted: each flow then took one RK4 step
+    with pytest.raises(ValueError, match=message):
+        RungeKutta4(step)
+
+
 def test_rk4_surfaces_blowup_as_undefined():
     # x' = x^2 from 1 blows up at t=1
     sys = system(Call("*", (Var(0, "x"), Var(0, "x"))))

@@ -6,7 +6,7 @@ import pytest
 from swhile import ode
 from swhile.bigstep import eval_big
 from swhile.entropy import EntropyExhausted, FinitePrefix, from_seed
-from swhile.parser import parse_program
+from swhile.parser import parse_file, parse_program
 from swhile.smallstep import (
     ERR,
     Config,
@@ -25,6 +25,7 @@ from swhile.store import Undefined, eval_bool, eval_expr, update
 from swhile.syntax import Assign, Call, DiffBlock, If, Lit, Sample, Seq, Var, While
 
 from genprog import gen_program, gen_store, gen_table
+from progpath import PROGRAMS
 
 
 def cfg(source, store, t, entropy):
@@ -312,16 +313,61 @@ def test_transitions_match_the_recursive_reference_on_fuzzed_programs():
     assert kinds == {Err, TimeStop, Normal, OutOfFuel}
 
 
-def test_left_nested_sequence_deeper_than_the_recursion_limit():
-    # ((x := 0 ; x := x + 1) ; x := x + 1) ; ... built programmatically: the
-    # parser nests statement lists to the right
-    depth = 1200
+def _left_nested(depth):
+    # ((x := 0 ; x := x + 1) ; x := x + 1) ; ... with `depth` Seq levels,
+    # built programmatically: the parser nests statement lists to the right
     x = Var(0, "x")
     bump = Assign(x, Call("+", (x, Lit(1.0))))
     program = Assign(x, Lit(0.0))
     for _ in range(depth):
         program = Seq(program, bump)
-    config = Config(program, (7.0,), 1.0, from_seed(0))
+    return program
+
+
+def test_left_nested_sequence_deeper_than_the_recursion_limit():
+    depth = 1200
+    config = Config(_left_nested(depth), (7.0,), 1.0, from_seed(0))
     result = run_to_terminal(config)
     assert result == eval_big(config)
     assert result == Normal((float(depth),), 1.0, from_seed(0))
+
+
+def _count_seqs(monkeypatch):
+    """A one-element list counting the Seq nodes constructed from now on."""
+    count = [0]
+    init = Seq.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Seq, "__init__", counting_init)
+    return count
+
+
+def test_closure_builds_one_seq_per_loop_unfolding(monkeypatch):
+    # no trace: the residual term is built only for the returned `last`
+    program, _ = parse_file(PROGRAMS / "timestop.swl")
+    config = Config(program, (0.0,), 100.0, from_seed(0))
+    count = _count_seqs(monkeypatch)
+    result, _, configs, last = _close(config, 10 ** 6)
+    assert result == TimeStop((101.0,)) and configs is None
+    assert type(last.program) is Seq
+    # 101 unfoldings Seq(body, loop), plus `last`'s Seq(wait 1, loop)
+    assert count[0] == 102
+
+
+def test_closing_a_left_nested_sequence_builds_no_seq(monkeypatch):
+    config = Config(_left_nested(2000), (0.0,), 1.0, from_seed(0))
+    count = _count_seqs(monkeypatch)
+    result, steps, _, last = _close(config, 10 ** 6)
+    assert result == Normal((2000.0,), 1.0, from_seed(0)) and steps == 2001
+    assert last.program is None
+    assert count[0] == 0
+
+
+def test_deep_left_nested_sequence_closes_in_steps_linear_in_its_size():
+    config = Config(_left_nested(20000), (0.0,), 1.0, from_seed(0))
+    result, steps, _, _ = _close(config, 10 ** 6)
+    assert result == Normal((20000.0,), 1.0, from_seed(0))
+    assert steps == 20001
