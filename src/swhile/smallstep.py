@@ -19,16 +19,13 @@ shape and side condition match:
 Guards compare doubles exactly: a block whose duration equals t finishes
 with zero time left rather than time-stopping.
 
-The non-Seq rules live once, in `_rule`.  `_transition` applies the
-sequencing rule along the whole left spine in one loop, without
-recursion, then `_rule` to the leftmost node, and rebuilds the residual
-program term with `_term`; `step` wraps it for a `Config`.  The closure
-`_close` keeps the residual program as a zipper instead -- a focus node
-and the stack of the `rest`s of the Seqs above it -- and builds a term,
-and a `Config`, only when one is observed: for the trace (`keep_trace`,
-i.e. `swhile run --trace`) and for the last configuration it returns.  Its
-cost is per step, independent of how deeply the Seqs nest, and the terms
-it builds are exactly those that `_transition` would.
+The non-Seq rules live once, in `_rule`.  The closure `_close` applies
+the sequencing rule without recursion by keeping the residual program as
+a zipper -- a focus node and the stack of the `rest`s of the Seqs above
+it -- and builds a term (with `_term`), and a `Config`, only when one is
+observed: for the trace (`keep_trace`, i.e. `swhile run --trace`) and for
+the last configuration it returns.  Its cost is per step, independent of
+how deeply the Seqs nest.  `step` is the closure with one unit of fuel.
 """
 
 from __future__ import annotations
@@ -172,27 +169,6 @@ def _term(focus, rests):
     return focus
 
 
-def _transition(program, store: Store, t: float, entropy, flow_method):
-    """The one transition from the configuration with these four fields.
-
-    Returns the successor's fields (program, store, t, entropy) as a
-    tuple, or ERR, or a TimeStop.  `program` must not be None.  The Seq
-    rule is applied along the whole left spine in one loop: walk down
-    `first`, collecting the `rest`s, apply `_rule` to the leftmost node,
-    and rebuild the residual term with `_term`.  Err and time-stops
-    propagate through sequencing unchanged.
-    """
-    rests = []
-    while type(program) is Seq:
-        rests.append(program.rest)
-        program = program.first
-    out = _rule(program, store, t, entropy, flow_method)
-    if type(out) is not tuple:
-        return out
-    focus, store, t, entropy = out
-    return _term(focus, rests), store, t, entropy
-
-
 def step(config: Config, flow_method=None) -> StepOutcome:
     """Apply the unique matching transition rule once.
 
@@ -201,10 +177,10 @@ def step(config: Config, flow_method=None) -> StepOutcome:
     """
     if config.program is None:
         raise ValueError("cannot step the empty program stack")
-    out = _transition(config.program, config.store, config.t, config.entropy, flow_method)
-    if type(out) is tuple:
-        return Resume(Config(*out))
-    return out
+    out, _, _, last = _close(config, 1, flow_method)
+    # one step that completes the program or leaves work stops at Normal
+    # or OutOfFuel; either way `last` is the successor configuration
+    return Resume(last) if type(out) in (Normal, OutOfFuel) else out
 
 
 def _close(config: Config, fuel: int, flow_method=None, keep_trace: bool = False):
