@@ -178,16 +178,19 @@ def cmd_run(args) -> int:
     seed = _seed_of(args)
     method = _flow_method(args.flow)
     config = Config(program, store, args.time, from_seed(seed))
-    # without --trace the configurations are not kept: memory stays flat on long runs
-    result, steps, configs, _ = smallstep._close(config, args.fuel, method, keep_trace=args.trace)
-    if args.trace:
-        for c in configs:
-            if args.format == "json":
-                print(config_json(c, table))
-            else:
-                prog = "<skip>" if c.program is None else pretty_print(c.program, table, inline=True)
-                vals = ", ".join(f"{n}={v!r}" for n, v in zip(table.names, c.store))
-                print(f"{prog} | {vals} | t={c.t!r}")
+
+    def print_config(c):
+        if args.format == "json":
+            print(config_json(c, table))
+        else:
+            prog = "<skip>" if c.program is None else pretty_print(c.program, table, inline=True)
+            vals = ", ".join(f"{n}={v!r}" for n, v in zip(table.names, c.store))
+            print(f"{prog} | {vals} | t={c.t!r}")
+
+    # --trace prints each configuration as it is reached and keeps none,
+    # so memory stays flat on long runs, traced or not
+    sink = print_config if args.trace else None
+    result, steps, _, _ = smallstep._close(config, args.fuel, method, sink)
     rt = type(result)
     if rt is TimeStop:
         vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))

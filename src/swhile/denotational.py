@@ -273,18 +273,24 @@ def enumerate_operational(
     The draw tree is walked depth first.  A run that reaches a draw stops
     there with its state (see `bigstep._functional`), and each child
     resumes from that state with a source holding just its own atom, so
-    every edge of the tree is evaluated once.  `explored` counts the
-    tree's nodes, root included, and `branch_cap` (at least 1) bounds it.
+    every edge of the tree is evaluated once.  Each open fork is one frame
+    on a stack that hands out its next child, with that child's copy of
+    the work stack, only when the child is due, so the work done before
+    `branch_cap` fires is bounded by the cap, not by k.  `explored` counts
+    the tree's nodes, root included, and `branch_cap` (at least 1) bounds
+    it.
     """
     _check_bounds(max_unfold, branch_cap)
     atoms = disc.atoms
+    last_atom = disc.k - 1
     weight = disc.atom_weight
     acc: dict = {}
-    # (work stack, store, remaining time, source, draws so far)
-    todo: list[tuple] = [([] if program is None else [program], store, t, Enumerator(atoms, ()), 0)]
+    # open forks, innermost last: [work stack, store, remaining time,
+    # draws so far, atom index of the next child]
+    forks: list[list] = []
+    stack, source, depth = [] if program is None else [program], Enumerator(atoms, ()), 0
     explored = 0
-    while todo:
-        stack, store, t, source, depth = todo.pop()
+    while True:
         explored += 1
         if explored > branch_cap:
             raise BranchExplosion(explored, branch_cap)
@@ -292,18 +298,23 @@ def enumerate_operational(
             out = _functional(stack, store, t, source, max_unfold, flow_method)
         except EntropyExhausted as exc:
             stack, store, t = exc.resume
-            depth += 1
-            # children in atom order off the top; the first one popped
-            # takes the parent's stack, the others copies made now
-            for i in range(disc.k - 1, 0, -1):
-                todo.append((stack.copy(), store, t, Enumerator(atoms, (i,)), depth))
-            todo.append((stack, store, t, Enumerator(atoms, (0,)), depth))
-            continue
-        if out is BOTTOM:
-            continue
-        pt = XPoint(out.store, out.t) if type(out) is Normal else EPoint(out.store)
-        acc[pt] = acc.get(pt, 0) + weight ** depth
-    return DiscMeasure(acc)
+            forks.append([stack, store, t, depth + 1, 0])
+        else:
+            if out is not BOTTOM:
+                pt = XPoint(out.store, out.t) if type(out) is Normal else EPoint(out.store)
+                acc[pt] = acc.get(pt, 0) + weight ** depth
+        if not forks:
+            return DiscMeasure(acc)
+        # the next child in depth-first, atom order; the last child of a
+        # fork takes the fork's own stack, the others a copy made now
+        fork = forks[-1]
+        stack, store, t, depth, i = fork
+        if i < last_atom:
+            fork[4] = i + 1
+            stack = stack.copy()
+        else:
+            forks.pop()
+        source = Enumerator(atoms, (i,))
 
 
 @dataclass

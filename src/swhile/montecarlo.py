@@ -43,6 +43,11 @@ from .store import eval_expr  # noqa: F401 -- unused here; tracers patch it by n
 from .syntax import Program, VarTable
 
 
+# The most times a regular grid may hold: every grid time costs a point in
+# each trajectory, so a longer grid would exhaust memory before it ran.
+MAX_GRID_POINTS = 10 ** 6
+
+
 @dataclass(frozen=True, slots=True)
 class TimeGrid:
     start: float
@@ -77,6 +82,10 @@ class TimeGrid:
             raise ValueError("grid start, end and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
+        # the loop yields floor((end - start) / step) + 1 times (up to the
+        # rounding of its tolerance); count them first, not by running it
+        if (end - start) / step >= MAX_GRID_POINTS:
+            raise ValueError(f"grid would hold more than {MAX_GRID_POINTS} times")
         times = []
         i = 0
         while True:

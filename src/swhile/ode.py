@@ -14,7 +14,10 @@ exact flow is classified on the first flow that may use it, and is one of:
   polynomial is evaluated by Horner's rule; variables whose derivative is
   zero keep their value bit for bit;
 * matrix exponential -- affine but not nilpotent: scipy's
-  scaling-and-squaring `expm` of M * tau;
+  scaling-and-squaring `expm` of M * tau.  scipy is imported on demand,
+  when the first such block is classified, and its `expm` is bound into
+  that block's flow: importing `scipy.linalg` takes longer and uses more
+  memory than the rest of the package, and no other flow needs it;
 * non-affine -- fixed-step RK4 (the default step, 1e-3).
 
 Every RK4 flow -- a non-affine block under the default method, or any
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .store import Store, Undefined, eval_expr
 from .syntax import Call, DiffBlock, Lit, Var
@@ -185,7 +187,7 @@ def _flow_polynomial(rows, store: Store, tau: float) -> Store:
     return tuple(out)
 
 
-def _flow_expm(m, store: Store, tau: float) -> Store:
+def _flow_expm(expm, m, store: Store, tau: float) -> Store:
     n = len(store)
     phi = expm(m * tau)
     vec = phi[:n, :] @ np.append(np.asarray(store, dtype=float), 1.0)
@@ -214,7 +216,9 @@ def _exact_flow(block: DiffBlock):
             while powers[-1].any() and len(powers) <= n:
                 powers.append(powers[-1] @ m)
             if powers[-1].any():
-                exact = partial(_flow_expm, m)
+                from scipy.linalg import expm  # on demand, see the module docstring
+
+                exact = partial(_flow_expm, expm, m)
             else:
                 exact = partial(_flow_polynomial, _polynomial_rows(powers[:-1], n))
     return exact

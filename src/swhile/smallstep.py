@@ -23,8 +23,9 @@ The non-Seq rules live once, in `_rule`.  The closure `_close` applies
 the sequencing rule without recursion by keeping the residual program as
 a zipper -- a focus node and the stack of the `rest`s of the Seqs above
 it -- and builds a term (with `_term`), and a `Config`, only when one is
-observed: for the trace (`keep_trace`, i.e. `swhile run --trace`) and for
-the last configuration it returns.  Its cost is per step, independent of
+observed: for the trace (a `sink` that takes each configuration as it is
+reached, as `swhile run --trace` prints them) and for the last
+configuration it returns.  Its cost is per step, independent of
 how deeply the Seqs nest.  `step` is the closure with one unit of fuel.
 """
 
@@ -183,13 +184,17 @@ def step(config: Config, flow_method=None) -> StepOutcome:
     return Resume(last) if type(out) in (Normal, OutOfFuel) else out
 
 
-def _close(config: Config, fuel: int, flow_method=None, keep_trace: bool = False):
+def _close(config: Config, fuel: int, flow_method=None, sink=None):
     """Iterate the transition relation to a terminal.
 
-    Returns (result, steps, configs, last), where `last` is the final
+    Returns (result, steps, None, last), where `last` is the final
     configuration reached -- for Err outcomes its `t` field is the
     remaining time at the erroring step.  Configurations are built only
-    for `configs` (when `keep_trace`) and for `last`.
+    for `sink` (when given, it is called with each configuration visited,
+    the first included, as soon as it is reached, and none is kept) and
+    for `last`.  The third slot is always None: it keeps the four-value
+    shape that callers unpack (bench/tracing.py reads the step count at
+    index 1).
 
     The residual program is kept as a zipper: a focus node and the stack
     `rests` of the `rest` of every Seq above it, innermost on top.  A
@@ -200,7 +205,8 @@ def _close(config: Config, fuel: int, flow_method=None, keep_trace: bool = False
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    configs = [config] if keep_trace else None
+    if sink is not None:
+        sink(config)
     focus, store, t, entropy = config.program, config.store, config.t, config.entropy
     rests = []
     push, pop = rests.append, rests.pop
@@ -208,22 +214,22 @@ def _close(config: Config, fuel: int, flow_method=None, keep_trace: bool = False
     while True:
         if focus is None:
             if not rests:
-                return Normal(store, t, entropy), steps, configs, Config(None, store, t, entropy)
+                return Normal(store, t, entropy), steps, None, Config(None, store, t, entropy)
             focus = pop()
         while type(focus) is Seq:
             push(focus.rest)
             focus = focus.first
         if steps >= fuel:
-            return OutOfFuel(steps), steps, configs, Config(_term(focus, rests), store, t, entropy)
+            return OutOfFuel(steps), steps, None, Config(_term(focus, rests), store, t, entropy)
         out = _rule(focus, store, t, entropy, flow_method)
         steps += 1
         if type(out) is not tuple:
-            return out, steps, configs, Config(_term(focus, rests), store, t, entropy)
+            return out, steps, None, Config(_term(focus, rests), store, t, entropy)
         focus, store, t, entropy = out
         # the empty-stack configuration IS the Normal terminal; listing
         # it again as an intermediate configuration would double it
-        if keep_trace and (focus is not None or rests):
-            configs.append(Config(_term(focus, rests), store, t, entropy))
+        if sink is not None and (focus is not None or rests):
+            sink(Config(_term(focus, rests), store, t, entropy))
 
 
 def run_to_terminal(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
@@ -238,7 +244,8 @@ def run_to_terminal(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
 
 def trace(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
     """The exact sequence of configurations visited, plus the terminal."""
-    result, _, configs, _ = _close(config, fuel, flow_method, keep_trace=True)
+    configs = []
+    result, _, _, _ = _close(config, fuel, flow_method, configs.append)
     return configs, result
 
 

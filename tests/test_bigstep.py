@@ -51,7 +51,8 @@ def test_recorded_steps_number_small_step_transitions():
             assert eval_big(config, 200, method) == big
         else:
             assert big == OutOfFuel(200) and segments[-1][3] == 201
-        small, steps, configs, _ = _close(config, 10 ** 4, method, keep_trace=True)
+        configs = []
+        small, steps, _, _ = _close(config, 10 ** 4, method, configs.append)
         if isinstance(big, OutOfFuel) or isinstance(small, OutOfFuel):
             continue
         *flows, (_, _, _, last_step) = segments

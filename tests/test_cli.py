@@ -1,11 +1,14 @@
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
 from swhile import montecarlo
 from swhile.cli import main
 
-from progpath import PROGRAMS, ROOT
+from progpath import PROGRAMS, ROOT, src_env
 
 
 def run_cli(capsys, *argv):
@@ -479,3 +482,61 @@ def test_help_exits_0(capsys):
     code, out, err = usage_exit(capsys, "simulate", "--help")
     assert code == 0
     assert out.startswith("usage: swhile simulate ") and err == ""
+
+
+@pytest.mark.parametrize("k", [100000, 1000000])
+def test_branch_cap_bounds_the_work_of_a_wide_fork(capsys, k):
+    # every one of a fork's k children, each with a copy of the work stack,
+    # used to be made before the cap was checked: 3.1 s at k = 100000
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "adequacy", PROGRAMS / "ball.swl", "--k", k,
+                             "--time", "1", "--cap", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and err == ""
+    assert json.loads(out) == {"cap": 10, "error": "enumeration explored 11 branches, cap is 10"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "adequacy"])
+def test_grid_over_the_maximum_exits_cleanly(capsys, command):
+    # 10^18 grid times: the grid loop used to run without end
+    seed = ("--seed", "1") if command == "simulate" else ()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, PROGRAMS / "ball.swl", "--grid", "0:1e9:1e-9", *seed)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == "" and err == (f"error: grid would hold more than "
+                                 f"{montecarlo.MAX_GRID_POINTS} times\n")
+
+
+def test_grid_of_the_maximum_length_is_accepted():
+    grid = montecarlo.TimeGrid.regular(0.0, montecarlo.MAX_GRID_POINTS - 1.0, 1.0)
+    assert len(grid.times) == montecarlo.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="grid would hold more than"):
+        montecarlo.TimeGrid.regular(0.0, float(montecarlo.MAX_GRID_POINTS), 1.0)
+
+
+# Run in a small intermediate process: a child's peak RSS starts from that of
+# the process it was forked from, which for pytest would hide the difference.
+_MEASURE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)  # KiB on Linux
+"""
+
+
+def _peak_rss_mb(*argv):
+    """Exit code and peak RSS (MB) of `swhile argv` in a new process, stdout discarded."""
+    out = subprocess.run([sys.executable, "-c", _MEASURE, sys.executable, "-m", "swhile.cli",
+                          *map(str, argv)], env=src_env(), capture_output=True, text=True, check=True)
+    code, rss = out.stdout.split()
+    return int(code), float(rss)
+
+
+def test_traced_run_streams_its_configurations():
+    # the trace used to be kept until the run ended: 89.8 MB against 57.4 MB
+    args = ("run", PROGRAMS / "timestop.swl", "--time", "80000", "--seed", "1")
+    code, plain = _peak_rss_mb(*args)
+    traced_code, traced = _peak_rss_mb(*args, "--trace")
+    assert code == traced_code == 0
+    assert traced - plain < 5.0
