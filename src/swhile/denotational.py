@@ -30,6 +30,7 @@ is per draw-tree edge, not per edge times its depth.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -58,6 +59,47 @@ class BranchExplosion(Exception):
         self.cap = cap
 
 
+class MidpointAtoms(Sequence):
+    """The k atoms (2i+1)/2k as a read-only sequence, each computed when it
+    is read, so a large k costs no memory until branches are explored.
+
+    Equal to another `MidpointAtoms` of the same k, and to the tuple of the
+    same atoms.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __len__(self) -> int:
+        return self.k
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(self.k)[i])
+        if not 0 <= i < self.k:
+            i = range(self.k)[i]  # a negative index, or IndexError
+        return (2 * i + 1) / (2 * self.k)
+
+    def __iter__(self):
+        # (2i + 1) / 2k for i = 0 .. k-1, as int / int true divisions
+        return map((2 * self.k).__rtruediv__, range(1, 2 * self.k, 2))
+
+    def __eq__(self, other):
+        if isinstance(other, MidpointAtoms):
+            return self.k == other.k
+        if isinstance(other, tuple):
+            return len(other) == self.k and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))  # as the equal tuple's
+
+    def __repr__(self) -> str:
+        return f"MidpointAtoms({self.k})"
+
+
 @dataclass(frozen=True, slots=True)
 class Discretization:
     """k midpoint atoms of the unit interval, each carrying weight 1/k."""
@@ -70,8 +112,8 @@ class Discretization:
             raise ValueError("k must be positive")
 
     @property
-    def atoms(self) -> tuple:
-        return tuple((2 * i + 1) / (2 * self.k) for i in range(self.k))
+    def atoms(self) -> MidpointAtoms:
+        return MidpointAtoms(self.k)
 
     @property
     def atom_weight(self):

@@ -2,23 +2,43 @@
 
 A trajectory reports, per grid time, either the store at that instant, an
 early normal termination (the final store is then held constant), the
-time of the first evaluation error, or fuel exhaustion.  Two evaluation
-modes produce it:
+time of the first evaluation error, or fuel exhaustion.  An ensemble keeps
+these outcomes as three arrays, one row per run and one column per grid
+time:
+
+* `kinds` -- the outcome code (VALUE, TERMINATED, ERROR, DIVERGED);
+* `stores` -- float64 (runs, points, variables): the store of a VALUE
+  point, or the held final store of a TERMINATED one; NaN elsewhere;
+* `event_times` -- the termination time of a TERMINATED point, or the
+  error time of an ERROR one; NaN elsewhere.
+
+Every statistic and writer reads these arrays; `Ensemble.trajectories` and
+`sample_trajectory` build `Trajectory` views of them on demand, with one
+`Value`/`TerminatedEarly`/`ErrorAt`/`Diverged` object per point.
+
+Two evaluation modes fill the arrays:
 
 * canonical -- rerun the small-step closure once per grid time with the
   same seed-initialized entropy source;
-* fast (default) -- one big-step run (`bigstep.eval_big`) to the last
-  grid time records every positive-duration flow segment with the
-  small-step count at its entry; the time-stop store is the last point and
-  every earlier point is read off the segments.
+* fast (default) -- one big-step run (`bigstep.eval_big`) per seed to the
+  last grid time records every positive-duration flow segment with the
+  small-step count at its entry; then one array pass reads every run's
+  grid points off those segments (`_read_fast`).
 
-Fast mode replays exactly the canonical arithmetic: reading a grid time g
-walks the recorded segments subtracting durations from g in run order (the
-same float operations the per-g rerun performs) and evolves the entry
-store of the segment the remainder lands in, so the two modes agree
-bit-for-bit on affine flows.  Both modes spend `fuel` on small-step
-transitions, and an outcome reached after more than `fuel` steps is
-Diverged in either mode, so fuel cut-offs agree too.
+Fast mode replays exactly the canonical arithmetic: a grid time g walks
+its run's segments subtracting durations from g in run order (the same
+float operations the per-g rerun performs) and lands in the first segment
+that outlasts the remainder.  The pass keeps those remainders as an
+(runs, points) matrix and flows each landed point's entry store with
+`ode.flow_rows`, whose arithmetic is one `ode.flow` call's, so the two
+modes agree bit for bit on affine flows.  Both modes spend `fuel` on
+small-step transitions, and an outcome reached after more than `fuel`
+steps is Diverged in either mode, so fuel cut-offs agree too.
+
+A parallel run splits the runs into one chunk of consecutive runs per
+worker process, at most one worker per available CPU; each worker returns
+its chunk's arrays and the parent concatenates them in run order, so the
+output is byte-identical to a serial run.
 
 Error and fuel-exhausted runs are excluded from value statistics but
 always reported as counts next to them.
@@ -29,6 +49,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from itertools import chain
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -97,7 +119,7 @@ class TimeGrid:
         return cls(start, end, tuple(times))
 
 
-# --- per-grid-time outcomes --------------------------------------------------
+# --- per-grid-time outcomes: the view classes and the array codes ------------
 
 @dataclass(frozen=True, slots=True)
 class Value:
@@ -126,56 +148,68 @@ class Trajectory:
     points: tuple
 
 
-@dataclass(frozen=True, slots=True)
+# outcome codes in an ensemble's `kinds`; the first two carry a store
+VALUE, TERMINATED, ERROR, DIVERGED = range(4)
+_STATUS = ("ok", "terminated", "error", "diverged")
+
+
+def _trajectory(seed: int, kinds, stores, event_times, fuel: int) -> Trajectory:
+    """The view of one run's rows, with Python floats."""
+    points = []
+    for kind, store, time in zip(kinds.tolist(), stores.tolist(), event_times.tolist()):
+        if kind == VALUE:
+            points.append(Value(tuple(store)))
+        elif kind == TERMINATED:
+            points.append(TerminatedEarly(tuple(store), time))
+        elif kind == ERROR:
+            points.append(ErrorAt(time))
+        else:
+            points.append(Diverged(fuel))
+    return Trajectory(seed, tuple(points))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Ensemble:
     program: Program
     table: VarTable
     store0: Store
     grid: TimeGrid
     base_seed: int
-    trajectories: tuple
+    fuel: int
+    seeds: tuple
+    kinds: np.ndarray  # int8 (runs, points)
+    stores: np.ndarray  # float64 (runs, points, variables)
+    event_times: np.ndarray  # float64 (runs, points)
+
+    @property
+    def trajectories(self) -> tuple:
+        """One `Trajectory` view per run, built on each access."""
+        return tuple(_trajectory(*row, self.fuel) for row in
+                     zip(self.seeds, self.kinds, self.stores, self.event_times))
 
 
-# --- fast mode: one recorded big-step run, then segment reads ----------------
+# --- reading runs into arrays -------------------------------------------------
 
-def _read_segments(flows, result, last_step, g, fuel, flow_method):
-    """The canonical outcome at grid time g, read off a run to a time >= g.
-
-    The rerun to g takes the same path up to the segment its remaining time
-    lands in: g walks the segments subtracting durations in run order, as
-    that rerun would, and a step past `fuel` is a fuel cut, as in `_close`.
-    """
-    failed = last_step if type(result) is Err else 0  # the step that erred; 0 matches no step
-    remaining = g
-    for block, entry, duration, step in flows:
-        if duration > remaining or step == failed:
-            if step > fuel:
-                return Diverged(fuel)
-            if duration <= remaining:  # g's run completes this flow, which errs
-                return ErrorAt(g - remaining)
-            try:
-                return Value(ode.flow(block, entry, remaining, flow_method))
-            except Undefined:
-                return ErrorAt(g - remaining)
-        remaining -= duration
-    if last_step > fuel:
-        return Diverged(fuel)
-    if type(result) is Normal:
-        return TerminatedEarly(result.store, g - remaining)
-    return ErrorAt(g - remaining)
+# Runs are read in chunks of at most _CHUNK_CELLS // points runs (and at
+# least one), and a chunk's remainder chains span at most _CHAIN_CELLS
+# floats, so no temporary grows with runs x segments x points.
+_CHUNK_CELLS = 2 ** 16
+_CHAIN_CELLS = 2 ** 18
 
 
-def _fast_points(program, store0, grid, seed, fuel, flow_method):
-    *times, last = grid.times
-    flows = []
-    result = eval_big(Config(program, store0, last, from_seed(seed)), fuel, flow_method, flows)
-    _, _, _, last_step = flows.pop()
-    points = [_read_segments(flows, result, last_step, g, fuel, flow_method) for g in times]
-    if type(result) is TimeStop and last_step <= fuel:
-        points.append(Value(result.store))
-    else:
-        points.append(_read_segments(flows, result, last_step, last, fuel, flow_method))
-    return tuple(points)
+def _read_runs(program, store0, grid, seeds, fuel, fast, flow_method):
+    """(kinds, stores, event_times) of the runs with these seeds, in order."""
+    points = len(grid.times)
+    kinds = np.empty((len(seeds), points), dtype=np.int8)
+    stores = np.full((len(seeds), points, len(store0)), np.nan)
+    event_times = np.full((len(seeds), points), np.nan)
+    read = _read_fast if fast else _read_canonical
+    chunk = max(1, _CHUNK_CELLS // points)
+    for lo in range(0, len(seeds), chunk):
+        hi = lo + chunk
+        read(program, store0, grid, seeds[lo:hi], fuel, flow_method,
+             kinds[lo:hi], stores[lo:hi], event_times[lo:hi])
+    return kinds, stores, event_times
 
 
 def _canonical_point(program, store0, g, seed, fuel, flow_method):
@@ -188,6 +222,160 @@ def _canonical_point(program, store0, g, seed, fuel, flow_method):
     if rt is Err:
         return ErrorAt(g - last.t)
     return Diverged(fuel)
+
+
+def _read_canonical(program, store0, grid, seeds, fuel, flow_method, kinds, stores, event_times):
+    for r, seed in enumerate(seeds):
+        for p, g in enumerate(grid.times):
+            pt = _canonical_point(program, store0, g, seed, fuel, flow_method)
+            t = type(pt)
+            if t is Value:
+                kinds[r, p] = VALUE
+                stores[r, p] = pt.store
+            elif t is TerminatedEarly:
+                kinds[r, p] = TERMINATED
+                stores[r, p] = pt.store
+                event_times[r, p] = pt.time
+            elif t is ErrorAt:
+                kinds[r, p] = ERROR
+                event_times[r, p] = pt.time
+            else:
+                kinds[r, p] = DIVERGED
+
+
+def _read_fast(program, store0, grid, seeds, fuel, flow_method, kinds, stores, event_times):
+    """Record each run with `eval_big`, then read every grid point at once.
+
+    A grid time g's remainder after k segments is g minus their durations,
+    subtracted in run order as the rerun to g would; g lands in the first
+    segment whose duration exceeds that remainder, or in the segment whose
+    flow erred.  Recorded segments never lie past step `fuel` (see
+    `eval_big`), so only points past a run's last segment can be fuel cuts.
+    """
+    last = grid.times[-1]
+    runs, width = len(seeds), len(store0)
+    blocks, entries, durations, counts = [], [], [], []
+    erred = []  # (run, segment) of each recorded segment whose flow erred
+    tails = []  # per run, the outcome of its points past its last segment
+    held = {}  # run -> final store, for runs that terminated normally
+    stopped = {}  # run -> time-stop store at the last grid time
+    for r, seed in enumerate(seeds):
+        flows = []
+        result = eval_big(Config(program, store0, last, from_seed(seed)), fuel, flow_method, flows)
+        last_step = flows.pop()[3]
+        rt = type(result)
+        if flows:
+            bl, en, du, steps = zip(*flows)
+            blocks += bl
+            entries += en
+            durations += du
+            if rt is Err and steps[-1] == last_step:
+                erred.append((r, len(flows) - 1))
+        counts.append(len(flows))
+        if last_step > fuel:
+            tails.append(DIVERGED)
+        elif rt is Normal:
+            tails.append(TERMINATED)
+            held[r] = result.store
+        else:
+            tails.append(ERROR)
+        if rt is TimeStop:
+            stopped[r] = result.store
+
+    stopped_rows = list(stopped)
+    # every point starts as its run's tail outcome; landed points overwrite it
+    grid_times = remaining = np.asarray(grid.times, dtype=float)
+    kinds[:] = np.array(tails, dtype=np.int8)[:, None]
+    if held:
+        tail_stores = np.full((runs, width), np.nan)
+        tail_stores[list(held)] = list(held.values())
+        stores[:] = tail_stores[:, None, :]
+    if blocks:
+        counts = np.array(counts)
+        table = np.zeros((runs, int(counts.max())))  # 0.0 past a run's end moves nothing
+        table[np.arange(table.shape[1]) < counts[:, None]] = durations
+        failed = None
+        if erred:
+            failed = np.zeros(table.shape, dtype=bool)
+            failed[tuple(zip(*erred))] = True
+        # the recording run's own store stands at a stopped run's last point
+        r_idx, p_idx, k_idx, tau, remaining = _land(table, failed, grid_times, stopped_rows)
+        # each landed segment's entry converted once, however many points land
+        # in it: a run's points land in segments in order, so equal ones adjoin
+        flat = (np.cumsum(counts) - counts)[r_idx] + k_idx
+        starts = np.empty(len(flat), dtype=bool)
+        starts[:1] = True
+        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+        segs = flat[starts].tolist()
+        inverse = np.cumsum(starts) - 1
+        entry = np.fromiter(chain.from_iterable(map(entries.__getitem__, segs)), float,
+                            len(segs) * width).reshape(len(segs), width)[inverse]
+        landed_blocks = [blocks[i] for i in segs]
+        distinct = {id(block): block for block in landed_blocks}
+        if failed is None and len(distinct) == 1:
+            groups = [(landed_blocks[0], slice(None))]  # every landed point flows
+        else:
+            ids = np.fromiter(map(id, landed_blocks), np.intp, len(segs))[inverse]
+            if failed is not None:
+                # past the end of the erring segment, the rerun's flow errs too;
+                # 0 is no object's id, so these points flow along no block
+                ids[failed[r_idx, k_idx] & (table[r_idx, k_idx] <= tau)] = 0
+            groups = [(block, np.flatnonzero(ids == block_id))
+                      for block_id, block in distinct.items()]
+        kind = np.full(len(tau), ERROR, dtype=np.int8)
+        out = np.full((len(tau), width), np.nan)
+        for block, rows in groups:
+            values, defined = ode.flow_rows(block, entry[rows], tau[rows], flow_method)
+            kind[rows] = np.where(defined, VALUE, ERROR)
+            out[rows] = np.where(defined[:, None], values, np.nan)
+        kinds[r_idx, p_idx] = kind
+        stores[r_idx, p_idx] = out
+        remaining[r_idx, p_idx] = tau
+    np.subtract(grid_times, remaining, out=event_times)
+    if stopped:
+        kinds[stopped_rows, -1] = VALUE
+        stores[stopped_rows, -1] = list(stopped.values())
+    event_times[(kinds == VALUE) | (kinds == DIVERGED)] = np.nan
+
+
+def _land(table, failed, grid_times, skip_last):
+    """Walk every grid time down its run's segments.
+
+    `table` holds each run's segment durations and `failed` (or None) marks
+    the segments whose flow erred.  Returns the points that land -- run and
+    grid indices, landing segment and remainder there -- and the remainder
+    of every other point after its run's last segment.  The last points of
+    the runs in `skip_last` never land.  Segments are taken in blocks whose
+    remainder chains -- one `np.subtract.accumulate`, the same subtractions
+    in the same order as a walk one segment at a time -- hold at most
+    _CHAIN_CELLS floats.
+    """
+    runs, width = table.shape
+    remaining = np.empty((runs, len(grid_times)))
+    remaining[:] = grid_times
+    unlanded = np.ones(remaining.shape, dtype=bool)
+    unlanded[skip_last, -1] = False
+    found = []
+    step = max(1, _CHAIN_CELLS // remaining.size - 1)
+    for k0 in range(0, width, step):
+        durations = table[:, k0:k0 + step].T[:, :, None]  # (segments, runs, 1)
+        chain = np.empty((len(durations) + 1, *remaining.shape))
+        chain[0] = remaining
+        chain[1:] = durations
+        np.subtract.accumulate(chain, axis=0, out=chain)
+        hit = durations > chain[:-1]
+        if failed is not None:
+            hit |= failed[:, k0:k0 + step].T[:, :, None]
+        lands = hit.any(axis=0)
+        lands &= unlanded
+        r_idx, p_idx = np.nonzero(lands)
+        k_idx = hit.argmax(axis=0)[r_idx, p_idx]
+        found.append((r_idx, p_idx, k_idx + k0, chain[k_idx, r_idx, p_idx]))
+        unlanded &= ~lands
+        remaining = chain[-1]  # meaningful where still unlanded
+    if len(found) == 1:
+        return (*found[0], remaining)
+    return (*map(np.concatenate, zip(*found)), remaining)
 
 
 def sample_trajectory(
@@ -204,18 +392,20 @@ def sample_trajectory(
     Both modes are pure functions of (program, store0, grid, seed); fast
     mode agrees with the per-time canonical rerun at every grid point.
     """
-    if fast:
-        points = _fast_points(program, store0, grid, seed, fuel, flow_method)
-    else:
-        points = tuple(
-            _canonical_point(program, store0, g, seed, fuel, flow_method) for g in grid.times
-        )
-    return Trajectory(seed, points)
+    kinds, stores, event_times = _read_runs(program, store0, grid, (seed,), fuel, fast,
+                                            flow_method)
+    return _trajectory(seed, kinds[0], stores[0], event_times[0], fuel)
 
 
-def _trajectory_task(args):
-    program, store0, grid, seed, fuel, fast, flow_method = args
-    return sample_trajectory(program, store0, grid, seed, fuel, fast, flow_method)
+def _read_task(args):
+    return _read_runs(*args)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def run_ensemble(
@@ -233,35 +423,41 @@ def run_ensemble(
     """Independent trajectories with per-run seeds split off `base_seed`.
 
     Results are aggregated by run index, so a parallel run (`workers` > 1)
-    produces byte-identical output to a serial one.  A parallel run splits
-    the runs into chunks of ceil(runs / min(workers, runs)) consecutive
-    runs and starts one worker process per chunk.
+    produces byte-identical output to a serial one.  A parallel run starts
+    P = min(workers, runs, available CPUs) worker processes, each reading a
+    chunk of ceil(runs / P) consecutive runs; with P = 1 it runs serially.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     if workers is not None and workers < 1:
         raise ValueError("need at least one worker")
-    seeds = [split_seed(base_seed, i) for i in range(runs)]
-    tasks = [(program, store0, grid, s, fuel, fast, flow_method) for s in seeds]
-    if workers is not None and workers > 1:
-        chunk = -(-runs // min(workers, runs))
-        with ProcessPoolExecutor(max_workers=-(-runs // chunk)) as pool:
-            trajectories = tuple(pool.map(_trajectory_task, tasks, chunksize=chunk))
+    seeds = tuple(split_seed(base_seed, i) for i in range(runs))
+    workers = min(workers or 1, runs, _available_cpus())
+    if workers > 1:
+        chunk = -(-runs // workers)
+        tasks = [(program, store0, grid, seeds[lo:lo + chunk], fuel, fast, flow_method)
+                 for lo in range(0, runs, chunk)]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            parts = list(pool.map(_read_task, tasks))
+        arrays = [np.concatenate(part) for part in zip(*parts)]
     else:
-        trajectories = tuple(_trajectory_task(t) for t in tasks)
-    return Ensemble(program, table, store0, grid, base_seed, trajectories)
+        arrays = _read_runs(program, store0, grid, seeds, fuel, fast, flow_method)
+    return Ensemble(program, table, store0, grid, base_seed, fuel, seeds, *arrays)
 
 
 # --- statistics ---------------------------------------------------------------
 
-def _store_at(traj: Trajectory, index: int):
-    pt = traj.points[index]
-    t = type(pt)
-    if t is Value:
-        return pt.store
-    if t is TerminatedEarly:
-        return pt.store
-    return None
+def _with_store(ensemble: Ensemble):
+    """(runs, points) mask of the points that carry a store."""
+    return ensemble.kinds <= TERMINATED
+
+
+def _lists(array):
+    """The rows of `array` as nested lists of Python numbers, converted at
+    most _CHUNK_CELLS items at a time."""
+    step = max(1, _CHUNK_CELLS // max(1, array[0].size)) if len(array) else 1
+    for lo in range(0, len(array), step):
+        yield from array[lo:lo + step].tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,16 +475,13 @@ def probability_over_time(ensemble: Ensemble, cond) -> ProbabilitySeries:
     count as not satisfying, with the error/diverged totals reported
     alongside.
     """
-    n = len(ensemble.trajectories)
+    n = len(ensemble.seeds)
+    has = _with_store(ensemble)
     fractions = []
-    excluded = []
-    for i in range(len(ensemble.grid.times)):
+    for stores, with_store in zip(_lists(ensemble.stores.swapaxes(0, 1)), _lists(has.T)):
         hits = 0
-        out = 0
-        for traj in ensemble.trajectories:
-            store = _store_at(traj, i)
-            if store is None:
-                out += 1
+        for store, ok in zip(stores, with_store):
+            if not ok:
                 continue
             try:
                 if eval_bool(cond, store):
@@ -296,7 +489,7 @@ def probability_over_time(ensemble: Ensemble, cond) -> ProbabilitySeries:
             except Undefined:
                 pass
         fractions.append(hits / n)
-        excluded.append(out)
+    excluded = (n - has.sum(axis=0)).tolist()
     return ProbabilitySeries(ensemble.grid.times, tuple(fractions), tuple(excluded))
 
 
@@ -319,14 +512,12 @@ def interval_probability(ensemble: Ensemble, cond, t1: float, t2: float) -> Inte
     if not (grid.start <= t1 <= t2 <= grid.end):
         raise ValueError("interval must lie within the grid")
     indices = [i for i, t in enumerate(grid.times) if t1 <= t <= t2]
+    window = slice(indices[0], indices[-1] + 1) if indices else slice(0, 0)
+    has = _with_store(ensemble)[:, window]
     hits = 0
-    excluded = 0
-    for traj in ensemble.trajectories:
-        stores = [_store_at(traj, i) for i in indices]
-        if all(s is None for s in stores):
-            excluded += 1
-        for store in stores:
-            if store is None:
+    for stores, with_store in zip(_lists(ensemble.stores[:, window]), _lists(has)):
+        for store, ok in zip(stores, with_store):
+            if not ok:
                 continue
             try:
                 ok = eval_bool(cond, store)
@@ -335,7 +526,8 @@ def interval_probability(ensemble: Ensemble, cond, t1: float, t2: float) -> Inte
             if ok:
                 hits += 1
                 break
-    n = len(ensemble.trajectories)
+    n = len(ensemble.seeds)
+    excluded = int(np.count_nonzero(~has.any(axis=1)))
     note = (
         f"grid-resolution check: condition sampled at {len(indices)} grid "
         f"times in [{t1}, {t2}]; crossings between samples are not detected"
@@ -371,24 +563,25 @@ def _var_index(table: VarTable, variable: str) -> int:
     return table.index(variable)
 
 
+def _column(ensemble: Ensemble, variable: str, t: float):
+    """The variable's values at grid time t over the runs with a store, in
+    run order, and the count of runs without one."""
+    index = _grid_index(ensemble.grid, t)
+    var_index = _var_index(ensemble.table, variable)
+    has = _with_store(ensemble)[:, index]
+    values = ensemble.stores[has, index, var_index]
+    return values, len(has) - len(values)
+
+
 def histogram(ensemble: Ensemble, variable: str, t: float, bins: int) -> HistogramResult:
     """Equal-width histogram of a variable's values at a grid time."""
     if bins < 1:
         raise ValueError("need at least one bin")
-    index = _grid_index(ensemble.grid, t)
-    var_index = _var_index(ensemble.table, variable)
-    values = []
-    excluded = 0
-    for traj in ensemble.trajectories:
-        store = _store_at(traj, index)
-        if store is None:
-            excluded += 1
-        else:
-            values.append(store[var_index])
-    if not values:
+    values, excluded = _column(ensemble, variable, t)
+    if not len(values):
         return HistogramResult((), (), excluded)
-    counts, edges = np.histogram(np.asarray(values), bins=bins)
-    return HistogramResult(tuple(int(c) for c in counts), tuple(map(float, edges)), excluded)
+    counts, edges = np.histogram(values, bins=bins)
+    return HistogramResult(tuple(counts.tolist()), tuple(edges.tolist()), excluded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,55 +593,47 @@ class Moments:
 
 def moments(ensemble: Ensemble, variable: str, t: float) -> Moments:
     """Sample mean and standard deviation at a grid time (errors excluded)."""
-    index = _grid_index(ensemble.grid, t)
-    var_index = _var_index(ensemble.table, variable)
-    values = [
-        store[var_index]
-        for traj in ensemble.trajectories
-        if (store := _store_at(traj, index)) is not None
-    ]
-    if not values:
+    values, _ = _column(ensemble, variable, t)
+    if not len(values):
         return Moments(float("nan"), float("nan"), 0)
-    arr = np.asarray(values)
-    std = float(np.std(arr, ddof=1)) if len(values) > 1 else 0.0
-    return Moments(float(np.mean(arr)), std, len(values))
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return Moments(float(np.mean(values)), std, len(values))
 
 
 # --- export -------------------------------------------------------------------
-
-_STATUS = {Value: "ok", TerminatedEarly: "terminated", ErrorAt: "error", Diverged: "diverged"}
-
 
 def write_ensemble_csv(ensemble: Ensemble, fh) -> None:
     """Rows (run, t, one column per variable, status)."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["run", "t", *ensemble.table.names, "status"])
-    for run, traj in enumerate(ensemble.trajectories):
-        for i, t in enumerate(ensemble.grid.times):
-            pt = traj.points[i]
-            store = _store_at(traj, i)
-            cells = [repr(v) for v in store] if store is not None else [""] * len(ensemble.table)
-            writer.writerow([run, repr(t), *cells, _STATUS[type(pt)]])
+    times = [repr(t) for t in ensemble.grid.times]
+    blank = [""] * len(ensemble.table)
+    for run, (kinds, stores) in enumerate(zip(_lists(ensemble.kinds), _lists(ensemble.stores))):
+        writer.writerows(
+            [run, t, *([repr(v) for v in store] if kind <= TERMINATED else blank), _STATUS[kind]]
+            for t, kind, store in zip(times, kinds, stores)
+        )
 
 
 def ensemble_json(ensemble: Ensemble) -> dict:
     runs = []
-    for traj in ensemble.trajectories:
+    for seed, kinds, stores, event_times in zip(ensemble.seeds, _lists(ensemble.kinds),
+                                                _lists(ensemble.stores),
+                                                _lists(ensemble.event_times)):
         points = []
-        for pt in traj.points:
-            entry = {"status": _STATUS[type(pt)]}
-            t = type(pt)
-            if t is Value:
-                entry["store"] = list(pt.store)
-            elif t is TerminatedEarly:
-                entry["store"] = list(pt.store)
-                entry["terminated_at"] = pt.time
-            elif t is ErrorAt:
-                entry["error_at"] = pt.time
+        for kind, store, time in zip(kinds, stores, event_times):
+            entry = {"status": _STATUS[kind]}
+            if kind == VALUE:
+                entry["store"] = store
+            elif kind == TERMINATED:
+                entry["store"] = store
+                entry["terminated_at"] = time
+            elif kind == ERROR:
+                entry["error_at"] = time
             else:
-                entry["budget"] = pt.budget
+                entry["budget"] = ensemble.fuel
             points.append(entry)
-        runs.append({"seed": traj.seed, "points": points})
+        runs.append({"seed": seed, "points": points})
     return {
         "variables": list(ensemble.table.names),
         "times": list(ensemble.grid.times),

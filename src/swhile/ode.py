@@ -20,13 +20,21 @@ exact flow is classified on the first flow that may use it, and is one of:
   memory than the rest of the package, and no other flow needs it;
 * non-affine -- fixed-step RK4 (the default step, 1e-3).
 
+`flow_rows` flows many (store, tau) pairs along one block at once, with
+the arithmetic of one `flow` call per pair: a nilpotent block's Horner
+polynomial runs over numpy columns, operation for operation as the
+scalar one; a halted block copies its stores; every other block calls
+`flow` once per pair.
+
 Every RK4 flow -- a non-affine block under the default method, or any
 block under an explicit `RungeKutta4` -- runs the block's RK4 kernel: one
 Python function generated from the derivative expressions on the first
 RK4 flow, with each stage's derivatives as straight-line code over one
 local per variable.  Its arithmetic and its errors are those of
 evaluating the derivative trees with `eval_expr` at every stage, bit for
-bit.
+bit.  A flow that would take more than `MAX_RK4_STEPS` steps
+(ceil(tau / step)) is refused as undefined before the kernel starts, so a
+tiny step cannot make one flow run without end.
 """
 
 from __future__ import annotations
@@ -61,6 +69,10 @@ FlowMethod = ExactAffine | RungeKutta4
 
 EXACT = ExactAffine()
 DEFAULT_RK4 = RungeKutta4(1e-3)
+
+# The most RK4 steps one flow may take: a longer flow is undefined (an `err`
+# outcome), so a step such as 1e-300 ends in a diagnostic instead of a loop.
+MAX_RK4_STEPS = 10 ** 7
 
 
 def _linear_part(e, n: int):
@@ -240,36 +252,92 @@ def _polynomial_rows(powers, n: int):
     return tuple(rows)
 
 
+def _flows(block: DiffBlock) -> _Flows:
+    flows = block.compiled
+    if flows is None:
+        flows = _Flows()
+        object.__setattr__(block, "compiled", flows)
+    return flows
+
+
 def flow(block: DiffBlock, store: Store, tau: float, method: FlowMethod | None = None) -> Store:
     """phi(store, tau): evolve the store tau time units along the block.
 
     With `method=None` the exact affine flow is used when the system is
     affine and RK4(1e-3) otherwise.  Raises Undefined if a derivative (or
-    the flow itself) is undefined along the way.
+    the flow itself) is undefined along the way, or if an RK4 flow would
+    take more than `MAX_RK4_STEPS` steps.
     """
     if tau < 0:
         raise ValueError("flow time must be nonnegative")
     flows = block.compiled
     if flows is None:
-        flows = _Flows()
-        object.__setattr__(block, "compiled", flows)
+        flows = _flows(block)
     if isinstance(method, RungeKutta4):
-        return _rk4(block, flows)(store, tau, method.step)
+        return _rk4(block, flows, store, tau, method.step)
     exact = flows.exact
     if exact is None:
         exact = flows.exact = _exact_flow(block)
     if exact is not _NON_AFFINE:
         return exact(store, tau)
     if method is None:
-        return _rk4(block, flows)(store, tau, DEFAULT_RK4.step)
+        return _rk4(block, flows, store, tau, DEFAULT_RK4.step)
     raise Undefined("exact flow requested for a non-affine system")
 
 
-def _rk4(block: DiffBlock, flows: _Flows):
+def _rk4(block: DiffBlock, flows: _Flows, store: Store, tau: float, step: float) -> Store:
+    if tau / step > MAX_RK4_STEPS:  # ceil(tau / step) > MAX_RK4_STEPS
+        raise Undefined(f"RK4 flow would take more than {MAX_RK4_STEPS} steps")
     kernel = flows.rk4
     if kernel is None:
         kernel = flows.rk4 = _rk4_kernel(block.derivs)
-    return kernel
+    return kernel(store, tau, step)
+
+
+def flow_rows(block: DiffBlock, stores: np.ndarray, taus: np.ndarray,
+              method: FlowMethod | None = None):
+    """`flow` over rows: (out, defined) with out[n] = flow(block, stores[n],
+    taus[n], method) wherever defined[n], bit for bit.
+
+    `stores` is a float64 (rows, variables) array and `taus` a float64
+    vector.  Rows whose flow is undefined have defined[n] False and
+    unspecified contents.
+    """
+    exact = None
+    if not isinstance(method, RungeKutta4):
+        flows = _flows(block)
+        exact = flows.exact
+        if exact is None:
+            exact = flows.exact = _exact_flow(block)
+    if exact is _halted:
+        return stores.copy(), np.ones(len(stores), dtype=bool)
+    if type(exact) is partial and exact.func is _flow_polynomial:
+        return _horner_rows(exact.args[0], stores, taus)
+    out = []
+    defined = np.ones(len(stores), dtype=bool)
+    for n, (store, tau) in enumerate(zip(stores.tolist(), taus.tolist())):
+        try:
+            out.append(flow(block, tuple(store), tau, method))
+        except Undefined:
+            out.append(store)
+            defined[n] = False
+    return np.array(out, dtype=float).reshape(stores.shape), defined
+
+
+def _horner_rows(rows, stores: np.ndarray, taus: np.ndarray):
+    """`_flow_polynomial` over the rows of `stores`: the same operations in
+    the same order, each applied to a column instead of a float."""
+    out = stores.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, coeffs in rows:
+            acc = 0.0
+            for const, terms in coeffs:
+                for j, w in terms:
+                    const = const + w * stores[:, j]
+                acc = (acc + const) * taus
+            out[:, i] = stores[:, i] + acc
+        defined = np.isfinite(out).all(axis=1)
+    return out, defined
 
 
 # --- the RK4 kernel: straight-line Python generated from the derivatives ----

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -540,3 +541,38 @@ def test_traced_run_streams_its_configurations():
     traced_code, traced = _peak_rss_mb(*args, "--trace")
     assert code == traced_code == 0
     assert traced - plain < 5.0
+
+
+def _limit_memory():
+    # 1 GiB of address space: a regression fails here instead of growing
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def _fresh_cli(budget, *argv):
+    """Exit code, stdout and seconds of `swhile argv` in a new process that
+    must end within `budget` seconds (a timeout fails the test)."""
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "swhile.cli", *map(str, argv)], env=src_env(),
+                         capture_output=True, text=True, timeout=budget,
+                         preexec_fn=_limit_memory)
+    assert "Traceback" not in out.stderr
+    return out.returncode, out.stdout, time.perf_counter() - start
+
+
+def test_a_huge_k_meets_the_cap_without_building_its_atoms():
+    # Discretization.atoms used to build a tuple of k floats on every access:
+    # at k = 10^8 that reached 1.8 GB and died with a MemoryError traceback
+    code, out, seconds = _fresh_cli(10, "adequacy", PROGRAMS / "ball.swl", "--k", 10 ** 8,
+                                    "--time", "1", "--cap", "10")
+    assert code == 5
+    assert json.loads(out) == {"cap": 10, "error": "enumeration explored 11 branches, cap is 10"}
+    assert seconds < 2.0
+
+
+def test_an_rk4_flow_over_the_step_maximum_is_an_error():
+    # ceil(1 / 1e-300) RK4 steps: the flow used to run without end
+    code, out, seconds = _fresh_cli(10, "run", PROGRAMS / "ball.swl", "--time", "1",
+                                    "--flow", "rk4:1e-300", "--seed", "1")
+    assert code == 2
+    assert out.splitlines()[0] == "err"
+    assert seconds < 2.0

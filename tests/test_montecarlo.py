@@ -3,14 +3,19 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from swhile import montecarlo
 from swhile.montecarlo import (
+    DIVERGED,
+    VALUE,
     Diverged,
     ErrorAt,
     TerminatedEarly,
     TimeGrid,
     Value,
+    _canonical_point,
     ensemble_json,
     histogram,
     interval_probability,
@@ -26,7 +31,7 @@ from swhile.bigstep import eval_big
 from swhile.entropy import from_seed
 from swhile.ode import EXACT, RungeKutta4
 from swhile.parser import parse_bool_expr, parse_file, parse_program
-from swhile.smallstep import Config, OutOfFuel
+from swhile.smallstep import DEFAULT_FUEL, Config, OutOfFuel
 from swhile.store import make_store
 from swhile.syntax import Assign, BoolLit, Call, DiffBlock, Lit, Seq, Var, While
 
@@ -336,3 +341,182 @@ def test_csv_and_json_export():
     buf3 = io.StringIO()
     write_histogram_csv(hist, buf3)
     assert buf3.getvalue().splitlines()[0] == "bin_left,bin_right,count"
+
+
+# --- the array reader against the canonical rerun, point by point -----------
+
+def _assert_reader_matches_canonical(program, store, grid, seed, fuel=DEFAULT_FUEL, method=None):
+    """Array fast mode equals `_canonical_point` at every grid time; returns
+    the outcome types seen."""
+    traj = sample_trajectory(program, store, grid, seed, fuel, True, method)
+    for g, pt in zip(grid.times, traj.points):
+        assert pt == _canonical_point(program, store, g, seed, fuel, method), (g, program, seed)
+    return {type(pt) for pt in traj.points}
+
+
+def test_array_reader_matches_canonical_on_every_bundled_program():
+    grids = (TimeGrid.regular(0.0, 6.0, 0.25), TimeGrid.from_times((0.0, 0.7, 3.3, 6.0)))
+    for path in program_files() + [PROGRAMS.parent / "bench" / "pendulum.swl"]:
+        program, table = parse_file(path)
+        method = RungeKutta4(0.05) if path.stem == "pendulum" else None
+        for grid in grids:
+            for seed in (1, 5):
+                for fuel in (DEFAULT_FUEL, 25):
+                    _assert_reader_matches_canonical(program, make_store(table), grid, seed,
+                                                     fuel, method)
+
+
+def test_array_reader_matches_canonical_on_the_generated_corpus():
+    rng = random.Random(31337)
+    grid = TimeGrid.regular(0.0, 3.0, 0.5)
+    seen = set()
+    for _ in range(200):
+        table = gen_table(rng)
+        program = gen_program(rng, table, depth=3)
+        if rng.random() < 0.5:
+            program = Seq(program, _counting_loop(rng, table))
+        store = gen_store(rng, table)
+        # exact flows err on non-affine blocks; a coarse RK4 keeps the corpus fast
+        method = rng.choice((EXACT, RungeKutta4(0.1)))
+        fuel = rng.choice((1, 2, 5, 13, 40, 200))
+        seen |= _assert_reader_matches_canonical(program, store, grid, rng.randrange(2 ** 32),
+                                                 fuel, method)
+    assert seen == {Value, TerminatedEarly, ErrorAt, Diverged}
+
+
+def test_array_reader_fuel_cut_inside_and_after_the_recording():
+    program, _ = parse_program(WALKTHROUGH)
+    grid = TimeGrid.regular(0.0, 8.0, 0.5)
+    for fuel in range(1, 30):  # the cut moves through the recorded segments
+        _assert_reader_matches_canonical(program, (0.0,), grid, 1, fuel)
+    # past the end of a run that stopped recording at its fuel
+    program, _ = parse_program("x := 0 ; wait 1 ; x := 1 ; while tt { x++ }")
+    grid = TimeGrid.from_times((0.5, 1.0, 2.0))
+    kinds = _assert_reader_matches_canonical(program, (0.0,), grid, 0, 50)
+    assert kinds == {Value, Diverged}
+
+
+def test_array_reader_erring_flow_before_and_past_its_segment_end():
+    # x' = x * x blows up before t = 1 under RK4: grid times inside the
+    # segment flow (and may err), grid times past its end err at its start
+    program, _ = parse_program("x := 1 ; wait 0.5 ; x' = x * x for 2 ; x := 0")
+    grid = TimeGrid.regular(0.0, 4.0, 0.125)
+    traj = sample_trajectory(program, (0.0,), grid, 0, flow_method=RungeKutta4(0.01))
+    assert traj.points[4] == Value((1.0,))  # t = 0.5, the segment's start
+    assert traj.points[-1] == ErrorAt(0.5)  # past the segment's end
+    kinds = _assert_reader_matches_canonical(program, (0.0,), grid, 0, method=RungeKutta4(0.01))
+    assert kinds == {Value, ErrorAt}
+
+
+def test_array_reader_non_finite_nilpotent_flow():
+    # p' = v, v' = x with x = 1e308: v overflows once t > 1
+    program, table = parse_program("p' = v, v' = x for 10 ; x := 0")
+    store = [0.0] * len(table)
+    store[table.index("x")] = 1e308
+    grid = TimeGrid.regular(0.0, 12.0, 0.5)
+    traj = sample_trajectory(program, tuple(store), grid, 0)
+    assert isinstance(traj.points[3], Value) and traj.points[4] == ErrorAt(0.0)
+    assert _assert_reader_matches_canonical(program, tuple(store), grid, 0) == {Value, ErrorAt}
+
+
+def test_array_reader_alternating_blocks_and_many_points_per_segment():
+    program, table = parse_file(PROGRAMS / "cruise_uniform.swl")  # two blocks alternate
+    grid = TimeGrid.regular(0.0, 4.0, 0.02)  # fifty grid times per segment
+    for seed in (2, 3):
+        _assert_reader_matches_canonical(program, make_store(table), grid, seed)
+    program, _ = parse_program("x := 0 ; x' = 1 for 5 ; x := 10")
+    grid = TimeGrid.regular(0.0, 7.0, 0.01)  # grid times after normal termination
+    traj = sample_trajectory(program, (0.0,), grid, 0)
+    assert traj.points[-1] == TerminatedEarly((10.0,), 5.0)
+    assert _assert_reader_matches_canonical(program, (0.0,), grid, 0) == {Value, TerminatedEarly}
+
+
+def _assert_same_arrays(a, b):
+    assert np.array_equal(a.kinds, b.kinds)
+    assert np.array_equal(a.stores, b.stores, equal_nan=True)
+    assert np.array_equal(a.event_times, b.event_times, equal_nan=True)
+    assert a.seeds == b.seeds
+
+
+def test_parallel_arrays_and_views_equal_serial():
+    program, table = parse_file(PROGRAMS / "ball.swl")
+    grid = TimeGrid.regular(0.0, 5.0, 0.1)
+    store = make_store(table)
+    for fast in (True, False):
+        serial = run_ensemble(program, table, store, grid, runs=5, base_seed=8, fuel=60,
+                              fast=fast)
+        parallel = run_ensemble(program, table, store, grid, runs=5, base_seed=8, fuel=60,
+                                fast=fast, workers=2)
+        _assert_same_arrays(serial, parallel)
+        assert serial.trajectories == parallel.trajectories
+        again = run_ensemble(program, table, store, grid, runs=5, base_seed=8, fuel=60,
+                             fast=fast)
+        assert again.trajectories == serial.trajectories
+
+
+def test_arrays_agree_between_modes():
+    program, table = parse_file(PROGRAMS / "ctrw_counting.swl")
+    grid = TimeGrid.regular(0.0, 4.0, 0.5)
+    store = make_store(table)
+    fast = run_ensemble(program, table, store, grid, runs=4, base_seed=3, fuel=30)
+    canonical = run_ensemble(program, table, store, grid, runs=4, base_seed=3, fuel=30,
+                             fast=False)
+    _assert_same_arrays(fast, canonical)
+    assert set(fast.kinds.ravel().tolist()) == {VALUE, DIVERGED}
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        _FakePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+@pytest.mark.parametrize("workers, want", [(10000, 3), (3, 3), (2, 2), (1, None)])
+def test_workers_are_capped_at_the_available_cpus(monkeypatch, workers, want):
+    _FakePool.made = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    program, table = parse_file(PROGRAMS / "ctrw.swl")
+    grid = TimeGrid.regular(0.0, 2.0, 0.5)
+    store = make_store(table)
+    ens = run_ensemble(program, table, store, grid, runs=10, base_seed=1, workers=workers)
+    if want is None:
+        assert _FakePool.made == []
+    else:
+        (pool,) = _FakePool.made
+        assert pool.max_workers == want == len(pool.tasks)
+        assert [len(t[3]) for t in pool.tasks] == [-(-10 // want)] * (want - 1) + [
+            10 - (want - 1) * -(-10 // want)]
+    _assert_same_arrays(ens, run_ensemble(program, table, store, grid, runs=10, base_seed=1))
+
+
+def test_workers_fall_back_to_the_cpu_count(monkeypatch):
+    _FakePool.made = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    program, table = parse_file(PROGRAMS / "ctrw.swl")
+    grid = TimeGrid.regular(0.0, 2.0, 0.5)
+    run_ensemble(program, table, make_store(table), grid, runs=10, base_seed=1, workers=10000)
+    assert [pool.max_workers for pool in _FakePool.made] == [4]
+
+
+def test_array_reader_accepts_integer_grid_times():
+    # TimeGrid.regular keeps integer arguments as integer times
+    program, table = parse_file(PROGRAMS / "ctrw_counting.swl")
+    grid = TimeGrid.regular(0, 6, 1)
+    assert grid.times == (0, 1, 2, 3, 4, 5, 6)
+    for seed in (1, 2):
+        _assert_reader_matches_canonical(program, make_store(table), grid, seed)

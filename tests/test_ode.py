@@ -356,3 +356,67 @@ def test_affine_derivative_deeper_than_the_recursion_limit_takes_the_exact_flow(
     assert np.array_equal(a, [[1.0]]) and np.array_equal(c, [0.0])
     assert flow(block, (0.75,), 0.5) == flow(system(Var(0, "x")), (0.75,), 0.5)
     assert block.compiled.exact.func is ode._flow_expm
+
+
+def _rows_as_flows(block, stores, taus, method=None):
+    """flow_rows' rows as `flow` would return them: a tuple, or None if undefined."""
+    out, defined = ode.flow_rows(block, np.asarray(stores, dtype=float),
+                                 np.asarray(taus, dtype=float), method)
+    return [tuple(row) if ok else None for row, ok in zip(out.tolist(), defined.tolist())]
+
+
+def _flows(block, stores, taus, method=None):
+    got = []
+    for store, tau in zip(stores, taus):
+        try:
+            got.append(flow(block, store, tau, method))
+        except Undefined:
+            got.append(None)
+    return got
+
+
+def _bit_lists(rows):
+    return [None if r is None else [x.hex() for x in r] for r in rows]
+
+
+def test_flow_rows_match_one_flow_per_row_bit_for_bit():
+    rng = random.Random(2024)
+    taus = [0.0, 1e-9, 0.3, 1.0, 7.25, 40.0] * 6
+    blocks = [
+        system(Var(1, "v"), Lit(-9.8), Lit(0.0)),  # nilpotent
+        system(Var(1, "v"), Var(2, "a"), Lit(0.0)),  # nilpotent, three moving terms
+        system(Lit(0.0), Lit(0.0), Lit(0.0)),  # halted
+        system(Var(0, "x"), Lit(0.0), Lit(0.0)),  # expm
+        system(Call("sin", (Var(0, "x"),)), Lit(1.0), Lit(0.0)),  # non-affine
+        system(Lit(-0.0), Call("neg", (Var(0, "x"),)), Var(0, "x")),  # signed zeros
+    ]
+    signed_zeros = [(0.0, -0.0, -0.0), (-0.0, -0.0, 0.0), (0.0, 0.0, -0.0)] * 6
+    for block in blocks:
+        stores = signed_zeros + [
+            tuple(rng.choice((0.0, -0.0, 1.5, -2.0, rng.uniform(-5, 5))) for _ in range(3))
+            for _ in signed_zeros]
+        for method in (None, EXACT, RungeKutta4(0.1)):
+            want = _flows(block, stores, taus, method)
+            assert _bit_lists(_rows_as_flows(block, stores, taus, method)) == _bit_lists(want)
+
+
+def test_flow_rows_mark_non_finite_polynomial_rows_undefined():
+    block = system(Var(1, "v"), Var(2, "x"), Lit(0.0))  # p' = v, v' = x: nilpotent
+    stores = [(0.0, 0.0, 1e308), (0.0, 0.0, 1.0), (0.0, 1e308, 1e308)]
+    taus = [2.0, 2.0, 1.0]
+    got = _rows_as_flows(block, stores, taus)
+    assert got == _flows(block, stores, taus)
+    assert got[0] is None and got[1] == (2.0, 2.0, 1.0) and got[2] is None
+
+
+def test_rk4_flow_over_the_step_maximum_is_undefined(monkeypatch):
+    # a lowered maximum, so a missing check fails here instead of looping;
+    # test_cli runs the 1e-300 step against the real one in a bounded process
+    monkeypatch.setattr(ode, "MAX_RK4_STEPS", 10)
+    block = system(Var(1, "v"), Lit(-9.8))
+    flow(block, (10.0, 0.0), 1.0, RungeKutta4(0.1))  # 1 / 0.1 is 10 steps: allowed
+    with pytest.raises(Undefined, match="more than 10 steps"):
+        flow(block, (10.0, 0.0), 1.0, RungeKutta4(0.099))
+    nonaffine = system(Call("sin", (Var(0, "x"),)), Lit(0.0))
+    with pytest.raises(Undefined):  # the default RK4 fallback is bounded too
+        flow(nonaffine, (1.0, 0.0), 0.1)
