@@ -75,11 +75,9 @@ class MidpointAtoms(Sequence):
     def __len__(self) -> int:
         return self.k
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(self.k)[i])
+    def __getitem__(self, i: int) -> float:
         if not 0 <= i < self.k:
-            i = range(self.k)[i]  # a negative index, or IndexError
+            raise IndexError("atom index out of range")
         return (2 * i + 1) / (2 * self.k)
 
     def __iter__(self):
@@ -95,9 +93,6 @@ class MidpointAtoms(Sequence):
 
     def __hash__(self):
         return hash(tuple(self))  # as the equal tuple's
-
-    def __repr__(self) -> str:
-        return f"MidpointAtoms({self.k})"
 
 
 @dataclass(frozen=True, slots=True)

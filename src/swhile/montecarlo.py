@@ -22,8 +22,11 @@ Two evaluation modes fill the arrays:
   same seed-initialized entropy source;
 * fast (default) -- one big-step run (`bigstep.eval_big`) per seed to the
   last grid time records every positive-duration flow segment with the
-  small-step count at its entry; then one array pass reads every run's
-  grid points off those segments (`_read_fast`).
+  small-step count at its entry; then one array pass per chunk of
+  consecutive runs reads their grid points off those segments
+  (`_read_recorded`).  A chunk's runs x max(grid points, segments of one
+  run) is bounded, so the recordings and temporaries held while reading do
+  not grow with the number of runs (the arrays themselves do).
 
 Fast mode replays exactly the canonical arithmetic: a grid time g walks
 its run's segments subtracting durations from g in run order (the same
@@ -50,9 +53,9 @@ import csv
 import json
 import math
 import os
-from itertools import chain
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -190,25 +193,23 @@ class Ensemble:
 
 # --- reading runs into arrays -------------------------------------------------
 
-# Runs are read in chunks of at most _CHUNK_CELLS // points runs (and at
-# least one), and a chunk's remainder chains span at most _CHAIN_CELLS
-# floats, so no temporary grows with runs x segments x points.
+# Fast mode reads its runs in chunks of consecutive runs: a chunk is read
+# in one array pass once one more run would make its runs times max(grid
+# points, most segments of one run) exceed _CHUNK_CELLS (a run that alone
+# exceeds it is read alone), and a chunk's remainder chains span at most
+# _CHAIN_CELLS floats, so no temporary grows with runs x segments x points.
 _CHUNK_CELLS = 2 ** 16
 _CHAIN_CELLS = 2 ** 18
 
 
 def _read_runs(program, store0, grid, seeds, fuel, fast, flow_method):
     """(kinds, stores, event_times) of the runs with these seeds, in order."""
-    points = len(grid.times)
-    kinds = np.empty((len(seeds), points), dtype=np.int8)
-    stores = np.full((len(seeds), points, len(store0)), np.nan)
-    event_times = np.full((len(seeds), points), np.nan)
+    shape = (len(seeds), len(grid.times))
+    kinds = np.empty(shape, dtype=np.int8)
+    stores = np.full((*shape, len(store0)), np.nan)
+    event_times = np.full(shape, np.nan)
     read = _read_fast if fast else _read_canonical
-    chunk = max(1, _CHUNK_CELLS // points)
-    for lo in range(0, len(seeds), chunk):
-        hi = lo + chunk
-        read(program, store0, grid, seeds[lo:hi], fuel, flow_method,
-             kinds[lo:hi], stores[lo:hi], event_times[lo:hi])
+    read(program, store0, grid, seeds, fuel, flow_method, kinds, stores, event_times)
     return kinds, stores, event_times
 
 
@@ -244,78 +245,108 @@ def _read_canonical(program, store0, grid, seeds, fuel, flow_method, kinds, stor
 
 
 def _read_fast(program, store0, grid, seeds, fuel, flow_method, kinds, stores, event_times):
-    """Record each run with `eval_big`, then read every grid point at once.
-
-    A grid time g's remainder after k segments is g minus their durations,
-    subtracted in run order as the rerun to g would; g lands in the first
-    segment whose duration exceeds that remainder, or in the segment whose
-    flow erred.  Recorded segments never lie past step `fuel` (see
-    `eval_big`), so only points past a run's last segment can be fuel cuts.
-    """
-    last = grid.times[-1]
-    runs, width = len(seeds), len(store0)
-    blocks, entries, durations, counts = [], [], [], []
-    erred = []  # (run, segment) of each recorded segment whose flow erred
-    tails = []  # per run, the outcome of its points past its last segment
-    held = {}  # run -> final store, for runs that terminated normally
-    stopped = {}  # run -> time-stop store at the last grid time
+    """Record each run with `eval_big`; read the recorded runs' grid points
+    a chunk at a time (see _CHUNK_CELLS)."""
+    last, points = grid.times[-1], len(grid.times)
+    chunk, lo = _Recorded(fuel), 0
     for r, seed in enumerate(seeds):
         flows = []
         result = eval_big(Config(program, store0, last, from_seed(seed)), fuel, flow_method, flows)
         last_step = flows.pop()[3]
-        rt = type(result)
-        if flows:
-            bl, en, du, steps = zip(*flows)
-            blocks += bl
-            entries += en
-            durations += du
-            if rt is Err and steps[-1] == last_step:
-                erred.append((r, len(flows) - 1))
-        counts.append(len(flows))
-        if last_step > fuel:
-            tails.append(DIVERGED)
-        elif rt is Normal:
-            tails.append(TERMINATED)
-            held[r] = result.store
-        else:
-            tails.append(ERROR)
-        if rt is TimeStop:
-            stopped[r] = result.store
+        if chunk.runs and (chunk.runs + 1) * max(points, chunk.widest, len(flows)) > _CHUNK_CELLS:
+            _read_recorded(chunk, grid, flow_method, kinds[lo:r], stores[lo:r], event_times[lo:r])
+            chunk, lo = _Recorded(fuel), r
+        chunk.add(result, flows, last_step)
+    _read_recorded(chunk, grid, flow_method, kinds[lo:], stores[lo:], event_times[lo:])
 
+
+class _Recorded:
+    """The `eval_big` recordings of consecutive runs, one list per field.
+
+    Recorded segments never lie past step `fuel` (see `eval_big`), so only
+    points past a run's last segment can be fuel cuts.
+    """
+
+    def __init__(self, fuel: int):
+        self.fuel = fuel
+        self.runs = 0
+        self.widest = 0  # the most segments of one run
+        self.blocks, self.entries, self.durations = [], [], []  # per recorded segment
+        self.counts = []  # per run, its number of segments
+        self.erred = []  # (run, segment) of each recorded segment whose flow erred
+        self.tails = []  # per run, the outcome of its points past its last segment
+        self.held = {}  # run -> final store, for runs that terminated normally
+        self.stopped = {}  # run -> time-stop store at the last grid time
+
+    def add(self, result, flows, last_step: int) -> None:
+        r, rt = self.runs, type(result)
+        if flows:
+            blocks, entries, durations, steps = zip(*flows)
+            self.blocks += blocks
+            self.entries += entries
+            self.durations += durations
+            if rt is Err and steps[-1] == last_step:
+                self.erred.append((r, len(flows) - 1))
+        self.counts.append(len(flows))
+        self.widest = max(self.widest, len(flows))
+        if last_step > self.fuel:
+            self.tails.append(DIVERGED)
+        elif rt is Normal:
+            self.tails.append(TERMINATED)
+            self.held[r] = result.store
+        else:
+            self.tails.append(ERROR)
+        if rt is TimeStop:
+            self.stopped[r] = result.store
+        self.runs += 1
+
+
+def _read_recorded(recorded, grid, flow_method, kinds, stores, event_times):
+    """Read every grid point of the recorded runs at once.
+
+    A grid time g's remainder after k segments is g minus their durations,
+    subtracted in run order as the rerun to g would; g lands in the first
+    segment whose duration exceeds that remainder, or in the segment whose
+    flow erred.  Points that land nowhere take their run's tail outcome.
+    """
+    runs, width = recorded.runs, stores.shape[2]
+    blocks, held, stopped = recorded.blocks, recorded.held, recorded.stopped
     stopped_rows = list(stopped)
     # every point starts as its run's tail outcome; landed points overwrite it
     grid_times = remaining = np.asarray(grid.times, dtype=float)
-    kinds[:] = np.array(tails, dtype=np.int8)[:, None]
+    kinds[:] = np.array(recorded.tails, dtype=np.int8)[:, None]
     if held:
         tail_stores = np.full((runs, width), np.nan)
         tail_stores[list(held)] = list(held.values())
         stores[:] = tail_stores[:, None, :]
     if blocks:
-        counts = np.array(counts)
+        counts = np.array(recorded.counts)
         table = np.zeros((runs, int(counts.max())))  # 0.0 past a run's end moves nothing
-        table[np.arange(table.shape[1]) < counts[:, None]] = durations
+        table[np.arange(table.shape[1]) < counts[:, None]] = recorded.durations
         failed = None
-        if erred:
+        if recorded.erred:
             failed = np.zeros(table.shape, dtype=bool)
-            failed[tuple(zip(*erred))] = True
+            failed[tuple(zip(*recorded.erred))] = True
         # the recording run's own store stands at a stopped run's last point
         r_idx, p_idx, k_idx, tau, remaining = _land(table, failed, grid_times, stopped_rows)
         # each landed segment's entry converted once, however many points land
-        # in it: a run's points land in segments in order, so equal ones adjoin
-        flat = (np.cumsum(counts) - counts)[r_idx] + k_idx
-        starts = np.empty(len(flat), dtype=bool)
+        # in it: a run's points land in its segments in order, so equal ones adjoin
+        landed = (np.cumsum(counts) - counts)[r_idx] + k_idx  # index into the segment lists
+        starts = np.empty(len(landed), dtype=bool)
         starts[:1] = True
-        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-        segs = flat[starts].tolist()
+        np.not_equal(landed[1:], landed[:-1], out=starts[1:])
+        segs = landed[starts].tolist()
         inverse = np.cumsum(starts) - 1
+        entries = recorded.entries
         entry = np.fromiter(chain.from_iterable(map(entries.__getitem__, segs)), float,
                             len(segs) * width).reshape(len(segs), width)[inverse]
-        landed_blocks = [blocks[i] for i in segs]
-        distinct = {id(block): block for block in landed_blocks}
+        distinct = {id(block): block for block in blocks}
         if failed is None and len(distinct) == 1:
-            groups = [(landed_blocks[0], slice(None))]  # every landed point flows
+            # every landed point flows along the one block: no index arrays
+            # (about 5 % of a 4-run ball ensemble on 201 grid times)
+            groups = [(blocks[0], slice(None))]
         else:
-            ids = np.fromiter(map(id, landed_blocks), np.intp, len(segs))[inverse]
+            ids = np.fromiter(map(id, map(blocks.__getitem__, segs)), np.intp, len(segs))[inverse]
             if failed is not None:
                 # past the end of the erring segment, the rerun's flow errs too;
                 # 0 is no object's id, so these points flow along no block
@@ -359,22 +390,20 @@ def _land(table, failed, grid_times, skip_last):
     step = max(1, _CHAIN_CELLS // remaining.size - 1)
     for k0 in range(0, width, step):
         durations = table[:, k0:k0 + step].T[:, :, None]  # (segments, runs, 1)
-        chain = np.empty((len(durations) + 1, *remaining.shape))
-        chain[0] = remaining
-        chain[1:] = durations
-        np.subtract.accumulate(chain, axis=0, out=chain)
-        hit = durations > chain[:-1]
+        chains = np.empty((len(durations) + 1, *remaining.shape))
+        chains[0] = remaining
+        chains[1:] = durations
+        np.subtract.accumulate(chains, axis=0, out=chains)
+        hit = durations > chains[:-1]
         if failed is not None:
             hit |= failed[:, k0:k0 + step].T[:, :, None]
         lands = hit.any(axis=0)
         lands &= unlanded
         r_idx, p_idx = np.nonzero(lands)
         k_idx = hit.argmax(axis=0)[r_idx, p_idx]
-        found.append((r_idx, p_idx, k_idx + k0, chain[k_idx, r_idx, p_idx]))
+        found.append((r_idx, p_idx, k_idx + k0, chains[k_idx, r_idx, p_idx]))
         unlanded &= ~lands
-        remaining = chain[-1]  # meaningful where still unlanded
-    if len(found) == 1:
-        return (*found[0], remaining)
+        remaining = chains[-1]  # meaningful where still unlanded
     return (*map(np.concatenate, zip(*found)), remaining)
 
 

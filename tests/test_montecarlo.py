@@ -431,6 +431,33 @@ def test_array_reader_alternating_blocks_and_many_points_per_segment():
     assert _assert_reader_matches_canonical(program, (0.0,), grid, 0) == {Value, TerminatedEarly}
 
 
+def test_array_reader_chunks_are_bounded_by_segments_and_points(monkeypatch):
+    # brownian over 0:30:15 records about 60 segments per run on 3 points:
+    # a chunk closes when runs x max(points, segments) would pass the cells
+    program, table = parse_file(PROGRAMS / "brownian.swl")
+    grid = TimeGrid.regular(0.0, 30.0, 15.0)
+    store = make_store(table)
+    whole = run_ensemble(program, table, store, grid, runs=12, base_seed=4)
+    chunks = []
+    read = montecarlo._read_recorded
+
+    def recorded(chunk, *args):
+        chunks.append((chunk.runs, chunk.widest))
+        return read(chunk, *args)
+
+    monkeypatch.setattr(montecarlo, "_read_recorded", recorded)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 200)
+    monkeypatch.setattr(montecarlo, "_CHAIN_CELLS", 40)
+    chunked = run_ensemble(program, table, store, grid, runs=12, base_seed=4)
+    _assert_same_arrays(chunked, whole)
+    assert sum(n for n, _ in chunks) == 12 and len(chunks) > 3
+    assert all(n * widest <= 200 for n, widest in chunks)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 30)  # every run alone passes it
+    chunks.clear()
+    _assert_same_arrays(run_ensemble(program, table, store, grid, runs=12, base_seed=4), whole)
+    assert [n for n, _ in chunks] == [1] * 12
+
+
 def _assert_same_arrays(a, b):
     assert np.array_equal(a.kinds, b.kinds)
     assert np.array_equal(a.stores, b.stores, equal_nan=True)
