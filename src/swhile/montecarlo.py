@@ -20,13 +20,22 @@ Two evaluation modes fill the arrays:
 
 * canonical -- rerun the small-step closure once per grid time with the
   same seed-initialized entropy source;
-* fast (default) -- one big-step run (`bigstep.eval_big`) per seed to the
-  last grid time records every positive-duration flow segment with the
-  small-step count at its entry; then one array pass per chunk of
+* fast (default) -- each run is recorded to the last grid time: every
+  positive-duration flow segment with the small-step count at its entry,
+  as `bigstep.eval_big` records one run; then one array pass per chunk of
   consecutive runs reads their grid points off those segments
-  (`_read_recorded`).  A chunk's runs x max(grid points, segments of one
-  run) is bounded, so the recordings and temporaries held while reading do
-  not grow with the number of runs (the arrays themselves do).
+  (`_read_recorded`).  A chunk of at least FRONTIER_MIN_RUNS runs is
+  recorded by one frontier pass over the program for all of its runs
+  (`frontier.record`), which replays `eval_big` bit for bit; smaller
+  ensembles, and what is left below that count, are recorded with one
+  `eval_big` call per seed.  The frontier pass costs a fixed number of
+  numpy operations per program node, so on fewer runs the per-run
+  interpreter is faster: FRONTIER_MIN_RUNS is where the two met, measured
+  on the bundled programs.  `eval_big` stays the single-run recorder and
+  the oracle the frontier is tested against.  A chunk's runs x max(grid
+  points, segments of one run) is bounded, so the recordings and
+  temporaries held while reading do not grow with the number of runs (the
+  arrays themselves do).
 
 Fast mode replays exactly the canonical arithmetic: a grid time g walks
 its run's segments subtracting durations from g in run order (the same
@@ -39,9 +48,11 @@ small-step transitions, and an outcome reached after more than `fuel`
 steps is Diverged in either mode, so fuel cut-offs agree too.
 
 A parallel run splits the runs into one chunk of consecutive runs per
-worker process, at most one worker per available CPU; each worker returns
-its chunk's arrays and the parent concatenates them in run order, so the
-output is byte-identical to a serial run.
+worker process, at most one worker per available CPU; each worker records
+its chunk by the same rule (so a worker with fewer than FRONTIER_MIN_RUNS
+runs uses `eval_big`), returns its chunk's arrays, and the parent
+concatenates them in run order, so the output is byte-identical to a
+serial run.  An ensemble holds at most MAX_ENSEMBLE_POINTS points.
 
 Error and fuel-exhausted runs are excluded from value statistics but
 always reported as counts next to them.
@@ -55,11 +66,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from . import ode
+from . import frontier, ode
 from .bigstep import eval_big
 from .entropy import from_seed, split_seed
 from .smallstep import Config, DEFAULT_FUEL, Err, Normal, TimeStop, _close
@@ -71,6 +81,12 @@ from .syntax import Program, VarTable
 # The most times a regular grid may hold: every grid time costs a point in
 # each trajectory, so a longer grid would exhaust memory before it ran.
 MAX_GRID_POINTS = 10 ** 6
+
+# The most points (runs x grid times) one ensemble may hold: each point holds
+# a store of float64s plus an outcome code and an event time, so 10^8 points
+# take at least 1.7 GB, and a larger ensemble would exhaust memory -- or
+# first spend hours splitting its seeds -- before it ran.
+MAX_ENSEMBLE_POINTS = 10 ** 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,13 +209,24 @@ class Ensemble:
 
 # --- reading runs into arrays -------------------------------------------------
 
-# Fast mode reads its runs in chunks of consecutive runs: a chunk is read
-# in one array pass once one more run would make its runs times max(grid
-# points, most segments of one run) exceed _CHUNK_CELLS (a run that alone
-# exceeds it is read alone), and a chunk's remainder chains span at most
-# _CHAIN_CELLS floats, so no temporary grows with runs x segments x points.
+# Fast mode reads its runs in chunks of consecutive runs whose runs times
+# max(grid points, most segments of one run) stays within about
+# _CHUNK_CELLS (see `_read_fast`), and a chunk's remainder chains span at
+# most _CHAIN_CELLS floats, so no temporary grows with runs x segments x
+# points.
 _CHUNK_CELLS = 2 ** 16
 _CHAIN_CELLS = 2 ** 18
+
+# The fewest runs that fast mode records in one frontier pass.  Recorder
+# time alone, in process, frontier against one eval_big call per run
+# (2-core machine whose speed drifts): at 12 runs 1.0x on ball, brownian
+# and cruise_uniform, 1.4-2.1x on random_walk and ctrw_counting; at 16
+# runs 1.2-3.3x on those five, and 1.0x on the RK4 pendulum, whose flows
+# still take one call per run.
+FRONTIER_MIN_RUNS = 16
+# The runs of the first frontier chunk; each next chunk doubles, up to the
+# cells bound set by the most segments of one run seen so far.
+_FRONTIER_FIRST = 2 ** 8
 
 
 def _read_runs(program, store0, grid, seeds, fuel, fast, flow_method):
@@ -245,116 +272,99 @@ def _read_canonical(program, store0, grid, seeds, fuel, flow_method, kinds, stor
 
 
 def _read_fast(program, store0, grid, seeds, fuel, flow_method, kinds, stores, event_times):
-    """Record each run with `eval_big`; read the recorded runs' grid points
-    a chunk at a time (see _CHUNK_CELLS)."""
-    last, points = grid.times[-1], len(grid.times)
-    chunk, lo = _Recorded(fuel), 0
-    for r, seed in enumerate(seeds):
-        flows = []
-        result = eval_big(Config(program, store0, last, from_seed(seed)), fuel, flow_method, flows)
-        last_step = flows.pop()[3]
-        if chunk.runs and (chunk.runs + 1) * max(points, chunk.widest, len(flows)) > _CHUNK_CELLS:
-            _read_recorded(chunk, grid, flow_method, kinds[lo:r], stores[lo:r], event_times[lo:r])
-            chunk, lo = _Recorded(fuel), r
-        chunk.add(result, flows, last_step)
-    _read_recorded(chunk, grid, flow_method, kinds[lo:], stores[lo:], event_times[lo:])
+    """Record the runs and read their grid points, a chunk of runs at a time.
 
-
-class _Recorded:
-    """The `eval_big` recordings of consecutive runs, one list per field.
-
-    Recorded segments never lie past step `fuel` (see `eval_big`), so only
-    points past a run's last segment can be fuel cuts.
+    Chunks of at least FRONTIER_MIN_RUNS runs are recorded by one frontier
+    pass each (`frontier.record`); a chunk starts at _FRONTIER_FIRST runs
+    and each next one is twice as large, up to runs x max(grid points, most
+    segments of one run so far) <= _CHUNK_CELLS.  Fewer runs are recorded
+    one at a time with `eval_big` and read once one more run would make the
+    chunk's runs x max(grid points, most segments of one run) exceed
+    _CHUNK_CELLS (a run that alone exceeds it is read alone).
     """
-
-    def __init__(self, fuel: int):
-        self.fuel = fuel
-        self.runs = 0
-        self.widest = 0  # the most segments of one run
-        self.blocks, self.entries, self.durations = [], [], []  # per recorded segment
-        self.counts = []  # per run, its number of segments
-        self.erred = []  # (run, segment) of each recorded segment whose flow erred
-        self.tails = []  # per run, the outcome of its points past its last segment
-        self.held = {}  # run -> final store, for runs that terminated normally
-        self.stopped = {}  # run -> time-stop store at the last grid time
-
-    def add(self, result, flows, last_step: int) -> None:
-        r, rt = self.runs, type(result)
-        if flows:
-            blocks, entries, durations, steps = zip(*flows)
-            self.blocks += blocks
-            self.entries += entries
-            self.durations += durations
-            if rt is Err and steps[-1] == last_step:
-                self.erred.append((r, len(flows) - 1))
-        self.counts.append(len(flows))
-        self.widest = max(self.widest, len(flows))
-        if last_step > self.fuel:
-            self.tails.append(DIVERGED)
-        elif rt is Normal:
-            self.tails.append(TERMINATED)
-            self.held[r] = result.store
-        else:
-            self.tails.append(ERROR)
-        if rt is TimeStop:
-            self.stopped[r] = result.store
-        self.runs += 1
+    last, points, width = grid.times[-1], len(grid.times), len(store0)
+    lo, size, widest = 0, _FRONTIER_FIRST, 0
+    while True:
+        size = min(size, _CHUNK_CELLS // max(points, widest))
+        rest = len(seeds) - lo
+        if min(size, rest) < FRONTIER_MIN_RUNS:
+            break
+        hi = lo + (rest if rest - size < FRONTIER_MIN_RUNS else size)
+        recording = frontier.record(program, store0, last, seeds[lo:hi], fuel, flow_method)
+        _read_recorded(recording, grid, flow_method, kinds[lo:hi], stores[lo:hi],
+                       event_times[lo:hi])
+        lo, size, widest = hi, 2 * size, max(widest, recording.widest)
+    chunk, start, widest = [], lo, 0
+    for r in range(lo, len(seeds)):
+        segments = []
+        config = Config(program, store0, last, from_seed(seeds[r]))
+        result = eval_big(config, fuel, flow_method, segments)
+        count = len(segments) - 1
+        if chunk and (len(chunk) + 1) * max(points, widest, count) > _CHUNK_CELLS:
+            _read_recorded(frontier.Recording.of_runs(chunk, width), grid, flow_method,
+                           kinds[start:r], stores[start:r], event_times[start:r])
+            chunk, start, widest = [], r, 0
+        chunk.append((result, segments))
+        widest = max(widest, count)
+    if chunk:
+        _read_recorded(frontier.Recording.of_runs(chunk, width), grid, flow_method,
+                       kinds[start:], stores[start:], event_times[start:])
 
 
-def _read_recorded(recorded, grid, flow_method, kinds, stores, event_times):
+# A run's points past its last segment take its tail outcome, by
+# frontier outcome code: NORMAL, TIMESTOP, ERR, CUT.
+_TAILS = np.array([TERMINATED, ERROR, ERROR, DIVERGED], dtype=np.int8)
+
+
+def _read_recorded(rec, grid, flow_method, kinds, stores, event_times):
     """Read every grid point of the recorded runs at once.
 
     A grid time g's remainder after k segments is g minus their durations,
     subtracted in run order as the rerun to g would; g lands in the first
     segment whose duration exceeds that remainder, or in the segment whose
     flow erred.  Points that land nowhere take their run's tail outcome.
+    Recorded segments never lie past step `fuel` (see `eval_big`), so only
+    points past a run's last segment can be fuel cuts.
+    `rec` is a `frontier.Recording`.
     """
-    runs, width = recorded.runs, stores.shape[2]
-    blocks, held, stopped = recorded.blocks, recorded.held, recorded.stopped
-    stopped_rows = list(stopped)
+    outcomes, counts = rec.outcomes, rec.counts
+    held = outcomes == frontier.NORMAL
+    stopped_rows = np.flatnonzero(outcomes == frontier.TIMESTOP)
     # every point starts as its run's tail outcome; landed points overwrite it
     grid_times = remaining = np.asarray(grid.times, dtype=float)
-    kinds[:] = np.array(recorded.tails, dtype=np.int8)[:, None]
-    if held:
-        tail_stores = np.full((runs, width), np.nan)
-        tail_stores[list(held)] = list(held.values())
-        stores[:] = tail_stores[:, None, :]
-    if blocks:
-        counts = np.array(recorded.counts)
-        table = np.zeros((runs, int(counts.max())))  # 0.0 past a run's end moves nothing
-        table[np.arange(table.shape[1]) < counts[:, None]] = recorded.durations
+    kinds[:] = _TAILS[outcomes][:, None]
+    if held.any():
+        stores[:] = np.where(held[:, None], rec.finals, np.nan)[:, None, :]
+    if len(rec.durations):
+        starts = np.cumsum(counts) - counts  # each run's first segment
+        table = np.zeros((len(counts), int(counts.max())))  # 0.0 past a run's end moves nothing
+        table[np.arange(table.shape[1]) < counts[:, None]] = rec.durations
+        # a run whose last step recorded its last segment erred in that flow
         failed = None
-        if recorded.erred:
-            failed = np.zeros(table.shape, dtype=bool)
-            failed[tuple(zip(*recorded.erred))] = True
+        erred = np.flatnonzero(outcomes == frontier.ERR)
+        if len(erred):
+            erred = erred[counts[erred] > 0]
+            last = starts[erred] + counts[erred] - 1
+            erred = erred[rec.steps[last] == rec.last_steps[erred]]
+            if len(erred):
+                failed = np.zeros(table.shape, dtype=bool)
+                failed[erred, counts[erred] - 1] = True
         # the recording run's own store stands at a stopped run's last point
         r_idx, p_idx, k_idx, tau, remaining = _land(table, failed, grid_times, stopped_rows)
-        # each landed segment's entry converted once, however many points land
-        # in it: a run's points land in its segments in order, so equal ones adjoin
-        landed = (np.cumsum(counts) - counts)[r_idx] + k_idx  # index into the segment lists
-        starts = np.empty(len(landed), dtype=bool)
-        starts[:1] = True
-        np.not_equal(landed[1:], landed[:-1], out=starts[1:])
-        segs = landed[starts].tolist()
-        inverse = np.cumsum(starts) - 1
-        entries = recorded.entries
-        entry = np.fromiter(chain.from_iterable(map(entries.__getitem__, segs)), float,
-                            len(segs) * width).reshape(len(segs), width)[inverse]
-        distinct = {id(block): block for block in blocks}
-        if failed is None and len(distinct) == 1:
+        landed = starts[r_idx] + k_idx  # index into the segments
+        entry = rec.entries[landed]
+        if failed is None and len(rec.blocks) == 1:
             # every landed point flows along the one block: no index arrays
             # (about 5 % of a 4-run ball ensemble on 201 grid times)
-            groups = [(blocks[0], slice(None))]
+            groups = [(rec.blocks[0], slice(None))]
         else:
-            ids = np.fromiter(map(id, map(blocks.__getitem__, segs)), np.intp, len(segs))[inverse]
+            ids = rec.segment_blocks[landed]
             if failed is not None:
-                # past the end of the erring segment, the rerun's flow errs too;
-                # 0 is no object's id, so these points flow along no block
-                ids[failed[r_idx, k_idx] & (table[r_idx, k_idx] <= tau)] = 0
-            groups = [(block, np.flatnonzero(ids == block_id))
-                      for block_id, block in distinct.items()]
+                # past the end of the erring segment, the rerun's flow errs too
+                ids[failed[r_idx, k_idx] & (table[r_idx, k_idx] <= tau)] = -1
+            groups = [(block, np.flatnonzero(ids == b)) for b, block in enumerate(rec.blocks)]
         kind = np.full(len(tau), ERROR, dtype=np.int8)
-        out = np.full((len(tau), width), np.nan)
+        out = np.full((len(tau), stores.shape[2]), np.nan)
         for block, rows in groups:
             values, defined = ode.flow_rows(block, entry[rows], tau[rows], flow_method)
             kind[rows] = np.where(defined, VALUE, ERROR)
@@ -363,9 +373,9 @@ def _read_recorded(recorded, grid, flow_method, kinds, stores, event_times):
         stores[r_idx, p_idx] = out
         remaining[r_idx, p_idx] = tau
     np.subtract(grid_times, remaining, out=event_times)
-    if stopped:
+    if len(stopped_rows):
         kinds[stopped_rows, -1] = VALUE
-        stores[stopped_rows, -1] = list(stopped.values())
+        stores[stopped_rows, -1] = rec.finals[stopped_rows]
     event_times[(kinds == VALUE) | (kinds == DIVERGED)] = np.nan
 
 
@@ -455,11 +465,16 @@ def run_ensemble(
     produces byte-identical output to a serial one.  A parallel run starts
     P = min(workers, runs, available CPUs) worker processes, each reading a
     chunk of ceil(runs / P) consecutive runs; with P = 1 it runs serially.
+    An ensemble of more than MAX_ENSEMBLE_POINTS points (runs x grid times)
+    is refused before any seed is split.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     if workers is not None and workers < 1:
         raise ValueError("need at least one worker")
+    if runs * len(grid.times) > MAX_ENSEMBLE_POINTS:
+        raise ValueError(f"{runs} runs x {len(grid.times)} grid times exceed the ensemble "
+                         f"maximum of {MAX_ENSEMBLE_POINTS} points")
     seeds = tuple(split_seed(base_seed, i) for i in range(runs))
     workers = min(workers or 1, runs, _available_cpus())
     if workers > 1:

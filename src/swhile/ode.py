@@ -226,7 +226,7 @@ def _exact_flow(block: DiffBlock):
         else:
             powers = [m]
             while powers[-1].any() and len(powers) <= n:
-                powers.append(powers[-1] @ m)
+                powers.append(_product(powers[-1], m))
             if powers[-1].any():
                 from scipy.linalg import expm  # on demand, see the module docstring
 
@@ -234,6 +234,18 @@ def _exact_flow(block: DiffBlock):
             else:
                 exact = partial(_flow_polynomial, _polynomial_rows(powers[:-1], n))
     return exact
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with every entry summed left to right: `np.add.accumulate`
+    adds each product a[i, k] * b[k, j] to the sum of those before it, in
+    order of k.
+
+    BLAS blocks and reorders the sums of a matrix product by build and CPU,
+    so `@` would make the nilpotent flow's coefficients, and every output
+    that goes through them, depend on the BLAS in use.
+    """
+    return np.add.accumulate(a[:, :, None] * b[None, :, :], axis=1)[:, -1, :]
 
 
 def _polynomial_rows(powers, n: int):
@@ -292,6 +304,17 @@ def _rk4(block: DiffBlock, flows: _Flows, store: Store, tau: float, step: float)
     if kernel is None:
         kernel = flows.rk4 = _rk4_kernel(block.derivs)
     return kernel(store, tau, step)
+
+
+def halts(block: DiffBlock, method: FlowMethod | None = None) -> bool:
+    """Whether every flow of `block` under `method` returns its store
+    unchanged: the exact flow of a block whose derivatives are all zero."""
+    if isinstance(method, RungeKutta4):
+        return False  # an RK4 step adds zeros, which turns -0.0 into 0.0
+    flows = _flows(block)
+    if flows.exact is None:
+        flows.exact = _exact_flow(block)
+    return flows.exact is _halted
 
 
 def flow_rows(block: DiffBlock, stores: np.ndarray, taus: np.ndarray,

@@ -8,6 +8,7 @@ import pytest
 
 from swhile import montecarlo
 from swhile.cli import main
+from swhile.parser import parse_file
 
 from progpath import PROGRAMS, ROOT, src_env
 
@@ -576,3 +577,16 @@ def test_an_rk4_flow_over_the_step_maximum_is_an_error():
     assert code == 2
     assert out.splitlines()[0] == "err"
     assert seconds < 2.0
+
+
+def test_an_ensemble_over_the_point_maximum_is_refused_before_its_seeds_are_split():
+    # 10^12 runs used to split 10^12 seeds, allocating nothing, for hours
+    code, out, seconds = _fresh_cli(10, "simulate", PROGRAMS / "random_walk.swl", "--grid",
+                                    "0:1:1", "--runs", 10 ** 12, "--seed", "1")
+    assert (code, out) == (1, "")
+    assert seconds < 2.0
+    program, table = parse_file(PROGRAMS / "random_walk.swl")
+    grid = montecarlo.TimeGrid.regular(0.0, 1.0, 1.0)
+    runs = montecarlo.MAX_ENSEMBLE_POINTS // 2 + 1
+    with pytest.raises(ValueError, match="ensemble maximum"):
+        montecarlo.run_ensemble(program, table, (0.0,) * len(table), grid, runs, 1)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from swhile import montecarlo
+from swhile import frontier, montecarlo
 from swhile.montecarlo import (
     DIVERGED,
     VALUE,
@@ -28,12 +28,28 @@ from swhile.montecarlo import (
     write_series_csv,
 )
 from swhile.bigstep import eval_big
-from swhile.entropy import from_seed
+from swhile.entropy import _value_at, from_seed, split_seed
 from swhile.ode import EXACT, RungeKutta4
 from swhile.parser import parse_bool_expr, parse_file, parse_program
 from swhile.smallstep import DEFAULT_FUEL, Config, OutOfFuel
 from swhile.store import make_store
-from swhile.syntax import Assign, BoolLit, Call, DiffBlock, Lit, Seq, Var, While
+from swhile.syntax import (
+    And,
+    Assign,
+    BoolLit,
+    Call,
+    DiffBlock,
+    If,
+    Leq,
+    Lit,
+    Or,
+    Sample,
+    Seq,
+    Var,
+    VarTable,
+    While,
+    wait_block,
+)
 
 from genprog import gen_program, gen_store, gen_table
 from progpath import PROGRAMS, program_files
@@ -194,8 +210,6 @@ def test_ensembles_are_reproducible():
 
 
 def test_single_run_ensemble_reduces_to_sample_trajectory():
-    from swhile.entropy import split_seed
-
     program, table = parse_file(PROGRAMS / "ball.swl")
     grid = TimeGrid.regular(0.0, 2.0, 1.0)
     store = make_store(table)
@@ -547,3 +561,223 @@ def test_array_reader_accepts_integer_grid_times():
     assert grid.times == (0, 1, 2, 3, 4, 5, 6)
     for seed in (1, 2):
         _assert_reader_matches_canonical(program, make_store(table), grid, seed)
+
+
+# --- the frontier recorder against eval_big -----------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _recordings_equal(a, b):
+    """Two Recordings hold the same segments, outcomes and stores, bit for bit."""
+    assert [a.blocks[k] for k in a.segment_blocks] == [b.blocks[k] for k in b.segment_blocks]
+    assert np.array_equal(_bits(a.entries), _bits(b.entries))
+    assert np.array_equal(_bits(a.durations), _bits(b.durations))
+    assert np.array_equal(a.steps, b.steps)
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.outcomes, b.outcomes)
+    assert np.array_equal(a.last_steps, b.last_steps)
+    assert np.array_equal(_bits(a.finals), _bits(b.finals))
+
+
+def _eval_big_recording(program, store, t, seeds, fuel, method):
+    runs = []
+    for seed in seeds:
+        segments = []
+        result = eval_big(Config(program, store, t, from_seed(seed)), fuel, method, segments)
+        runs.append((result, segments))
+    return frontier.Recording.of_runs(runs, len(store))
+
+
+def _assert_recorder_matches_eval_big(monkeypatch, program, table, store, grid, fuel,
+                                      method=None, runs=24):
+    """The frontier's recording and ensemble arrays equal eval_big's."""
+    seeds = [split_seed(5, i) for i in range(runs)]
+    want = _eval_big_recording(program, store, grid.times[-1], seeds, fuel, method)
+    _recordings_equal(frontier.record(program, store, grid.times[-1], seeds, fuel, method), want)
+    monkeypatch.setattr(montecarlo, "FRONTIER_MIN_RUNS", 10 ** 9)
+    per_run = run_ensemble(program, table, store, grid, runs, 5, fuel, flow_method=method)
+    monkeypatch.setattr(montecarlo, "FRONTIER_MIN_RUNS", 1)
+    _assert_same_arrays(run_ensemble(program, table, store, grid, runs, 5, fuel,
+                                     flow_method=method), per_run)
+    return set(want.outcomes.tolist())
+
+
+_X, _U, _Y = Var(0, "x"), Var(1, "u"), Var(2, "y")
+_TABLE = VarTable(("x", "u", "y"))
+
+
+def _call(op, *args):
+    return Call(op, tuple(Lit(a) if isinstance(a, float) else a for a in args))
+
+
+def _sampled(*statements):
+    """u := unif(0, 1) ; statements... ; wait 1 ; x := x + 1, so runs part ways."""
+    program = Seq(Assign(_X, _call("+", _X, 1.0)), wait_block(Lit(1.0), 3))
+    for statement in reversed(statements):
+        program = Seq(statement, program)
+    return Seq(Sample(_U), program)
+
+
+def _half(statement, other):
+    """`statement` on the runs with u <= 1/2, `other` on the rest."""
+    return If(Leq(_U, Lit(0.5)), statement, other)
+
+
+def test_recorder_matches_eval_big_on_undefined_values(monkeypatch):
+    big = _call("*", _U, 2000.0)  # above 709.78 on most runs: exp overflows
+    undefined = [
+        _call("/", 0.0, 0.0), _call("ln", 0.0), _call("ln", -0.0), _call("sqrt", -0.0),
+        _call("*", 1e308, 10.0), _call("sin", 1e300),
+        _call("/", _U, _call("-", _U, _U)), _call("ln", _call("neg", _call("*", _U, 0.0))),
+        _call("sqrt", _call("neg", _call("*", _U, 0.0))), _call("*", _call("*", _U, 1e308), 10.0),
+        _call("sin", _call("*", _U, 1e300)), _call("cos", _call("*", _U, 1e300)),
+        _call("exp", big), _call("/", 1.0, _call("exp", big)),
+        _call("ln", _call("-", _U, 0.5)), _call("sqrt", _call("-", _U, 0.5)),
+    ]
+    grid = TimeGrid.regular(0.0, 3.0, 0.5)
+    store = (0.0, 0.0, 0.0)
+    seen = set()
+    for e in undefined:
+        programs = [
+            _sampled(_half(Assign(_Y, e), Assign(_Y, _U))),
+            _sampled(Assign(_Y, e)),
+            # in a guard, and in a duration
+            _sampled(If(Leq(e, Lit(0.5)), Assign(_Y, Lit(1.0)), Assign(_Y, Lit(2.0)))),
+            _sampled(DiffBlock((Lit(1.0), Lit(0.0), Lit(0.0)), e)),
+            # e <= y || y <= e holds wherever e is defined: four rounds
+            _sampled(While(And(Leq(_Y, Lit(3.0)), Or(Leq(e, _Y), Leq(_Y, e))),
+                           Assign(_Y, _call("+", _Y, 1.0)))),
+        ]
+        for program in programs:
+            for fuel in (3, 10 ** 6):
+                seen |= _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, store,
+                                                          grid, fuel)
+    assert seen == {frontier.NORMAL, frontier.TIMESTOP, frontier.ERR, frontier.CUT}
+
+
+def test_recorder_matches_eval_big_on_strict_connectives_and_signed_zeros(monkeypatch):
+    undefined = Leq(_call("/", 1.0, _call("-", _U, _U)), Lit(0.0))
+    guards = [Or(Leq(_U, Lit(2.0)), undefined), And(BoolLit(False), undefined),
+              Or(Leq(_U, Lit(0.5)), And(Leq(_U, Lit(0.25)), undefined)),
+              And(Leq(_U, Lit(0.5)), BoolLit(True))]
+    grid = TimeGrid.regular(0.0, 3.0, 0.5)
+    for guard, errs in zip(guards, (True, True, True, False)):
+        program = _sampled(If(guard, Assign(_Y, Lit(1.0)), Assign(_Y, Lit(2.0))))
+        seen = _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, (0.0,) * 3,
+                                                 grid, 10 ** 6)
+        assert (frontier.ERR in seen) == errs
+    # -0.0 in the store, through a halted block, a zero-duration flow and neg
+    zero = (-0.0, -0.0, -0.0)
+    programs = [
+        _sampled(wait_block(Lit(0.5), 3), Assign(_Y, _call("neg", _Y))),
+        _sampled(DiffBlock((Lit(1.0), Lit(0.0), Lit(0.0)), Lit(0.0))),
+        _sampled(_half(DiffBlock((Lit(0.0), Lit(0.0), Var(0, "x")), Lit(0.0)),
+                       Assign(_X, _call("neg", _X)))),
+    ]
+    for program in programs:
+        for method in (None, RungeKutta4(0.25)):
+            ensemble_grid = TimeGrid.regular(0.0, 3.0, 0.25)
+            _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, zero, ensemble_grid,
+                                              10 ** 6, method)
+
+
+def test_recorder_matches_eval_big_on_durations_stops_and_erring_flows(monkeypatch):
+    grid = TimeGrid.regular(0.0, 2.0, 0.125)
+    move = (Lit(1.0), Lit(0.0), Lit(0.0))
+    seen = set()
+    programs = [
+        # a negative duration on about half the runs, a zero one (no segment)
+        (_sampled(DiffBlock(move, _call("-", _U, 0.5))), None),
+        (_sampled(DiffBlock(move, Lit(0.0)), DiffBlock(move, _call("*", _U, 0.0))), None),
+        # runs stop in time inside the block while the others go on
+        (_sampled(DiffBlock(move, _call("*", _U, 4.0)), Assign(_Y, Lit(7.0))), None),
+        # x' = x * x blows up inside the segment on some runs, before it on none
+        (_sampled(Assign(_X, _call("+", _U, 0.5)),
+                  DiffBlock((_call("*", _X, _X), Lit(0.0), Lit(0.0)), _call("*", _U, 1.5))),
+         RungeKutta4(0.01)),
+        # a nilpotent flow turns non-finite inside the segment on some runs
+        (_sampled(Assign(_Y, _call("*", _U, 1e308)),
+                  DiffBlock((Var(1, "u"), Var(2, "y"), Lit(0.0)), Lit(1.5))), None),
+    ]
+    for program, method in programs:
+        for fuel in (2, 4, 6, 10 ** 6):
+            seen |= _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, (0.0,) * 3,
+                                                      grid, fuel, method)
+    assert seen == {frontier.NORMAL, frontier.TIMESTOP, frontier.ERR, frontier.CUT}
+
+
+def test_recorder_cuts_fuel_on_the_step_where_a_run_would_end(monkeypatch):
+    # x := 0 ; n := 6u ; while x <= n { x := x + 1 }: each run ends after its
+    # own number of steps, so some fuel equals it exactly for every run
+    program = Seq(Sample(_U), Seq(Assign(_Y, _call("*", _U, 6.0)),
+                                  While(Leq(_X, _Y), Assign(_X, _call("+", _X, 1.0)))))
+    grid = TimeGrid.from_times((0.0, 1.0))
+    ends = set()
+    for fuel in range(1, 20):
+        want = _eval_big_recording(program, (0.0,) * 3, 1.0,
+                                   [split_seed(5, i) for i in range(24)], fuel, None)
+        ends |= set(want.last_steps[want.outcomes == frontier.NORMAL].tolist()) & {fuel}
+        _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, (0.0,) * 3, grid, fuel)
+    assert len(ends) > 3  # fuels that some run used to its last step
+
+
+def test_recorder_matches_eval_big_on_every_bundled_program(monkeypatch):
+    for path in program_files() + [PROGRAMS.parent / "bench" / "pendulum.swl"]:
+        program, table = parse_file(path)
+        method = RungeKutta4(0.05) if path.stem == "pendulum" else None
+        for grid in (TimeGrid.regular(0.0, 6.0, 0.25), TimeGrid.from_times((0.0, 0.7, 3.3))):
+            for fuel in (25, DEFAULT_FUEL):
+                _assert_recorder_matches_eval_big(monkeypatch, program, table, make_store(table),
+                                                  grid, fuel, method)
+
+
+def test_recorder_matches_eval_big_under_fuel_fuzz(monkeypatch):
+    rng = random.Random(2718)
+    grid = TimeGrid.regular(0.0, 3.0, 0.5)
+    seen = set()
+    for _ in range(200):
+        table = gen_table(rng)
+        program = gen_program(rng, table, depth=4, allow_exp=True)
+        if rng.random() < 0.5:
+            program = Seq(program, _counting_loop(rng, table))
+        store = gen_store(rng, table)
+        method = rng.choice((None, EXACT, RungeKutta4(0.1)))
+        runs = rng.choice((1, 2, 7, 20))
+        seeds = [rng.randrange(2 ** 64) for _ in range(runs)]
+        # a run that loops in zero time takes every unit of a large fuel;
+        # fuel 10^6 is checked on programs whose runs end within 2000 steps
+        bounded = _eval_big_recording(program, store, 3.0, seeds, 2000, method)
+        fuels = (1, 2, 3, 7, 40) + ((10 ** 6,) if frontier.CUT not in bounded.outcomes else ())
+        for fuel in fuels:
+            seen |= _assert_recorder_matches_eval_big(monkeypatch, program, table, store, grid,
+                                                      fuel, method, runs)
+    assert seen == {frontier.NORMAL, frontier.TIMESTOP, frontier.ERR, frontier.CUT}
+
+
+def test_vectorised_draws_equal_value_at_bit_for_bit():
+    seeds = [0, 1, 2 ** 63, 2 ** 64 - 1]
+    counters = [0, 1, 2, 3, 1000, 2 ** 32 - 1, 2 ** 32, 2 ** 40 - 1, 2 ** 40]
+    grid = [(s, c) for s in seeds for c in counters]
+    got = frontier.draws(np.array([s for s, _ in grid], dtype=np.uint64),
+                         np.array([c for _, c in grid], dtype=np.uint64))
+    assert [v.hex() for v in got.tolist()] == [_value_at(s, c).hex() for s, c in grid]
+
+
+def test_recorder_needs_no_recursion(monkeypatch):
+    # a 5000-statement Seq, left- and right-nested, and a loop of 10^5 rounds
+    x = Var(0, "x")
+    step = Assign(x, Call("+", (x, Lit(1.0))))
+    right = step
+    left = step
+    for _ in range(4999):
+        right = Seq(step, right)
+        left = Seq(left, step)
+    loop = Seq(Assign(x, Lit(0.0)), While(Leq(x, Lit(99999.0)), step))
+    seeds = [split_seed(1, i) for i in range(20)]
+    for program, steps in ((right, 5000), (left, 5000), (loop, 200002)):
+        recording = frontier.record(program, (0.0,), 1.0, seeds, DEFAULT_FUEL)
+        assert (recording.outcomes == frontier.NORMAL).all()
+        assert (recording.last_steps == steps).all()
+    assert recording.finals[0, 0] == 100000.0

@@ -420,3 +420,43 @@ def test_rk4_flow_over_the_step_maximum_is_undefined(monkeypatch):
     nonaffine = system(Call("sin", (Var(0, "x"),)), Lit(0.0))
     with pytest.raises(Undefined):  # the default RK4 fallback is bounded too
         flow(nonaffine, (1.0, 0.0), 0.1)
+
+
+def _upper_triangular_system(rng, n):
+    """x_i' = sum over j > i of a_ij x_j + c_i, with inexact coefficients:
+    a nilpotent system whose powers of M round differently by summation order."""
+    names = [f"x{i}" for i in range(n)]
+    derivs = []
+    for i in range(n):
+        e = Lit(rng.uniform(-2.0, 2.0))
+        for j in range(i + 1, n):
+            e = Call("+", (e, Call("*", (Lit(rng.uniform(-2.0, 2.0)), Var(j, names[j])))))
+        derivs.append(e)
+    return system(*derivs)
+
+
+def test_nilpotent_coefficients_are_summed_left_to_right():
+    # the powers of M came from numpy's BLAS `@`, which blocks and reorders
+    # its sums by build and CPU, so exact-flow bits depended on the BLAS
+    rng = random.Random(7)
+    for n in (3, 5, 8):
+        block = _upper_triangular_system(rng, n)
+        a, c = classify_affine(block)
+        m = [[*row, k] for row, k in zip(a.tolist(), c.tolist())] + [[0.0] * (n + 1)]
+        powers = [m]
+        for _ in range(n):
+            p = powers[-1]
+            product = []
+            for i in range(n + 1):
+                row = []
+                for j in range(n + 1):
+                    acc = p[i][0] * m[0][j]
+                    for k in range(1, n + 1):
+                        acc += p[i][k] * m[k][j]
+                    row.append(acc)
+                product.append(row)
+            powers.append(product)
+        assert not np.array(powers[-1]).any()
+        want = ode._polynomial_rows([np.array(p) for p in powers[:-1]], n)
+        flow(block, (0.0,) * n, 1.0)
+        assert block.compiled.exact.args[0] == want
