@@ -356,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boolean condition; emits its probability over time")
     s.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"),
                    help="with --check: the fraction of runs where it holds at a grid time in [A, B]")
-    s.add_argument("--parallel", type=int, default=None, metavar="P")
+    s.add_argument("--parallel", type=int, default=None, metavar="P",
+                   help="fan the runs out over min(P, runs // 256, available CPUs) worker "
+                        "processes; serially when that is at most 1")
     _add_common(s)
     s.set_defaults(func=cmd_simulate)
 

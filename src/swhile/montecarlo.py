@@ -48,11 +48,13 @@ small-step transitions, and an outcome reached after more than `fuel`
 steps is Diverged in either mode, so fuel cut-offs agree too.
 
 A parallel run splits the runs into one chunk of consecutive runs per
-worker process, at most one worker per available CPU; each worker records
-its chunk by the same rule (so a worker with fewer than FRONTIER_MIN_RUNS
-runs uses `eval_big`), returns its chunk's arrays, and the parent
-concatenates them in run order, so the output is byte-identical to a
-serial run.  An ensemble holds at most MAX_ENSEMBLE_POINTS points.
+worker process, at most one worker per available CPU and one per
+_FRONTIER_FIRST runs, as a worker's start-up outweighs recording fewer
+runs; an ensemble too small for two workers runs serially, in process.
+Each worker records its chunk by the same rule, returns its
+chunk's arrays, and the parent concatenates them in run order, so the
+output is byte-identical to a serial run.  An ensemble holds at most
+MAX_ENSEMBLE_POINTS points.
 
 Error and fuel-exhausted runs are excluded from value statistics but
 always reported as counts next to them.
@@ -225,7 +227,15 @@ _CHAIN_CELLS = 2 ** 18
 # still take one call per run.
 FRONTIER_MIN_RUNS = 16
 # The runs of the first frontier chunk; each next chunk doubles, up to the
-# cells bound set by the most segments of one run seen so far.
+# cells bound set by the most segments of one run seen so far.  It is also
+# the fewest runs `run_ensemble` gives a worker process.  A 2-worker pool
+# against serial, in process, best of 3 on a 2-core machine whose speed
+# drifts: random_walk (grid 0:10:1) took 6.1x as long on 20 runs, 2.3x on
+# 400 and 1.7x on 2 000; ball (0:20:0.1) 2.9x on 20 and 0.97x on 256; the
+# RK4 pendulum 1.5x on 20 and 0.85x on 100.  A 2-worker pool that does
+# nothing takes 9-14 ms to start, more than a serial 20-run ensemble, so
+# the pool pays only on hundreds of runs per worker, and only on
+# flow-heavy programs, whose 256-511-run ensembles give up its gain.
 _FRONTIER_FIRST = 2 ** 8
 
 
@@ -463,8 +473,10 @@ def run_ensemble(
 
     Results are aggregated by run index, so a parallel run (`workers` > 1)
     produces byte-identical output to a serial one.  A parallel run starts
-    P = min(workers, runs, available CPUs) worker processes, each reading a
-    chunk of ceil(runs / P) consecutive runs; with P = 1 it runs serially.
+    P = min(workers, runs // _FRONTIER_FIRST, available CPUs) worker
+    processes, each reading a chunk of ceil(runs / P) consecutive runs, so
+    no worker starts for fewer than about _FRONTIER_FIRST (256) runs; with
+    P <= 1 it runs serially, in process.
     An ensemble of more than MAX_ENSEMBLE_POINTS points (runs x grid times)
     is refused before any seed is split.
     """
@@ -476,7 +488,7 @@ def run_ensemble(
         raise ValueError(f"{runs} runs x {len(grid.times)} grid times exceed the ensemble "
                          f"maximum of {MAX_ENSEMBLE_POINTS} points")
     seeds = tuple(split_seed(base_seed, i) for i in range(runs))
-    workers = min(workers or 1, runs, _available_cpus())
+    workers = min(workers or 1, runs // _FRONTIER_FIRST, _available_cpus())
     if workers > 1:
         chunk = -(-runs // workers)
         tasks = [(program, store0, grid, seeds[lo:lo + chunk], fuel, fast, flow_method)
@@ -648,14 +660,14 @@ def moments(ensemble: Ensemble, variable: str, t: float) -> Moments:
 
 def write_ensemble_csv(ensemble: Ensemble, fh) -> None:
     """Rows (run, t, one column per variable, status)."""
+    # csv.writer writes each float as its repr, which round-trips
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["run", "t", *ensemble.table.names, "status"])
-    times = [repr(t) for t in ensemble.grid.times]
     blank = [""] * len(ensemble.table)
     for run, (kinds, stores) in enumerate(zip(_lists(ensemble.kinds), _lists(ensemble.stores))):
         writer.writerows(
-            [run, t, *([repr(v) for v in store] if kind <= TERMINATED else blank), _STATUS[kind]]
-            for t, kind, store in zip(times, kinds, stores)
+            [run, t, *(store if kind <= TERMINATED else blank), _STATUS[kind]]
+            for t, kind, store in zip(ensemble.grid.times, kinds, stores)
         )
 
 
@@ -694,13 +706,11 @@ def write_ensemble_json(ensemble: Ensemble, fh) -> None:
 def write_series_csv(series: ProbabilitySeries, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["t", "fraction", "excluded"])
-    for t, frac, out in zip(series.times, series.fractions, series.excluded):
-        writer.writerow([repr(t), repr(frac), out])
+    writer.writerows(zip(series.times, series.fractions, series.excluded))
 
 
 def write_histogram_csv(hist: HistogramResult, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["bin_left", "bin_right", "count"])
-    for i, count in enumerate(hist.counts):
-        writer.writerow([repr(hist.edges[i]), repr(hist.edges[i + 1]), count])
+    writer.writerows(zip(hist.edges, hist.edges[1:], hist.counts))
     writer.writerow(["excluded", "", hist.excluded])

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -218,16 +219,46 @@ def test_single_run_ensemble_reduces_to_sample_trajectory():
     assert ens.trajectories == (direct,)
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
+    # a real pool: 512 runs fill two workers' first frontier chunks
+    made = []
+
+    class Pool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     program, table = parse_file(PROGRAMS / "ctrw.swl")
-    grid = TimeGrid.regular(0.0, 2.0, 0.5)
+    grid = TimeGrid.regular(0.0, 1.0, 1.0)
     store = make_store(table)
-    # more workers than runs, and runs that do not divide evenly
-    for runs, workers in ((8, 2), (1, 2), (7, 3)):
+    # runs that divide evenly and runs that do not, more workers than CPUs,
+    # and more workers than runs
+    for runs, workers in ((512, 2), (513, 3), (1, 2)):
         serial = run_ensemble(program, table, store, grid, runs=runs, base_seed=1)
         parallel = run_ensemble(program, table, store, grid, runs=runs, base_seed=1,
                                 workers=workers)
         assert serial.trajectories == parallel.trajectories
+    assert made == [2, 2]
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
+def test_parallel_runs_serially_below_one_frontier_chunk_per_worker(monkeypatch):
+    # used to start a 2-worker pool for 20 runs, each worker taking 10
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    program, table = parse_file(PROGRAMS / "random_walk.swl")
+    grid = TimeGrid.regular(0.0, 10.0, 1.0)
+    store = make_store(table)
+    serial = run_ensemble(program, table, store, grid, runs=20, base_seed=3)
+    parallel = run_ensemble(program, table, store, grid, runs=20, base_seed=3, workers=2)
+    _assert_same_arrays(serial, parallel)
 
 
 def test_parallel_rejects_fewer_than_one_worker():
@@ -357,6 +388,38 @@ def test_csv_and_json_export():
     assert buf3.getvalue().splitlines()[0] == "bin_left,bin_right,count"
 
 
+def test_csv_cells_are_the_repr_of_each_float():
+    awkward = (0.1 + 0.2, 1e16, 1e-05, -0.0)
+    program, table = parse_program("x := 0 ; y := 0")
+    grid = TimeGrid.from_times((-0.0, 0.1 + 0.2, 1e16))
+    kinds = np.array([[VALUE, montecarlo.TERMINATED, montecarlo.ERROR],
+                      [montecarlo.TERMINATED, VALUE, DIVERGED]], dtype=np.int8)
+    stores = np.array(awkward * 3).reshape(2, 3, 2)
+    stores[kinds > montecarlo.TERMINATED] = np.nan
+    ens = montecarlo.Ensemble(program, table, (0.0, 0.0), grid, 0, DEFAULT_FUEL, (5, 6), kinds,
+                              stores, np.full((2, 3), np.nan))
+    buf = io.StringIO()
+    write_ensemble_csv(ens, buf)
+    status = ("ok", "terminated", "error", "diverged")
+    want = [[str(r), repr(t), *([repr(v) for v in stores[r, p].tolist()]
+                                if kinds[r, p] <= montecarlo.TERMINATED else ["", ""]),
+             status[kinds[r, p]]]
+            for r in range(2) for p, t in enumerate(grid.times)]
+    assert list(csv.reader(io.StringIO(buf.getvalue())))[1:] == want
+
+    buf = io.StringIO()
+    write_series_csv(montecarlo.ProbabilitySeries(grid.times, awkward[::2], (0, 1)), buf)
+    assert list(csv.reader(io.StringIO(buf.getvalue())))[1:] == [
+        [repr(t), repr(f), str(n)] for t, f, n in zip(grid.times, awkward[::2], (0, 1))]
+
+    buf = io.StringIO()
+    edges = tuple(sorted(awkward))
+    write_histogram_csv(montecarlo.HistogramResult((1, 2, 3), edges, 4), buf)
+    assert list(csv.reader(io.StringIO(buf.getvalue())))[1:] == [
+        *([repr(a), repr(b), str(n)] for a, b, n in zip(edges, edges[1:], (1, 2, 3))),
+        ["excluded", "", "4"]]
+
+
 # --- the array reader against the canonical rerun, point by point -----------
 
 def _assert_reader_matches_canonical(program, store, grid, seed, fuel=DEFAULT_FUEL, method=None):
@@ -479,20 +542,24 @@ def _assert_same_arrays(a, b):
     assert a.seeds == b.seeds
 
 
-def test_parallel_arrays_and_views_equal_serial():
+def test_parallel_arrays_and_views_equal_serial(monkeypatch):
+    _FakePool.made = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     program, table = parse_file(PROGRAMS / "ball.swl")
-    grid = TimeGrid.regular(0.0, 5.0, 0.1)
+    grid = TimeGrid.regular(0.0, 5.0, 0.5)
     store = make_store(table)
     for fast in (True, False):
-        serial = run_ensemble(program, table, store, grid, runs=5, base_seed=8, fuel=60,
+        serial = run_ensemble(program, table, store, grid, runs=513, base_seed=8, fuel=60,
                               fast=fast)
-        parallel = run_ensemble(program, table, store, grid, runs=5, base_seed=8, fuel=60,
+        parallel = run_ensemble(program, table, store, grid, runs=513, base_seed=8, fuel=60,
                                 fast=fast, workers=2)
         _assert_same_arrays(serial, parallel)
         assert serial.trajectories == parallel.trajectories
-        again = run_ensemble(program, table, store, grid, runs=5, base_seed=8, fuel=60,
+        again = run_ensemble(program, table, store, grid, runs=513, base_seed=8, fuel=60,
                              fast=fast)
         assert again.trajectories == serial.trajectories
+    assert [[len(t[3]) for t in pool.tasks] for pool in _FakePool.made] == [[257, 256]] * 2
 
 
 def test_arrays_agree_between_modes():
@@ -524,23 +591,33 @@ class _FakePool:
         return map(fn, self.tasks)
 
 
-@pytest.mark.parametrize("workers, want", [(10000, 3), (3, 3), (2, 2), (1, None)])
-def test_workers_are_capped_at_the_available_cpus(monkeypatch, workers, want):
+def _assert_fan_out(monkeypatch, runs, workers, want):
+    """`want` workers (None: serial) over 3 available CPUs, same arrays."""
     _FakePool.made = []
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 2, 5})
     program, table = parse_file(PROGRAMS / "ctrw.swl")
     grid = TimeGrid.regular(0.0, 2.0, 0.5)
     store = make_store(table)
-    ens = run_ensemble(program, table, store, grid, runs=10, base_seed=1, workers=workers)
+    ens = run_ensemble(program, table, store, grid, runs=runs, base_seed=1, workers=workers)
     if want is None:
         assert _FakePool.made == []
     else:
         (pool,) = _FakePool.made
         assert pool.max_workers == want == len(pool.tasks)
-        assert [len(t[3]) for t in pool.tasks] == [-(-10 // want)] * (want - 1) + [
-            10 - (want - 1) * -(-10 // want)]
-    _assert_same_arrays(ens, run_ensemble(program, table, store, grid, runs=10, base_seed=1))
+        assert [len(t[3]) for t in pool.tasks] == [-(-runs // want)] * (want - 1) + [
+            runs - (want - 1) * -(-runs // want)]
+    _assert_same_arrays(ens, run_ensemble(program, table, store, grid, runs=runs, base_seed=1))
+
+
+@pytest.mark.parametrize("workers, want", [(10000, 3), (3, 3), (2, 2), (1, None)])
+def test_workers_are_capped_at_the_available_cpus(monkeypatch, workers, want):
+    _assert_fan_out(monkeypatch, 1000, workers, want)
+
+
+@pytest.mark.parametrize("runs, want", [(767, 2), (511, None)])
+def test_workers_are_capped_at_one_per_frontier_chunk(monkeypatch, runs, want):
+    _assert_fan_out(monkeypatch, runs, 10000, want)
 
 
 def test_workers_fall_back_to_the_cpu_count(monkeypatch):
@@ -550,7 +627,7 @@ def test_workers_fall_back_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     program, table = parse_file(PROGRAMS / "ctrw.swl")
     grid = TimeGrid.regular(0.0, 2.0, 0.5)
-    run_ensemble(program, table, make_store(table), grid, runs=10, base_seed=1, workers=10000)
+    run_ensemble(program, table, make_store(table), grid, runs=1024, base_seed=1, workers=10000)
     assert [pool.max_workers for pool in _FakePool.made] == [4]
 
 
