@@ -133,6 +133,22 @@ def test_simulate_ball_csv(tmp_path, capsys):
     assert len(lines) == 1 + 51
 
 
+GOLDEN_SIMULATE = ROOT / "tests" / "golden" / "simulate"
+SIMULATE_CASES = [line.split()
+                  for line in (GOLDEN_SIMULATE / "cases.txt").read_text().splitlines()
+                  if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("case", SIMULATE_CASES, ids=lambda case: case[0])
+def test_simulate_matches_golden(case, capsys):
+    # pins the bytes of the ensemble CSV (terminated and diverged rows
+    # included), a --check series, an --interval result and a --hist
+    name, path, *args = case
+    code, out, _ = run_cli(capsys, "simulate", ROOT / path, *args)
+    assert code == 0
+    assert out.encode() == (GOLDEN_SIMULATE / f"{name}.csv").read_bytes()
+
+
 def test_simulate_is_reproducible(capsys):
     args = ("simulate", PROGRAMS / "ball.swl", "--runs", "2", "--end", "2", "--seed", "9")
     code1, out1, _ = run_cli(capsys, *args)
