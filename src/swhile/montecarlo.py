@@ -14,7 +14,19 @@ time:
 
 Every statistic and writer reads these arrays; `Ensemble.trajectories` and
 `sample_trajectory` build `Trajectory` views of them on demand, with one
-`Value`/`TerminatedEarly`/`ErrorAt`/`Diverged` object per point.
+`Value`/`TerminatedEarly`/`ErrorAt`/`Diverged` object per point.  None of
+them goes through the views or through Python one point at a time:
+
+* `probability_over_time` and `interval_probability` evaluate the
+  condition once over the (runs x points, variables) store block with
+  `frontier._truth`, the columnar form of `eval_bool` that the frontier
+  recorder evaluates guards with; a point counts when it carries a store
+  and its condition is defined and true;
+* `histogram` and `moments` read one variable over the runs at one grid
+  time;
+* `write_ensemble_csv` formats a chunk of runs at a time, each distinct
+  float of the chunk once, and writes each run's rows in one piece.  CSV
+  floats are Python `repr`s, which read back to the same float.
 
 Two evaluation modes fill the arrays:
 
@@ -48,13 +60,13 @@ small-step transitions, and an outcome reached after more than `fuel`
 steps is Diverged in either mode, so fuel cut-offs agree too.
 
 A parallel run splits the runs into one chunk of consecutive runs per
-worker process, at most one worker per available CPU and one per
-_FRONTIER_FIRST runs, as a worker's start-up outweighs recording fewer
-runs; an ensemble too small for two workers runs serially, in process.
-Each worker records its chunk by the same rule, returns its
-chunk's arrays, and the parent concatenates them in run order, so the
-output is byte-identical to a serial run.  An ensemble holds at most
-MAX_ENSEMBLE_POINTS points.
+worker process, the chunks differing by at most one run, with at most one
+worker per available CPU and one per _FRONTIER_FIRST runs, as a worker's
+start-up outweighs recording fewer runs; an ensemble too small for two
+workers runs serially, in process.  Each worker records its chunk by the
+same rule, returns its chunk's arrays, and the parent concatenates them in
+run order, so the output is byte-identical to a serial run.  An ensemble
+holds at most MAX_ENSEMBLE_POINTS points.
 
 Error and fuel-exhausted runs are excluded from value statistics but
 always reported as counts next to them.
@@ -62,7 +74,6 @@ always reported as counts next to them.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -75,8 +86,8 @@ from . import frontier, ode
 from .bigstep import eval_big
 from .entropy import from_seed, split_seed
 from .smallstep import Config, DEFAULT_FUEL, Err, Normal, TimeStop, _close
-from .store import Store, Undefined, eval_bool
-from .store import eval_expr  # noqa: F401 -- unused here; tracers patch it by name
+from .store import Store
+from .store import eval_bool, eval_expr  # noqa: F401 -- unused here; tracers patch them by name
 from .syntax import Program, VarTable
 
 
@@ -474,9 +485,10 @@ def run_ensemble(
     Results are aggregated by run index, so a parallel run (`workers` > 1)
     produces byte-identical output to a serial one.  A parallel run starts
     P = min(workers, runs // _FRONTIER_FIRST, available CPUs) worker
-    processes, each reading a chunk of ceil(runs / P) consecutive runs, so
-    no worker starts for fewer than about _FRONTIER_FIRST (256) runs; with
-    P <= 1 it runs serially, in process.
+    processes, worker i reading runs [runs * i // P, runs * (i + 1) // P),
+    so the chunks differ by at most one run and no worker holds fewer than
+    runs // P >= _FRONTIER_FIRST (256) runs; with P <= 1 it runs serially,
+    in process.
     An ensemble of more than MAX_ENSEMBLE_POINTS points (runs x grid times)
     is refused before any seed is split.
     """
@@ -490,9 +502,9 @@ def run_ensemble(
     seeds = tuple(split_seed(base_seed, i) for i in range(runs))
     workers = min(workers or 1, runs // _FRONTIER_FIRST, _available_cpus())
     if workers > 1:
-        chunk = -(-runs // workers)
-        tasks = [(program, store0, grid, seeds[lo:lo + chunk], fuel, fast, flow_method)
-                 for lo in range(0, runs, chunk)]
+        bounds = [runs * i // workers for i in range(workers + 1)]
+        tasks = [(program, store0, grid, seeds[lo:hi], fuel, fast, flow_method)
+                 for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             parts = list(pool.map(_read_task, tasks))
         arrays = [np.concatenate(part) for part in zip(*parts)]
@@ -508,12 +520,37 @@ def _with_store(ensemble: Ensemble):
     return ensemble.kinds <= TERMINATED
 
 
+def _chunk_runs(array) -> int:
+    """Runs (rows of `array`) that hold at most _CHUNK_CELLS items, at least one."""
+    return max(1, _CHUNK_CELLS // max(1, array[0].size)) if len(array) else 1
+
+
 def _lists(array):
     """The rows of `array` as nested lists of Python numbers, converted at
     most _CHUNK_CELLS items at a time."""
-    step = max(1, _CHUNK_CELLS // max(1, array[0].size)) if len(array) else 1
+    step = _chunk_runs(array)
     for lo in range(0, len(array), step):
         yield from array[lo:lo + step].tolist()
+
+
+def _holds(ensemble: Ensemble, cond, points=slice(None)):
+    """(runs, points) masks of the points where `cond` holds and of those
+    that carry a store, over the grid times `points`.
+
+    The condition is evaluated once over the whole store block, one column
+    per variable, by `frontier._truth`, which computes what `eval_bool`
+    computes at each store; a point holds when it carries a store and its
+    condition is defined and true.
+    """
+    has = _with_store(ensemble)[:, points]
+    stores = ensemble.stores[:, points]
+    live = has.ravel()
+    with np.errstate(all="ignore"):  # NaN and inf are read off `good`, not warned about
+        truth, good = frontier._truth(cond, stores.reshape(-1, stores.shape[2]).T, live)
+    hit = live & truth
+    if good is not None:
+        hit &= good
+    return hit.reshape(has.shape), has
 
 
 @dataclass(frozen=True, slots=True)
@@ -532,19 +569,9 @@ def probability_over_time(ensemble: Ensemble, cond) -> ProbabilitySeries:
     alongside.
     """
     n = len(ensemble.seeds)
-    has = _with_store(ensemble)
-    fractions = []
-    for stores, with_store in zip(_lists(ensemble.stores.swapaxes(0, 1)), _lists(has.T)):
-        hits = 0
-        for store, ok in zip(stores, with_store):
-            if not ok:
-                continue
-            try:
-                if eval_bool(cond, store):
-                    hits += 1
-            except Undefined:
-                pass
-        fractions.append(hits / n)
+    hit, has = _holds(ensemble, cond)
+    # integer counts over an integer: one correctly rounded division each
+    fractions = (hit.sum(axis=0) / n).tolist()
     excluded = (n - has.sum(axis=0)).tolist()
     return ProbabilitySeries(ensemble.grid.times, tuple(fractions), tuple(excluded))
 
@@ -562,26 +589,17 @@ def interval_probability(ensemble: Ensemble, cond, t1: float, t2: float) -> Inte
     """Fraction of runs where `cond` holds at >= 1 grid point in [t1, t2].
 
     Detection is limited to the grid: crossings between sample times are
-    invisible, which the attached note spells out.
+    invisible, which the attached note spells out.  An interval that holds
+    no grid time is refused, as one outside the grid is.
     """
     grid = ensemble.grid
     if not (grid.start <= t1 <= t2 <= grid.end):
         raise ValueError("interval must lie within the grid")
     indices = [i for i, t in enumerate(grid.times) if t1 <= t <= t2]
-    window = slice(indices[0], indices[-1] + 1) if indices else slice(0, 0)
-    has = _with_store(ensemble)[:, window]
-    hits = 0
-    for stores, with_store in zip(_lists(ensemble.stores[:, window]), _lists(has)):
-        for store, ok in zip(stores, with_store):
-            if not ok:
-                continue
-            try:
-                ok = eval_bool(cond, store)
-            except Undefined:
-                ok = False
-            if ok:
-                hits += 1
-                break
+    if not indices:
+        raise ValueError(f"interval [{t1}, {t2}] holds no grid time")
+    hit, has = _holds(ensemble, cond, slice(indices[0], indices[-1] + 1))
+    hits = int(np.count_nonzero(hit.any(axis=1)))
     n = len(ensemble.seeds)
     excluded = int(np.count_nonzero(~has.any(axis=1)))
     note = (
@@ -659,16 +677,35 @@ def moments(ensemble: Ensemble, variable: str, t: float) -> Moments:
 # --- export -------------------------------------------------------------------
 
 def write_ensemble_csv(ensemble: Ensemble, fh) -> None:
-    """Rows (run, t, one column per variable, status)."""
-    # csv.writer writes each float as its repr, which round-trips
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["run", "t", *ensemble.table.names, "status"])
-    blank = [""] * len(ensemble.table)
-    for run, (kinds, stores) in enumerate(zip(_lists(ensemble.kinds), _lists(ensemble.stores))):
-        writer.writerows(
-            [run, t, *(store if kind <= TERMINATED else blank), _STATUS[kind]]
-            for t, kind, store in zip(ensemble.grid.times, kinds, stores)
-        )
+    """Rows (run, t, one column per variable, status), each float as its repr.
+
+    A chunk of runs at a time: each distinct float of the chunk's stores
+    (by bit pattern, so -0.0 keeps its sign) is formatted once, and each
+    run's rows go out in one write.
+    """
+    names = ensemble.table.names
+    width = len(names)
+    fh.write(",".join(["run", "t", *names, "status"]) + "\n")
+    times = [f",{t!r}" for t in ensemble.grid.times]
+    points = len(times)
+    blank = "," * width
+    ends = [f",{status}\n" for status in _STATUS]
+    step = _chunk_runs(ensemble.stores)
+    for lo in range(0, len(ensemble.stores), step):
+        bits, which = np.unique(ensemble.stores[lo:lo + step].view(np.uint64).ravel(),
+                                return_inverse=True)
+        text = [f",{v!r}" for v in bits.view(np.float64).tolist()]
+        cells = list(map(text.__getitem__, which.tolist()))
+        # each point's variable columns, one string a point
+        stores = cells if width == 1 else list(map("".join, zip(*(cells[v::width]
+                                                                  for v in range(width)))))
+        kinds = ensemble.kinds[lo:lo + step]
+        for i in np.flatnonzero(kinds.ravel() > TERMINATED).tolist():
+            stores[i] = blank
+        for r, run_kinds in enumerate(kinds.tolist()):
+            run, base = str(lo + r), r * points
+            fh.write("".join([run + t + store + ends[kind] for t, store, kind in
+                              zip(times, stores[base:base + points], run_kinds)]))
 
 
 def ensemble_json(ensemble: Ensemble) -> dict:
@@ -704,13 +741,13 @@ def write_ensemble_json(ensemble: Ensemble, fh) -> None:
 
 
 def write_series_csv(series: ProbabilitySeries, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "fraction", "excluded"])
-    writer.writerows(zip(series.times, series.fractions, series.excluded))
+    fh.write("t,fraction,excluded\n")
+    fh.write("".join(f"{t!r},{f!r},{n}\n"
+                     for t, f, n in zip(series.times, series.fractions, series.excluded)))
 
 
 def write_histogram_csv(hist: HistogramResult, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["bin_left", "bin_right", "count"])
-    writer.writerows(zip(hist.edges, hist.edges[1:], hist.counts))
-    writer.writerow(["excluded", "", hist.excluded])
+    fh.write("bin_left,bin_right,count\n")
+    fh.write("".join(f"{a!r},{b!r},{n}\n"
+                     for a, b, n in zip(hist.edges, hist.edges[1:], hist.counts)))
+    fh.write(f"excluded,,{hist.excluded}\n")

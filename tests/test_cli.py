@@ -447,6 +447,16 @@ def test_interval_without_check_is_an_error(capsys):
     assert out == "" and err == "error: --interval needs --check\n"
 
 
+def test_interval_holding_no_grid_time_is_an_error(capsys):
+    # used to print excluded,5 and exit 0, although no run erred or diverged
+    code, out, err = run_cli(
+        capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--runs", "5",
+        "--seed", "1", "--check", "p <= 0", "--interval", "0.1", "0.2",
+    )
+    assert code == 1
+    assert out == "" and err == "error: interval [0.1, 0.2] holds no grid time\n"
+
+
 def test_inf_time_exits_cleanly(capsys):
     # run used to burn its whole fuel budget (exit 3); adequacy printed
     # "t": Infinity, which is not JSON, with empty supports and exit 0

@@ -33,7 +33,7 @@ from swhile.entropy import _value_at, from_seed, split_seed
 from swhile.ode import EXACT, RungeKutta4
 from swhile.parser import parse_bool_expr, parse_file, parse_program
 from swhile.smallstep import DEFAULT_FUEL, Config, OutOfFuel
-from swhile.store import make_store
+from swhile.store import Undefined, eval_bool, make_store
 from swhile.syntax import (
     And,
     Assign,
@@ -270,14 +270,47 @@ def test_parallel_rejects_fewer_than_one_worker():
                          workers=workers)
 
 
+def _oracle_holds(ens, cond):
+    """Per run and grid time: the condition by `eval_bool` at the point's
+    store, False where it is undefined or the point has no store."""
+    def holds(kind, store):
+        if kind > montecarlo.TERMINATED:
+            return False
+        try:
+            return eval_bool(cond, tuple(store))
+        except Undefined:
+            return False
+
+    return [[holds(k, s) for k, s in zip(kinds, stores)]
+            for kinds, stores in zip(ens.kinds.tolist(), ens.stores.tolist())]
+
+
+def _assert_stats_match_eval_bool(ens, cond):
+    """The series and some intervals equal a per-point `eval_bool` count."""
+    holds, n = _oracle_holds(ens, cond), len(ens.seeds)
+    with_store = (ens.kinds <= montecarlo.TERMINATED).tolist()
+    series = probability_over_time(ens, cond)
+    assert series.fractions == tuple(sum(column) / n for column in zip(*holds))
+    assert series.excluded == tuple(n - sum(column) for column in zip(*with_store))
+    assert all(type(f) is float for f in series.fractions)
+    times = ens.grid.times
+    last = len(times) - 1
+    for i, j in ((0, last), (last // 2, last // 2), (1, last), (0, last // 2)):
+        result = interval_probability(ens, cond, times[i], times[j])
+        hits = sum(any(row[i:j + 1]) for row in holds)
+        assert (result.satisfying_runs, result.fraction, result.runs) == (hits, hits / n, n)
+        assert result.excluded == sum(not any(row[i:j + 1]) for row in with_store)
+    return series
+
+
 def test_probability_series_literals():
     program, table = parse_program("x := 0 ; wait 10")
     grid = TimeGrid.regular(0.0, 2.0, 1.0)
     ens = run_ensemble(program, table, (0.0,), grid, runs=4, base_seed=0)
-    always = probability_over_time(ens, parse_bool_expr("tt", table))
+    always = _assert_stats_match_eval_bool(ens, parse_bool_expr("tt", table))
     assert always.fractions == (1.0, 1.0, 1.0)
     assert always.excluded == (0, 0, 0)
-    never = probability_over_time(ens, parse_bool_expr("ff", table))
+    never = _assert_stats_match_eval_bool(ens, parse_bool_expr("ff", table))
     assert never.fractions == (0.0, 0.0, 0.0)
 
 
@@ -285,7 +318,7 @@ def test_probability_counts_error_runs_as_excluded():
     program, table = parse_program("x := 1/0")
     grid = TimeGrid.from_times((0.0, 1.0))
     ens = run_ensemble(program, table, (0.0,), grid, runs=3, base_seed=0)
-    series = probability_over_time(ens, parse_bool_expr("tt", table))
+    series = _assert_stats_match_eval_bool(ens, parse_bool_expr("tt", table))
     assert series.fractions == (0.0, 0.0)
     assert series.excluded == (3, 3)
 
@@ -295,9 +328,59 @@ def test_probability_undefined_condition_counts_as_false():
     grid = TimeGrid.from_times((0.0, 1.0))
     ens = run_ensemble(program, table, (0.0,), grid, runs=3, base_seed=0)
     undefined = parse_bool_expr("1/x <= 1", table)  # 1/0 at every store
-    series = probability_over_time(ens, undefined)
+    series = _assert_stats_match_eval_bool(ens, undefined)
     assert series.fractions == (0.0, 0.0)
     assert series.excluded == (0, 0)  # runs are healthy, the guard is not
+
+
+# stores that make parts of a condition undefined: zeros of both signs,
+# negatives under ln and sqrt, and x = 710 or 1e16, where exp overflows
+_AWKWARD = (0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 1e16, 1e-05, 710.0, -2.5, 4.0)
+
+
+def _awkward_ensemble(runs, times, seed):
+    """An ensemble over (x, y, z) of every outcome kind, with awkward and
+    random stores; NaN where a point carries no store, as `run_ensemble`
+    leaves it."""
+    rng = random.Random(seed)
+    program, table = parse_program("x := 0 ; y := 0 ; z := 0")
+    grid = TimeGrid.from_times(times)
+    shape = (runs, len(times))
+    kinds = np.array(rng.choices(range(4), weights=(6, 2, 1, 1), k=runs * len(times)),
+                     dtype=np.int8).reshape(shape)
+    stores = np.array([rng.choice(_AWKWARD) if rng.random() < 0.6 else rng.uniform(-3, 3)
+                       for _ in range(kinds.size * 3)]).reshape(*shape, 3)
+    stores[kinds > montecarlo.TERMINATED] = np.nan
+    seeds = tuple(range(runs))
+    return montecarlo.Ensemble(program, table, (0.0, 0.0, 0.0), grid, 0, DEFAULT_FUEL, seeds,
+                               kinds, stores, np.full(shape, np.nan))
+
+
+@pytest.mark.parametrize("text", [
+    "1 / x <= 1",  # division by zero, of either sign
+    "ln(x) <= 1", "sqrt(y) <= 2", "exp(x) <= 5 || exp(z) <= 1",  # domain errors, overflow
+    "tt || 1 / x <= 0", "ff && ln(y) <= 0",  # an undefined operand poisons And and Or
+    "x <= y && (ln(z) <= 0 || sqrt(-x) <= 1)",
+    "tt", "ff", "ln(0) <= 1", "1 <= 2",  # constant conditions, one of them undefined
+    "y <= x * 1e300",  # overflow to inf
+])
+def test_statistics_equal_a_per_point_eval_bool(text):
+    ens = _awkward_ensemble(40, (0.0, 0.25, 0.1 + 0.2, 1.0, 2.0, 5.0), seed=len(text))
+    assert set(ens.kinds.ravel().tolist()) == {0, 1, 2, 3}
+    _assert_stats_match_eval_bool(ens, parse_bool_expr(text, ens.table))
+
+
+def test_statistics_equal_a_per_point_eval_bool_on_simulated_runs():
+    # terminated (positioning_exact) and diverged (ball under little fuel) rows
+    for name, fuel, text, kind in (
+            ("positioning_exact", DEFAULT_FUEL, "ln(p - 1) <= 0.5", montecarlo.TERMINATED),
+            ("ball", 40, "ln(p) <= 2.2 || sqrt(v) <= 1", DIVERGED)):
+        program, table = parse_file(PROGRAMS / f"{name}.swl")
+        grid = TimeGrid.regular(0.0, 5.0, 0.25)
+        ens = run_ensemble(program, table, make_store(table), grid, runs=20, base_seed=4,
+                           fuel=fuel)
+        assert kind in ens.kinds
+        _assert_stats_match_eval_bool(ens, parse_bool_expr(text, table))
 
 
 def test_interval_probability_single_point_reduction():
@@ -305,13 +388,24 @@ def test_interval_probability_single_point_reduction():
     grid = TimeGrid.regular(0.0, 3.0, 1.0)
     ens = run_ensemble(program, table, (0.0,), grid, runs=3, base_seed=5)
     cond = parse_bool_expr("2 <= x", table)
-    series = probability_over_time(ens, cond)
+    series = _assert_stats_match_eval_bool(ens, cond)
     single = interval_probability(ens, cond, 2.0, 2.0)
     assert single.fraction == series.fractions[2]
     assert interval_probability(ens, parse_bool_expr("ff", table), 0.0, 3.0).fraction == 0.0
     assert "grid" in single.note
     with pytest.raises(ValueError):
         interval_probability(ens, cond, -1.0, 2.0)
+
+
+def test_interval_holding_no_grid_time_is_an_error():
+    # used to report every run as excluded although none erred or diverged
+    program, table = parse_file(PROGRAMS / "ball.swl")
+    grid = TimeGrid.regular(0.0, 1.0, 0.5)
+    ens = run_ensemble(program, table, make_store(table), grid, runs=5, base_seed=1)
+    cond = parse_bool_expr("p <= 0", table)
+    with pytest.raises(ValueError, match="holds no grid time"):
+        interval_probability(ens, cond, 0.1, 0.2)
+    assert interval_probability(ens, cond, 0.1, 0.5).excluded == 0
 
 
 def test_interval_counts_each_run_once():
@@ -388,6 +482,19 @@ def test_csv_and_json_export():
     assert buf3.getvalue().splitlines()[0] == "bin_left,bin_right,count"
 
 
+def _csv_writer_oracle(ensemble, fh):
+    """The ensemble CSV as csv.writer writes it, a cell at a time."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["run", "t", *ensemble.table.names, "status"])
+    blank = [""] * len(ensemble.table)
+    status = ("ok", "terminated", "error", "diverged")
+    for run, (kinds, stores) in enumerate(zip(ensemble.kinds.tolist(),
+                                              ensemble.stores.tolist())):
+        writer.writerows(
+            [run, t, *(store if kind <= montecarlo.TERMINATED else blank), status[kind]]
+            for t, kind, store in zip(ensemble.grid.times, kinds, stores))
+
+
 def test_csv_cells_are_the_repr_of_each_float():
     awkward = (0.1 + 0.2, 1e16, 1e-05, -0.0)
     program, table = parse_program("x := 0 ; y := 0")
@@ -406,6 +513,21 @@ def test_csv_cells_are_the_repr_of_each_float():
              status[kinds[r, p]]]
             for r in range(2) for p, t in enumerate(grid.times)]
     assert list(csv.reader(io.StringIO(buf.getvalue())))[1:] == want
+    oracle = io.StringIO()
+    _csv_writer_oracle(ens, oracle)
+    assert buf.getvalue() == oracle.getvalue()
+
+    # more runs than one export chunk holds: run numbers go on across chunks
+    big = _awkward_ensemble(250, (-0.0, 1e-05, 0.1 + 0.2, *range(1, 198), 1e16), seed=3)
+    assert montecarlo._chunk_runs(big.stores) < 250 // 2
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_ensemble_csv(big, buf)
+    _csv_writer_oracle(big, oracle)
+    # the first differing line, not a diff of 50 000 lines
+    lines, want = buf.getvalue().splitlines(True), oracle.getvalue().splitlines(True)
+    assert next(((i, a, b) for i, (a, b) in enumerate(zip(lines, want)) if a != b), None) is None
+    assert len(lines) == len(want) == 1 + 250 * 201
+    assert lines[-1].startswith("249,1e+16,")
 
     buf = io.StringIO()
     write_series_csv(montecarlo.ProbabilitySeries(grid.times, awkward[::2], (0, 1)), buf)
@@ -559,7 +681,7 @@ def test_parallel_arrays_and_views_equal_serial(monkeypatch):
         again = run_ensemble(program, table, store, grid, runs=513, base_seed=8, fuel=60,
                              fast=fast)
         assert again.trajectories == serial.trajectories
-    assert [[len(t[3]) for t in pool.tasks] for pool in _FakePool.made] == [[257, 256]] * 2
+    assert [[len(t[3]) for t in pool.tasks] for pool in _FakePool.made] == [[256, 257]] * 2
 
 
 def test_arrays_agree_between_modes():
@@ -605,8 +727,8 @@ def _assert_fan_out(monkeypatch, runs, workers, want):
     else:
         (pool,) = _FakePool.made
         assert pool.max_workers == want == len(pool.tasks)
-        assert [len(t[3]) for t in pool.tasks] == [-(-runs // want)] * (want - 1) + [
-            runs - (want - 1) * -(-runs // want)]
+        assert [len(t[3]) for t in pool.tasks] == [
+            runs * (i + 1) // want - runs * i // want for i in range(want)]
     _assert_same_arrays(ens, run_ensemble(program, table, store, grid, runs=runs, base_seed=1))
 
 
@@ -618,6 +740,32 @@ def test_workers_are_capped_at_the_available_cpus(monkeypatch, workers, want):
 @pytest.mark.parametrize("runs, want", [(767, 2), (511, None)])
 def test_workers_are_capped_at_one_per_frontier_chunk(monkeypatch, runs, want):
     _assert_fan_out(monkeypatch, runs, 10000, want)
+
+
+def test_worker_chunks_differ_by_at_most_one_run(monkeypatch):
+    # ceil(runs / P) runs a chunk used to leave the last worker 8 runs here,
+    # too few for a frontier pass
+    _FakePool.made = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(250)),
+                        raising=False)
+
+    def unread(task):  # arrays of the right shape, nothing recorded
+        _, store0, grid, seeds = task[:4]
+        shape = (len(seeds), len(grid.times))
+        return np.zeros(shape, np.int8), np.zeros((*shape, len(store0))), np.zeros(shape)
+
+    monkeypatch.setattr(montecarlo, "_read_task", unread)
+    program, table = parse_file(PROGRAMS / "ctrw.swl")
+    grid = TimeGrid.from_times((0.0, 1.0))
+    ens = run_ensemble(program, table, make_store(table), grid, runs=64001, base_seed=1,
+                       workers=250)
+    (pool,) = _FakePool.made
+    sizes = [len(t[3]) for t in pool.tasks]
+    assert len(sizes) == pool.max_workers == 250
+    assert sorted(set(sizes)) == [256, 257]
+    assert tuple(seed for t in pool.tasks for seed in t[3]) == ens.seeds
+    assert ens.kinds.shape == (64001, 2)
 
 
 def test_workers_fall_back_to_the_cpu_count(monkeypatch):
