@@ -697,8 +697,7 @@ def write_ensemble_csv(ensemble: Ensemble, fh) -> None:
         text = [f",{v!r}" for v in bits.view(np.float64).tolist()]
         cells = list(map(text.__getitem__, which.tolist()))
         # each point's variable columns, one string a point
-        stores = cells if width == 1 else list(map("".join, zip(*(cells[v::width]
-                                                                  for v in range(width)))))
+        stores = list(map("".join, zip(*(cells[v::width] for v in range(width)))))
         kinds = ensemble.kinds[lo:lo + step]
         for i in np.flatnonzero(kinds.ravel() > TERMINATED).tolist():
             stores[i] = blank
