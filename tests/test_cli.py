@@ -139,14 +139,31 @@ SIMULATE_CASES = [line.split()
                   if line and not line.startswith("#")]
 
 
+def _golden_simulate(name, args):
+    """The golden file of a case: its suffix is the case's --format."""
+    fmt = args[args.index("--format") + 1] if "--format" in args else "csv"
+    return (GOLDEN_SIMULATE / f"{name}.{fmt}").read_bytes()
+
+
 @pytest.mark.parametrize("case", SIMULATE_CASES, ids=lambda case: case[0])
 def test_simulate_matches_golden(case, capsys):
-    # pins the bytes of the ensemble CSV (terminated and diverged rows
-    # included), a --check series, an --interval result and a --hist
+    # pins the bytes of the ensemble CSV and JSON (terminated, error and
+    # diverged points included), a --check series, an --interval result and
+    # a --hist, in both formats
     name, path, *args = case
     code, out, _ = run_cli(capsys, "simulate", ROOT / path, *args)
     assert code == 0
-    assert out.encode() == (GOLDEN_SIMULATE / f"{name}.csv").read_bytes()
+    assert out.encode() == _golden_simulate(name, args)
+
+
+@pytest.mark.parametrize("case", SIMULATE_CASES, ids=lambda case: case[0])
+def test_simulate_out_matches_golden(case, tmp_path, capsys):
+    # --out writes the bytes that stdout gets
+    name, path, *args = case
+    target = tmp_path / name
+    code, out, _ = run_cli(capsys, "simulate", ROOT / path, *args, "--out", target)
+    assert code == 0 and out == ""
+    assert target.read_bytes() == _golden_simulate(name, args)
 
 
 def test_simulate_is_reproducible(capsys):
