@@ -10,6 +10,7 @@ adequacy check), 2 evaluation error, 3 fuel exhaustion, 4 I/O failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import secrets
 import sys
@@ -19,14 +20,13 @@ from .entropy import from_seed
 from .measure import XPoint, dirac
 from .parser import ParseError, parse_bool_expr, parse_file
 # `trace` stays importable as cli.trace: bench/tracing.py wraps it by that name
-from .smallstep import Config, Err, Normal, TimeStop, config_json, trace  # noqa: F401
+from .smallstep import Config, Err, Normal, TimeStop, trace  # noqa: F401
 from .store import make_store
-from .syntax import pretty_print
+from .syntax import (And, Assign, BoolLit, Call, DiffBlock, If, Leq, Lit, Sample, Seq, Var,
+                     VarTable, While, pretty_print)
 
 
 def _expr_json(e):
-    from .syntax import Call, Lit, Var
-
     if isinstance(e, Lit):
         return {"kind": "lit", "value": e.value}
     if isinstance(e, Var):
@@ -37,8 +37,6 @@ def _expr_json(e):
 
 
 def _bool_json(b):
-    from .syntax import And, BoolLit, Leq
-
     if isinstance(b, BoolLit):
         return {"kind": "bool", "value": b.value}
     if isinstance(b, Leq):
@@ -49,8 +47,6 @@ def _bool_json(b):
 
 
 def _program_json(p, table):
-    from .syntax import Assign, DiffBlock, If, Sample, Seq, While
-
     if isinstance(p, Assign):
         return {"kind": "assign", "var": p.var.name, "expr": _expr_json(p.expr)}
     if isinstance(p, Sample):
@@ -75,17 +71,38 @@ def _program_json(p, table):
     raise TypeError(p)
 
 
-def _add_common(sub, init=True, seed=True, fuel=True, flow=True):
-    if init:
-        sub.add_argument("--init", action="append", default=[], metavar="x=V",
-                         help="initial store override (repeatable; default all zeros)")
+def config_text(config: Config, table: VarTable) -> str:
+    """One `run --trace` line: program text, store values and t."""
+    prog = "<skip>" if config.program is None else pretty_print(config.program, table, inline=True)
+    vals = ", ".join(f"{n}={v!r}" for n, v in zip(table.names, config.store))
+    return f"{prog} | {vals} | t={config.t!r}"
+
+
+def config_json(config: Config, table: VarTable) -> str:
+    """One `run --trace --format json` line: program text, store vector, t,
+    entropy position."""
+    return json.dumps(
+        {
+            "program": ""
+            if config.program is None
+            else pretty_print(config.program, table, inline=True),
+            "store": list(config.store),
+            "t": config.t,
+            "entropy": config.entropy.describe(),
+        },
+        sort_keys=True,
+    )
+
+
+def _add_common(sub, seed=True, fuel=True):
+    sub.add_argument("--init", action="append", default=[], metavar="x=V",
+                     help="initial store override (repeatable; default all zeros)")
     if seed:
         sub.add_argument("--seed", type=int, default=None, metavar="U64")
     if fuel:
         sub.add_argument("--fuel", type=int, default=10 ** 6, metavar="K")
-    if flow:
-        sub.add_argument("--flow", default="auto", metavar="exact|rk4:STEP",
-                         help="flow method (default: exact when affine, else rk4:1e-3)")
+    sub.add_argument("--flow", default="auto", metavar="exact|rk4:STEP",
+                     help="flow method (default: exact when affine, else rk4:1e-3)")
 
 
 def _flow_method(text: str):
@@ -141,19 +158,10 @@ def _grid_of(args) -> montecarlo.TimeGrid:
     return montecarlo.TimeGrid.regular(start, args.end, step)
 
 
-def _parsed(parse, *args):
-    """`parse(*args)`; input nested deeper than the recursive parser can
-    follow is a diagnostic (exit 1), not a traceback."""
-    try:
-        return parse(*args)
-    except RecursionError:
-        raise ValueError("nesting too deep to parse") from None
-
-
 def _check_of(args, table):
     """The `--check` condition, with its parse errors placed in its own text."""
     try:
-        return _parsed(parse_bool_expr, args.check, table)
+        return parse_bool_expr(args.check, table)
     except ParseError as exc:
         raise ValueError(f"--check {args.check!r}: {exc}") from None
 
@@ -162,7 +170,7 @@ def _check_of(args, table):
 
 
 def cmd_parse(args) -> int:
-    program, table = _parsed(parse_file, args.file)
+    program, table = parse_file(args.file)
     if args.json:
         print(json.dumps({"variables": list(table.names),
                           "program": _program_json(program, table)}, sort_keys=True))
@@ -173,24 +181,16 @@ def cmd_parse(args) -> int:
 
 
 def cmd_run(args) -> int:
-    program, table = _parsed(parse_file, args.file)
+    program, table = parse_file(args.file)
     store = _initial_store(table, args.init)
     seed = _seed_of(args)
     method = _flow_method(args.flow)
     config = Config(program, store, args.time, from_seed(seed))
-
-    def print_config(c):
-        if args.format == "json":
-            print(config_json(c, table))
-        else:
-            prog = "<skip>" if c.program is None else pretty_print(c.program, table, inline=True)
-            vals = ", ".join(f"{n}={v!r}" for n, v in zip(table.names, c.store))
-            print(f"{prog} | {vals} | t={c.t!r}")
-
+    line = config_json if args.format == "json" else config_text
     # --trace prints each configuration as it is reached and keeps none,
     # so memory stays flat on long runs, traced or not
-    sink = print_config if args.trace else None
-    result, steps, _, _ = smallstep._close(config, args.fuel, method, sink)
+    sink = (lambda c: print(line(c, table))) if args.trace else None
+    result, steps, _ = smallstep._close(config, args.fuel, method, sink)
     rt = type(result)
     if rt is TimeStop:
         vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))
@@ -210,10 +210,40 @@ def cmd_run(args) -> int:
     return 3
 
 
+def _write_interval_csv(result, fh) -> None:
+    fh.write(f"fraction,{result.fraction!r}\nsatisfying_runs,{result.satisfying_runs}\n"
+             f"runs,{result.runs}\nexcluded,{result.excluded}\n# {result.note}\n")
+
+
+def _write_json(result, fh) -> None:
+    """A statistic as one JSON object, with one key per field."""
+    fh.write(json.dumps({f.name: getattr(result, f.name) for f in dataclasses.fields(result)},
+                        sort_keys=True) + "\n")
+
+
+def _result(args, ensemble, cond):
+    """The result the flags ask for -- a statistic, or the ensemble itself
+    when they ask for none -- and its writer (result, fh) for `args.format`."""
+    as_json = args.format == "json"
+    if cond is not None and args.interval is not None:
+        result = montecarlo.interval_probability(ensemble, cond, *args.interval)
+        return result, _write_json if as_json else _write_interval_csv
+    if cond is not None:
+        series = montecarlo.probability_over_time(ensemble, cond)
+        return series, _write_json if as_json else montecarlo.write_series_csv
+    if args.hist:
+        var, _, at = args.hist.rpartition("@")
+        if not var:
+            raise ValueError("--hist expects VAR@T")
+        hist = montecarlo.histogram(ensemble, var, float(at), args.bins)
+        return hist, _write_json if as_json else montecarlo.write_histogram_csv
+    return ensemble, montecarlo.write_ensemble_json if as_json else montecarlo.write_ensemble_csv
+
+
 def cmd_simulate(args) -> int:
     if args.interval is not None and args.check is None:
         raise ValueError("--interval needs --check")
-    program, table = _parsed(parse_file, args.file)
+    program, table = parse_file(args.file)
     cond = None if args.check is None else _check_of(args, table)
     store = _initial_store(table, args.init)
     seed = _seed_of(args)
@@ -223,57 +253,19 @@ def cmd_simulate(args) -> int:
         program, table, store, grid, args.runs, seed,
         fuel=args.fuel, flow_method=method, workers=args.parallel,
     )
-
-    def emit(write_csv, json_payload):
-        # json_payload() builds the JSON value, so a CSV run never does
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                if args.format == "json":
-                    json.dump(json_payload(), fh, sort_keys=True)
-                    fh.write("\n")
-                else:
-                    write_csv(fh)
-        else:
-            if args.format == "json":
-                print(json.dumps(json_payload(), sort_keys=True))
-            else:
-                write_csv(sys.stdout)
-
-    if cond is not None and args.interval is not None:
-        result = montecarlo.interval_probability(ensemble, cond, args.interval[0], args.interval[1])
-        emit(lambda fh: fh.write(
-            f"fraction,{result.fraction!r}\nsatisfying_runs,{result.satisfying_runs}\n"
-            f"runs,{result.runs}\nexcluded,{result.excluded}\n# {result.note}\n"
-        ), lambda: {
-            "fraction": result.fraction,
-            "satisfying_runs": result.satisfying_runs,
-            "runs": result.runs,
-            "excluded": result.excluded,
-            "note": result.note,
-        })
-        return 0
-    if cond is not None:
-        series = montecarlo.probability_over_time(ensemble, cond)
-        emit(lambda fh: montecarlo.write_series_csv(series, fh),
-             lambda: {"times": list(series.times), "fractions": list(series.fractions),
-                      "excluded": list(series.excluded)})
-        return 0
-    if args.hist:
-        var, _, at = args.hist.rpartition("@")
-        if not var:
-            raise ValueError("--hist expects VAR@T")
-        hist = montecarlo.histogram(ensemble, var, float(at), args.bins)
-        emit(lambda fh: montecarlo.write_histogram_csv(hist, fh),
-             lambda: {"counts": list(hist.counts), "edges": list(hist.edges),
-                      "excluded": hist.excluded})
-        return 0
-    emit(lambda fh: montecarlo.write_ensemble_csv(ensemble, fh),
-         lambda: montecarlo.ensemble_json(ensemble))
+    # the result exists before its destination is opened, so a run that
+    # fails leaves no file
+    result, write = _result(args, ensemble, cond)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write(result, fh)
+    else:
+        write(result, sys.stdout)
     return 0
 
 
 def cmd_adequacy(args) -> int:
-    program, table = _parsed(parse_file, args.file)
+    program, table = parse_file(args.file)
     store = _initial_store(table, args.init)
     method = _flow_method(args.flow)
     if args.time and args.grid:
@@ -330,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("parse", help="parse a program and print its normal form")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="emit a machine-readable AST")
+    p.add_argument("--json", action="store_true", help="print a machine-readable AST")
     p.set_defaults(func=cmd_parse)
 
     r = subs.add_parser("run", help="evaluate one program at one time instant")
@@ -353,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hist", default=None, metavar="VAR@T")
     s.add_argument("--bins", type=int, default=10, metavar="B")
     s.add_argument("--check", default=None, metavar="EXPR",
-                   help="boolean condition; emits its probability over time")
+                   help="boolean condition; prints its probability over time")
     s.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"),
                    help="with --check: the fraction of runs where it holds at a grid time in [A, B]")
     s.add_argument("--parallel", type=int, default=None, metavar="P",
@@ -391,6 +383,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # grid/store/flag validation raises ValueError with a usable message
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # input nested deeper than the recursive parser and printers follow
+        print("error: nesting too deep to parse", file=sys.stderr)
         return 1
 
 

@@ -286,7 +286,6 @@ class _Pass:
         self.alive = np.ones(runs, dtype=bool)  # replaced, never changed in place
         self.count = runs  # alive runs
         self.segments = []  # (block, runs, entry stores, durations, steps), as recorded
-        self.halted = {}  # id(block) -> whether its flows leave every store unchanged
 
     def stop(self, rows, outcome):
         """End the runs in bool array `rows` with `outcome`."""
@@ -439,10 +438,7 @@ class _Pass:
         idx = np.flatnonzero(live)
         if not len(idx):
             return
-        halted = self.halted.get(id(node))
-        if halted is None:
-            halted = self.halted[id(node)] = ode.halts(node, self.flow_method)
-        if not halted:
+        if not ode.halts(node, self.flow_method):
             out, defined = ode.flow_rows(node, X[:, idx].T, d[idx], self.flow_method)
             X[:, idx] = out.T
             if not defined.all():

@@ -14,8 +14,9 @@ time:
 
 Every statistic and writer reads these arrays; `Ensemble.trajectories` and
 `sample_trajectory` build `Trajectory` views of them on demand, with one
-`Value`/`TerminatedEarly`/`ErrorAt`/`Diverged` object per point.  None of
-them goes through the views or through Python one point at a time:
+`Value`/`TerminatedEarly`/`ErrorAt`/`Diverged` object per point.  No
+statistic or writer goes through the views, and only the JSON writer goes
+through Python one point at a time:
 
 * `probability_over_time` and `interval_probability` evaluate the
   condition once over the (runs x points, variables) store block with
@@ -27,6 +28,8 @@ them goes through the views or through Python one point at a time:
 * `write_ensemble_csv` formats a chunk of runs at a time, each distinct
   float of the chunk once, and writes each run's rows in one piece.  CSV
   floats are Python `repr`s, which read back to the same float.
+* `write_ensemble_json` encodes and writes one run's JSON object at a
+  time, so it holds one run's point objects, not the ensemble's.
 
 Two evaluation modes fill the arrays:
 
@@ -261,33 +264,21 @@ def _read_runs(program, store0, grid, seeds, fuel, fast, flow_method):
     return kinds, stores, event_times
 
 
-def _canonical_point(program, store0, g, seed, fuel, flow_method):
-    result, _, _, last = _close(Config(program, store0, g, from_seed(seed)), fuel, flow_method)
-    rt = type(result)
-    if rt is TimeStop:
-        return Value(result.store)
-    if rt is Normal:
-        return TerminatedEarly(result.store, g - result.t)
-    if rt is Err:
-        return ErrorAt(g - last.t)
-    return Diverged(fuel)
-
-
 def _read_canonical(program, store0, grid, seeds, fuel, flow_method, kinds, stores, event_times):
     for r, seed in enumerate(seeds):
         for p, g in enumerate(grid.times):
-            pt = _canonical_point(program, store0, g, seed, fuel, flow_method)
-            t = type(pt)
-            if t is Value:
+            result, _, last = _close(Config(program, store0, g, from_seed(seed)), fuel, flow_method)
+            rt = type(result)
+            if rt is TimeStop:
                 kinds[r, p] = VALUE
-                stores[r, p] = pt.store
-            elif t is TerminatedEarly:
+                stores[r, p] = result.store
+            elif rt is Normal:
                 kinds[r, p] = TERMINATED
-                stores[r, p] = pt.store
-                event_times[r, p] = pt.time
-            elif t is ErrorAt:
+                stores[r, p] = result.store
+                event_times[r, p] = g - result.t
+            elif rt is Err:
                 kinds[r, p] = ERROR
-                event_times[r, p] = pt.time
+                event_times[r, p] = g - last.t
             else:
                 kinds[r, p] = DIVERGED
 
@@ -707,8 +698,9 @@ def write_ensemble_csv(ensemble: Ensemble, fh) -> None:
                               zip(times, stores[base:base + points], run_kinds)]))
 
 
-def ensemble_json(ensemble: Ensemble) -> dict:
-    runs = []
+def _runs_json(ensemble: Ensemble):
+    """Each run's JSON object, in run order: its seed and one object per
+    grid point."""
     for seed, kinds, stores, event_times in zip(ensemble.seeds, _lists(ensemble.kinds),
                                                 _lists(ensemble.stores),
                                                 _lists(ensemble.event_times)):
@@ -725,18 +717,36 @@ def ensemble_json(ensemble: Ensemble) -> dict:
             else:
                 entry["budget"] = ensemble.fuel
             points.append(entry)
-        runs.append({"seed": seed, "points": points})
+        yield {"seed": seed, "points": points}
+
+
+def ensemble_json(ensemble: Ensemble) -> dict:
     return {
         "variables": list(ensemble.table.names),
         "times": list(ensemble.grid.times),
         "base_seed": ensemble.base_seed,
-        "runs": runs,
+        "runs": list(_runs_json(ensemble)),
     }
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+
+
 def write_ensemble_json(ensemble: Ensemble, fh) -> None:
-    json.dump(ensemble_json(ensemble), fh, sort_keys=True)
-    fh.write("\n")
+    """The text of `json.dumps(ensemble_json(ensemble), sort_keys=True)`
+    and a newline, written one run at a time, so that only one run's
+    point objects are held at once.
+
+    The keys sort as base_seed, runs, times, variables: the runs go
+    between the first key and the last two.
+    """
+    tail = _ENCODE({"times": list(ensemble.grid.times), "variables": list(ensemble.table.names)})
+    fh.write(f'{{"base_seed": {_ENCODE(ensemble.base_seed)}, "runs": [')
+    sep = ""
+    for run in _runs_json(ensemble):
+        fh.write(sep + _ENCODE(run))
+        sep = ", "
+    fh.write(f"], {tail[1:]}\n")
 
 
 def write_series_csv(series: ProbabilitySeries, fh) -> None:

@@ -166,10 +166,13 @@ _NON_AFFINE = object()  # exact-flow marker: the system is not affine
 class _Flows:
     """A block's compiled flows, each built on its first use."""
 
-    __slots__ = ("exact", "rk4")
+    __slots__ = ("exact", "rows", "rk4")
 
     def __init__(self):
         self.exact = None  # (store, tau) -> store, or _NON_AFFINE
+        # (stores, taus) -> (out, defined) for the exact flow, or None where
+        # `flow_rows` flows one row at a time; set together with `exact`
+        self.rows = None
         self.rk4 = None  # (store, tau, step) -> store, from _rk4_kernel
 
 
@@ -210,10 +213,19 @@ def _flow_expm(expm, m, store: Store, tau: float) -> Store:
     return out
 
 
+def _copy_rows(stores: np.ndarray, taus: np.ndarray):
+    """`_halted` over rows: every store unchanged, every flow defined."""
+    return stores.copy(), np.ones(len(stores), dtype=bool)
+
+
 def _exact_flow(block: DiffBlock):
-    """The exact flow of `block` as a function (store, tau) -> store, or
-    `_NON_AFFINE`."""
-    exact = _NON_AFFINE
+    """The exact flow of `block` and its row form, for `_Flows`.
+
+    The exact flow is a function (store, tau) -> store, or `_NON_AFFINE`.
+    Its row form runs the same arithmetic over many rows at once: Horner
+    rows for a nilpotent block, a copy for a halted one, or None.
+    """
+    exact, rows = _NON_AFFINE, None
     affine = classify_affine(block)
     if affine is not None:
         a, c = affine
@@ -222,7 +234,7 @@ def _exact_flow(block: DiffBlock):
         m[:n, :n] = a
         m[:n, n] = c
         if not m.any():
-            exact = _halted
+            exact, rows = _halted, _copy_rows
         else:
             powers = [m]
             while powers[-1].any() and len(powers) <= n:
@@ -232,8 +244,9 @@ def _exact_flow(block: DiffBlock):
 
                 exact = partial(_flow_expm, expm, m)
             else:
-                exact = partial(_flow_polynomial, _polynomial_rows(powers[:-1], n))
-    return exact
+                horner = _polynomial_rows(powers[:-1], n)
+                exact, rows = partial(_flow_polynomial, horner), partial(_horner_rows, horner)
+    return exact, rows
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -272,6 +285,14 @@ def _flows(block: DiffBlock) -> _Flows:
     return flows
 
 
+def _classified(block: DiffBlock) -> _Flows:
+    """The block's `_Flows`, with its exact flow classified."""
+    flows = _flows(block)
+    if flows.exact is None:
+        flows.exact, flows.rows = _exact_flow(block)
+    return flows
+
+
 def flow(block: DiffBlock, store: Store, tau: float, method: FlowMethod | None = None) -> Store:
     """phi(store, tau): evolve the store tau time units along the block.
 
@@ -289,7 +310,7 @@ def flow(block: DiffBlock, store: Store, tau: float, method: FlowMethod | None =
         return _rk4(block, flows, store, tau, method.step)
     exact = flows.exact
     if exact is None:
-        exact = flows.exact = _exact_flow(block)
+        exact = _classified(block).exact
     if exact is not _NON_AFFINE:
         return exact(store, tau)
     if method is None:
@@ -311,10 +332,7 @@ def halts(block: DiffBlock, method: FlowMethod | None = None) -> bool:
     unchanged: the exact flow of a block whose derivatives are all zero."""
     if isinstance(method, RungeKutta4):
         return False  # an RK4 step adds zeros, which turns -0.0 into 0.0
-    flows = _flows(block)
-    if flows.exact is None:
-        flows.exact = _exact_flow(block)
-    return flows.exact is _halted
+    return _classified(block).rows is _copy_rows
 
 
 def flow_rows(block: DiffBlock, stores: np.ndarray, taus: np.ndarray,
@@ -326,16 +344,10 @@ def flow_rows(block: DiffBlock, stores: np.ndarray, taus: np.ndarray,
     vector.  Rows whose flow is undefined have defined[n] False and
     unspecified contents.
     """
-    exact = None
     if not isinstance(method, RungeKutta4):
-        flows = _flows(block)
-        exact = flows.exact
-        if exact is None:
-            exact = flows.exact = _exact_flow(block)
-    if exact is _halted:
-        return stores.copy(), np.ones(len(stores), dtype=bool)
-    if type(exact) is partial and exact.func is _flow_polynomial:
-        return _horner_rows(exact.args[0], stores, taus)
+        rows = _classified(block).rows
+        if rows is not None:
+            return rows(stores, taus)
     out = []
     defined = np.ones(len(stores), dtype=bool)
     for n, (store, tau) in enumerate(zip(stores.tolist(), taus.tolist())):

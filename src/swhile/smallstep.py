@@ -31,7 +31,6 @@ how deeply the Seqs nest.  `step` is the closure with one unit of fuel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import ode
@@ -42,9 +41,7 @@ from .syntax import (
     If,
     Sample,
     Seq,
-    VarTable,
     While,
-    pretty_print,
 )
 
 DEFAULT_FUEL = 10 ** 6
@@ -178,7 +175,7 @@ def step(config: Config, flow_method=None) -> StepOutcome:
     """
     if config.program is None:
         raise ValueError("cannot step the empty program stack")
-    out, _, _, last = _close(config, 1, flow_method)
+    out, _, last = _close(config, 1, flow_method)
     # one step that completes the program or leaves work stops at Normal
     # or OutOfFuel; either way `last` is the successor configuration
     return Resume(last) if type(out) in (Normal, OutOfFuel) else out
@@ -187,14 +184,12 @@ def step(config: Config, flow_method=None) -> StepOutcome:
 def _close(config: Config, fuel: int, flow_method=None, sink=None):
     """Iterate the transition relation to a terminal.
 
-    Returns (result, steps, None, last), where `last` is the final
+    Returns (result, steps, last), where `last` is the final
     configuration reached -- for Err outcomes its `t` field is the
     remaining time at the erroring step.  Configurations are built only
     for `sink` (when given, it is called with each configuration visited,
     the first included, as soon as it is reached, and none is kept) and
-    for `last`.  The third slot is always None: it keeps the four-value
-    shape that callers unpack (bench/tracing.py reads the step count at
-    index 1).
+    for `last`.
 
     The residual program is kept as a zipper: a focus node and the stack
     `rests` of the `rest` of every Seq above it, innermost on top.  A
@@ -214,17 +209,17 @@ def _close(config: Config, fuel: int, flow_method=None, sink=None):
     while True:
         if focus is None:
             if not rests:
-                return Normal(store, t, entropy), steps, None, Config(None, store, t, entropy)
+                return Normal(store, t, entropy), steps, Config(None, store, t, entropy)
             focus = pop()
         while type(focus) is Seq:
             push(focus.rest)
             focus = focus.first
         if steps >= fuel:
-            return OutOfFuel(steps), steps, None, Config(_term(focus, rests), store, t, entropy)
+            return OutOfFuel(steps), steps, Config(_term(focus, rests), store, t, entropy)
         out = _rule(focus, store, t, entropy, flow_method)
         steps += 1
         if type(out) is not tuple:
-            return out, steps, None, Config(_term(focus, rests), store, t, entropy)
+            return out, steps, Config(_term(focus, rests), store, t, entropy)
         focus, store, t, entropy = out
         # the empty-stack configuration IS the Normal terminal; listing
         # it again as an intermediate configuration would double it
@@ -238,27 +233,12 @@ def run_to_terminal(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
     OutOfFuel reports divergence within the budget and is distinct from
     Err, which is a genuine evaluation error.
     """
-    result, _, _, _ = _close(config, fuel, flow_method)
+    result, _, _ = _close(config, fuel, flow_method)
     return result
 
 
 def trace(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):
     """The exact sequence of configurations visited, plus the terminal."""
     configs = []
-    result, _, _, _ = _close(config, fuel, flow_method, configs.append)
+    result, _, _ = _close(config, fuel, flow_method, configs.append)
     return configs, result
-
-
-def config_json(config: Config, table: VarTable) -> str:
-    """One trace line: program text, store vector, t, entropy position."""
-    return json.dumps(
-        {
-            "program": ""
-            if config.program is None
-            else pretty_print(config.program, table, inline=True),
-            "store": list(config.store),
-            "t": config.t,
-            "entropy": config.entropy.describe(),
-        },
-        sort_keys=True,
-    )

@@ -52,7 +52,7 @@ def test_recorded_steps_number_small_step_transitions():
         else:
             assert big == OutOfFuel(200) and segments[-1][3] == 201
         configs = []
-        small, steps, _, _ = _close(config, 10 ** 4, method, configs.append)
+        small, steps, _ = _close(config, 10 ** 4, method, configs.append)
         if isinstance(big, OutOfFuel) or isinstance(small, OutOfFuel):
             continue
         *flows, (_, _, _, last_step) = segments

@@ -397,6 +397,18 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys):
     assert out == "" and "nesting too deep" in err
 
 
+def test_deep_parse_json_is_a_diagnostic(tmp_path, capsys):
+    # the parser reads a flat statement list, but its JSON AST nests one
+    # "seq" per statement: that used to end in a RecursionError traceback
+    flat = tmp_path / "flat.swl"
+    flat.write_text(" ;\n".join(["x := x + 1"] * 1500))
+    code, out, err = run_cli(capsys, "parse", "--json", flat)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "nesting too deep" in err
+
+
 def test_auto_seed_is_reported(capsys):
     code, _, err = run_cli(
         capsys, "simulate", PROGRAMS / "timestop.swl", "--runs", "1", "--grid", "0:1:1"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,6 @@ from swhile.montecarlo import (
     TerminatedEarly,
     TimeGrid,
     Value,
-    _canonical_point,
     ensemble_json,
     histogram,
     interval_probability,
@@ -25,6 +25,7 @@ from swhile.montecarlo import (
     run_ensemble,
     sample_trajectory,
     write_ensemble_csv,
+    write_ensemble_json,
     write_histogram_csv,
     write_series_csv,
 )
@@ -32,7 +33,7 @@ from swhile.bigstep import eval_big
 from swhile.entropy import _value_at, from_seed, split_seed
 from swhile.ode import EXACT, RungeKutta4
 from swhile.parser import parse_bool_expr, parse_file, parse_program
-from swhile.smallstep import DEFAULT_FUEL, Config, OutOfFuel
+from swhile.smallstep import DEFAULT_FUEL, Config, Err, Normal, OutOfFuel, TimeStop, _close
 from swhile.store import Undefined, eval_bool, make_store
 from swhile.syntax import (
     And,
@@ -470,6 +471,9 @@ def test_csv_and_json_export():
     assert payload["variables"] == ["p", "v", "d"]
     assert len(payload["runs"]) == 2
     json.dumps(payload)  # serializable
+    buf = io.StringIO()
+    write_ensemble_json(ens, buf)
+    assert buf.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
 
     series = probability_over_time(ens, parse_bool_expr("0 <= p", table))
     buf2 = io.StringIO()
@@ -480,6 +484,30 @@ def test_csv_and_json_export():
     buf3 = io.StringIO()
     write_histogram_csv(hist, buf3)
     assert buf3.getvalue().splitlines()[0] == "bin_left,bin_right,count"
+
+
+def _json_text(ens):
+    buf = io.StringIO()
+    write_ensemble_json(ens, buf)
+    return buf.getvalue()
+
+
+def test_ensemble_json_writer_matches_dumps():
+    # the streamed writer against the one-piece encoding of ensemble_json
+    grid = TimeGrid.regular(0.0, 3.0, 0.5)
+    for path in program_files():
+        program, table = parse_file(path)
+        ens = run_ensemble(program, table, make_store(table), grid, runs=3, base_seed=5, fuel=60)
+        assert _json_text(ens) == json.dumps(ensemble_json(ens), sort_keys=True) + "\n", path
+    # floats json spells its own way, and -0.0, in stores and event times
+    stores = ens.stores.copy()
+    stores[0, :4, 0] = (math.nan, math.inf, -math.inf, -0.0)
+    odd = dataclasses.replace(ens, kinds=np.zeros_like(ens.kinds), stores=stores)
+    text = _json_text(odd)
+    assert text == json.dumps(ensemble_json(odd), sort_keys=True) + "\n"
+    for spelled in ("NaN", "Infinity", "-Infinity", "-0.0"):
+        assert f'"store": [{spelled}' in text
+
 
 
 def _csv_writer_oracle(ensemble, fh):
@@ -543,6 +571,18 @@ def test_csv_cells_are_the_repr_of_each_float():
 
 
 # --- the array reader against the canonical rerun, point by point -----------
+
+def _canonical_point(program, store0, g, seed, fuel, flow_method):
+    result, _, last = _close(Config(program, store0, g, from_seed(seed)), fuel, flow_method)
+    rt = type(result)
+    if rt is TimeStop:
+        return Value(result.store)
+    if rt is Normal:
+        return TerminatedEarly(result.store, g - result.t)
+    if rt is Err:
+        return ErrorAt(g - last.t)
+    return Diverged(fuel)
+
 
 def _assert_reader_matches_canonical(program, store, grid, seed, fuel=DEFAULT_FUEL, method=None):
     """Array fast mode equals `_canonical_point` at every grid time; returns

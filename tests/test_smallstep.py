@@ -5,6 +5,7 @@ import pytest
 
 from swhile import ode
 from swhile.bigstep import eval_big
+from swhile.cli import config_json
 from swhile.entropy import EntropyExhausted, FinitePrefix, from_seed
 from swhile.parser import parse_file, parse_program
 from swhile.smallstep import (
@@ -16,7 +17,6 @@ from swhile.smallstep import (
     Resume,
     TimeStop,
     _close,
-    config_json,
     run_to_terminal,
     step,
     trace,
@@ -304,7 +304,7 @@ def test_transitions_match_the_recursive_reference_on_fuzzed_programs():
         assert [_key(c) for c in configs] == [_key(c) for c in want_configs]
         # repr prints floats exactly, so -0.0 and 0.0 stores differ
         assert repr(terminal) == repr(want)
-        result, steps, _, last = _close(config, fuel)
+        result, steps, last = _close(config, fuel)
         assert repr(result) == repr(want) and steps == want_steps
         assert _key(last) == _key(want_last)
         for c in configs[:3]:
@@ -350,8 +350,8 @@ def test_closure_builds_one_seq_per_loop_unfolding(monkeypatch):
     program, _ = parse_file(PROGRAMS / "timestop.swl")
     config = Config(program, (0.0,), 100.0, from_seed(0))
     count = _count_seqs(monkeypatch)
-    result, _, configs, last = _close(config, 10 ** 6)
-    assert result == TimeStop((101.0,)) and configs is None
+    result, _, last = _close(config, 10 ** 6)
+    assert result == TimeStop((101.0,))
     assert type(last.program) is Seq
     # 101 unfoldings Seq(body, loop), plus `last`'s Seq(wait 1, loop)
     assert count[0] == 102
@@ -361,7 +361,7 @@ def test_closure_builds_one_seq_per_loop_unfolding(monkeypatch):
 def test_closing_a_left_nested_sequence_builds_no_seq(monkeypatch, depth):
     config = Config(_left_nested(depth), (0.0,), 1.0, from_seed(0))
     count = _count_seqs(monkeypatch)
-    result, steps, _, last = _close(config, 10 ** 6)
+    result, steps, last = _close(config, 10 ** 6)
     assert result == Normal((float(depth),), 1.0, from_seed(0))
     assert steps == depth + 1
     assert last.program is None
