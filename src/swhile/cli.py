@@ -15,7 +15,7 @@ import json
 import secrets
 import sys
 
-from . import denotational, montecarlo, ode, smallstep
+from . import denotational, ode, smallstep
 from .entropy import from_seed
 from .measure import XPoint, dirac
 from .parser import ParseError, parse_bool_expr, parse_file
@@ -138,15 +138,20 @@ def _seed_of(args) -> int:
     return seed
 
 
-def _regular_grid(text: str) -> montecarlo.TimeGrid:
-    """The `--grid START:END:STEP` value of `simulate` and `adequacy`."""
+def _regular_grid(text: str):
+    """The `--grid START:END:STEP` value of `simulate` and `adequacy`, a
+    `montecarlo.TimeGrid`."""
+    from . import montecarlo  # with numpy, only where a grid is asked for
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--grid expects START:END:STEP")
     return montecarlo.TimeGrid.regular(*map(float, parts))
 
 
-def _grid_of(args) -> montecarlo.TimeGrid:
+def _grid_of(args):
+    from . import montecarlo
+
     if args.grid:
         if (args.start, args.end, args.step) != (None, None, None):
             raise ValueError("--grid cannot be combined with --start, --end or --step")
@@ -224,6 +229,8 @@ def _write_json(result, fh) -> None:
 def _result(args, ensemble, cond):
     """The result the flags ask for -- a statistic, or the ensemble itself
     when they ask for none -- and its writer (result, fh) for `args.format`."""
+    from . import montecarlo
+
     as_json = args.format == "json"
     if cond is not None and args.interval is not None:
         result = montecarlo.interval_probability(ensemble, cond, *args.interval)
@@ -241,6 +248,8 @@ def _result(args, ensemble, cond):
 
 
 def cmd_simulate(args) -> int:
+    from . import montecarlo  # the ensemble engine and numpy: only `simulate` runs them
+
     if args.interval is not None and args.check is None:
         raise ValueError("--interval needs --check")
     program, table = parse_file(args.file)

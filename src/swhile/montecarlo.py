@@ -68,8 +68,10 @@ worker per available CPU and one per _FRONTIER_FIRST runs, as a worker's
 start-up outweighs recording fewer runs; an ensemble too small for two
 workers runs serially, in process.  Each worker records its chunk by the
 same rule, returns its chunk's arrays, and the parent concatenates them in
-run order, so the output is byte-identical to a serial run.  An ensemble
-holds at most MAX_ENSEMBLE_POINTS points.
+run order, so the output is byte-identical to a serial run.  The pool is
+`concurrent.futures.ProcessPoolExecutor`, imported when the first pool
+starts, so a serial run never loads it.  An ensemble holds at most
+MAX_ENSEMBLE_POINTS points.
 
 Error and fuel-exhausted runs are excluded from value statistics but
 always reported as counts next to them.
@@ -80,7 +82,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,6 +453,17 @@ def _read_task(args):
     return _read_runs(*args)
 
 
+def __getattr__(name: str):
+    # concurrent.futures is imported when the first pool starts, or when the
+    # class is read as `montecarlo.ProcessPoolExecutor`
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -496,7 +508,10 @@ def run_ensemble(
         bounds = [runs * i // workers for i in range(workers + 1)]
         tasks = [(program, store0, grid, seeds[lo:hi], fuel, fast, flow_method)
                  for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        # through the module attribute, which a tracer may replace; the
+        # first pool imports it (`__getattr__`)
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=len(tasks)) as pool:
             parts = list(pool.map(_read_task, tasks))
         arrays = [np.concatenate(part) for part in zip(*parts)]
     else:

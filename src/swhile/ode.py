@@ -20,6 +20,12 @@ exact flow is classified on the first flow that may use it, and is one of:
   memory than the rest of the package, and no other flow needs it;
 * non-affine -- fixed-step RK4 (the default step, 1e-3).
 
+Classification -- the linear parts of the derivatives, M, its powers and
+the Horner coefficients -- runs in plain Python floats, with the
+arithmetic numpy's float64 gives, so this module imports numpy only
+where arrays are used: in the row flows below and, with scipy, on the
+`expm` path.  `parse`, `run` and `adequacy` never load it.
+
 `flow_rows` flows many (store, tau) pairs along one block at once, with
 the arithmetic of one `flow` call per pair: a nilpotent block's Horner
 polynomial runs over numpy columns, operation for operation as the
@@ -34,16 +40,20 @@ local per variable.  Its arithmetic and its errors are those of
 evaluating the derivative trees with `eval_expr` at every stage, bit for
 bit.  A flow that would take more than `MAX_RK4_STEPS` steps
 (ceil(tau / step)) is refused as undefined before the kernel starts, so a
-tiny step cannot make one flow run without end.
+tiny step cannot make one flow run without end.  A stage store that
+overflows makes the flow undefined too, as its state would.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from itertools import chain
+from math import isfinite
+from operator import add, neg, sub
 
 from .store import Store, Undefined, eval_expr
 from .syntax import Call, DiffBlock, Lit, Var
@@ -75,9 +85,10 @@ DEFAULT_RK4 = RungeKutta4(1e-3)
 MAX_RK4_STEPS = 10 ** 7
 
 
-def _linear_part(e, n: int):
-    """Coefficient vector and constant of `e`, or None if not affine.
+def _linear_part(e, zero: tuple):
+    """Coefficient tuple and constant of `e`, or None if not affine.
 
+    `zero` is the all-zero coefficient tuple, one entry per variable.
     Subtrees without variables are folded to constants; folding failures
     (e.g. a division by zero among constants) make the system non-affine
     so the RK4 fallback surfaces the evaluation error at run time.
@@ -90,11 +101,10 @@ def _linear_part(e, n: int):
         item = stack.pop()
         t = type(item)
         if t is Lit:
-            values.append((np.zeros(n), item.value))
+            values.append((zero, item.value))
         elif t is Var:
-            coeff = np.zeros(n)
-            coeff[item.index] = 1.0
-            values.append((coeff, 0.0))
+            i = item.index
+            values.append((zero[:i] + (1.0,) + zero[i + 1:], 0.0))
         elif t is Call:
             args = item.args
             stack.append((item.op, len(args)))
@@ -103,61 +113,64 @@ def _linear_part(e, n: int):
             op, arity = item
             parts = values[-arity:]
             del values[-arity:]
-            part = _combine(op, parts, n)
+            part = _combine(op, parts, zero)
             if part is None:
                 return None  # a non-affine subterm makes every ancestor non-affine
             values.append(part)
     return values[0]
 
 
-def _combine(op: str, parts: list, n: int):
+def _combine(op: str, parts: list, zero: tuple):
     """The linear part of a call `op` whose arguments have linear parts
     `parts`, or None if the call is not affine."""
     if op == "+":
         (c1, k1), (c2, k2) = parts
-        return c1 + c2, k1 + k2
+        return tuple(map(add, c1, c2)), k1 + k2
     if op == "-":
         (c1, k1), (c2, k2) = parts
-        return c1 - c2, k1 - k2
+        return tuple(map(sub, c1, c2)), k1 - k2
     if op == "neg":
         (c1, k1), = parts
-        return -c1, -k1
+        return tuple(map(neg, c1)), -k1
     if op == "*":
         (c1, k1), (c2, k2) = parts
-        if not c1.any():
-            return k1 * c2, k1 * k2
-        if not c2.any():
-            return k2 * c1, k2 * k1
+        if not any(c1):
+            return tuple([k1 * v for v in c2]), k1 * k2
+        if not any(c2):
+            return tuple([k2 * v for v in c1]), k2 * k1
         return None
     if op == "/":
         (c1, k1), (c2, k2) = parts
-        if c2.any() or k2 == 0.0:
+        if any(c2) or k2 == 0.0:
             return None
-        return c1 / k2, k1 / k2
+        return tuple([v / k2 for v in c1]), k1 / k2
     # transcendental: affine only when constant
-    if all(not c.any() for c, _ in parts):
+    if not any(any(c) for c, _ in parts):
         dummy = ()
         try:
             v = eval_expr(Call(op, tuple(Lit(k) for _, k in parts)), dummy)
         except Undefined:
             return None
-        return np.zeros(n), v
+        return zero, v
     return None
 
 
 def classify_affine(block: DiffBlock):
-    """(A, c) with x' = Ax + c, by structural inspection; None if non-affine."""
-    n = len(block.derivs)
+    """(A, c) with x' = Ax + c, by structural inspection; None if non-affine.
+
+    A is a tuple of rows, one per variable, and c a tuple, all of floats.
+    """
+    zero = (0.0,) * len(block.derivs)
     rows = []
     consts = []
     for d in block.derivs:
-        part = _linear_part(d, n)
+        part = _linear_part(d, zero)
         if part is None:
             return None
         coeff, const = part
         rows.append(coeff)
-        consts.append(const)
-    return np.array(rows), np.array(consts)
+        consts.append(float(const))
+    return tuple(rows), tuple(consts)
 
 
 _NON_AFFINE = object()  # exact-flow marker: the system is not affine
@@ -203,6 +216,8 @@ def _flow_polynomial(rows, store: Store, tau: float) -> Store:
 
 
 def _flow_expm(expm, m, store: Store, tau: float) -> Store:
+    import numpy as np
+
     n = len(store)
     phi = expm(m * tau)
     vec = phi[:n, :] @ np.append(np.asarray(store, dtype=float), 1.0)
@@ -213,8 +228,10 @@ def _flow_expm(expm, m, store: Store, tau: float) -> Store:
     return out
 
 
-def _copy_rows(stores: np.ndarray, taus: np.ndarray):
+def _copy_rows(stores, taus):
     """`_halted` over rows: every store unchanged, every flow defined."""
+    import numpy as np
+
     return stores.copy(), np.ones(len(stores), dtype=bool)
 
 
@@ -230,46 +247,130 @@ def _exact_flow(block: DiffBlock):
     if affine is not None:
         a, c = affine
         n = len(c)
-        m = np.zeros((n + 1, n + 1))
-        m[:n, :n] = a
-        m[:n, n] = c
-        if not m.any():
+        m = [[*row, k] for row, k in zip(a, c)]
+        m.append([0.0] * (n + 1))
+        if not any(map(any, m)):
             exact, rows = _halted, _copy_rows
         else:
-            powers = [m]
-            while powers[-1].any() and len(powers) <= n:
-                powers.append(_product(powers[-1], m))
-            if powers[-1].any():
-                from scipy.linalg import expm  # on demand, see the module docstring
+            powers = _nilpotent_powers(m, n + 1)
+            if powers is None:
+                import numpy as np  # on demand, see the module docstring
+                from scipy.linalg import expm
 
-                exact = partial(_flow_expm, expm, m)
+                exact = partial(_flow_expm, expm, np.array(m))
             else:
-                horner = _polynomial_rows(powers[:-1], n)
+                horner = _polynomial_rows(powers, n)
                 exact, rows = partial(_flow_polynomial, horner), partial(_horner_rows, horner)
     return exact, rows
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with every entry summed left to right: `np.add.accumulate`
-    adds each product a[i, k] * b[k, j] to the sum of those before it, in
-    order of k.
+def _nilpotent_powers(m: list, count: int):
+    """[M, M^2, ..., M^(d-1)] for a square list of float rows M whose power
+    M^d is all zeros for some d <= count (the first such d), or None.
 
-    BLAS blocks and reorders the sums of a matrix product by build and CPU,
-    so `@` would make the nilpotent flow's coefficients, and every output
-    that goes through them, depend on the BLAS in use.
+    Each power is a list of rows, computed by `_product`.  A power with an
+    infinite or NaN entry is never followed by a zero one -- zero times the
+    entry is NaN, and anything else times it is infinite or NaN, in every
+    later power's row -- so M is not nilpotent as soon as one appears.
     """
-    return np.add.accumulate(a[:, :, None] * b[None, :, :], axis=1)[:, -1, :]
+    w = len(m)
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in m]
+    if not all(isfinite(y) for row in sparse for _, y in row):
+        return None
+    signs = _sign_bits(m)
+    flipped = signs.translate(_FLIP)
+    columns = [flipped[j::w] for j in range(w)]
+    power = (m, sparse, [signs[i * w:(i + 1) * w] for i in range(w)])
+    zeros = {}  # for `_product`, filled as it meets each row's sign bits
+    powers = []
+    while any(power[1]):
+        if len(powers) + 1 == count:
+            return None
+        powers.append(power[0])
+        power = _product(power, sparse, columns, zeros)
+        if power is None:
+            return None
+    return powers
+
+
+def _product(power: tuple, nonzero: list, columns: list, zeros: dict):
+    """P @ M for a power P of M, or None if it has an infinite or NaN entry.
+
+    Every entry is summed left to right: the product P[i][k] * M[k][j] for
+    k = 0 first, then each next product added to the sum of those before
+    it, in order of k.  A power is (rows, each row's nonzero entries (k,
+    value) in order of k, each row's sign bits as one byte per entry);
+    `nonzero` holds M's nonzero entries the same way, and `columns` the
+    flipped sign bits of each column of M.
+
+    Products that are zero are skipped, which leaves every sum's bits as
+    they are: adding a zero to a nonzero sum returns it, a nonzero term
+    added to a zero sum returns the term, and a sum that cancels is +0.0
+    whatever zeros follow.  An entry with no nonzero product is a sum of
+    zeros, -0.0 exactly when every product is -0.0: when row i of P and
+    column j of M differ in sign bit at every k.  `zeros` maps the sign
+    bits of a row of P to that row of zeros and its sign bits.
+    """
+    w = len(nonzero)
+    rows, sparse, signs = [], [], []
+    for entries, sign in zip(power[1], power[2]):
+        zero = zeros.get(sign)
+        if zero is None:
+            bits = bytes(map(sign.__eq__, columns))
+            zero = zeros[sign] = ([-0.0 if b else 0.0 for b in bits], bits)
+        sums = {}
+        for k, x in entries:
+            for j, y in nonzero[k]:
+                t = x * y
+                if t:
+                    sums[j] = sums[j] + t if j in sums else t
+        if not sums:
+            rows.append(zero[0])
+            sparse.append([])
+            signs.append(zero[1])
+            continue
+        row = zero[0].copy()
+        bits = bytearray(zero[1])
+        entries = []
+        for j, total in sorted(sums.items()):
+            if not isfinite(total):
+                return None
+            row[j] = total  # +0.0 where the products cancel
+            bits[j] = total < 0.0
+            if total:
+                entries.append((j, total))
+        rows.append(row)
+        sparse.append(entries)
+        signs.append(bytes(bits))
+    return rows, sparse, signs
+
+
+# `_sign_bits`: the byte of a float64 that holds its sign bit, and the table
+# mapping that byte to 1 where the bit is set, else 0; `_FLIP` swaps 0 and 1
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+_SIGN = bytes.maketrans(bytes(range(256)), bytes(128) + b"\1" * 128)
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _sign_bits(rows) -> bytes:
+    """The sign bit of each entry of `rows`, row after row, one byte each."""
+    return array("d", chain.from_iterable(rows)).tobytes()[_SIGN_BYTE::8].translate(_SIGN)
 
 
 def _polynomial_rows(powers, n: int):
-    """Sparse Horner coefficients from the nonzero powers M^1 .. M^(d-1)."""
-    scaled = [p / math.factorial(k) for k, p in enumerate(powers, start=1)]
+    """Sparse Horner coefficients from the nonzero powers M^1 .. M^(d-1),
+    each a sequence of rows.  A row of zeros in one power is a row of
+    zeros in every later one, since M is finite."""
+    factorials = [math.factorial(k) for k in range(1, len(powers) + 1)]
     rows = []
     for i in range(n):
-        coeffs = [
-            (float(s[i, n]), tuple((j, float(s[i, j])) for j in range(n) if s[i, j] != 0.0))
-            for s in scaled
-        ]
+        coeffs = []
+        for p, f in zip(powers, factorials):
+            row = p[i]
+            if not any(row):
+                break
+            scaled = [(j, w / f) for j, w in enumerate(row[:n]) if w]
+            coeffs.append((row[n] / f, tuple([(j, w) for j, w in scaled if w != 0.0])))
         while coeffs and coeffs[-1] == (0.0, ()):
             coeffs.pop()
         if coeffs:
@@ -324,7 +425,12 @@ def _rk4(block: DiffBlock, flows: _Flows, store: Store, tau: float, step: float)
     kernel = flows.rk4
     if kernel is None:
         kernel = flows.rk4 = _rk4_kernel(block.derivs)
-    return kernel(store, tau, step)
+    try:
+        return kernel(store, tau, step)
+    except ValueError:
+        # sin or cos of an infinite stage value: a stage store x + h * k is
+        # not checked finite, and may overflow where the state does not
+        raise Undefined("RK4 stage became non-finite") from None
 
 
 def halts(block: DiffBlock, method: FlowMethod | None = None) -> bool:
@@ -335,8 +441,7 @@ def halts(block: DiffBlock, method: FlowMethod | None = None) -> bool:
     return _classified(block).rows is _copy_rows
 
 
-def flow_rows(block: DiffBlock, stores: np.ndarray, taus: np.ndarray,
-              method: FlowMethod | None = None):
+def flow_rows(block: DiffBlock, stores, taus, method: FlowMethod | None = None):
     """`flow` over rows: (out, defined) with out[n] = flow(block, stores[n],
     taus[n], method) wherever defined[n], bit for bit.
 
@@ -348,6 +453,8 @@ def flow_rows(block: DiffBlock, stores: np.ndarray, taus: np.ndarray,
         rows = _classified(block).rows
         if rows is not None:
             return rows(stores, taus)
+    import numpy as np
+
     out = []
     defined = np.ones(len(stores), dtype=bool)
     for n, (store, tau) in enumerate(zip(stores.tolist(), taus.tolist())):
@@ -359,9 +466,11 @@ def flow_rows(block: DiffBlock, stores: np.ndarray, taus: np.ndarray,
     return np.array(out, dtype=float).reshape(stores.shape), defined
 
 
-def _horner_rows(rows, stores: np.ndarray, taus: np.ndarray):
+def _horner_rows(rows, stores, taus):
     """`_flow_polynomial` over the rows of `stores`: the same operations in
     the same order, each applied to a column instead of a float."""
+    import numpy as np
+
     out = stores.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for i, coeffs in rows:

@@ -127,8 +127,81 @@ class DiffBlock:
 
 @dataclass(frozen=True, slots=True)
 class Seq:
+    """p ; q.
+
+    `==`, `hash` and `repr` return what the dataclass methods would -- the
+    comparison, hash and text of the tuple (first, rest) -- but walk a
+    chain of `Seq`s, nested to either side, over an explicit stack, so a
+    statement list longer than the recursion limit compares, hashes and
+    prints.
+    """
+
     first: "Program"
     rest: "Program"
+
+    def __eq__(self, other):
+        if other.__class__ is not Seq:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is Seq and b.__class__ is Seq:
+                stack.append((a.rest, b.rest))
+                stack.append((a.first, b.first))
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        hashes = []  # post-order: a Seq's hash follows its parts'
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node is _JOIN:
+                rest, first = hashes.pop(), hashes.pop()
+                hashes.append(_Hash(hash((first, rest))))
+            elif node.__class__ is Seq:
+                stack += (_JOIN, node.rest, node.first)
+            else:
+                hashes.append(_Hash(hash(node)))
+        return hashes[0].value
+
+    def __repr__(self):
+        parts = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Seq:
+                parts.append("Seq(first=")
+                stack += (_CLOSE, node.rest, _REST, node.first)
+            elif node is _REST:
+                parts.append(", rest=")
+            elif node is _CLOSE:
+                parts.append(")")
+            else:
+                parts.append(repr(node))
+        return "".join(parts)
+
+
+# markers on the stacks of `Seq.__hash__` (both parts of a Seq are hashed)
+# and `Seq.__repr__` (its first part is printed, or its rest)
+_JOIN, _REST, _CLOSE = object(), object(), object()
+
+
+class _Hash:
+    """A stand-in whose hash is `value`: hashing a tuple reads only the
+    hashes of its items, so (_Hash(hash(a)), _Hash(hash(b))) hashes as
+    (a, b) does."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 @dataclass(frozen=True, slots=True)

@@ -634,6 +634,24 @@ def test_an_rk4_flow_over_the_step_maximum_is_an_error():
     assert seconds < 2.0
 
 
+def test_an_rk4_stage_overflow_is_an_evaluation_error(tmp_path, capsys):
+    # a stage store overflowing to inf made sin(x) raise "math domain error":
+    # every command exited 1 with that message
+    prog = tmp_path / "overflow.swl"
+    prog.write_text("x := 1.7e308 ; y := 0 ; x' = 1e308, y' = sin(x) for 1")
+    code, out, err = run_cli(capsys, "run", prog, "--time", "2", "--flow", "rk4:1", "--seed", "1")
+    assert (code, out, err) == (2, "err\nsteps: 3\n", "")
+    for runs in (2, 20):
+        code, out, err = run_cli(capsys, "simulate", prog, "--grid", "0:2:1", "--runs", runs,
+                                 "--flow", "rk4:1", "--seed", "1")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["ok", "error", "error"] * runs
+    code, out, err = run_cli(capsys, "adequacy", prog, "--time", "2", "--flow", "rk4:1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
 def test_an_ensemble_over_the_point_maximum_is_refused_before_its_seeds_are_split():
     # 10^12 runs used to split 10^12 seeds, allocating nothing, for hours
     code, out, seconds = _fresh_cli(10, "simulate", PROGRAMS / "random_walk.swl", "--grid",

@@ -57,6 +57,7 @@ from genprog import gen_program, gen_store, gen_table
 from progpath import PROGRAMS, program_files
 
 WALKTHROUGH = "x := 0 ; while tt { x++ ; wait 1 }"
+RK4_STAGE_OVERFLOW = "x := 1.7e308 ; y := 0 ; x' = 1e308, y' = sin(x) for 1"
 
 
 def test_grid_validation():
@@ -826,6 +827,24 @@ def test_array_reader_accepts_integer_grid_times():
     assert grid.times == (0, 1, 2, 3, 4, 5, 6)
     for seed in (1, 2):
         _assert_reader_matches_canonical(program, make_store(table), grid, seed)
+
+
+def test_rk4_stage_overflow_is_an_error_point_in_every_mode(monkeypatch):
+    # a stage store overflowing into sin(x) used to escape as a ValueError;
+    # 2 runs record with eval_big, 20 with one frontier pass
+    program, table = parse_program(RK4_STAGE_OVERFLOW)
+    store, grid, method = (0.0, 0.0), TimeGrid.regular(0.0, 2.0, 1.0), RungeKutta4(1.0)
+    kinds = _assert_reader_matches_canonical(program, store, grid, 1, method=method)
+    assert kinds == {Value, ErrorAt}
+    for runs in (2, 20):
+        ens = run_ensemble(program, table, store, grid, runs, 1, flow_method=method)
+        assert (ens.kinds[:, 1:] == montecarlo.ERROR).all()
+        canonical = run_ensemble(program, table, store, grid, runs, 1, fast=False,
+                                 flow_method=method)
+        _assert_same_arrays(ens, canonical)
+        outcomes = _assert_recorder_matches_eval_big(monkeypatch, program, table, store, grid,
+                                                     DEFAULT_FUEL, method, runs)
+        assert outcomes == {frontier.ERR}
 
 
 # --- the frontier recorder against eval_big -----------------------------------

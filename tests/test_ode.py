@@ -35,7 +35,7 @@ def test_classify_double_integrator():
 def test_classify_wait_is_zero_system():
     sys = system(Lit(0.0), Lit(0.0))
     a, c = classify_affine(sys)
-    assert not a.any() and not c.any()
+    assert not any(map(any, a)) and not any(c)
 
 
 def test_classify_rejects_nonaffine():
@@ -159,6 +159,16 @@ def test_rk4_surfaces_blowup_as_undefined():
     sys = system(Call("*", (Var(0, "x"), Var(0, "x"))))
     with pytest.raises(Undefined):
         flow(sys, (1.0,), 2.0, RungeKutta4(1e-3))
+
+
+@pytest.mark.parametrize("op", ["sin", "cos"])
+def test_rk4_stage_overflow_is_undefined(op):
+    # x' = 1e308 from 1.7e308: one RK4 step's stage store x + h * k overflows
+    # to inf, which the state check never sees, and y' = sin(x) read it with a
+    # ValueError("math domain error") that no evaluator caught
+    sys = system(Lit(1e308), Call(op, (Var(0, "x"),)))
+    with pytest.raises(Undefined, match="RK4 stage became non-finite"):
+        flow(sys, (1.7e308, 0.0), 2.0, RungeKutta4(1.0))
 
 
 def test_exponential_growth_takes_expm_path():
@@ -442,7 +452,7 @@ def test_nilpotent_coefficients_are_summed_left_to_right():
     for n in (3, 5, 8):
         block = _upper_triangular_system(rng, n)
         a, c = classify_affine(block)
-        m = [[*row, k] for row, k in zip(a.tolist(), c.tolist())] + [[0.0] * (n + 1)]
+        m = [[*row, k] for row, k in zip(a, c)] + [[0.0] * (n + 1)]
         powers = [m]
         for _ in range(n):
             p = powers[-1]

@@ -1,7 +1,12 @@
-"""What a fresh process imports: scipy only once a block needs `expm`.
+"""What a fresh process imports.
 
-Each test runs its code in a new interpreter, since this one has scipy
-loaded already (the statistical tests import `scipy.stats`).
+`import swhile` imports no submodule; `parse`, `run` and `adequacy` load
+neither numpy nor scipy; a serial `simulate` loads numpy with the ensemble
+engine but not `concurrent.futures`, which only a process pool needs;
+scipy is loaded only once a block needs `expm`.
+
+Each test runs its code in a new interpreter, since this one has numpy
+and scipy loaded already (the statistical tests import `scipy.stats`).
 """
 
 import subprocess
@@ -22,6 +27,24 @@ def fresh_python(code: str) -> str:
     return proc.stdout
 
 
+def cli_modules(commands) -> str:
+    """Exit codes of `swhile argv` for each argv, run in one new interpreter,
+    and which of numpy, scipy and concurrent.futures it has loaded after them."""
+    out = fresh_python(f"""
+import contextlib, io, sys
+from swhile.cli import main
+codes = []
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(codes)
+print(sorted(m for m in sys.modules if m in ('numpy', 'scipy', 'concurrent.futures')))
+""")
+    codes, loaded = out.splitlines()
+    assert codes == repr([0] * len(commands))
+    return loaded
+
+
 def test_import_leaves_scipy_unloaded():
     out = fresh_python("import sys, swhile; print('scipy' in sys.modules)")
     assert out == "False\n"
@@ -36,19 +59,43 @@ def test_cli_commands_on_every_bundled_program_leave_scipy_unloaded():
             ["simulate", p, "--runs", "2", "--grid", "0:1:0.5", "--seed", "1"],
             ["adequacy", p, "--rational", "--time", "1"],
         ]
-    out = fresh_python(f"""
-import contextlib, io, sys
-from swhile.cli import main
-codes = []
-for argv in {commands!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(main(argv))
-print(codes)
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+    assert "scipy" not in cli_modules(commands)
+
+
+def test_import_loads_no_submodule_numpy_scipy_or_process_pool():
+    out = fresh_python("""
+import sys, swhile
+print(sorted(m for m in sys.modules
+             if m.split('.')[0] in ('swhile', 'numpy', 'scipy') or m == 'concurrent.futures'))
 """)
-    codes, loaded = out.splitlines()
-    assert codes == repr([0] * len(commands))
-    assert loaded == "[]"
+    assert out == "['swhile']\n"
+
+
+def test_submodules_load_on_first_access():
+    out = fresh_python("""
+import sys, swhile
+ode = swhile.ode
+print(ode.__name__, 'swhile.montecarlo' in sys.modules, swhile.flow is ode.flow)
+""")
+    assert out == "swhile.ode False True\n"
+
+
+def test_parse_run_and_adequacy_on_every_bundled_program_leave_numpy_unloaded():
+    commands = [["run", "bench/pendulum.swl", "--time", "1", "--seed", "1", "--flow", "rk4:0.01"]]
+    for path in program_files():
+        p = str(path)
+        commands += [
+            ["parse", p],
+            ["run", p, "--time", "1", "--seed", "1"],
+            ["adequacy", p, "--rational", "--time", "1"],
+        ]
+    assert cli_modules(commands) == "[]"
+
+
+def test_serial_simulate_on_every_bundled_program_leaves_the_process_pool_unloaded():
+    commands = [["simulate", str(p), "--runs", "2", "--grid", "0:1:0.5", "--seed", "1"]
+                for p in program_files()]
+    assert cli_modules(commands) == "['numpy']"
 
 
 def test_expm_flow_imports_scipy_on_demand_with_the_same_bits():

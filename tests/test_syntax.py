@@ -1,13 +1,15 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from swhile.parser import parse_program
+from swhile.parser import parse_file, parse_program
 from swhile.syntax import (
     TT,
     Assign,
     Call,
     DiffBlock,
+    If,
     Lit,
     Sample,
     Seq,
@@ -19,7 +21,8 @@ from swhile.syntax import (
     wait_block,
 )
 
-from genprog import gen_declared_program
+from genprog import gen_declared_program, gen_program, gen_table
+from progpath import program_files
 
 
 def test_call_arity_checked():
@@ -120,3 +123,82 @@ def test_printers_flatten_a_sequence_deeper_than_the_recursion_limit():
         reparsed, table2 = parse_program(pretty_print(program, table, inline=inline))
         assert table2 == table
         assert _right_spine(reparsed) == normal
+
+
+@dataclass(frozen=True)
+class _PlainSeq:
+    """Seq as a plain frozen dataclass: its generated `==`, `hash` and
+    `repr`, which recurse once per level."""
+
+    first: object
+    rest: object
+
+
+def _plain(p):
+    """`p` with every Seq node, under If and While too, a _PlainSeq."""
+    if type(p) is Seq:
+        return _PlainSeq(_plain(p.first), _plain(p.rest))
+    if type(p) is If:
+        return If(p.cond, _plain(p.then_branch), _plain(p.else_branch))
+    if type(p) is While:
+        return While(p.cond, _plain(p.body))
+    return p
+
+
+def test_seq_methods_return_what_the_dataclass_methods_return():
+    rng = random.Random(2024)
+    programs = [parse_file(path)[0] for path in program_files()]
+    programs += [gen_program(rng, gen_table(rng), depth=4) for _ in range(200)]
+    for p in programs:
+        plain = _plain(p)
+        assert repr(p) == repr(plain).replace("_PlainSeq(", "Seq(")
+        assert hash(p) == hash(plain)
+    for p, q in zip(programs, programs[1:] + programs[:1]):
+        assert (p == q) == (_plain(p) == _plain(q))
+        copy = _plain(p)  # rebuilt with fresh Seq nodes, equal to p
+        assert _seq(copy) == p and p == _seq(copy) and hash(_seq(copy)) == hash(p)
+
+
+def _seq(p):
+    """The inverse of `_plain`."""
+    if type(p) is _PlainSeq:
+        return Seq(_seq(p.first), _seq(p.rest))
+    if type(p) is If:
+        return If(p.cond, _seq(p.then_branch), _seq(p.else_branch))
+    if type(p) is While:
+        return While(p.cond, _seq(p.body))
+    return p
+
+
+def _chain(statements, left: bool):
+    """The statements as one Seq chain nested to the left or to the right."""
+    if left:
+        program = statements[0]
+        for s in statements[1:]:
+            program = Seq(program, s)
+        return program
+    program = statements[-1]
+    for s in reversed(statements[:-1]):
+        program = Seq(s, program)
+    return program
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_seq_compares_hashes_and_prints_far_past_the_recursion_limit(left):
+    # ==, hash and repr each raised RecursionError at 1 200 levels
+    x = Var(0, "x")
+    statements = [Assign(x, Lit(float(i))) for i in range(10_001)]
+    program, same = _chain(statements, left), _chain(list(statements), left)
+    assert program is not same and program == same and not program != same
+    assert hash(program) == hash(same)
+    last = len(statements) - 1 if left else 0  # the deepest statement
+    other = statements[:last] + [Assign(x, Lit(-1.0))] + statements[last + 1:]
+    assert program != _chain(other, left) and hash(program) != hash(_chain(other, left))
+    assert program != _chain(statements, not left)
+    text = repr(program)
+    assert text.count("Seq(first=") == 10_000
+    assert text.count("Assign(var=Var(index=0, name='x'), expr=Lit(value=") == 10_001
+    if left:
+        assert text.startswith("Seq(first=" * 10_000 + "Assign(")
+    else:
+        assert text.startswith("Seq(first=Assign(") and text.endswith(")" * 10_000)
