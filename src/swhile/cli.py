@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import secrets
 import sys
 
 from . import denotational, ode, smallstep
@@ -133,6 +132,8 @@ def _initial_store(table, overrides):
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
+    import secrets  # on demand: it loads hashlib, hmac, random and base64
+
     seed = secrets.randbits(64)
     print(f"seed: {seed}", file=sys.stderr)
     return seed

@@ -99,6 +99,10 @@ from .syntax import Program, VarTable
 # each trajectory, so a longer grid would exhaust memory before it ran.
 MAX_GRID_POINTS = 10 ** 6
 
+# The most bins one histogram may hold: numpy allocates every bin's count
+# and edge before it counts a value, so 10^12 bins would ask for terabytes.
+MAX_HISTOGRAM_BINS = 10 ** 6
+
 # The most points (runs x grid times) one ensemble may hold: each point holds
 # a store of float64s plus an outcome code and an event time, so 10^8 points
 # take at least 1.7 GB, and a larger ensemble would exhaust memory -- or
@@ -657,6 +661,8 @@ def histogram(ensemble: Ensemble, variable: str, t: float, bins: int) -> Histogr
     """Equal-width histogram of a variable's values at a grid time."""
     if bins < 1:
         raise ValueError("need at least one bin")
+    if bins > MAX_HISTOGRAM_BINS:
+        raise ValueError(f"a histogram may hold at most {MAX_HISTOGRAM_BINS} bins")
     values, excluded = _column(ensemble, variable, t)
     if not len(values):
         return HistogramResult((), (), excluded)

@@ -10,9 +10,9 @@ exact flow is classified on the first flow that may use it, and is one of:
   (n+1)x(n+1) matrix M = [[A, c], [0, 0]] is nilpotent (every
   double-integrator-style block), so the exponential series terminates
   and each variable is an exact polynomial in tau.  Per variable, the
-  sparse coefficients of M^k/k! are kept as plain floats and the
-  polynomial is evaluated by Horner's rule; variables whose derivative is
-  zero keep their value bit for bit;
+  sparse coefficients of M^k/k! are kept as plain floats and one Horner
+  routine evaluates the polynomial; variables whose derivative is zero
+  keep their value bit for bit;
 * matrix exponential -- affine but not nilpotent: scipy's
   scaling-and-squaring `expm` of M * tau.  scipy is imported on demand,
   when the first such block is classified, and its `expm` is bound into
@@ -20,17 +20,16 @@ exact flow is classified on the first flow that may use it, and is one of:
   memory than the rest of the package, and no other flow needs it;
 * non-affine -- fixed-step RK4 (the default step, 1e-3).
 
-Classification -- the linear parts of the derivatives, M, its powers and
-the Horner coefficients -- runs in plain Python floats, with the
-arithmetic numpy's float64 gives, so this module imports numpy only
-where arrays are used: in the row flows below and, with scipy, on the
+Classification -- the linear parts of the derivatives, M, its powers
+(each entry a left-to-right sum) and the Horner coefficients -- runs in
+plain Python floats, the same bits on every machine, so this module
+imports numpy only in the row flows below and, with scipy, on the
 `expm` path.  `parse`, `run` and `adequacy` never load it.
 
 `flow_rows` flows many (store, tau) pairs along one block at once, with
-the arithmetic of one `flow` call per pair: a nilpotent block's Horner
-polynomial runs over numpy columns, operation for operation as the
-scalar one; a halted block copies its stores; every other block calls
-`flow` once per pair.
+the arithmetic of one `flow` call per pair: a nilpotent block runs the
+one Horner routine over numpy columns; a halted block copies its stores;
+every other block calls `flow` once per pair.
 
 Every RK4 flow -- a non-affine block under the default method, or any
 block under an explicit `RungeKutta4` -- runs the block's RK4 kernel: one
@@ -47,13 +46,9 @@ overflows makes the flow undefined too, as its state would.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from math import isfinite
-from operator import add, neg, sub
+from functools import partial, reduce
+from operator import add, mul, neg, sub
 
 from .store import Store, Undefined, eval_expr
 from .syntax import Call, DiffBlock, Lit, Var
@@ -193,22 +188,30 @@ def _halted(store: Store, tau: float) -> Store:
     return store
 
 
-def _flow_polynomial(rows, store: Store, tau: float) -> Store:
-    """Horner evaluation of each moving variable's polynomial in tau.
-
-    `rows` holds (i, coefficients) per variable with a nonzero derivative;
-    the coefficients run from the highest power of tau down to tau^1,
-    each as (constant, ((j, weight), ...)) read off row i of M^k/k!.
-    The tau^0 coefficient is store[i] itself.
+def _horner(rows, columns, tau) -> list:
+    """`columns` as a list, each moving variable's entry replaced by its
+    polynomial in tau by Horner's rule.  `rows` holds (i, coefficients)
+    per variable with a nonzero derivative, from the highest power of tau
+    down to tau^1, each as (constant, ((j, weight), ...)) read off row i of
+    M^k/k!; the tau^0 coefficient is columns[i].  `columns[j]` is variable
+    j's value: one store's float, with a float `tau`, or a numpy column over
+    many stores, with a column of taus -- the same operations in the same
+    order.  A variable whose derivative is zero keeps its value bit for bit.
     """
-    out = list(store)
+    out = list(columns)
     for i, coeffs in rows:
         acc = 0.0
         for const, terms in coeffs:
             for j, w in terms:
-                const += w * store[j]
+                const = const + w * columns[j]
             acc = (acc + const) * tau
-        out[i] = store[i] + acc
+        out[i] = columns[i] + acc
+    return out
+
+
+def _flow_polynomial(rows, store: Store, tau: float) -> Store:
+    """The nilpotent flow of one store: `_horner` over its floats."""
+    out = _horner(rows, store, tau)
     for v in out:
         if not math.isfinite(v):
             raise Undefined("flow produced a non-finite value")
@@ -268,93 +271,25 @@ def _nilpotent_powers(m: list, count: int):
     """[M, M^2, ..., M^(d-1)] for a square list of float rows M whose power
     M^d is all zeros for some d <= count (the first such d), or None.
 
-    Each power is a list of rows, computed by `_product`.  A power with an
-    infinite or NaN entry is never followed by a zero one -- zero times the
-    entry is NaN, and anything else times it is infinite or NaN, in every
-    later power's row -- so M is not nilpotent as soon as one appears.
+    Entry (i, j) of P·M is reduce(add, map(mul, row i of P, column j of
+    M)): the products summed left to right, as the product is defined, so
+    its bits and the signs of its zeros are IEEE's own.  A row of P that is
+    all zeros is carried over: row i of P·M depends only on row i of P, so
+    it stays zero in every later power, and no reader sees its zeros' signs
+    (`_polynomial_rows` stops reading variable i at its first zero row, and
+    any(map(any, power)) ignores signs).  A row holding an inf or a NaN is
+    never all zeros again -- 0 * inf is NaN, and a NaN stays in every later
+    sum -- so such an M runs to `count` and gets None.
     """
-    w = len(m)
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in m]
-    if not all(isfinite(y) for row in sparse for _, y in row):
-        return None
-    signs = _sign_bits(m)
-    flipped = signs.translate(_FLIP)
-    columns = [flipped[j::w] for j in range(w)]
-    power = (m, sparse, [signs[i * w:(i + 1) * w] for i in range(w)])
-    zeros = {}  # for `_product`, filled as it meets each row's sign bits
-    powers = []
-    while any(power[1]):
+    columns = list(zip(*m))
+    powers, power = [], m
+    while any(map(any, power)):
         if len(powers) + 1 == count:
             return None
-        powers.append(power[0])
-        power = _product(power, sparse, columns, zeros)
-        if power is None:
-            return None
+        powers.append(power)
+        power = [[reduce(add, map(mul, row, column)) for column in columns] if any(row) else row
+                 for row in power]
     return powers
-
-
-def _product(power: tuple, nonzero: list, columns: list, zeros: dict):
-    """P @ M for a power P of M, or None if it has an infinite or NaN entry.
-
-    Every entry is summed left to right: the product P[i][k] * M[k][j] for
-    k = 0 first, then each next product added to the sum of those before
-    it, in order of k.  A power is (rows, each row's nonzero entries (k,
-    value) in order of k, each row's sign bits as one byte per entry);
-    `nonzero` holds M's nonzero entries the same way, and `columns` the
-    flipped sign bits of each column of M.
-
-    Products that are zero are skipped, which leaves every sum's bits as
-    they are: adding a zero to a nonzero sum returns it, a nonzero term
-    added to a zero sum returns the term, and a sum that cancels is +0.0
-    whatever zeros follow.  An entry with no nonzero product is a sum of
-    zeros, -0.0 exactly when every product is -0.0: when row i of P and
-    column j of M differ in sign bit at every k.  `zeros` maps the sign
-    bits of a row of P to that row of zeros and its sign bits.
-    """
-    w = len(nonzero)
-    rows, sparse, signs = [], [], []
-    for entries, sign in zip(power[1], power[2]):
-        zero = zeros.get(sign)
-        if zero is None:
-            bits = bytes(map(sign.__eq__, columns))
-            zero = zeros[sign] = ([-0.0 if b else 0.0 for b in bits], bits)
-        sums = {}
-        for k, x in entries:
-            for j, y in nonzero[k]:
-                t = x * y
-                if t:
-                    sums[j] = sums[j] + t if j in sums else t
-        if not sums:
-            rows.append(zero[0])
-            sparse.append([])
-            signs.append(zero[1])
-            continue
-        row = zero[0].copy()
-        bits = bytearray(zero[1])
-        entries = []
-        for j, total in sorted(sums.items()):
-            if not isfinite(total):
-                return None
-            row[j] = total  # +0.0 where the products cancel
-            bits[j] = total < 0.0
-            if total:
-                entries.append((j, total))
-        rows.append(row)
-        sparse.append(entries)
-        signs.append(bytes(bits))
-    return rows, sparse, signs
-
-
-# `_sign_bits`: the byte of a float64 that holds its sign bit, and the table
-# mapping that byte to 1 where the bit is set, else 0; `_FLIP` swaps 0 and 1
-_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
-_SIGN = bytes.maketrans(bytes(range(256)), bytes(128) + b"\1" * 128)
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-
-
-def _sign_bits(rows) -> bytes:
-    """The sign bit of each entry of `rows`, row after row, one byte each."""
-    return array("d", chain.from_iterable(rows)).tobytes()[_SIGN_BYTE::8].translate(_SIGN)
 
 
 def _polynomial_rows(powers, n: int):
@@ -467,19 +402,14 @@ def flow_rows(block: DiffBlock, stores, taus, method: FlowMethod | None = None):
 
 
 def _horner_rows(rows, stores, taus):
-    """`_flow_polynomial` over the rows of `stores`: the same operations in
-    the same order, each applied to a column instead of a float."""
+    """The nilpotent flow over rows: `_horner` over the columns of `stores`."""
     import numpy as np
 
     out = stores.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, coeffs in rows:
-            acc = 0.0
-            for const, terms in coeffs:
-                for j, w in terms:
-                    const = const + w * stores[:, j]
-                acc = (acc + const) * taus
-            out[:, i] = stores[:, i] + acc
+        values = _horner(rows, stores.T, taus)
+        for i, _ in rows:
+            out[:, i] = values[i]
         defined = np.isfinite(out).all(axis=1)
     return out, defined
 

@@ -572,6 +572,16 @@ def test_grid_of_the_maximum_length_is_accepted():
         montecarlo.TimeGrid.regular(0.0, float(montecarlo.MAX_GRID_POINTS), 1.0)
 
 
+def test_bins_over_the_maximum_exit_cleanly(capsys):
+    # 10^12 bins: numpy's histogram asked for 7.28 TiB and the CLI crashed
+    code, out, err = run_cli(capsys, "simulate", PROGRAMS / "ball.swl", "--runs", "2",
+                             "--grid", "0:1:0.5", "--hist", "p@1.0", "--bins", "1000000000000",
+                             "--seed", "1")
+    assert code == 1
+    assert out == "" and err == (f"error: a histogram may hold at most "
+                                 f"{montecarlo.MAX_HISTOGRAM_BINS} bins\n")
+
+
 # Run in a small intermediate process: a child's peak RSS starts from that of
 # the process it was forked from, which for pytest would hide the difference.
 _MEASURE = """

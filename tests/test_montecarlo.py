@@ -439,6 +439,17 @@ def test_histogram_reports_excluded_runs():
     assert hist.excluded == 4
 
 
+def test_histogram_refuses_more_bins_than_the_maximum(monkeypatch):
+    program, table = parse_program("x := 2 ; wait 5")
+    ens = run_ensemble(program, table, (0.0,), TimeGrid.from_times((0.0, 1.0)), runs=3, base_seed=1)
+    with pytest.raises(ValueError, match="at most 1000000 bins"):
+        histogram(ens, "x", 1.0, bins=10 ** 12)  # numpy would allocate 7.28 TiB first
+    monkeypatch.setattr(montecarlo, "MAX_HISTOGRAM_BINS", 4)
+    assert len(histogram(ens, "x", 1.0, bins=4).counts) == 4
+    with pytest.raises(ValueError, match="at most 4 bins"):
+        histogram(ens, "x", 1.0, bins=5)
+
+
 def test_moments_constant_variable():
     program, table = parse_program("x := 3 ; wait 2")
     grid = TimeGrid.from_times((0.0, 1.0))

@@ -470,3 +470,84 @@ def test_nilpotent_coefficients_are_summed_left_to_right():
         want = ode._polynomial_rows([np.array(p) for p in powers[:-1]], n)
         flow(block, (0.0,) * n, 1.0)
         assert block.compiled.exact.args[0] == want
+
+
+_HOSTILE = (0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, math.inf, -math.inf, math.nan)
+
+
+def _dense_powers(m, count):
+    """[M, ..., M^(d-1)] by the definition with no shortcut: every entry of
+    every power, zero rows too, summed left to right; None unless some
+    M^d with d <= count is all zeros."""
+    w = len(m)
+    powers, power = [], m
+    while any(any(row) for row in power):
+        if len(powers) + 1 == count:
+            return None
+        powers.append(power)
+        product = []
+        for i in range(w):
+            row = []
+            for j in range(w):
+                acc = power[i][0] * m[0][j]
+                for k in range(1, w):
+                    acc += power[i][k] * m[k][j]
+                row.append(acc)
+            product.append(row)
+        power = product
+    return powers
+
+
+def _random_square(rng, w):
+    """A w x w matrix: strictly upper-triangular, the same with its rows and
+    columns permuted alike (nilpotent, not triangular), or general; entries
+    signed zeros, huge, subnormal, infinite, NaN or uniform; the last row
+    zeros half the time, as in an augmented flow matrix."""
+    def entry():
+        r = rng.random()
+        if r < 0.35:
+            return rng.choice((0.0, -0.0))
+        return rng.choice(_HOSTILE) if r < 0.45 else rng.uniform(-2.0, 2.0)
+
+    shape = rng.choice(("upper", "permuted", "general"))
+    m = [[entry() if shape == "general" or j > i else rng.choice((0.0, -0.0))
+          for j in range(w)] for i in range(w)]
+    if shape == "permuted":
+        order = rng.sample(range(w), w)
+        m = [[m[p][q] for q in order] for p in order]
+    if rng.random() < 0.5:
+        m[-1] = [rng.choice((0.0, -0.0)) for _ in range(w)]
+    return m
+
+
+def _hex(x):
+    """`x` with every float as its hex string, so signed zeros and NaNs compare."""
+    if isinstance(x, float):
+        return x.hex()
+    return tuple(map(_hex, x)) if isinstance(x, (tuple, list)) else x
+
+
+def test_nilpotent_powers_match_the_dense_definition_on_hostile_matrices():
+    # neither the zero-row skip nor the lack of an early exit on non-finite
+    # entries may change a bit that a reader sees: the nonzero rows of every
+    # power, and the Horner coefficients
+    rng = random.Random(18)
+    nilpotent = 0
+    for _ in range(3000):
+        w = rng.randint(1, 9)
+        m = _random_square(rng, w)
+        want = _dense_powers(m, w)
+        got = ode._nilpotent_powers(m, w)
+        assert (got is None) == (want is None), m
+        if want is None:
+            continue
+        nilpotent += 1
+        assert len(got) == len(want), m
+        for p, q in zip(got, want):
+            for row, expected in zip(p, q):
+                assert any(row) == any(expected), m
+                if any(row):
+                    assert _hex(row) == _hex(expected), m
+        assert _hex(ode._polynomial_rows(got, w - 1)) == _hex(ode._polynomial_rows(want, w - 1)), m
+    assert nilpotent > 1000, nilpotent  # the draws reach both outcomes
+    assert nilpotent < 2900, nilpotent

@@ -3,7 +3,8 @@
 `import swhile` imports no submodule; `parse`, `run` and `adequacy` load
 neither numpy nor scipy; a serial `simulate` loads numpy with the ensemble
 engine but not `concurrent.futures`, which only a process pool needs;
-scipy is loaded only once a block needs `expm`.
+scipy is loaded only once a block needs `expm`, and `secrets` only once
+a seed is drawn.
 
 Each test runs its code in a new interpreter, since this one has numpy
 and scipy loaded already (the statistical tests import `scipy.stats`).
@@ -113,3 +114,15 @@ print(before, 'scipy.linalg' in sys.modules, x.hex())
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     want = float((expm(m * 1.0)[:1, :] @ np.append(np.asarray((1.0,)), 1.0))[0])
     assert out.split() == ["False", "True", want.hex()]
+
+
+def test_run_with_a_seed_leaves_secrets_unloaded():
+    # only a run or simulate without --seed draws one from `secrets`
+    out = fresh_python("""
+import contextlib, io, sys
+from swhile.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(['run', 'programs/ball.swl', '--time', '1', '--seed', '1'])
+print(code, 'secrets' in sys.modules)
+""")
+    assert out == "0 False\n"
