@@ -24,13 +24,13 @@ _SOURCE = {name: module for module, names in {
     "entropy": ("Enumerator", "EntropyExhausted", "FinitePrefix", "PrngStream", "from_seed",
                 "split_seed"),
     "measure": ("DiscMeasure", "EPoint", "XPoint", "dirac", "kleisli_extend", "tv_distance"),
-    "montecarlo": ("Diverged", "Ensemble", "ErrorAt", "TerminatedEarly", "TimeGrid",
-                   "Trajectory", "Value", "histogram", "interval_probability", "moments",
+    "montecarlo": ("Diverged", "Ensemble", "ErrorAt", "TerminatedEarly", "Trajectory",
+                   "Value", "histogram", "interval_probability", "moments",
                    "probability_over_time", "run_ensemble", "sample_trajectory"),
     "ode": ("ExactAffine", "FlowMethod", "RungeKutta4", "classify_affine", "flow"),
     "parser": ("ParseError", "parse_bool_expr", "parse_file", "parse_program"),
-    "smallstep": ("Config", "Err", "Normal", "OutOfFuel", "TimeStop", "run_to_terminal", "step",
-                  "trace"),
+    "smallstep": ("Config", "Err", "Normal", "OutOfFuel", "TimeGrid", "TimeStop",
+                  "run_to_terminal", "step", "trace"),
     "store": ("Store", "Undefined", "eval_bool", "eval_expr", "make_store", "update"),
     "syntax": ("And", "Assign", "BoolLit", "Call", "DiffBlock", "If", "Leq", "Lit", "Or",
                "Program", "Sample", "Seq", "Var", "VarTable", "While", "pretty_print",

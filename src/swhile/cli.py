@@ -141,18 +141,14 @@ def _seed_of(args) -> int:
 
 def _regular_grid(text: str):
     """The `--grid START:END:STEP` value of `simulate` and `adequacy`, a
-    `montecarlo.TimeGrid`."""
-    from . import montecarlo  # with numpy, only where a grid is asked for
-
+    `smallstep.TimeGrid`."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--grid expects START:END:STEP")
-    return montecarlo.TimeGrid.regular(*map(float, parts))
+    return smallstep.TimeGrid.regular(*map(float, parts))
 
 
 def _grid_of(args):
-    from . import montecarlo
-
     if args.grid:
         if (args.start, args.end, args.step) != (None, None, None):
             raise ValueError("--grid cannot be combined with --start, --end or --step")
@@ -161,7 +157,7 @@ def _grid_of(args):
         raise ValueError("simulate needs --grid S:E:STEP or --end E")
     start = 0.0 if args.start is None else args.start
     step = 0.1 if args.step is None else args.step
-    return montecarlo.TimeGrid.regular(start, args.end, step)
+    return smallstep.TimeGrid.regular(start, args.end, step)
 
 
 def _check_of(args, table):
@@ -227,25 +223,32 @@ def _write_json(result, fh) -> None:
                         sort_keys=True) + "\n")
 
 
-def _result(args, ensemble, cond):
-    """The result the flags ask for -- a statistic, or the ensemble itself
-    when they ask for none -- and its writer (result, fh) for `args.format`."""
+def _statistic(args, table, grid, cond):
+    """The result the flags ask for, as a function of the ensemble -- a
+    statistic, or the ensemble itself when they ask for none -- and its
+    writer (result, fh) for `args.format`.  The statistic's flags are
+    checked here, as the statistic itself checks them, so that a bad one is
+    refused before any run is recorded."""
     from . import montecarlo
 
     as_json = args.format == "json"
     if cond is not None and args.interval is not None:
-        result = montecarlo.interval_probability(ensemble, cond, *args.interval)
-        return result, _write_json if as_json else _write_interval_csv
+        montecarlo.interval_indices(grid, *args.interval)
+        return (lambda ensemble: montecarlo.interval_probability(ensemble, cond, *args.interval),
+                _write_json if as_json else _write_interval_csv)
     if cond is not None:
-        series = montecarlo.probability_over_time(ensemble, cond)
-        return series, _write_json if as_json else montecarlo.write_series_csv
+        return (lambda ensemble: montecarlo.probability_over_time(ensemble, cond),
+                _write_json if as_json else montecarlo.write_series_csv)
     if args.hist:
         var, _, at = args.hist.rpartition("@")
         if not var:
             raise ValueError("--hist expects VAR@T")
-        hist = montecarlo.histogram(ensemble, var, float(at), args.bins)
-        return hist, _write_json if as_json else montecarlo.write_histogram_csv
-    return ensemble, montecarlo.write_ensemble_json if as_json else montecarlo.write_ensemble_csv
+        t = float(at)
+        montecarlo.check_histogram(table, grid, var, t, args.bins)
+        return (lambda ensemble: montecarlo.histogram(ensemble, var, t, args.bins),
+                _write_json if as_json else montecarlo.write_histogram_csv)
+    return (lambda ensemble: ensemble,
+            montecarlo.write_ensemble_json if as_json else montecarlo.write_ensemble_csv)
 
 
 def cmd_simulate(args) -> int:
@@ -259,13 +262,14 @@ def cmd_simulate(args) -> int:
     seed = _seed_of(args)
     method = _flow_method(args.flow)
     grid = _grid_of(args)
+    statistic, write = _statistic(args, table, grid, cond)
     ensemble = montecarlo.run_ensemble(
         program, table, store, grid, args.runs, seed,
         fuel=args.fuel, flow_method=method, workers=args.parallel,
     )
     # the result exists before its destination is opened, so a run that
     # fails leaves no file
-    result, write = _result(args, ensemble, cond)
+    result = statistic(ensemble)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write(result, fh)

@@ -2,14 +2,16 @@
 through the program.
 
 `record` records a chunk of runs in one pass over the program, the way
-`denotational._push` pushes a whole measure through it.  For every run it
-produces exactly what `bigstep.eval_big(config, fuel, flow_method,
-segments)` records for that run's seed, bit for bit: each positive-duration
-segment's block, entry store, duration and step, the run's outcome and
-last step, and its final store when it terminated or stopped in time.
-Errors and fuel cuts are included.  `eval_big` stays the single-run
-recorder and the oracle; this is an engineering path, not a fifth
-semantics.
+`denotational._push` pushes a whole measure through it.  A recording holds
+what the grid-point reader (`montecarlo._read_recorded`) needs of each run,
+and nothing more: each positive-duration segment's block, entry store and
+duration, and how the run ended -- normally (with its final store), inside
+its last recorded segment (OPEN: it stopped in time there, or that
+segment's flow erred), with some other error, or cut by fuel.  For every
+run it records exactly what `Recording.of_runs` makes of
+`bigstep.eval_big(config, fuel, flow_method, segments)` for that run's
+seed, bit for bit.  `eval_big` stays the single-run recorder and the
+oracle; this is an engineering path, not a fifth semantics.
 
 State is one float64 column per variable (rows of `X`, one entry per run)
 plus per-run arrays: the PRNG counter, the step count, the remaining time
@@ -54,59 +56,64 @@ from .smallstep import Err, Normal, TimeStop
 from .store import Undefined, eval_expr
 from .syntax import And, Assign, BoolLit, Call, DiffBlock, If, Leq, Lit, Or, Sample, Seq, Var, While
 
-# run outcomes in a Recording: eval_big's Normal, TimeStop, Err and OutOfFuel
-NORMAL, TIMESTOP, ERR, CUT = range(4)
+# run outcomes in a Recording: ended normally, ended inside its last
+# recorded segment (stopped in time there, or that segment's flow erred),
+# erred elsewhere, cut by fuel
+NORMAL, OPEN, ERR, CUT = range(4)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Recording:
-    """The `eval_big` recordings of consecutive runs, as arrays.
+    """What the grid-point reader needs of consecutive runs, as arrays.
 
     Segments are grouped by run, in run order, and each run's segments are
-    in the order it recorded them.
+    in the order it recorded them.  An OPEN run ended inside its last
+    segment, so the reader treats that segment as never ending.
     """
 
     blocks: tuple  # the distinct blocks that recorded a segment
     segment_blocks: np.ndarray  # intp (segments,): each segment's index into `blocks`
     entries: np.ndarray  # float64 (segments, variables): the store entering each segment
     durations: np.ndarray  # float64 (segments,)
-    steps: np.ndarray  # int64 (segments,): the step that recorded each segment
     counts: np.ndarray  # int64 (runs,): each run's number of segments
-    outcomes: np.ndarray  # int8 (runs,): NORMAL, TIMESTOP, ERR or CUT
-    last_steps: np.ndarray  # int64 (runs,): eval_big's last recorded step
-    finals: np.ndarray  # float64 (runs, variables): the NORMAL or TIMESTOP store; NaN elsewhere
+    outcomes: np.ndarray  # int8 (runs,): NORMAL, OPEN, ERR or CUT
+    finals: np.ndarray  # float64 (runs, variables): the NORMAL store; NaN elsewhere
 
     @classmethod
     def of_runs(cls, runs, width: int) -> "Recording":
         """The Recording of `runs`, one (result, segments) pair per run as
         `eval_big(config, fuel, flow_method, segments)` returned and
-        recorded them; `width` is the number of variables."""
-        blocks, entries, durations, steps, counts = [], [], [], [], []
-        outcomes, last_steps = [], []
+        recorded them; `width` is the number of variables.
+
+        A TimeStop is OPEN, and so is an Err on the step that recorded the
+        run's last segment: that segment's flow erred.
+        """
+        blocks, entries, durations, counts, outcomes = [], [], [], [], []
         finals = np.full((len(runs), width), np.nan)
         for r, (result, segments) in enumerate(runs):
-            last_steps.append(segments[-1][3])
             counts.append(len(segments) - 1)
             if len(segments) > 1:
-                b, e, d, k = zip(*segments[:-1])
+                b, e, d, _ = zip(*segments[:-1])
                 blocks += b
                 entries += e
                 durations += d
-                steps += k
             rt = type(result)
-            if rt is Normal or rt is TimeStop:
+            if rt is Normal:
                 finals[r] = result.store
-            outcomes.append(NORMAL if rt is Normal else TIMESTOP if rt is TimeStop
-                            else ERR if rt is Err else CUT)
+                outcomes.append(NORMAL)
+            elif rt is TimeStop or (rt is Err and len(segments) > 1
+                                    and segments[-2][3] == segments[-1][3]):
+                outcomes.append(OPEN)
+            else:
+                outcomes.append(ERR if rt is Err else CUT)
         distinct = dict(zip(map(id, blocks), blocks))
         index = {key: k for k, key in enumerate(distinct)}
         n = len(blocks)
         return cls(tuple(distinct.values()),
                    np.fromiter(map(index.__getitem__, map(id, blocks)), np.intp, n),
                    np.fromiter(chain.from_iterable(entries), float, n * width).reshape(n, width),
-                   np.array(durations, dtype=float), np.array(steps, dtype=np.int64),
-                   np.array(counts, dtype=np.int64), np.array(outcomes, dtype=np.int8),
-                   np.array(last_steps, dtype=np.int64), finals)
+                   np.array(durations, dtype=float), np.array(counts, dtype=np.int64),
+                   np.array(outcomes, dtype=np.int8), finals)
 
     @property
     def runs(self) -> int:
@@ -281,16 +288,13 @@ class _Pass:
         self.steps = np.zeros(runs, dtype=np.int64)
         self.left = np.full(runs, float(t))  # remaining time
         self.outcomes = np.full(runs, NORMAL, dtype=np.int8)
-        self.last_steps = np.zeros(runs, dtype=np.int64)
-        self.finals = np.full((runs, width), np.nan)
         self.alive = np.ones(runs, dtype=bool)  # replaced, never changed in place
         self.count = runs  # alive runs
-        self.segments = []  # (block, runs, entry stores, durations, steps), as recorded
+        self.segments = []  # (block, runs, entry stores, durations), as recorded
 
     def stop(self, rows, outcome):
         """End the runs in bool array `rows` with `outcome`."""
         self.outcomes[rows] = outcome
-        self.last_steps[rows] = self.steps[rows]
         self.alive = self.alive & ~rows
         self.count -= np.count_nonzero(rows)
 
@@ -403,9 +407,6 @@ class _Pass:
                     self.flow(node, live)
                 else:  # pragma: no cover
                     raise TypeError(f"not a program node: {node!r}")
-        alive = self.alive
-        self.finals[alive] = X[:, alive].T
-        self.last_steps[alive] = steps[alive]
         return self.recording()
 
     def flow(self, node, live):
@@ -423,17 +424,11 @@ class _Pass:
             live = live & ~negative
         rows = np.flatnonzero(live & (d > 0.0))
         if len(rows):
-            self.segments.append((node, rows, X[:, rows].T, d[rows], self.steps[rows]))
+            self.segments.append((node, rows, X[:, rows].T, d[rows]))
         over = live & (d > left)
         if over.any():
-            # the run stops in time inside this segment, with its store at `left`
-            idx = np.flatnonzero(over)
-            out, defined = ode.flow_rows(node, X[:, idx].T, left[idx], self.flow_method)
-            self.finals[idx[defined]] = out[defined]
-            stopped = np.zeros(self.runs, dtype=bool)
-            stopped[idx[defined]] = True
-            self.stop(stopped, TIMESTOP)
-            self.stop(over & ~stopped, ERR)
+            # the run stops in time inside this segment: the reader flows it
+            self.stop(over, OPEN)
             live = live & ~over
         idx = np.flatnonzero(live)
         if not len(idx):
@@ -442,15 +437,18 @@ class _Pass:
             out, defined = ode.flow_rows(node, X[:, idx].T, d[idx], self.flow_method)
             X[:, idx] = out.T
             if not defined.all():
+                # inside the segment it recorded, or with no segment recorded
                 bad = np.zeros(self.runs, dtype=bool)
                 bad[idx[~defined]] = True
-                self.stop(bad, ERR)
+                recorded = d > 0.0
+                self.stop(bad & recorded, OPEN)
+                self.stop(bad & ~recorded, ERR)
         np.subtract(left, d, out=left, where=live)
 
     def recording(self) -> Recording:
         """The Recording of the pass: its segments sorted stably by run."""
         blocks, index, owners = [], {}, []
-        for block, rows, _, _, _ in self.segments:
+        for block, rows, _, _ in self.segments:
             k = index.get(id(block))
             if k is None:
                 k = index[id(block)] = len(blocks)
@@ -460,11 +458,11 @@ class _Pass:
             rows = np.concatenate([s[1] for s in self.segments])
             order = np.argsort(rows, kind="stable")
             fields = [np.concatenate(owners)[order]]
-            fields += [np.concatenate([s[i] for s in self.segments])[order] for i in (2, 3, 4)]
+            fields += [np.concatenate([s[i] for s in self.segments])[order] for i in (2, 3)]
             counts = np.bincount(rows, minlength=self.runs).astype(np.int64)
         else:
-            fields = [np.zeros(0, dtype=np.intp), np.zeros((0, self.width)), np.zeros(0),
-                      np.zeros(0, dtype=np.int64)]
+            fields = [np.zeros(0, dtype=np.intp), np.zeros((0, self.width)), np.zeros(0)]
             counts = np.zeros(self.runs, dtype=np.int64)
-        return Recording(tuple(blocks), *fields, counts, self.outcomes, self.last_steps,
-                         self.finals)
+        finals = np.full((self.runs, self.width), np.nan)
+        finals[self.alive] = self.X[:, self.alive].T
+        return Recording(tuple(blocks), *fields, counts, self.outcomes, finals)

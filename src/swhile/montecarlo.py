@@ -35,13 +35,16 @@ Two evaluation modes fill the arrays:
 
 * canonical -- rerun the small-step closure once per grid time with the
   same seed-initialized entropy source;
-* fast (default) -- each run is recorded to the last grid time: every
-  positive-duration flow segment with the small-step count at its entry,
-  as `bigstep.eval_big` records one run; then one array pass per chunk of
-  consecutive runs reads their grid points off those segments
-  (`_read_recorded`).  A chunk of at least FRONTIER_MIN_RUNS runs is
-  recorded by one frontier pass over the program for all of its runs
-  (`frontier.record`), which replays `eval_big` bit for bit; smaller
+* fast (default) -- each run is recorded to the last grid time: the
+  block, entry store and duration of every positive-duration flow
+  segment, and how the run ended (a `frontier.Recording`: normally, with
+  its final store; inside its last segment, OPEN, whether it stopped in
+  time there or that segment's flow erred; with another error; or cut by
+  fuel); then one array pass per chunk of consecutive runs reads their
+  grid points off those segments (`_read_recorded`).  A chunk of at
+  least FRONTIER_MIN_RUNS runs is recorded by one frontier pass over the
+  program for all of its runs (`frontier.record`), bit for bit what
+  `frontier.Recording.of_runs` makes of `eval_big`'s runs; smaller
   ensembles, and what is left below that count, are recorded with one
   `eval_big` call per seed.  The frontier pass costs a fixed number of
   numpy operations per program node, so on fewer runs the per-run
@@ -55,7 +58,8 @@ Two evaluation modes fill the arrays:
 Fast mode replays exactly the canonical arithmetic: a grid time g walks
 its run's segments subtracting durations from g in run order (the same
 float operations the per-g rerun performs) and lands in the first segment
-that outlasts the remainder.  The pass keeps those remainders as an
+that outlasts the remainder; an OPEN run's last segment outlasts every
+remainder.  The pass keeps those remainders as an
 (runs, points) matrix and flows each landed point's entry store with
 `ode.flow_rows`, whose arithmetic is one `ode.flow` call's, so the two
 modes agree bit for bit on affine flows.  Both modes spend `fuel` on
@@ -89,15 +93,12 @@ import numpy as np
 from . import frontier, ode
 from .bigstep import eval_big
 from .entropy import from_seed, split_seed
-from .smallstep import Config, DEFAULT_FUEL, Err, Normal, TimeStop, _close
+from .smallstep import MAX_GRID_POINTS  # noqa: F401 -- importable from here, as before
+from .smallstep import Config, DEFAULT_FUEL, Err, Normal, TimeGrid, TimeStop, _close
 from .store import Store
 from .store import eval_bool, eval_expr  # noqa: F401 -- unused here; tracers patch them by name
 from .syntax import Program, VarTable
 
-
-# The most times a regular grid may hold: every grid time costs a point in
-# each trajectory, so a longer grid would exhaust memory before it ran.
-MAX_GRID_POINTS = 10 ** 6
 
 # The most bins one histogram may hold: numpy allocates every bin's count
 # and edge before it counts a value, so 10^12 bins would ask for terabytes.
@@ -108,55 +109,6 @@ MAX_HISTOGRAM_BINS = 10 ** 6
 # take at least 1.7 GB, and a larger ensemble would exhaust memory -- or
 # first spend hours splitting its seeds -- before it ran.
 MAX_ENSEMBLE_POINTS = 10 ** 8
-
-
-@dataclass(frozen=True, slots=True)
-class TimeGrid:
-    start: float
-    end: float
-    times: tuple
-
-    def __post_init__(self):
-        if self.start < 0:
-            raise ValueError("grid start must be nonnegative")
-        if not self.end > self.start:
-            raise ValueError("grid end must exceed its start")
-        if not self.times:
-            raise ValueError("grid must contain at least one time")
-        prev = None
-        for t in self.times:
-            if not self.start <= t <= self.end:
-                raise ValueError("grid times must lie within [start, end]")
-            if prev is not None and t <= prev:
-                raise ValueError("grid times must be strictly increasing")
-            prev = t
-
-    @classmethod
-    def from_times(cls, times) -> "TimeGrid":
-        times = tuple(float(t) for t in times)
-        if len(times) < 2:
-            raise ValueError("an explicit grid needs at least two times")
-        return cls(times[0], times[-1], times)
-
-    @classmethod
-    def regular(cls, start: float, end: float, step: float) -> "TimeGrid":
-        if not all(math.isfinite(v) for v in (start, end, step)):
-            raise ValueError("grid start, end and step must be finite")
-        if step <= 0:
-            raise ValueError("step must be positive")
-        # the loop yields floor((end - start) / step) + 1 times (up to the
-        # rounding of its tolerance); count them first, not by running it
-        if (end - start) / step >= MAX_GRID_POINTS:
-            raise ValueError(f"grid would hold more than {MAX_GRID_POINTS} times")
-        times = []
-        i = 0
-        while True:
-            t = start + i * step
-            if t > end + 1e-12:
-                break
-            times.append(min(t, end))
-            i += 1
-        return cls(start, end, tuple(times))
 
 
 # --- per-grid-time outcomes: the view classes and the array codes ------------
@@ -329,7 +281,8 @@ def _read_fast(program, store0, grid, seeds, fuel, flow_method, kinds, stores, e
 
 
 # A run's points past its last segment take its tail outcome, by
-# frontier outcome code: NORMAL, TIMESTOP, ERR, CUT.
+# frontier outcome code: NORMAL, OPEN (never read: every point that reaches
+# an OPEN run's last segment lands there), ERR, CUT.
 _TAILS = np.array([TERMINATED, ERROR, ERROR, DIVERGED], dtype=np.int8)
 
 
@@ -338,15 +291,17 @@ def _read_recorded(rec, grid, flow_method, kinds, stores, event_times):
 
     A grid time g's remainder after k segments is g minus their durations,
     subtracted in run order as the rerun to g would; g lands in the first
-    segment whose duration exceeds that remainder, or in the segment whose
-    flow erred.  Points that land nowhere take their run's tail outcome.
-    Recorded segments never lie past step `fuel` (see `eval_big`), so only
-    points past a run's last segment can be fuel cuts.
+    segment whose duration exceeds that remainder.  An OPEN run's last
+    segment counts as never ending, so every grid time that reaches it
+    lands there: the rerun stops in time inside it (or its flow errs), and
+    where the remainder reaches the segment's true end the rerun flows all
+    of it and errs.  Points that land nowhere take their run's tail
+    outcome.  Recorded segments never lie past step `fuel` (see
+    `eval_big`), so only points past a run's last segment can be fuel cuts.
     `rec` is a `frontier.Recording`.
     """
     outcomes, counts = rec.outcomes, rec.counts
     held = outcomes == frontier.NORMAL
-    stopped_rows = np.flatnonzero(outcomes == frontier.TIMESTOP)
     # every point starts as its run's tail outcome; landed points overwrite it
     grid_times = remaining = np.asarray(grid.times, dtype=float)
     kinds[:] = _TAILS[outcomes][:, None]
@@ -356,29 +311,20 @@ def _read_recorded(rec, grid, flow_method, kinds, stores, event_times):
         starts = np.cumsum(counts) - counts  # each run's first segment
         table = np.zeros((len(counts), int(counts.max())))  # 0.0 past a run's end moves nothing
         table[np.arange(table.shape[1]) < counts[:, None]] = rec.durations
-        # a run whose last step recorded its last segment erred in that flow
-        failed = None
-        erred = np.flatnonzero(outcomes == frontier.ERR)
-        if len(erred):
-            erred = erred[counts[erred] > 0]
-            last = starts[erred] + counts[erred] - 1
-            erred = erred[rec.steps[last] == rec.last_steps[erred]]
-            if len(erred):
-                failed = np.zeros(table.shape, dtype=bool)
-                failed[erred, counts[erred] - 1] = True
-        # the recording run's own store stands at a stopped run's last point
-        r_idx, p_idx, k_idx, tau, remaining = _land(table, failed, grid_times, stopped_rows)
+        opened = np.flatnonzero(outcomes == frontier.OPEN)
+        table[opened, counts[opened] - 1] = np.inf
+        r_idx, p_idx, k_idx, tau, remaining = _land(table, grid_times)
         landed = starts[r_idx] + k_idx  # index into the segments
         entry = rec.entries[landed]
-        if failed is None and len(rec.blocks) == 1:
+        # at or past the end of an OPEN run's erring segment, the rerun errs
+        past = rec.durations[landed] <= tau
+        if len(rec.blocks) == 1 and not past.any():
             # every landed point flows along the one block: no index arrays
             # (about 5 % of a 4-run ball ensemble on 201 grid times)
             groups = [(rec.blocks[0], slice(None))]
         else:
             ids = rec.segment_blocks[landed]
-            if failed is not None:
-                # past the end of the erring segment, the rerun's flow errs too
-                ids[failed[r_idx, k_idx] & (table[r_idx, k_idx] <= tau)] = -1
+            ids[past] = -1
             groups = [(block, np.flatnonzero(ids == b)) for b, block in enumerate(rec.blocks)]
         kind = np.full(len(tau), ERROR, dtype=np.int8)
         out = np.full((len(tau), stores.shape[2]), np.nan)
@@ -390,29 +336,23 @@ def _read_recorded(rec, grid, flow_method, kinds, stores, event_times):
         stores[r_idx, p_idx] = out
         remaining[r_idx, p_idx] = tau
     np.subtract(grid_times, remaining, out=event_times)
-    if len(stopped_rows):
-        kinds[stopped_rows, -1] = VALUE
-        stores[stopped_rows, -1] = rec.finals[stopped_rows]
     event_times[(kinds == VALUE) | (kinds == DIVERGED)] = np.nan
 
 
-def _land(table, failed, grid_times, skip_last):
+def _land(table, grid_times):
     """Walk every grid time down its run's segments.
 
-    `table` holds each run's segment durations and `failed` (or None) marks
-    the segments whose flow erred.  Returns the points that land -- run and
-    grid indices, landing segment and remainder there -- and the remainder
-    of every other point after its run's last segment.  The last points of
-    the runs in `skip_last` never land.  Segments are taken in blocks whose
-    remainder chains -- one `np.subtract.accumulate`, the same subtractions
-    in the same order as a walk one segment at a time -- hold at most
-    _CHAIN_CELLS floats.
+    `table` holds each run's segment durations.  Returns the points that
+    land -- run and grid indices, landing segment and remainder there --
+    and the remainder of every other point after its run's last segment.
+    Segments are taken in blocks whose remainder chains -- one
+    `np.subtract.accumulate`, the same subtractions in the same order as a
+    walk one segment at a time -- hold at most _CHAIN_CELLS floats.
     """
     runs, width = table.shape
     remaining = np.empty((runs, len(grid_times)))
     remaining[:] = grid_times
     unlanded = np.ones(remaining.shape, dtype=bool)
-    unlanded[skip_last, -1] = False
     found = []
     step = max(1, _CHAIN_CELLS // remaining.size - 1)
     for k0 in range(0, width, step):
@@ -422,8 +362,6 @@ def _land(table, failed, grid_times, skip_last):
         chains[1:] = durations
         np.subtract.accumulate(chains, axis=0, out=chains)
         hit = durations > chains[:-1]
-        if failed is not None:
-            hit |= failed[:, k0:k0 + step].T[:, :, None]
         lands = hit.any(axis=0)
         lands &= unlanded
         r_idx, p_idx = np.nonzero(lands)
@@ -586,6 +524,17 @@ def probability_over_time(ensemble: Ensemble, cond) -> ProbabilitySeries:
     return ProbabilitySeries(ensemble.grid.times, tuple(fractions), tuple(excluded))
 
 
+def interval_indices(grid: TimeGrid, t1: float, t2: float) -> list:
+    """The indices of the grid times in [t1, t2]; an interval outside the
+    grid, or holding no grid time, is refused."""
+    if not (grid.start <= t1 <= t2 <= grid.end):
+        raise ValueError("interval must lie within the grid")
+    indices = [i for i, t in enumerate(grid.times) if t1 <= t <= t2]
+    if not indices:
+        raise ValueError(f"interval [{t1}, {t2}] holds no grid time")
+    return indices
+
+
 @dataclass(frozen=True, slots=True)
 class IntervalProbability:
     fraction: float
@@ -602,12 +551,7 @@ def interval_probability(ensemble: Ensemble, cond, t1: float, t2: float) -> Inte
     invisible, which the attached note spells out.  An interval that holds
     no grid time is refused, as one outside the grid is.
     """
-    grid = ensemble.grid
-    if not (grid.start <= t1 <= t2 <= grid.end):
-        raise ValueError("interval must lie within the grid")
-    indices = [i for i, t in enumerate(grid.times) if t1 <= t <= t2]
-    if not indices:
-        raise ValueError(f"interval [{t1}, {t2}] holds no grid time")
+    indices = interval_indices(ensemble.grid, t1, t2)
     hit, has = _holds(ensemble, cond, slice(indices[0], indices[-1] + 1))
     hits = int(np.count_nonzero(hit.any(axis=1)))
     n = len(ensemble.seeds)
@@ -657,12 +601,20 @@ def _column(ensemble: Ensemble, variable: str, t: float):
     return values, len(has) - len(values)
 
 
-def histogram(ensemble: Ensemble, variable: str, t: float, bins: int) -> HistogramResult:
-    """Equal-width histogram of a variable's values at a grid time."""
+def check_histogram(table: VarTable, grid: TimeGrid, variable: str, t: float, bins: int) -> None:
+    """Refuse what `histogram` refuses: a bin count out of range, a time
+    not on the grid, or an unknown variable."""
     if bins < 1:
         raise ValueError("need at least one bin")
     if bins > MAX_HISTOGRAM_BINS:
         raise ValueError(f"a histogram may hold at most {MAX_HISTOGRAM_BINS} bins")
+    _grid_index(grid, t)
+    _var_index(table, variable)
+
+
+def histogram(ensemble: Ensemble, variable: str, t: float, bins: int) -> HistogramResult:
+    """Equal-width histogram of a variable's values at a grid time."""
+    check_histogram(ensemble.table, ensemble.grid, variable, t, bins)
     values, excluded = _column(ensemble, variable, t)
     if not len(values):
         return HistogramResult((), (), excluded)

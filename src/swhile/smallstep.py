@@ -27,10 +27,14 @@ observed: for the trace (a `sink` that takes each configuration as it is
 reached, as `swhile run --trace` prints them) and for the last
 configuration it returns.  Its cost is per step, independent of
 how deeply the Seqs nest.  `step` is the closure with one unit of fuel.
+
+`TimeGrid`, the query times of `simulate` and `adequacy --grid`, lives
+here beside Config's time checks, so building a grid loads no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ode
@@ -68,6 +72,63 @@ class Config:
         if not 0 <= t < _INF:  # also rejects NaN, for which t < 0 is false
             raise ValueError("remaining time must be finite" if t == _INF
                              else "remaining time must be nonnegative")
+
+
+# The most times a regular grid may hold: every grid time costs a point in
+# each trajectory, so a longer grid would exhaust memory before it ran.
+MAX_GRID_POINTS = 10 ** 6
+
+
+@dataclass(frozen=True, slots=True)
+class TimeGrid:
+    """The times an ensemble is observed at: strictly increasing, within
+    [start, end]."""
+
+    start: float
+    end: float
+    times: tuple
+
+    def __post_init__(self):
+        if self.start < 0:
+            raise ValueError("grid start must be nonnegative")
+        if not self.end > self.start:
+            raise ValueError("grid end must exceed its start")
+        if not self.times:
+            raise ValueError("grid must contain at least one time")
+        prev = None
+        for t in self.times:
+            if not self.start <= t <= self.end:
+                raise ValueError("grid times must lie within [start, end]")
+            if prev is not None and t <= prev:
+                raise ValueError("grid times must be strictly increasing")
+            prev = t
+
+    @classmethod
+    def from_times(cls, times) -> "TimeGrid":
+        times = tuple(float(t) for t in times)
+        if len(times) < 2:
+            raise ValueError("an explicit grid needs at least two times")
+        return cls(times[0], times[-1], times)
+
+    @classmethod
+    def regular(cls, start: float, end: float, step: float) -> "TimeGrid":
+        if not all(math.isfinite(v) for v in (start, end, step)):
+            raise ValueError("grid start, end and step must be finite")
+        if step <= 0:
+            raise ValueError("step must be positive")
+        # the loop yields floor((end - start) / step) + 1 times (up to the
+        # rounding of its tolerance); count them first, not by running it
+        if (end - start) / step >= MAX_GRID_POINTS:
+            raise ValueError(f"grid would hold more than {MAX_GRID_POINTS} times")
+        times = []
+        i = 0
+        while True:
+            t = start + i * step
+            if t > end + 1e-12:
+                break
+            times.append(min(t, end))
+            i += 1
+        return cls(start, end, tuple(times))
 
 
 @dataclass(frozen=True, slots=True)

@@ -582,6 +582,31 @@ def test_bins_over_the_maximum_exit_cleanly(capsys):
                                  f"{montecarlo.MAX_HISTOGRAM_BINS} bins\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--hist", "p@1.0", "--bins", "0"), "need at least one bin"),
+    (("--hist", "p@1.0", "--bins", "1000001"),
+     f"a histogram may hold at most {montecarlo.MAX_HISTOGRAM_BINS} bins"),
+    (("--hist", "@1.0"), "--hist expects VAR@T"),
+    (("--hist", "p@soon"), "could not convert string to float: 'soon'"),
+    (("--hist", "q@1.0"), "unknown variable 'q'; have ['p', 'v', 'd']"),
+    (("--hist", "p@0.7"), "time 0.7 is not on the grid (0.0, 0.5, 1.0)"),
+    (("--check", "p <= 0", "--interval", "0", "2"), "interval must lie within the grid"),
+    (("--check", "p <= 0", "--interval", "0.1", "0.2"), "interval [0.1, 0.2] holds no grid time"),
+], ids=["no-bins", "too-many-bins", "no-var", "bad-time", "unknown-var", "off-grid",
+        "interval-outside", "interval-empty"])
+def test_statistic_flags_are_refused_before_any_run_is_recorded(monkeypatch, capsys, flags,
+                                                                message):
+    # each refusal used to come only after the whole ensemble was recorded
+    def record(*args, **kwargs):
+        raise AssertionError("an ensemble was recorded")
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", record)
+    code, out, err = run_cli(capsys, "simulate", PROGRAMS / "ball.swl", "--runs", "2",
+                             "--grid", "0:1:0.5", "--seed", "1", *flags)
+    assert code == 1
+    assert out == "" and err == f"error: {message}\n"
+
+
 # Run in a small intermediate process: a child's peak RSS starts from that of
 # the process it was forked from, which for pytest would hide the difference.
 _MEASURE = """

@@ -855,7 +855,7 @@ def test_rk4_stage_overflow_is_an_error_point_in_every_mode(monkeypatch):
         _assert_same_arrays(ens, canonical)
         outcomes = _assert_recorder_matches_eval_big(monkeypatch, program, table, store, grid,
                                                      DEFAULT_FUEL, method, runs)
-        assert outcomes == {frontier.ERR}
+        assert outcomes == {frontier.OPEN}
 
 
 # --- the frontier recorder against eval_big -----------------------------------
@@ -869,10 +869,8 @@ def _recordings_equal(a, b):
     assert [a.blocks[k] for k in a.segment_blocks] == [b.blocks[k] for k in b.segment_blocks]
     assert np.array_equal(_bits(a.entries), _bits(b.entries))
     assert np.array_equal(_bits(a.durations), _bits(b.durations))
-    assert np.array_equal(a.steps, b.steps)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.outcomes, b.outcomes)
-    assert np.array_equal(a.last_steps, b.last_steps)
     assert np.array_equal(_bits(a.finals), _bits(b.finals))
 
 
@@ -949,7 +947,7 @@ def test_recorder_matches_eval_big_on_undefined_values(monkeypatch):
             for fuel in (3, 10 ** 6):
                 seen |= _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, store,
                                                           grid, fuel)
-    assert seen == {frontier.NORMAL, frontier.TIMESTOP, frontier.ERR, frontier.CUT}
+    assert seen == {frontier.NORMAL, frontier.OPEN, frontier.ERR, frontier.CUT}
 
 
 def test_recorder_matches_eval_big_on_strict_connectives_and_signed_zeros(monkeypatch):
@@ -1000,7 +998,76 @@ def test_recorder_matches_eval_big_on_durations_stops_and_erring_flows(monkeypat
         for fuel in (2, 4, 6, 10 ** 6):
             seen |= _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, (0.0,) * 3,
                                                       grid, fuel, method)
-    assert seen == {frontier.NORMAL, frontier.TIMESTOP, frontier.ERR, frontier.CUT}
+    assert seen == {frontier.NORMAL, frontier.OPEN, frontier.ERR, frontier.CUT}
+
+
+def _assert_recorders_match_canonical(monkeypatch, text, grid, method=None):
+    """The frontier's and eval_big's recordings of `text` agree, and the
+    ensemble read off them equals `_canonical_point` at every point; returns
+    the ensemble and the frontier's recording."""
+    program, table = parse_program(text)
+    store = make_store(table)
+    _assert_recorder_matches_eval_big(monkeypatch, program, table, store, grid, DEFAULT_FUEL,
+                                      method)
+    ens = run_ensemble(program, table, store, grid, 24, 5, flow_method=method)  # the frontier
+    for traj in ens.trajectories:
+        for g, pt in zip(grid.times, traj.points):
+            assert pt == _canonical_point(program, store, g, traj.seed, DEFAULT_FUEL, method)
+    seeds = [split_seed(5, i) for i in range(24)]
+    return ens, frontier.record(program, store, grid.times[-1], seeds, DEFAULT_FUEL, method)
+
+
+def test_a_time_stop_whose_stop_flow_is_undefined_errs_at_the_canonical_time(monkeypatch):
+    # x = 1e308 + 1e308 * tau overflows from tau = 0.8 on: the stop at the
+    # horizon, tau = 2 - u, is undefined
+    text = "u := unif(0, 1) ; wait u ; x := 1e308 ; y := 1e308 ; x' = y, y' = 0 for 10"
+    ens, rec = _assert_recorders_match_canonical(monkeypatch, text, TimeGrid.regular(0, 2, 0.25))
+    assert (rec.outcomes == frontier.OPEN).all()
+    assert (ens.kinds[:, -1] == montecarlo.ERROR).all()
+    assert (ens.kinds == VALUE).any()
+    # the rerun errs inside the block it entered after waiting u
+    assert (rec.counts == 2).all()
+    assert np.array_equal(ens.event_times[:, -1], 2.0 - (2.0 - rec.durations[::2]))
+
+
+def test_a_time_stop_at_a_segments_exact_end_is_no_open_run(monkeypatch):
+    # the second block lasts 2 - u, the time left after the first: it ends
+    # exactly at the horizon, so the run finishes it and terminates
+    text = "u := unif(0, 1) ; wait u ; x' = 1 for 2 - u ; y := 1"
+    ens, rec = _assert_recorders_match_canonical(monkeypatch, text, TimeGrid.regular(0, 2, 0.25))
+    assert (rec.outcomes == frontier.NORMAL).all()
+    assert (ens.kinds[:, -1] == montecarlo.TERMINATED).all()
+
+
+def test_a_zero_duration_flow_that_errs_records_no_segment(monkeypatch):
+    # 10 * 1e308 overflows in the flow's coefficient, and inf * 0 is NaN
+    text = ("u := unif(0, 1) ; wait u ; y := 1e308 ; "
+            "if u <= 0.5 then x' = 10 * y for 0 else x := 1 ; wait 1")
+    ens, rec = _assert_recorders_match_canonical(monkeypatch, text, TimeGrid.regular(0, 3, 0.25))
+    erred = rec.outcomes == frontier.ERR
+    assert set(rec.outcomes.tolist()) == {frontier.ERR, frontier.NORMAL}
+    assert (rec.counts[erred] == 1).all() and (rec.counts[~erred] == 2).all()
+    assert (ens.kinds[erred, -1] == montecarlo.ERROR).all()
+
+
+def test_an_open_run_with_a_single_segment(monkeypatch):
+    text = "u := unif(0, 1) ; if u <= 0.5 then x' = 1 for 5 else { wait u ; x' = 2 for 5 }"
+    ens, rec = _assert_recorders_match_canonical(monkeypatch, text, TimeGrid.regular(0, 2, 0.25))
+    assert (rec.outcomes == frontier.OPEN).all()
+    assert set(rec.counts.tolist()) == {1, 2}
+    assert (ens.kinds == VALUE).all()
+
+
+def test_a_chunk_with_open_runs_in_both_blocks(monkeypatch):
+    # cruise_uniform stopped half-way through a round: every run is OPEN in
+    # the accelerating block or in the braking one
+    text = (PROGRAMS / "cruise_uniform.swl").read_text()
+    ens, rec = _assert_recorders_match_canonical(monkeypatch, text,
+                                                 TimeGrid.regular(0, 10.5, 0.25))
+    assert (rec.outcomes == frontier.OPEN).all()
+    last = np.cumsum(rec.counts) - 1
+    assert len(rec.blocks) == 2 and set(rec.segment_blocks[last].tolist()) == {0, 1}
+    assert (ens.kinds == VALUE).all()
 
 
 def test_recorder_cuts_fuel_on_the_step_where_a_run_would_end(monkeypatch):
@@ -1011,9 +1078,12 @@ def test_recorder_cuts_fuel_on_the_step_where_a_run_would_end(monkeypatch):
     grid = TimeGrid.from_times((0.0, 1.0))
     ends = set()
     for fuel in range(1, 20):
-        want = _eval_big_recording(program, (0.0,) * 3, 1.0,
-                                   [split_seed(5, i) for i in range(24)], fuel, None)
-        ends |= set(want.last_steps[want.outcomes == frontier.NORMAL].tolist()) & {fuel}
+        for i in range(24):
+            segments = []
+            result = eval_big(Config(program, (0.0,) * 3, 1.0, from_seed(split_seed(5, i))),
+                              fuel, None, segments)
+            if type(result) is Normal and segments[-1][3] == fuel:  # the last step recorded
+                ends.add(fuel)
         _assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, (0.0,) * 3, grid, fuel)
     assert len(ends) > 3  # fuels that some run used to its last step
 
@@ -1048,7 +1118,7 @@ def test_recorder_matches_eval_big_under_fuel_fuzz(monkeypatch):
         for fuel in fuels:
             seen |= _assert_recorder_matches_eval_big(monkeypatch, program, table, store, grid,
                                                       fuel, method, runs)
-    assert seen == {frontier.NORMAL, frontier.TIMESTOP, frontier.ERR, frontier.CUT}
+    assert seen == {frontier.NORMAL, frontier.OPEN, frontier.ERR, frontier.CUT}
 
 
 def test_vectorised_draws_equal_value_at_bit_for_bit():
@@ -1074,5 +1144,9 @@ def test_recorder_needs_no_recursion(monkeypatch):
     for program, steps in ((right, 5000), (left, 5000), (loop, 200002)):
         recording = frontier.record(program, (0.0,), 1.0, seeds, DEFAULT_FUEL)
         assert (recording.outcomes == frontier.NORMAL).all()
-        assert (recording.last_steps == steps).all()
+        # every run takes exactly `steps` steps: that fuel ends it, one less cuts it
+        assert (frontier.record(program, (0.0,), 1.0, seeds, steps).outcomes
+                == frontier.NORMAL).all()
+        assert (frontier.record(program, (0.0,), 1.0, seeds, steps - 1).outcomes
+                == frontier.CUT).all()
     assert recording.finals[0, 0] == 100000.0

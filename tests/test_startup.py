@@ -93,6 +93,12 @@ def test_parse_run_and_adequacy_on_every_bundled_program_leave_numpy_unloaded():
     assert cli_modules(commands) == "[]"
 
 
+def test_adequacy_over_a_grid_leaves_numpy_unloaded():
+    # building the --grid used to import the ensemble engine, and numpy with it
+    commands = [["adequacy", "programs/ball.swl", "--rational", "--grid", "0:1:0.5"]]
+    assert cli_modules(commands) == "[]"
+
+
 def test_serial_simulate_on_every_bundled_program_leaves_the_process_pool_unloaded():
     commands = [["simulate", str(p), "--runs", "2", "--grid", "0:1:0.5", "--seed", "1"]
                 for p in program_files()]
