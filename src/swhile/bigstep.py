@@ -3,6 +3,8 @@
 `eval_big` abstracts from intermediate steps and returns the same
 terminal shapes as the small-step closure; the two agree whenever neither
 is cut off by its budget, and the test suite exercises that equivalence.
+An `Undefined` raised by an expression, guard or flow becomes Err at the
+one handler of `eval_big`, beside the `finally` that ends a recording.
 
 `eval_functional` is the clause-by-clause functional form of the big-step
 semantics.  Its single undefined value Bottom deliberately merges
@@ -10,7 +12,8 @@ evaluation errors with divergence: loops are evaluated as the `fuel`-th
 Kleene approximant, where approximant 0 is Bottom everywhere and
 approximant i+1 unfolds the body once.  This per-loop index is what the
 measure-level enumeration matches against the denotational semantics, so
-truncation is identical on both sides.
+truncation is identical on both sides.  Undefinedness becomes Bottom at
+the one handler of `_functional`, the loop of `eval_functional`.
 """
 
 from __future__ import annotations
@@ -77,41 +80,26 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
                 if steps > fuel:
                     return OutOfFuel(fuel)
             if nt is Assign:
-                try:
-                    v = eval_expr(node.expr, store)
-                except Undefined:
-                    return ERR
+                v = eval_expr(node.expr, store)
                 store = update(store, node.var.index, v)
             elif nt is Sample:
                 h, src = src.draw()
                 store = update(store, node.var.index, h)
             elif nt is DiffBlock:
-                try:
-                    d = eval_expr(node.duration, store)
-                except Undefined:
-                    return ERR
+                d = eval_expr(node.duration, store)
                 if d < 0.0:
                     return ERR
                 if segments is not None and d > 0.0:
                     segments.append((node, store, d, steps))
-                try:
-                    if d > t:
-                        return TimeStop(ode.flow(node, store, t, flow_method))
-                    store = ode.flow(node, store, d, flow_method)
-                except Undefined:
-                    return ERR
+                if d > t:
+                    return TimeStop(ode.flow(node, store, t, flow_method))
+                store = ode.flow(node, store, d, flow_method)
                 t -= d
             elif nt is If:
-                try:
-                    guard = eval_bool(node.cond, store)
-                except Undefined:
-                    return ERR
+                guard = eval_bool(node.cond, store)
                 stack.append(node.then_branch if guard else node.else_branch)
             elif nt is While:
-                try:
-                    guard = eval_bool(node.cond, store)
-                except Undefined:
-                    return ERR
+                guard = eval_bool(node.cond, store)
                 if guard:
                     unfolds += 1
                     if unfolds > fuel:
@@ -121,6 +109,8 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
             else:  # pragma: no cover
                 raise TypeError(f"not a program node: {node!r}")
         return Normal(store, t, src)
+    except Undefined:
+        return ERR
     finally:
         if segments is not None:
             segments.append((None, None, None, steps))
@@ -151,71 +141,60 @@ def _functional(stack, store, t: float, src, fuel: int, flow_method):
     `_functional` on those with a source that can draw continues the run
     exactly where it stopped, without redoing what came before the draw.
     """
-    while stack:
-        node = stack.pop()
-        nt = type(node)
-        if nt is tuple:
-            _, wnode, index = node
-            outcome = _functional_while(wnode, index, store, stack)
-            if outcome is not None:
-                return outcome
-        elif nt is Seq:
-            stack.append(node.rest)
-            stack.append(node.first)
-        elif nt is Assign:
-            try:
+    try:
+        while stack:
+            node = stack.pop()
+            nt = type(node)
+            if nt is tuple:
+                _, wnode, index = node
+                if _functional_while(wnode, index, store, stack):
+                    return BOTTOM
+            elif nt is Seq:
+                stack.append(node.rest)
+                stack.append(node.first)
+            elif nt is Assign:
                 v = eval_expr(node.expr, store)
-            except Undefined:
-                return BOTTOM
-            store = update(store, node.var.index, v)
-        elif nt is Sample:
-            try:
-                h, src = src.draw()
-            except EntropyExhausted as exc:
-                stack.append(node)
-                exc.resume = (stack, store, t)
-                raise
-            store = update(store, node.var.index, h)
-        elif nt is DiffBlock:
-            try:
+                store = update(store, node.var.index, v)
+            elif nt is Sample:
+                try:
+                    h, src = src.draw()
+                except EntropyExhausted as exc:
+                    stack.append(node)
+                    exc.resume = (stack, store, t)
+                    raise
+                store = update(store, node.var.index, h)
+            elif nt is DiffBlock:
                 d = eval_expr(node.duration, store)
-            except Undefined:
-                return BOTTOM
-            if d < 0.0:
-                return BOTTOM
-            try:
+                if d < 0.0:
+                    return BOTTOM
                 if d > t:
                     return TimeStop(ode.flow(node, store, t, flow_method))
                 store = ode.flow(node, store, d, flow_method)
-            except Undefined:
-                return BOTTOM
-            t -= d
-        elif nt is If:
-            try:
+                t -= d
+            elif nt is If:
                 guard = eval_bool(node.cond, store)
-            except Undefined:
-                return BOTTOM
-            stack.append(node.then_branch if guard else node.else_branch)
-        elif nt is While:
-            outcome = _functional_while(node, fuel, store, stack)
-            if outcome is not None:
-                return outcome
-        else:  # pragma: no cover
-            raise TypeError(f"not a program node: {node!r}")
+                stack.append(node.then_branch if guard else node.else_branch)
+            elif nt is While:
+                if _functional_while(node, fuel, store, stack):
+                    return BOTTOM
+            else:  # pragma: no cover
+                raise TypeError(f"not a program node: {node!r}")
+    except Undefined:
+        return BOTTOM
     return Normal(store, t, src)
 
 
-def _functional_while(wnode: While, index: int, store, stack):
+def _functional_while(wnode: While, index: int, store, stack) -> bool:
+    """Whether the loop `wnode` at Kleene index `index` is Bottom here;
+    when it is not and its guard holds, its body and its next frame go on
+    `stack`.  An undefined guard raises Undefined to `_functional`."""
     if index == 0:
-        return BOTTOM  # approximant 0 ignores the guard
-    try:
-        guard = eval_bool(wnode.cond, store)
-    except Undefined:
-        return BOTTOM
+        return True  # approximant 0 ignores the guard
+    guard = eval_bool(wnode.cond, store)
     if guard:
         stack.append(("wh", wnode, index - 1))
         stack.append(wnode.body)
-    return None
+    return False
 
 
 # --- agreement between the three evaluators ---------------------------------

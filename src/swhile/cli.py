@@ -113,7 +113,7 @@ def _flow_method(text: str):
         return ode.RungeKutta4()
     if text.startswith("rk4:"):
         return ode.RungeKutta4(float(text.split(":", 1)[1]))
-    raise argparse.ArgumentTypeError(f"unknown flow method {text!r}")
+    raise ValueError(f"unknown flow method {text!r}")
 
 
 def _initial_store(table, overrides):
@@ -232,6 +232,10 @@ def _statistic(args, table, grid, cond):
     from . import montecarlo
 
     as_json = args.format == "json"
+    if args.hist is not None and cond is not None:
+        raise ValueError("--hist cannot be combined with --check")
+    if args.bins is not None and args.hist is None:
+        raise ValueError("--bins needs --hist")
     if cond is not None and args.interval is not None:
         montecarlo.interval_indices(grid, *args.interval)
         return (lambda ensemble: montecarlo.interval_probability(ensemble, cond, *args.interval),
@@ -239,13 +243,14 @@ def _statistic(args, table, grid, cond):
     if cond is not None:
         return (lambda ensemble: montecarlo.probability_over_time(ensemble, cond),
                 _write_json if as_json else montecarlo.write_series_csv)
-    if args.hist:
+    if args.hist is not None:
         var, _, at = args.hist.rpartition("@")
         if not var:
             raise ValueError("--hist expects VAR@T")
         t = float(at)
-        montecarlo.check_histogram(table, grid, var, t, args.bins)
-        return (lambda ensemble: montecarlo.histogram(ensemble, var, t, args.bins),
+        bins = 10 if args.bins is None else args.bins
+        montecarlo.check_histogram(table, grid, var, t, bins)
+        return (lambda ensemble: montecarlo.histogram(ensemble, var, t, bins),
                 _write_json if as_json else montecarlo.write_histogram_csv)
     return (lambda ensemble: ensemble,
             montecarlo.write_ensemble_json if as_json else montecarlo.write_ensemble_csv)
@@ -357,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None, metavar="PATH")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.add_argument("--hist", default=None, metavar="VAR@T")
-    s.add_argument("--bins", type=int, default=10, metavar="B")
+    s.add_argument("--bins", type=int, default=None, metavar="B",
+                   help="with --hist: the number of bins (default 10)")
     s.add_argument("--check", default=None, metavar="EXPR",
                    help="boolean condition; prints its probability over time")
     s.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"),

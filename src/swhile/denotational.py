@@ -8,7 +8,10 @@ of encoded coin flips tie-free.  With `exact=True` weights are rational
 and the operational/denotational comparison comes out exactly zero.
 
 Every clause turns undefinedness into lost mass ("0 otherwise"), so a
-program's missing mass records its error/divergence probability.  Loops
+program's missing mass records its error/divergence probability.  `_push`
+drops an undefined point where it meets it: the loops over the frontier
+of an assignment, a differential block, a conditional and a loop round
+each have one handler, so a point that errs loses only its own mass.  Loops
 are the `max_unfold`-th Kleene approximant: approximant 0 is the zero
 measure, approximant i+1 unfolds once.  The enumeration side truncates
 loops at the same index, which is exactly what makes the two sides
@@ -249,11 +252,8 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                 store, rem = pt.store, pt.t
                 try:
                     d = eval_expr(duration, store)
-                except Undefined:
-                    continue
-                if d < 0.0:
-                    continue
-                try:
+                    if d < 0.0:
+                        continue
                     if d > rem:
                         e = EPoint(ode.flow(node, store, rem, flow_method))
                         out[e] = out.get(e, 0) + w

@@ -19,7 +19,8 @@ shape and side condition match:
 Guards compare doubles exactly: a block whose duration equals t finishes
 with zero time left rather than time-stopping.
 
-The non-Seq rules live once, in `_rule`.  The closure `_close` applies
+The non-Seq rules live once, in `_rule`, which is also the one place an
+`Undefined` raised by an expression, guard or flow becomes Err.  The closure `_close` applies
 the sequencing rule without recursion by keeping the residual program as
 a zipper -- a focus node and the stack of the `rest`s of the Seqs above
 it -- and builds a term (with `_term`), and a `Config`, only when one is
@@ -176,43 +177,28 @@ def _rule(node, store: Store, t: float, entropy, flow_method):
     if kind is Sample:
         h, entropy = entropy.draw()
         return None, update(store, node.var.index, h), t, entropy
-    if kind is Assign:
-        try:
+    try:
+        if kind is Assign:
             v = eval_expr(node.expr, store)
-        except Undefined:
-            return ERR
-        return None, update(store, node.var.index, v), t, entropy
-    if kind is DiffBlock:
-        try:
+            return None, update(store, node.var.index, v), t, entropy
+        if kind is DiffBlock:
             d = eval_expr(node.duration, store)
-        except Undefined:
-            return ERR
-        if d < 0.0:
-            return ERR
-        if d > t:
-            try:
-                return TimeStop(ode.flow(node, store, t, flow_method))
-            except Undefined:
+            if d < 0.0:
                 return ERR
-        try:
+            if d > t:
+                return TimeStop(ode.flow(node, store, t, flow_method))
             store = ode.flow(node, store, d, flow_method)
-        except Undefined:
-            return ERR
-        # 0 <= d <= t, so the IEEE difference is >= 0 (see Config): the
-        # remaining time stays nonnegative with no Config to check it
-        return None, store, t - d, entropy
-    if kind is If:
-        try:
+            # 0 <= d <= t, so the IEEE difference is >= 0 (see Config): the
+            # remaining time stays nonnegative with no Config to check it
+            return None, store, t - d, entropy
+        if kind is If:
             guard = eval_bool(node.cond, store)
-        except Undefined:
-            return ERR
-        return (node.then_branch if guard else node.else_branch), store, t, entropy
-    if kind is While:
-        try:
+            return (node.then_branch if guard else node.else_branch), store, t, entropy
+        if kind is While:
             guard = eval_bool(node.cond, store)
-        except Undefined:
-            return ERR
-        return (Seq(node.body, node) if guard else None), store, t, entropy
+            return (Seq(node.body, node) if guard else None), store, t, entropy
+    except Undefined:
+        return ERR
     raise TypeError(f"not a program node: {node!r}")  # pragma: no cover
 
 

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from swhile.bigstep import BOTTOM, check_agreement, eval_big, eval_functional
+from swhile.denotational import Discretization, denote
 from swhile.entropy import FinitePrefix, from_seed, split_seed
 from swhile.parser import parse_file, parse_program
 from swhile.ode import EXACT, RungeKutta4
-from swhile.smallstep import Config, Err, Normal, OutOfFuel, TimeStop, _close
+from swhile.measure import XPoint
+from swhile.smallstep import Config, Err, Normal, OutOfFuel, TimeStop, _close, run_to_terminal
 from swhile.store import make_store
 from swhile.syntax import Seq
 
@@ -87,6 +89,37 @@ def test_functional_zero_fuel_is_bottom_even_on_false_guards():
 def test_functional_error_is_bottom():
     program, _ = parse_program("x := 1/0")
     assert eval_functional(program, (0.0,), 1.0, from_seed(0), fuel=5) is BOTTOM
+
+
+# Each row errs at one construct, so every evaluator meets it at its one
+# error boundary (or, for the negative duration, at its explicit check).
+ERRING = [
+    ("x := 1 / 0", 5.0),
+    ("x := 0 ; wait 1 / x", 5.0),
+    ("x := 0 ; wait x - 1", 5.0),
+    ("x := 1e308 ; x' = 1e308 for 10", 5.0),  # the time-stop flow overflows
+    ("x := 1e308 ; x' = 1e308 for 10", 20.0),  # the full flow overflows
+    ("x := 0 ; if 1 / x <= 1 then x := 1 else x := 2", 5.0),
+    ("x := 0 ; while 1 / x <= 1 do { x := 1 }", 5.0),
+]
+
+
+@pytest.mark.parametrize("text, t", ERRING,
+                         ids=["assign", "duration", "negative-duration", "stop-flow",
+                              "full-flow", "if-guard", "while-guard"])
+def test_every_evaluator_maps_an_error_to_its_outcome(text, t):
+    program, table = parse_program(text)
+    store = make_store(table)
+    config = Config(program, store, t, from_seed(0))
+    small, steps, _ = _close(config, 100)
+    assert small == run_to_terminal(config) == eval_big(config) == Err()
+    segments = []
+    assert eval_big(config, segments=segments) == Err()
+    assert segments[-1] == (None, None, None, steps)
+    assert eval_functional(program, store, t, from_seed(0), 5) is BOTTOM
+    kernel = denote(program, Discretization(2), 5)
+    assert not kernel(XPoint(store, t)).support()
+    assert check_agreement(program, store, t, from_seed(0)).ok
 
 
 def test_functional_monotone_in_fuel():

@@ -1,10 +1,14 @@
+import io
 import json
 import resource
+import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swhile import montecarlo
 from swhile.cli import main
@@ -365,6 +369,17 @@ def test_flow_flag_variants(capsys):
         assert "x = 2.0" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", PROGRAMS / "ball.swl", "--time", "1", "--seed", "1"),
+    ("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--seed", "1"),
+    ("adequacy", PROGRAMS / "ball.swl", "--time", "1"),
+], ids=["run", "simulate", "adequacy"])
+def test_an_unknown_flow_method_is_a_diagnostic(capsys, argv):
+    # each subcommand used to end in an ArgumentTypeError traceback
+    code, out, err = run_cli(capsys, *argv, "--flow", "bogus")
+    assert (code, out, err) == (1, "", "error: unknown flow method 'bogus'\n")
+
+
 def test_infinite_rk4_step_is_a_diagnostic(capsys):
     # used to exit 0 after one RK4 step per flow
     code, out, err = run_cli(capsys, "simulate", ROOT / "bench" / "pendulum.swl", "--runs", "2",
@@ -592,8 +607,10 @@ def test_bins_over_the_maximum_exit_cleanly(capsys):
     (("--hist", "p@0.7"), "time 0.7 is not on the grid (0.0, 0.5, 1.0)"),
     (("--check", "p <= 0", "--interval", "0", "2"), "interval must lie within the grid"),
     (("--check", "p <= 0", "--interval", "0.1", "0.2"), "interval [0.1, 0.2] holds no grid time"),
+    (("--check", "p <= 5", "--hist", "p@1.0"), "--hist cannot be combined with --check"),
+    (("--bins", "3"), "--bins needs --hist"),
 ], ids=["no-bins", "too-many-bins", "no-var", "bad-time", "unknown-var", "off-grid",
-        "interval-outside", "interval-empty"])
+        "interval-outside", "interval-empty", "hist-and-check", "bins-alone"])
 def test_statistic_flags_are_refused_before_any_run_is_recorded(monkeypatch, capsys, flags,
                                                                 message):
     # each refusal used to come only after the whole ensemble was recorded
@@ -698,3 +715,83 @@ def test_an_ensemble_over_the_point_maximum_is_refused_before_its_seeds_are_spli
     runs = montecarlo.MAX_ENSEMBLE_POINTS // 2 + 1
     with pytest.raises(ValueError, match="ensemble maximum"):
         montecarlo.run_ensemble(program, table, (0.0,) * len(table), grid, runs, 1)
+
+
+# --- argv fuzz over the free-text flag values --------------------------------
+
+_HOSTILE = ["nan", "-nan", "inf", "-inf", "0", "-0", "-1", "1e300", "-1e300", "1e-300",
+            "-1e-300", "1e309", ""]
+# no digits and none of the letters of "inf" and "nan": garbage never reads as a number
+_GARBAGE = st.text(alphabet="abcdeghjklmopqrstuvwxyz:@=<-+ .'()", max_size=12)
+_VALUE = st.one_of(st.sampled_from(_HOSTILE), _GARBAGE)
+# legal values are drawn where they stay cheap: ball runs at most a few time units
+_TIME = st.one_of(st.sampled_from(["0", "0.5", "1", "3"]), _VALUE)
+_FLAGS = {
+    "--flow": st.one_of(st.sampled_from(["auto", "exact", "rk4:0.1"]), _VALUE,
+                        st.builds("rk4:".__add__, _VALUE)),
+    "--grid": st.one_of(_VALUE, st.lists(st.one_of(st.sampled_from(["0", "0.5", "1"]), _VALUE),
+                                         min_size=3, max_size=3).map(":".join)),
+    "--init": st.builds("{}={}".format, st.sampled_from(["p", "v", "d", "q", ""]), _TIME),
+    "--check": st.one_of(st.builds("p <= {}".format, _TIME), _GARBAGE),
+    "--interval": st.lists(_TIME, min_size=2, max_size=2),
+    "--hist": st.one_of(st.builds("p@{}".format, _TIME), _GARBAGE),
+    "--time": _TIME,
+}
+_SUBCOMMANDS = {
+    "run": (["--time", "--flow", "--init"], ["--time=1", "--seed=1", "--fuel=1000"]),
+    "simulate": (["--grid", "--flow", "--init", "--check", "--interval", "--hist"],
+                 ["--grid=0:1:0.5", "--runs=2", "--seed=1", "--fuel=1000"]),
+    "adequacy": (["--time", "--grid", "--flow", "--init"], ["--time=1", "--cap=1000"]),
+}
+_CALL_BUDGET_S = 10.0
+
+
+class _OverBudget(BaseException):
+    pass
+
+
+@st.composite
+def _argv(draw, command):
+    fuzzed, base = _SUBCOMMANDS[command]
+    flags = draw(st.lists(st.sampled_from(fuzzed), min_size=1, max_size=3, unique=True))
+    argv = [command, str(PROGRAMS / "ball.swl")]
+    for flag in flags:
+        value = draw(_FLAGS[flag])
+        if flag == "--interval":
+            argv += [flag, *value]
+            if "--check" not in flags:
+                argv.append("--check=p <= 5")
+        else:
+            argv.append(f"{flag}={value}")
+    return argv + [b for b in base if b.partition("=")[0] not in flags]
+
+
+def _exit_code_within_budget(argv):
+    """`main(argv)`'s exit code, its output discarded; argparse's SystemExit
+    counts as its code.  A call over the budget raises _OverBudget."""
+    def expire(signum, frame):
+        raise _OverBudget(f"swhile {argv} took over {_CALL_BUDGET_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _CALL_BUDGET_S)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 1), argv
+                return exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_hostile_flag_values_end_in_an_exit_code(command):
+    # an unknown --flow used to escape main as an ArgumentTypeError traceback
+    @given(_argv(command))
+    @settings(max_examples=150, deadline=None)
+    def check(argv):
+        assert _exit_code_within_budget(argv) in range(6), argv
+
+    check()
