@@ -331,6 +331,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse drops a "--" even when it is an option's own value, as in
+        # --time=--, and hands the option an empty list, never converted
+        for arg in sys.argv[1:] if args is None else args:
+            if arg == "--":
+                break
+            option, sep, value = arg.partition("=")
+            if sep and value == "--" and option.startswith("-"):
+                self.error(f"argument {option}: expected one argument")
+        return super().parse_known_args(args, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(

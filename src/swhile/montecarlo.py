@@ -83,6 +83,7 @@ always reported as counts next to them.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -109,6 +110,10 @@ MAX_HISTOGRAM_BINS = 10 ** 6
 # take at least 1.7 GB, and a larger ensemble would exhaust memory -- or
 # first spend hours splitting its seeds -- before it ran.
 MAX_ENSEMBLE_POINTS = 10 ** 8
+
+# The most grid times an off-grid diagnostic lists; a longer grid is named
+# by its extent, since a 10^5-time grid would print a megabyte of times.
+_LISTED_GRID_TIMES = 20
 
 
 # --- per-grid-time outcomes: the view classes and the array codes ------------
@@ -574,15 +579,22 @@ def _grid_index(grid: TimeGrid, t: float) -> int:
     """Index of grid time t, or of the nearest grid time within rounding.
 
     Regular grid times are start + i * step, so 0:1:0.1 holds
-    0.30000000000000004, which a time typed as 0.3 must still find.
+    0.30000000000000004, which a time typed as 0.3 must still find.  An
+    off-grid time is refused naming the grid: its times, when it holds at
+    most _LISTED_GRID_TIMES of them, or else its extent and the nearest.
     """
     times = grid.times
-    if t in times:
-        return times.index(t)
-    nearest = min(range(len(times)), key=lambda i: abs(times[i] - t))
+    i = bisect.bisect_left(times, t)  # the times strictly increase
+    if i < len(times) and times[i] == t:
+        return i
+    nearest = min((j for j in (i - 1, i) if 0 <= j < len(times)),
+                  key=lambda j: abs(times[j] - t))
     if math.isclose(times[nearest], t, rel_tol=1e-9, abs_tol=1e-12):
         return nearest
-    raise ValueError(f"time {t!r} is not on the grid {times}")
+    if len(times) <= _LISTED_GRID_TIMES:
+        raise ValueError(f"time {t!r} is not on the grid {times}")
+    raise ValueError(f"time {t!r} is not on the grid of {len(times)} times from "
+                     f"{grid.start!r} to {grid.end!r}; the nearest is {times[nearest]!r}")
 
 
 def _var_index(table: VarTable, variable: str) -> int:

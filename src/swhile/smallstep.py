@@ -19,15 +19,18 @@ shape and side condition match:
 Guards compare doubles exactly: a block whose duration equals t finishes
 with zero time left rather than time-stopping.
 
-The non-Seq rules live once, in `_rule`, which is also the one place an
-`Undefined` raised by an expression, guard or flow becomes Err.  The closure `_close` applies
-the sequencing rule without recursion by keeping the residual program as
-a zipper -- a focus node and the stack of the `rest`s of the Seqs above
-it -- and builds a term (with `_term`), and a `Config`, only when one is
-observed: for the trace (a `sink` that takes each configuration as it is
-reached, as `swhile run --trace` prints them) and for the last
-configuration it returns.  Its cost is per step, independent of
-how deeply the Seqs nest.  `step` is the closure with one unit of fuel.
+The closure `_close` applies every rule in one loop.  It keeps the
+residual program as a zipper -- a focus node and the stack of the
+`rest`s of the Seqs above it -- so the sequencing rule needs no
+recursion, and a loop whose guard holds unfolds by pushing itself onto
+that stack and focusing its body, which is the residual Seq(body, loop)
+without building it.  The loop is also the one place an `Undefined`
+raised by an expression, guard or flow becomes Err.  A term (built by
+`_term`) and a `Config` exist only for a configuration that is observed:
+for the trace (a `sink` that takes each configuration as it is reached,
+as `swhile run --trace` prints them) and for the last configuration it
+returns.  Its cost is per step, independent of how deeply the Seqs nest.
+`step` is the closure with one unit of fuel.
 
 `TimeGrid`, the query times of `simulate` and `adequacy --grid`, lives
 here beside Config's time checks, so building a grid loads no numpy.
@@ -117,9 +120,9 @@ class TimeGrid:
             raise ValueError("grid start, end and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
-        # the loop yields floor((end - start) / step) + 1 times (up to the
-        # rounding of its tolerance); count them first, not by running it
-        if (end - start) / step >= MAX_GRID_POINTS:
+        # the loop yields floor((end + 1e-12 - start) / step) + 1 times, up
+        # to rounding, tolerance included; count them first, not by running it
+        if (end + 1e-12 - start) / step >= MAX_GRID_POINTS:
             raise ValueError(f"grid would hold more than {MAX_GRID_POINTS} times")
         times = []
         i = 0
@@ -165,43 +168,6 @@ StepOutcome = Err | TimeStop | Resume
 Terminal = Err | TimeStop | Normal
 
 
-def _rule(node, store: Store, t: float, entropy, flow_method):
-    """The one transition of the non-Seq node `node` in this state.
-
-    Returns the successor's fields (focus, store, t, entropy) as a tuple,
-    where the focus is what replaces `node` in the residual program --
-    None when it completed, the chosen branch for If, Seq(body, loop)
-    for a While whose guard holds -- or ERR, or a TimeStop.
-    """
-    kind = type(node)
-    if kind is Sample:
-        h, entropy = entropy.draw()
-        return None, update(store, node.var.index, h), t, entropy
-    try:
-        if kind is Assign:
-            v = eval_expr(node.expr, store)
-            return None, update(store, node.var.index, v), t, entropy
-        if kind is DiffBlock:
-            d = eval_expr(node.duration, store)
-            if d < 0.0:
-                return ERR
-            if d > t:
-                return TimeStop(ode.flow(node, store, t, flow_method))
-            store = ode.flow(node, store, d, flow_method)
-            # 0 <= d <= t, so the IEEE difference is >= 0 (see Config): the
-            # remaining time stays nonnegative with no Config to check it
-            return None, store, t - d, entropy
-        if kind is If:
-            guard = eval_bool(node.cond, store)
-            return (node.then_branch if guard else node.else_branch), store, t, entropy
-        if kind is While:
-            guard = eval_bool(node.cond, store)
-            return (Seq(node.body, node) if guard else None), store, t, entropy
-    except Undefined:
-        return ERR
-    raise TypeError(f"not a program node: {node!r}")  # pragma: no cover
-
-
 def _term(focus, rests):
     """The residual program of the zipper (focus, rests), or None if empty.
 
@@ -241,9 +207,13 @@ def _close(config: Config, fuel: int, flow_method=None, sink=None):
     The residual program is kept as a zipper: a focus node and the stack
     `rests` of the `rest` of every Seq above it, innermost on top.  A
     completed focus gives way to the next rest, a Seq focus is walked down
-    its left spine, and any other focus takes its one `_rule`.  The term
-    is built by `_term` only for a configuration that is produced, so a
-    step costs the same however deeply its Seqs nest.
+    its left spine, and any other focus takes its one rule, applied here
+    in the loop.  A loop whose guard holds is pushed onto `rests` and its
+    body becomes the focus: that zipper is the residual Seq(body, loop),
+    which is never built.  The term is built by `_term` only for a
+    configuration that is observed, so a step costs the same however
+    deeply its Seqs nest.  An `Undefined` raised by an expression, guard
+    or flow becomes Err in one place, with the erring node still in focus.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
@@ -253,25 +223,54 @@ def _close(config: Config, fuel: int, flow_method=None, sink=None):
     rests = []
     push, pop = rests.append, rests.pop
     steps = 0
-    while True:
-        if focus is None:
-            if not rests:
-                return Normal(store, t, entropy), steps, Config(None, store, t, entropy)
-            focus = pop()
-        while type(focus) is Seq:
-            push(focus.rest)
-            focus = focus.first
-        if steps >= fuel:
-            return OutOfFuel(steps), steps, Config(_term(focus, rests), store, t, entropy)
-        out = _rule(focus, store, t, entropy, flow_method)
-        steps += 1
-        if type(out) is not tuple:
-            return out, steps, Config(_term(focus, rests), store, t, entropy)
-        focus, store, t, entropy = out
-        # the empty-stack configuration IS the Normal terminal; listing
-        # it again as an intermediate configuration would double it
-        if sink is not None and (focus is not None or rests):
-            sink(Config(_term(focus, rests), store, t, entropy))
+    try:
+        while True:
+            if focus is None:
+                if not rests:
+                    return Normal(store, t, entropy), steps, Config(None, store, t, entropy)
+                focus = pop()
+            kind = type(focus)
+            while kind is Seq:
+                push(focus.rest)
+                focus = focus.first
+                kind = type(focus)
+            if steps >= fuel:
+                return OutOfFuel(steps), steps, Config(_term(focus, rests), store, t, entropy)
+            steps += 1
+            if kind is Assign:
+                store = update(store, focus.var.index, eval_expr(focus.expr, store))
+                focus = None
+            elif kind is While:
+                if eval_bool(focus.cond, store):
+                    push(focus)
+                    focus = focus.body
+                else:
+                    focus = None
+            elif kind is DiffBlock:
+                d = eval_expr(focus.duration, store)
+                if d < 0.0:
+                    return ERR, steps, Config(_term(focus, rests), store, t, entropy)
+                if d > t:
+                    return (TimeStop(ode.flow(focus, store, t, flow_method)), steps,
+                            Config(_term(focus, rests), store, t, entropy))
+                store = ode.flow(focus, store, d, flow_method)
+                # 0 <= d <= t, so the IEEE difference is >= 0 (see Config)
+                t -= d
+                focus = None
+            elif kind is If:
+                focus = focus.then_branch if eval_bool(focus.cond, store) else focus.else_branch
+            elif kind is Sample:
+                h, entropy = entropy.draw()
+                store = update(store, focus.var.index, h)
+                focus = None
+            else:  # pragma: no cover
+                raise TypeError(f"not a program node: {focus!r}")
+            # the empty-stack configuration IS the Normal terminal; listing
+            # it again as an intermediate configuration would double it
+            if sink is not None and (focus is not None or rests):
+                sink(Config(_term(focus, rests), store, t, entropy))
+    except Undefined:
+        return ERR, steps, Config(_term(focus, rests), store, t, entropy)
 
 
 def run_to_terminal(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None):

@@ -8,13 +8,13 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from swhile import montecarlo
 from swhile.cli import main
 from swhile.parser import parse_file
 
-from progpath import PROGRAMS, ROOT, src_env
+from progpath import PROGRAMS, ROOT, program_files, src_env
 
 
 def run_cli(capsys, *argv):
@@ -380,6 +380,21 @@ def test_an_unknown_flow_method_is_a_diagnostic(capsys, argv):
     assert (code, out, err) == (1, "", "error: unknown flow method 'bogus'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", PROGRAMS / "ball.swl", "--seed", "1", "--time=--"),
+    ("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--seed", "1", "--flow=--"),
+    ("adequacy", PROGRAMS / "ball.swl", "--time", "1", "--init=--"),
+], ids=["run", "simulate", "adequacy"])
+def test_a_double_dash_option_value_is_a_usage_error(capsys, argv):
+    # argparse dropped the "--" and handed the option an empty list, which
+    # ended in a TypeError or AttributeError traceback
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    assert exc.value.code == 1
+    option = argv[-1].partition("=")[0]
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: expected one argument\n")
+
+
 def test_infinite_rk4_step_is_a_diagnostic(capsys):
     # used to exit 0 after one RK4 step per flow
     code, out, err = run_cli(capsys, "simulate", ROOT / "bench" / "pendulum.swl", "--runs", "2",
@@ -580,6 +595,18 @@ def test_grid_over_the_maximum_exits_cleanly(capsys, command):
                                  f"{montecarlo.MAX_GRID_POINTS} times\n")
 
 
+@pytest.mark.parametrize("grid", ["0:1e-300:1e-300", "1e-300:0:1e-300"])
+def test_a_step_below_the_grid_tolerance_exits_cleanly(capsys, grid):
+    # the grid loop runs to end + 1e-12, which the count of its times used
+    # to leave out: about 10^288 times for these grids, without end
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", PROGRAMS / "ball.swl", f"--grid={grid}",
+                             "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: grid would hold more than {montecarlo.MAX_GRID_POINTS} times\n"
+
+
 def test_grid_of_the_maximum_length_is_accepted():
     grid = montecarlo.TimeGrid.regular(0.0, montecarlo.MAX_GRID_POINTS - 1.0, 1.0)
     assert len(grid.times) == montecarlo.MAX_GRID_POINTS
@@ -622,6 +649,17 @@ def test_statistic_flags_are_refused_before_any_run_is_recorded(monkeypatch, cap
                              "--grid", "0:1:0.5", "--seed", "1", *flags)
     assert code == 1
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_an_off_grid_time_on_a_long_grid_is_named_by_the_grid_extent(monkeypatch, capsys):
+    # every grid time used to be listed: a 176 KB line for a 16 667-time grid
+    monkeypatch.setattr(montecarlo, "run_ensemble", None)  # refused before any run
+    code, out, err = run_cli(capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1e5:1",
+                             "--hist", "p@2.5", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: time 2.5 is not on the grid of 100001 times from 0.0 to 100000.0;"
+                   " the nearest is 2.0\n")
+    assert len(err) < 200
 
 
 # Run in a small intermediate process: a child's peak RSS starts from that of
@@ -791,6 +829,55 @@ def test_hostile_flag_values_end_in_an_exit_code(command):
     # an unknown --flow used to escape main as an ArgumentTypeError traceback
     @given(_argv(command))
     @settings(max_examples=150, deadline=None)
+    def check(argv):
+        assert _exit_code_within_budget(argv) in range(6), argv
+
+    check()
+
+
+# --- argv fuzz over the count flags ------------------------------------------
+
+_HUGE = ["9223372036854775808", "10" + "0" * 17, "1" + "0" * 100]
+_REFUSED_COUNTS = ["0", "-1"] + ["-" + h for h in _HUGE]
+# legal counts are drawn where they stay cheap; --runs stays below the 512
+# runs at which a pool of two workers could start, so no call forks
+_CHEAP = {"--runs": (1, 511), "--bins": (1, 10 ** 6), "--fuel": (1, 10 ** 6),
+          "--parallel": (1, 4), "--k": (1, 3), "--unfold": (0, 6), "--cap": (1, 1000)}
+_COUNT_SUBCOMMANDS = {
+    "run": (["--fuel"], ["--time=1", "--seed=1"]),
+    "simulate": (["--runs", "--bins", "--fuel", "--parallel"],
+                 ["--grid=0:1:0.5", "--runs=2", "--seed=1"]),
+    "adequacy": (["--k", "--unfold", "--cap"], ["--time=1", "--cap=1000"]),
+}
+
+
+def _count(flag):
+    low, high = _CHEAP[flag]
+    hostile = _REFUSED_COUNTS if flag == "--runs" else _REFUSED_COUNTS + _HUGE
+    return st.one_of(st.sampled_from(hostile), st.integers(low, high).map(str))
+
+
+@st.composite
+def _count_argv(draw, command, program):
+    fuzzed, base = _COUNT_SUBCOMMANDS[command]
+    flags = draw(st.lists(st.sampled_from(fuzzed), min_size=1, unique=True))
+    values = {flag: draw(_count(flag)) for flag in flags}
+    # a huge cap bounds nothing, so the arity and unfolding it meets must
+    # be cheap; a huge arity or unfolding meets the base cap of 1000
+    huge = [flag for flag, value in values.items() if value in _HUGE]
+    assume(not ("--cap" in huge and len(huge) > 1))
+    argv = [command, str(program)] + [f"{flag}={value}" for flag, value in values.items()]
+    if "--bins" in flags:
+        _, table = parse_file(program)
+        argv.append(f"--hist={table.names[0]}@1.0")
+    return argv + [b for b in base if b.partition("=")[0] not in flags]
+
+
+@pytest.mark.parametrize("command", sorted(_COUNT_SUBCOMMANDS))
+@pytest.mark.parametrize("program", program_files(), ids=lambda p: p.stem)
+def test_hostile_counts_end_in_an_exit_code(command, program):
+    @given(_count_argv(command, program))
+    @settings(max_examples=10, deadline=None)
     def check(argv):
         assert _exit_code_within_budget(argv) in range(6), argv
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -345,16 +346,56 @@ def _count_seqs(monkeypatch):
     return count
 
 
-def test_closure_builds_one_seq_per_loop_unfolding(monkeypatch):
-    # no trace: the residual term is built only for the returned `last`
+def test_closure_builds_no_seq_for_loop_unfoldings(monkeypatch):
+    # no trace: a loop unfolds onto the rest stack, and the one residual
+    # term built is the returned `last`'s Seq(wait 1, loop)
     program, _ = parse_file(PROGRAMS / "timestop.swl")
     config = Config(program, (0.0,), 100.0, from_seed(0))
     count = _count_seqs(monkeypatch)
-    result, _, last = _close(config, 10 ** 6)
+    result, steps, last = _close(config, 10 ** 6)
     assert result == TimeStop((101.0,))
-    assert type(last.program) is Seq
-    # 101 unfoldings Seq(body, loop), plus `last`'s Seq(wait 1, loop)
-    assert count[0] == 102
+    assert steps == 1 + 3 * 101
+    assert type(last.program) is Seq and type(last.program.rest) is While
+    assert count[0] == 1
+
+
+def _fresh_seqs(node, original):
+    """The Seq nodes of `node` that are not nodes of the program `original`."""
+    if node is None or id(node) in original or type(node) is not Seq:
+        return 0  # a node the closure did not build is one of the program's
+    return 1 + _fresh_seqs(node.first, original) + _fresh_seqs(node.rest, original)
+
+
+def _node_ids(node, ids):
+    """`ids` with the id of every node of `node` added."""
+    ids.add(id(node))
+    for field in dataclasses.fields(node):
+        child = getattr(node, field.name)
+        if dataclasses.is_dataclass(child):
+            _node_ids(child, ids)
+    return ids
+
+
+def test_traced_closure_builds_seqs_only_inside_emitted_configurations(monkeypatch):
+    program, _ = parse_file(PROGRAMS / "timestop.swl")
+    config = Config(program, (0.0,), 20.0, from_seed(0))
+    original = _node_ids(program, set())
+    count = _count_seqs(monkeypatch)
+    built = []  # (Seqs constructed so far, fresh Seqs in the configuration)
+
+    def sink(c):
+        built.append((count[0], _fresh_seqs(c.program, original)))
+
+    result, steps, last = _close(config, 10 ** 6, sink=sink)
+    assert result == TimeStop((21.0,)) and len(built) == steps
+    # between two observations the closure builds exactly the new
+    # configuration's residual term, and nothing else
+    before = 0
+    for total, fresh in built:
+        assert total - before == fresh
+        before = total
+    assert count[0] - before == _fresh_seqs(last.program, original) == 1
+    assert any(fresh for _, fresh in built)
 
 
 @pytest.mark.parametrize("depth", [2000, 20000])
