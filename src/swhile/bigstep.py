@@ -1,10 +1,12 @@
 """Big-step evaluation, the functional semantics, and agreement checking.
 
 `eval_big` abstracts from intermediate steps and returns the same
-terminal shapes as the small-step closure; the two agree whenever neither
-is cut off by its budget, and the test suite exercises that equivalence.
-An `Undefined` raised by an expression, guard or flow becomes Err at the
-one handler of `eval_big`, beside the `finally` that ends a recording.
+terminal shapes as the small-step closure.  Its `fuel` counts small-step
+transitions, as the closure's does, so the two agree on every outcome,
+a fuel cut included, and the test suite exercises that equivalence.  A
+`segments` list only records the run; it changes no outcome.  An
+`Undefined` raised by an expression, guard or flow becomes Err at the one
+handler of `eval_big`, beside the `finally` that ends a recording.
 
 `eval_functional` is the clause-by-clause functional form of the big-step
 semantics.  Its single undefined value Bottom deliberately merges
@@ -27,7 +29,6 @@ from .smallstep import (
     Config,
     DEFAULT_FUEL,
     ERR,
-    Err,
     Normal,
     OutOfFuel,
     TimeStop,
@@ -44,29 +45,25 @@ class Bottom:
 
 BOTTOM = Bottom()
 
-FunOutcome = Normal | TimeStop | Bottom
-
 
 def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segments=None):
-    """Terminal of the big-step relation; fuel bounds loop unfoldings.
+    """Terminal of the big-step relation; fuel bounds small-step transitions.
 
-    OutOfFuel is returned when the total number of true-guard loop
-    unfoldings along the derivation exceeds `fuel`.
+    Steps are counted as the small-step closure counts transitions: every
+    node other than a sequence is one step.  The run stops before its step
+    fuel + 1 and returns OutOfFuel(fuel), where the closure does.
 
-    `segments`, when given a list, receives a record of the run.  Steps are
-    numbered as the small-step closure counts transitions (every node other
-    than a sequence is one step).  Each differential block with a positive
-    duration d appends (block, entry store, d, step) before it flows, and
-    on exit the run appends (None, None, None, last step).  A recording run
-    also stops before its step fuel + 1 and returns OutOfFuel(fuel): the
-    small-step closure cuts every step past `fuel`, so no reader needs it.
+    `segments`, when given a list, receives a record of the run and changes
+    nothing else.  Each differential block with a positive duration d
+    appends (block, entry store, d, step) before it flows, and on exit the
+    run appends (None, None, None, last step); after a fuel cut the last
+    step is fuel + 1, the one not taken.
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     store, t, src = config.store, config.t, config.entropy
     stack = [] if config.program is None else [config.program]
-    unfolds = 0
-    steps = 0  # counted only while recording
+    steps = 0
     try:
         while stack:
             node = stack.pop()
@@ -75,10 +72,9 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
                 stack.append(node.rest)
                 stack.append(node.first)
                 continue
-            if segments is not None:
-                steps += 1
-                if steps > fuel:
-                    return OutOfFuel(fuel)
+            steps += 1
+            if steps > fuel:
+                return OutOfFuel(fuel)
             if nt is Assign:
                 v = eval_expr(node.expr, store)
                 store = update(store, node.var.index, v)
@@ -99,11 +95,7 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
                 guard = eval_bool(node.cond, store)
                 stack.append(node.then_branch if guard else node.else_branch)
             elif nt is While:
-                guard = eval_bool(node.cond, store)
-                if guard:
-                    unfolds += 1
-                    if unfolds > fuel:
-                        return OutOfFuel(unfolds - 1)
+                if eval_bool(node.cond, store):
                     stack.append(node)
                     stack.append(node.body)
             else:  # pragma: no cover
@@ -228,12 +220,15 @@ class AgreementReport:
 def check_agreement(program, store, t: float, entropy, fuel: int = 10 ** 4, flow_method=None) -> AgreementReport:
     """Run all three evaluators on the same input and cross-check them.
 
-    The small-step/big-step equivalence is asserted whenever neither side
-    ran out of fuel; the functional outcome is compared against the
-    big-step one in both directions, except that functional Bottom only
-    requires the big-step result to be an error or a fuel cut (Bottom may
+    Small-step and big-step count the same steps and draw in the same
+    order, so the two are compared on every outcome: a fuel cut and a dry
+    finite source are outcomes too.  The functional outcome is compared
+    against the big-step one in both directions, except that functional
+    Bottom only requires the big-step result to be an error (Bottom may
     stand for divergence, which the relational semantics cannot observe).
-    Cases that exhaust a finite entropy source are counted as skipped.
+    That comparison is skipped only at a big-step fuel cut (counted in
+    `skipped_fuel`); where a source dries up it checks that the two ran
+    dry consistently (counted in `skipped_entropy`).
     """
     report = AgreementReport()
     config = Config(program, store, t, entropy)
@@ -254,48 +249,33 @@ def check_agreement(program, store, t: float, entropy, fuel: int = 10 ** 4, flow
     def violate(message):
         report.violations.append({"check": message, **report.outcomes})
 
-    # all three consume the stream in the same order, so a finite source
-    # must dry up consistently -- except that a fuel cut censors the rest
-    # of a run's consumption, in which case nothing can be concluded
-    if small_dry or big_dry or fun_dry:
-        small_cut = (not small_dry) and isinstance(small, OutOfFuel)
-        big_cut = (not big_dry) and isinstance(big, OutOfFuel)
-        consistent = True
-        if small_dry != big_dry and not (small_cut or big_cut):
-            violate("small-step and big-step disagree on entropy exhaustion")
-            consistent = False
+    report.checked += 1
+    if small_dry != big_dry:
+        violate("small-step and big-step disagree on entropy exhaustion")
+    elif small != big:
+        violate("small-step and big-step terminals differ")
+
+    big_cut = isinstance(big, OutOfFuel)
+    # the functional run draws in the same order too, but its Kleene index
+    # lets it run past a big-step fuel cut and so draw more
+    if big_dry or fun_dry:
         if fun_dry and not (big_dry or big_cut):
             violate("functional semantics demanded more entropy than the completed big-step run")
-            consistent = False
-        if not fun_dry and big_dry and fun is not BOTTOM:
+        elif not fun_dry and fun is not BOTTOM:
             # a completed functional run pins the whole derivation and its
             # draw count, so the relational run cannot have needed more
             violate("functional semantics completed where big-step exhausted its entropy")
-            consistent = False
-        if consistent:
+        else:
             report.skipped_entropy += 1
-        return report
-
-    small_cut = isinstance(small, OutOfFuel)
-    big_cut = isinstance(big, OutOfFuel)
-    if small_cut or big_cut:
+    elif big_cut:
         report.skipped_fuel += 1
     else:
-        report.checked += 1
-        if small != big:
-            violate("small-step and big-step terminals differ")
-    if not big_cut:
         report.checked += 1
         if isinstance(big, (Normal, TimeStop)):
             if fun != big:
                 violate("big-step terminal not matched by the functional semantics")
-        elif isinstance(big, Err):
-            if fun is not BOTTOM:
-                violate("big-step err must be functional Bottom")
+        elif fun is not BOTTOM:
+            violate("big-step err must be functional Bottom")
         if isinstance(fun, (Normal, TimeStop)) and fun != big:
             violate("functional value not matched by big-step")
-    else:
-        # fuel-cut big step: functional Bottom is consistent, anything else
-        # cannot be cross-checked at this budget
-        report.skipped_fuel += 1
     return report

@@ -99,7 +99,7 @@ def _add_common(sub, seed=True, fuel=True):
     if seed:
         sub.add_argument("--seed", type=int, default=None, metavar="U64")
     if fuel:
-        sub.add_argument("--fuel", type=int, default=10 ** 6, metavar="K")
+        sub.add_argument("--fuel", type=int, default=smallstep.DEFAULT_FUEL, metavar="K")
     sub.add_argument("--flow", default="auto", metavar="exact|rk4:STEP",
                      help="flow method (default: exact when affine, else rk4:1e-3)")
 

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# A total may exceed one by rounding: _MASS_SLACK for the rounding inside
+# the weights, plus 2**-52 per weight for a left-to-right float sum of n
+# weights near one, which errs by less than n * 2**-52.
 _MASS_SLACK = 1e-12
 _INF = float("inf")
 
@@ -58,7 +61,7 @@ class DiscMeasure:
                 continue
             w[pt] = v
             total += v
-        if total > 1 + _MASS_SLACK:
+        if total > 1 + _MASS_SLACK + len(w) * 2.0 ** -52:
             raise ValueError(f"total mass {total} exceeds 1")
         self._w = w
 

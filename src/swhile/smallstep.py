@@ -165,7 +165,6 @@ class OutOfFuel:
 ERR = Err()
 
 StepOutcome = Err | TimeStop | Resume
-Terminal = Err | TimeStop | Normal
 
 
 def _term(focus, rests):

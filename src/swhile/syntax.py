@@ -217,7 +217,6 @@ class While:
     body: "Program"
 
 
-Atomic = Union[Assign, Sample, DiffBlock]
 Program = Union[Assign, Sample, DiffBlock, Seq, If, While]
 
 
@@ -284,18 +283,14 @@ _PREC_OR, _PREC_AND = 1, 2
 _PREC_ADD, _PREC_MUL, _PREC_NEG = 1, 2, 3
 
 
-def _fmt_number(v: float) -> str:
-    return repr(v)
-
-
 def pretty_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, Lit):
         if e.value == math.pi:
             return "pi"
         if e.value < 0:
-            s = _fmt_number(-e.value)
+            s = repr(-e.value)
             return f"(-{s})" if prec > _PREC_NEG else f"-{s}"
-        return _fmt_number(e.value)
+        return repr(e.value)
     if isinstance(e, Var):
         return e.name
     op = e.op

@@ -5,7 +5,7 @@ import pytest
 
 from swhile.bigstep import BOTTOM, check_agreement, eval_big, eval_functional
 from swhile.denotational import Discretization, denote
-from swhile.entropy import FinitePrefix, from_seed, split_seed
+from swhile.entropy import EntropyExhausted, FinitePrefix, from_seed, split_seed
 from swhile.parser import parse_file, parse_program
 from swhile.ode import EXACT, RungeKutta4
 from swhile.measure import XPoint
@@ -17,6 +17,10 @@ from genprog import gen_program, gen_store, gen_table
 from progpath import program_files
 
 WALKTHROUGH = "x := 0 ; while tt { x++ ; wait 1 }"
+
+# Fuels that cut fuzzed runs at many different points (over half of them
+# at fuel 1, a quarter at 3), and 200, which cuts few besides endless loops.
+FUELS = (1, 2, 3, 5, 8, 13, 21, 200)
 
 
 def test_walkthrough_big_step():
@@ -48,11 +52,7 @@ def test_recorded_steps_number_small_step_transitions():
         method = rng.choice((EXACT, RungeKutta4(0.1)))
         segments = []
         big = eval_big(config, 200, method, segments)
-        # recording changes the terminal only by stopping at step 201
-        if segments[-1][3] <= 200:
-            assert eval_big(config, 200, method) == big
-        else:
-            assert big == OutOfFuel(200) and segments[-1][3] == 201
+        assert eval_big(config, 200, method) == big
         configs = []
         small, steps, _ = _close(config, 10 ** 4, method, configs.append)
         if isinstance(big, OutOfFuel) or isinstance(small, OutOfFuel):
@@ -69,6 +69,47 @@ def test_recorded_steps_number_small_step_transitions():
             assert before.store == entry
         compared += 1
     assert compared > 200
+
+
+def test_fuel_cut_inside_a_loop_is_one_outcome():
+    # the run takes 8 steps, so fuel 3 cuts it before its second guard
+    # test; the functional semantics needs Kleene index 4 for the three
+    # unfoldings, so at index 3 it is Bottom, which a cut leaves unchecked
+    program, _ = parse_program("x := 0 ; while x <= 2 do { x++ }")
+    config = Config(program, (0.0,), 1.0, from_seed(0))
+    assert eval_big(config, 3) == run_to_terminal(config, 3) == OutOfFuel(3)
+    assert check_agreement(program, (0.0,), 1.0, from_seed(0), fuel=3).ok
+
+
+def _outcome(evaluate, *args):
+    """The evaluator's result, with a dry source as one more outcome."""
+    try:
+        return evaluate(*args)
+    except EntropyExhausted:
+        return EntropyExhausted
+
+
+def test_big_step_equals_small_step_at_every_fuel():
+    # no fuel cut is exempt: both count small-step transitions
+    rng = random.Random(1618)
+    cuts = dry = 0
+    for _ in range(300):
+        table = gen_table(rng)
+        program = gen_program(rng, table, depth=4, allow_exp=True)
+        store = gen_store(rng, table)
+        t = rng.choice((0.0, 0.25, 1.0, 3.0))
+        method = rng.choice((None, EXACT, RungeKutta4(0.1)))
+        sources = (from_seed(rng.randrange(2 ** 32)),
+                   FinitePrefix(tuple(rng.random() for _ in range(rng.randrange(4)))))
+        for src in sources:
+            config = Config(program, store, t, src)
+            for fuel in FUELS:
+                small = _outcome(run_to_terminal, config, fuel, method)
+                assert _outcome(eval_big, config, fuel, method) == small
+                assert _outcome(eval_big, config, fuel, method, []) == small
+                cuts += isinstance(small, OutOfFuel)
+                dry += small is EntropyExhausted
+    assert cuts > 500 and dry > 100
 
 
 def test_functional_walkthrough():
@@ -197,17 +238,20 @@ def test_agreement_on_example_corpus():
 
 
 def test_agreement_on_fuzzed_programs():
+    # at fuel 100 and at the small fuels, where cuts fall inside loops
     rng = random.Random(2718)
     failures = []
-    for _ in range(1000):
+    for i in range(1000):
         table = gen_table(rng)
         program = gen_program(rng, table, depth=4, allow_exp=True)
         store = gen_store(rng, table)
         t = rng.choice((0.0, 0.25, 1.0, 3.0))
         src = FinitePrefix(tuple(rng.random() for _ in range(32)))
-        report = check_agreement(program, store, t, src, fuel=100)
-        if not report.ok:
-            failures.append(report.violations)
+        for fuel in FUELS[:-1] + (100,):
+            for source in (src, from_seed(split_seed(2718, i))):
+                report = check_agreement(program, store, t, source, fuel=fuel)
+                if not report.ok:
+                    failures.append(report.violations)
     assert failures == []
 
 

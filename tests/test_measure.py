@@ -34,6 +34,15 @@ def test_measure_invariants():
     assert len(mu) == 1
 
 
+def test_mass_slack_grows_with_the_number_of_float_weights():
+    # the left-to-right float sum of these weights is 1 + 4.6e-12
+    n = 300000
+    mu = DiscMeasure({EPoint((float(i),)): 1.0 / n for i in range(n)})
+    assert len(mu) == n
+    with pytest.raises(ValueError):
+        DiscMeasure({EPoint((0.0,)): 0.5, EPoint((1.0,)): 0.25, EPoint((2.0,)): 0.25 + 1e-6})
+
+
 def test_xpoint_time_nonnegative():
     with pytest.raises(ValueError):
         XPoint((0.0,), -1.0)

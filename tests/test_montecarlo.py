@@ -160,10 +160,12 @@ def test_fast_agrees_with_canonical_at_fuel_cutoff():
 def test_recording_run_stops_after_fuel_steps():
     # a loop that diverges in zero time: only the first fuel + 1 steps matter
     program, _ = parse_program("x := 0 ; while tt { x++ ; x++ ; x++ ; x++ }")
+    config = Config(program, (0.0,), 1.0, from_seed(0))
     segments = []
-    result = eval_big(Config(program, (0.0,), 1.0, from_seed(0)), 500, None, segments)
+    result = eval_big(config, 500, None, segments)
     assert segments == [(None, None, None, 501)]
     assert result == OutOfFuel(500)
+    assert eval_big(config, 500) == OutOfFuel(500)
     grid = TimeGrid.regular(0.0, 1.0, 0.5)
     fast = sample_trajectory(program, (0.0,), grid, seed=0, fuel=500, fast=True)
     slow = sample_trajectory(program, (0.0,), grid, seed=0, fuel=500, fast=False)
