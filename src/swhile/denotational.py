@@ -211,7 +211,8 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                         if guard:
                             through[pt] = w
                         else:
-                            stay[pt] = stay.get(pt, 0) + w
+                            old = stay.get(pt)
+                            stay[pt] = w if old is None else old + w
                 if through:
                     todo.append((_ROUND, loop, left - 1, stay))
                     todo.append(loop.body)
@@ -233,7 +234,8 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                 except Undefined:
                     continue
                 q = XPoint(update(pt.store, index, v), pt.t)
-                acc[q] = acc.get(q, 0) + w
+                old = acc.get(q)
+                acc[q] = w if old is None else old + w
             frontier = DiscMeasure(acc)
         elif t is Sample:
             index = node.var.index
@@ -243,7 +245,8 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                 v = w * atom_weight
                 for a in atoms:
                     q = XPoint(update(store, index, a), rem)
-                    acc[q] = acc.get(q, 0) + v
+                    old = acc.get(q)
+                    acc[q] = v if old is None else old + v
             frontier = DiscMeasure(acc)
         elif t is DiffBlock:
             duration = node.duration
@@ -256,10 +259,12 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                         continue
                     if d > rem:
                         e = EPoint(ode.flow(node, store, rem, flow_method))
-                        out[e] = out.get(e, 0) + w
+                        old = out.get(e)
+                        out[e] = w if old is None else old + w
                     else:
                         q = XPoint(ode.flow(node, store, d, flow_method), rem - d)
-                        acc[q] = acc.get(q, 0) + w
+                        old = acc.get(q)
+                        acc[q] = w if old is None else old + w
                 except Undefined:
                     continue
             frontier = DiscMeasure(acc)
@@ -339,7 +344,9 @@ def enumerate_operational(
         else:
             if out is not BOTTOM:
                 pt = XPoint(out.store, out.t) if type(out) is Normal else EPoint(out.store)
-                acc[pt] = acc.get(pt, 0) + weight ** depth
+                w = weight ** depth
+                old = acc.get(pt)
+                acc[pt] = w if old is None else old + w
         if not forks:
             return DiscMeasure(acc)
         # the next child in depth-first, atom order; the last child of a
@@ -388,13 +395,15 @@ def adequacy_check(
     lhs_acc: dict = {}
     for pt, w in mu0.items():
         if type(pt) is EPoint:
-            lhs_acc[pt] = lhs_acc.get(pt, 0) + w
+            old = lhs_acc.get(pt)
+            lhs_acc[pt] = w if old is None else old + w
             continue
         branch = enumerate_operational(
             program, pt.store, pt.t, disc, max_unfold, branch_cap, flow_method
         )
         for q, v in branch.items():
-            lhs_acc[q] = lhs_acc.get(q, 0) + w * v
+            old = lhs_acc.get(q)
+            lhs_acc[q] = w * v if old is None else old + w * v
     operational = DiscMeasure(lhs_acc)
     denotational = _push(program, mu0, disc, max_unfold, flow_method)
     tv = tv_distance(operational, denotational)

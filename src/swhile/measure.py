@@ -6,7 +6,9 @@ time (a normal termination).  A measure maps finitely many points to
 positive weights with total mass at most one; the missing mass encodes
 divergence and evaluation errors.  Weights may be floats or
 `fractions.Fraction`s -- all operations are agnostic, so an exact-weight
-mode is just a matter of feeding rational weights in.
+mode is just a matter of feeding rational weights in.  Sums over
+`Fraction` weights only are taken in integers over a common denominator
+(see `_total`), with the value of the left-to-right sum.
 
 Kernels (functions from X-points to measures) extend to measures: E-mass
 passes through untouched while X-mass is pushed through the kernel and
@@ -16,6 +18,8 @@ re-aggregated.  That extension is linear and never increases total mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 # A total may exceed one by rounding: _MASS_SLACK for the rounding inside
 # the weights, plus 2**-52 per weight for a left-to-right float sum of n
@@ -44,23 +48,44 @@ class XPoint:
 Point = EPoint | XPoint
 
 
+def _total(weights):
+    """The sum of `weights`, a sized iterable, equal to their left-to-right
+    sum from 0.
+
+    When every weight is a `Fraction`, the numerators are summed as
+    integers over the lcm of the denominators and one `Fraction` is built
+    at the end, instead of normalising the sum after every add.
+    """
+    pairs = [v.as_integer_ratio() for v in weights if type(v) is Fraction]
+    if len(pairs) < len(weights):
+        return sum(weights)
+    if not pairs:
+        return 0
+    den = lcm(*{d for _, d in pairs})
+    return Fraction(sum([n * (den // d) for n, d in pairs]), den)
+
+
 class DiscMeasure:
     """Finite map from points to positive weights, total mass <= 1."""
 
     __slots__ = ("_w",)
 
     def __init__(self, weights=None):
-        w = {}
-        total = 0
-        for pt, v in (weights or {}).items():
+        # copying a dict keeps its stored hashes, so no point is hashed again
+        w = dict(weights or {})
+        zeros = []
+        for pt, v in w.items():
             if not isinstance(pt, (EPoint, XPoint)):
                 raise TypeError(f"not a point: {pt!r}")
-            if v < 0:
+            if type(v) is Fraction:
+                v = v.numerator  # same sign, and an int compares faster
+            if not v >= 0:  # also rejects NaN, for which v < 0 is false
                 raise ValueError("weights must be nonnegative")
             if v == 0:
-                continue
-            w[pt] = v
-            total += v
+                zeros.append(pt)
+        for pt in zeros:
+            del w[pt]
+        total = _total(w.values())
         if total > 1 + _MASS_SLACK + len(w) * 2.0 ** -52:
             raise ValueError(f"total mass {total} exceeds 1")
         self._w = w
@@ -75,17 +100,18 @@ class DiscMeasure:
         return self._w.keys()
 
     def mass(self):
-        return sum(self._w.values())
+        return _total(self._w.values())
 
     def scaled(self, factor) -> "DiscMeasure":
-        if factor < 0:
+        if not factor >= 0:
             raise ValueError("scale factor must be nonnegative")
         return DiscMeasure({pt: factor * v for pt, v in self._w.items()})
 
     def __add__(self, other: "DiscMeasure") -> "DiscMeasure":
         acc = dict(self._w)
         for pt, v in other._w.items():
-            acc[pt] = acc.get(pt, 0) + v
+            old = acc.get(pt)
+            acc[pt] = v if old is None else old + v
         return DiscMeasure(acc)
 
     def __eq__(self, other):
@@ -118,16 +144,30 @@ def kleisli_extend(kernel):
         acc = {}
         for pt, w in mu.items():
             if type(pt) is EPoint:
-                acc[pt] = acc.get(pt, 0) + w
+                old = acc.get(pt)
+                acc[pt] = w if old is None else old + w
             else:
                 for q, v in kernel(pt).items():
-                    acc[q] = acc.get(q, 0) + w * v
+                    old = acc.get(q)
+                    acc[q] = w * v if old is None else old + w * v
         return DiscMeasure(acc)
 
     return extended
 
 
 def tv_distance(mu: DiscMeasure, nu: DiscMeasure):
-    """Total variation norm of mu - nu: sum of |weight differences|."""
+    """Total variation norm of mu - nu: sum of |weight differences|.
+
+    With only `Fraction` weights on both sides, the differences are taken
+    as integers over the lcm of the denominators, as in `_total`.
+    """
+    mw, nw = mu._w, nu._w
+    weights = (*mw.values(), *nw.values())
+    if weights and all(type(v) is Fraction for v in weights):
+        den = lcm(*{v.denominator for v in weights})
+        diff = {pt: v.numerator * (den // v.denominator) for pt, v in mw.items()}
+        for pt, v in nw.items():
+            diff[pt] = diff.get(pt, 0) - v.numerator * (den // v.denominator)
+        return Fraction(sum(map(abs, diff.values())), den)
     points = set(mu.support()) | set(nu.support())
     return sum(abs(mu.weight(pt) - nu.weight(pt)) for pt in points)

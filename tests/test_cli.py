@@ -170,6 +170,32 @@ def test_simulate_out_matches_golden(case, tmp_path, capsys):
     assert target.read_bytes() == _golden_simulate(name, args)
 
 
+GOLDEN_ADEQUACY = ROOT / "tests" / "golden" / "adequacy"
+ADEQUACY_CASES = [line.split()
+                  for line in (GOLDEN_ADEQUACY / "cases.txt").read_text().splitlines()
+                  if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("case", ADEQUACY_CASES, ids=lambda case: case[0])
+def test_adequacy_matches_golden(case, capsys, monkeypatch):
+    # pins the JSON and the exit code, rational and float; the output names
+    # the program by the relative path it was given
+    name, want, *args = case
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(capsys, "adequacy", *args)
+    assert code == int(want)
+    assert out.encode() == (GOLDEN_ADEQUACY / f"{name}.json").read_bytes()
+
+
+def test_adequacy_golden_cases_cover_every_bundled_program():
+    modes = {}
+    for _, _, path, *args in ADEQUACY_CASES:
+        modes.setdefault(path, []).append(" ".join(args))
+    assert sorted(modes) == [f"programs/{p.name}" for p in program_files()]
+    assert all(m == ["--rational --time 0.5 --time 1.0 --time 1.5", "--k 2", "--rational --k 3"]
+               for m in modes.values())
+
+
 def test_simulate_is_reproducible(capsys):
     args = ("simulate", PROGRAMS / "ball.swl", "--runs", "2", "--end", "2", "--seed", "9")
     code1, out1, _ = run_cli(capsys, *args)

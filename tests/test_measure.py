@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from swhile.measure import (
+    _MASS_SLACK,
     DiscMeasure,
     EPoint,
     XPoint,
@@ -145,3 +146,116 @@ def test_fraction_weights_supported():
     half = mu.scaled(Fraction(1, 2))
     assert half.weight(pt) == Fraction(1, 6)
     assert tv_distance(mu, mu) == 0
+
+
+def test_nan_weights_are_refused():
+    # NaN is neither negative nor zero, and a NaN total passes the mass
+    # check, so a NaN weight used to hide the mass of the others (here 1.2)
+    a, b, c = EPoint((0.0,)), EPoint((1.0,)), EPoint((2.0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiscMeasure({a: 0.5, b: float("nan"), c: 0.7})
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiscMeasure({a: float("nan")})
+    with pytest.raises(ValueError, match="nonnegative"):
+        dirac(a).scaled(float("nan"))
+
+
+class CountingPoint(XPoint):
+    __slots__ = ()
+    hashes = 0
+
+    def __hash__(self):
+        CountingPoint.hashes += 1
+        return XPoint.__hash__(self)
+
+
+def test_building_a_measure_hashes_no_point():
+    # the weights are copied with their stored hashes; each point is hashed
+    # once, when the caller's dict is built
+    d = {CountingPoint((float(i),), 1.0): Fraction(1, 4 + i) for i in range(4)}
+    d[EPoint((9.0,))] = 0.125
+    CountingPoint.hashes = 0
+    mu = DiscMeasure(d)
+    assert CountingPoint.hashes == 0
+    assert list(mu.support()) == list(d)
+
+
+# Points and weights for the comparison with plain left-to-right sums.
+_POINTS = [EPoint((0.0,)), EPoint((1.0,)), XPoint((0.0,), 1.0), XPoint((1.0,), 0.5),
+           XPoint((2.0,), 0.0), EPoint((-0.5,))]
+_DENOMINATORS = [1, 2, 3, 5, 7, 8, 12, 27, 64, 1000, 2 ** 40, 3 ** 20]
+
+
+@st.composite
+def _weight(draw, n):
+    kind = draw(st.sampled_from(["fraction", "fraction", "fraction", "int", "zero", "float"]))
+    if kind == "fraction":
+        d = draw(st.sampled_from(_DENOMINATORS))
+        return Fraction(draw(st.integers(0, 2 * d)), d * n)
+    if kind == "int":
+        return draw(st.integers(0, 1))
+    if kind == "zero":
+        return draw(st.sampled_from([0, 0.0, Fraction(0)]))
+    return draw(st.floats(0, 2 / n))
+
+
+@st.composite
+def _weights(draw, invalid=False):
+    points = draw(st.lists(st.sampled_from(_POINTS), max_size=len(_POINTS), unique=True))
+    n = max(len(points), 1)
+    weights = {pt: draw(_weight(n)) for pt in points}
+    if invalid and draw(st.booleans()):
+        bad = draw(st.sampled_from([-Fraction(1, 3), -1, -0.25, float("nan")]))
+        weights[draw(st.sampled_from(_POINTS))] = bad
+    if invalid and draw(st.booleans()):
+        weights[(float(draw(st.integers(0, 3))),)] = draw(_weight(n))
+    return weights
+
+
+def _plain_measure(weights):
+    """The checks and the mass of a measure as one left-to-right loop with
+    plain `Fraction` arithmetic: (nonzero weights, total) or the exception."""
+    kept, total = {}, 0
+    for pt, v in weights.items():
+        if not isinstance(pt, (EPoint, XPoint)):
+            return TypeError(f"not a point: {pt!r}")
+        if not v >= 0:
+            return ValueError("weights must be nonnegative")
+        if v == 0:
+            continue
+        kept[pt] = v
+        total += v
+    if total > 1 + _MASS_SLACK + len(kept) * 2.0 ** -52:
+        return ValueError(f"total mass {total} exceeds 1")
+    return kept, total
+
+
+def _same(a, b):
+    # equal value and type, and bit for bit for floats
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@given(_weights(invalid=True))
+def test_measure_matches_plain_fraction_sums(weights):
+    want = _plain_measure(weights)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as got:
+            DiscMeasure(weights)
+        assert str(got.value) == str(want)
+        return
+    kept, total = want
+    mu = DiscMeasure(weights)
+    assert list(mu.items()) == list(kept.items())
+    assert _same(mu.mass(), total)
+
+
+@given(_weights(), _weights())
+def test_tv_distance_matches_plain_fraction_sums(mw, nw):
+    assume(not isinstance(_plain_measure(mw), Exception))
+    assume(not isinstance(_plain_measure(nw), Exception))
+    mu, nu = DiscMeasure(mw), DiscMeasure(nw)
+    points = set(mu.support()) | set(nu.support())
+    want = 0
+    for pt in points:
+        want += abs(mu.weight(pt) - nu.weight(pt))
+    assert _same(tv_distance(mu, nu), want)
