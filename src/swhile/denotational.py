@@ -28,6 +28,11 @@ is the independent operational semantics the denotation is checked
 against.  It runs the functional semantics once per edge of the draw
 tree: a branch resumes from its parent's state at the fork, so the cost
 is per draw-tree edge, not per edge times its depth.
+
+`adequacy_check` compares the two sides on a whole input measure: the
+operational side is the Kleisli extension (`measure.kleisli_extend`) of
+the enumeration kernel, X-point -> measure, applied to that measure, and
+the denotational side is `_push` of it.
 """
 
 from __future__ import annotations
@@ -43,10 +48,7 @@ from .bigstep import BOTTOM, _functional
 # stays a module attribute because bench/tracing.py wraps it by name.
 from .bigstep import eval_functional  # noqa: F401
 from .entropy import Enumerator, EntropyExhausted
-from .measure import DiscMeasure, EPoint, XPoint, dirac, tv_distance
-# `_push` extends kernels to measures itself; kleisli_extend stays a module
-# attribute because bench/tracing.py counts its calls by name.
-from .measure import kleisli_extend  # noqa: F401
+from .measure import DiscMeasure, EPoint, XPoint, dirac, kleisli_extend, tv_distance
 from .smallstep import Normal
 from .store import Undefined, eval_bool, eval_expr, update
 from .syntax import Assign, DiffBlock, If, Program, Sample, Seq, While
@@ -387,24 +389,15 @@ def adequacy_check(
 ) -> AdequacyReport:
     """Compare enumerated-operational and denotational output measures.
 
-    Both sides start from the same input measure and truncate every loop
-    at the same Kleene index, so they must coincide point for point; the
-    report's tv field is the total variation distance between them.
+    The operational side is the Kleisli extension of the enumeration
+    kernel applied to `mu0`; the denotational side pushes `mu0` through
+    the program.  Both truncate every loop at the same Kleene index, so
+    they must coincide point for point; the report's tv field is the total
+    variation distance between them.
     """
     _check_bounds(max_unfold, branch_cap)
-    lhs_acc: dict = {}
-    for pt, w in mu0.items():
-        if type(pt) is EPoint:
-            old = lhs_acc.get(pt)
-            lhs_acc[pt] = w if old is None else old + w
-            continue
-        branch = enumerate_operational(
-            program, pt.store, pt.t, disc, max_unfold, branch_cap, flow_method
-        )
-        for q, v in branch.items():
-            old = lhs_acc.get(q)
-            lhs_acc[q] = w * v if old is None else old + w * v
-    operational = DiscMeasure(lhs_acc)
+    operational = kleisli_extend(lambda pt: enumerate_operational(
+        program, pt.store, pt.t, disc, max_unfold, branch_cap, flow_method))(mu0)
     denotational = _push(program, mu0, disc, max_unfold, flow_method)
     tv = tv_distance(operational, denotational)
     return AdequacyReport(

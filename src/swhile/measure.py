@@ -33,16 +33,21 @@ class EPoint:
     store: tuple
 
 
+def _check_remaining_time(self):
+    """The `__post_init__` of `XPoint` and of `smallstep.Config`: the
+    remaining time `self.t` must be finite and nonnegative."""
+    t = self.t
+    if not 0 <= t < _INF:  # also rejects NaN, for which t < 0 is false
+        raise ValueError("remaining time must be finite" if t == _INF
+                         else "remaining time must be nonnegative")
+
+
 @dataclass(frozen=True, slots=True)
 class XPoint:
     store: tuple
     t: float
 
-    def __post_init__(self):
-        t = self.t
-        if not 0 <= t < _INF:  # also rejects NaN, for which t < 0 is false
-            raise ValueError("remaining time must be finite" if t == _INF
-                             else "remaining time must be nonnegative")
+    __post_init__ = _check_remaining_time
 
 
 Point = EPoint | XPoint

@@ -94,7 +94,6 @@ import numpy as np
 from . import frontier, ode
 from .bigstep import eval_big
 from .entropy import from_seed, split_seed
-from .smallstep import MAX_GRID_POINTS  # noqa: F401 -- importable from here, as before
 from .smallstep import Config, DEFAULT_FUEL, Err, Normal, TimeGrid, TimeStop, _close
 from .store import Store
 from .store import eval_bool, eval_expr  # noqa: F401 -- unused here; tracers patch them by name

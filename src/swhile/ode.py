@@ -24,7 +24,10 @@ Classification -- the linear parts of the derivatives, M, its powers
 (each entry a left-to-right sum) and the Horner coefficients -- runs in
 plain Python floats, the same bits on every machine, so this module
 imports numpy only in the row flows below and, with scipy, on the
-`expm` path.  `parse`, `run` and `adequacy` never load it.
+`expm` path.  `parse`, `run` and `adequacy` never load it.  The linear
+parts are folded over `_linearize`'s code list of a block's call nodes,
+the list the RK4 kernel below is generated from, so one routine walks
+the derivative trees for both.
 
 `flow_rows` flows many (store, tau) pairs along one block at once, with
 the arithmetic of one `flow` call per pair: a nilpotent block runs the
@@ -80,41 +83,6 @@ DEFAULT_RK4 = RungeKutta4(1e-3)
 MAX_RK4_STEPS = 10 ** 7
 
 
-def _linear_part(e, zero: tuple):
-    """Coefficient tuple and constant of `e`, or None if not affine.
-
-    `zero` is the all-zero coefficient tuple, one entry per variable.
-    Subtrees without variables are folded to constants; folding failures
-    (e.g. a division by zero among constants) make the system non-affine
-    so the RK4 fallback surfaces the evaluation error at run time.
-    Iterative (post-order over an explicit stack), so a derivative deeper
-    than the recursion limit is classified too.
-    """
-    values = []
-    stack = [e]
-    while stack:
-        item = stack.pop()
-        t = type(item)
-        if t is Lit:
-            values.append((zero, item.value))
-        elif t is Var:
-            i = item.index
-            values.append((zero[:i] + (1.0,) + zero[i + 1:], 0.0))
-        elif t is Call:
-            args = item.args
-            stack.append((item.op, len(args)))
-            stack.extend(reversed(args))
-        else:
-            op, arity = item
-            parts = values[-arity:]
-            del values[-arity:]
-            part = _combine(op, parts, zero)
-            if part is None:
-                return None  # a non-affine subterm makes every ancestor non-affine
-            values.append(part)
-    return values[0]
-
-
 def _combine(op: str, parts: list, zero: tuple):
     """The linear part of a call `op` whose arguments have linear parts
     `parts`, or None if the call is not affine."""
@@ -154,18 +122,33 @@ def classify_affine(block: DiffBlock):
     """(A, c) with x' = Ax + c, by structural inspection; None if non-affine.
 
     A is a tuple of rows, one per variable, and c a tuple, all of floats.
+    `_combine` folds the linear parts over `_linearize`'s code list, one
+    call node at a time; divisor tests carry no value and are skipped.
+    Subtrees without variables are folded to constants; folding failures
+    (e.g. a division by zero among constants) make the system non-affine
+    so the RK4 fallback surfaces the evaluation error at run time.
     """
     zero = (0.0,) * len(block.derivs)
-    rows = []
-    consts = []
-    for d in block.derivs:
-        part = _linear_part(d, zero)
-        if part is None:
-            return None
-        coeff, const = part
-        rows.append(coeff)
-        consts.append(float(const))
-    return tuple(rows), tuple(consts)
+    consts, code = [], []
+    outs = [_linearize(d, consts, code) for d in block.derivs]
+    parts = []  # the linear part of each code entry, None for a divisor test
+
+    def part(ref):
+        kind, i = ref
+        if kind == "var":
+            return zero[:i] + (1.0,) + zero[i + 1:], 0.0
+        return (zero, consts[i]) if kind == "const" else parts[i]
+
+    for op, refs in code:
+        if op == "divisor":
+            parts.append(None)
+            continue
+        linear = _combine(op, [part(r) for r in refs], zero)
+        if linear is None:
+            return None  # a non-affine subterm makes every ancestor non-affine
+        parts.append(linear)
+    linear = [part(ref) for ref in outs]
+    return tuple([coeff for coeff, _ in linear]), tuple([float(k) for _, k in linear])
 
 
 _NON_AFFINE = object()  # exact-flow marker: the system is not affine
@@ -433,6 +416,8 @@ def _linearize(e, consts: list, code: list):
     (op, argument references), or ("divisor", (reference,)) for the zero
     test that eval_expr makes on a divisor before it evaluates the
     numerator.  Iterative, so any depth eval_expr can evaluate is accepted.
+    The one walk over a block's derivatives: `classify_affine` folds the
+    list, and `_rk4_kernel` generates its stages from it.
     """
     values = []
     stack = [e]

@@ -495,12 +495,7 @@ class _Parser:
                     f"sampler {name!r} is only allowed in an assignment right-hand side"
                 )
             self.advance()
-            self.expect("(")
-            args = [self.parse_expr()]
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_expr())
-            self.expect(")")
+            args = self.parse_args()
             if len(args) != SAMPLERS[name]:
                 self.error(f"{name!r} expects {SAMPLERS[name]} arguments", tok)
             samplers.append(RSampler(name, tuple(args), tok.line, tok.col))
@@ -516,15 +511,20 @@ class _Parser:
 
     def parse_call(self, name: str):
         tok = self.advance()
+        args = self.parse_args()
+        if len(args) != FUNCTIONS[name]:
+            self.error(f"{name!r} expects {FUNCTIONS[name]} argument(s)", tok)
+        return RCall(name, tuple(args))
+
+    def parse_args(self) -> list:
+        """A parenthesised, comma-separated list of draw-free expressions."""
         self.expect("(")
         args = [self.parse_expr()]
         while self.at(","):
             self.advance()
             args.append(self.parse_expr())
         self.expect(")")
-        if len(args) != FUNCTIONS[name]:
-            self.error(f"{name!r} expects {FUNCTIONS[name]} argument(s)", tok)
-        return RCall(name, tuple(args))
+        return args
 
 
 # --- resolution ----------------------------------------------------------------

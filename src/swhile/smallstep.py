@@ -33,7 +33,7 @@ returns.  Its cost is per step, independent of how deeply the Seqs nest.
 `step` is the closure with one unit of fuel.
 
 `TimeGrid`, the query times of `simulate` and `adequacy --grid`, lives
-here beside Config's time checks, so building a grid loads no numpy.
+here beside Config, so building a grid loads no numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 from . import ode
+from .measure import _check_remaining_time
 from .store import Store, Undefined, eval_bool, eval_expr, update
 from .syntax import (
     Assign,
@@ -53,7 +54,6 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 10 ** 6
-_INF = float("inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,11 +71,7 @@ class Config:
     t: float
     entropy: object
 
-    def __post_init__(self):
-        t = self.t
-        if not 0 <= t < _INF:  # also rejects NaN, for which t < 0 is false
-            raise ValueError("remaining time must be finite" if t == _INF
-                             else "remaining time must be nonnegative")
+    __post_init__ = _check_remaining_time
 
 
 # The most times a regular grid may hold: every grid time costs a point in
@@ -120,10 +116,13 @@ class TimeGrid:
             raise ValueError("grid start, end and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
-        # the loop yields floor((end + 1e-12 - start) / step) + 1 times, up
-        # to rounding, tolerance included; count them first, not by running it
+        # the loop yields at most floor((end + 1e-12 - start) / step) + 1
+        # times, up to rounding, tolerance included; count them first, not
+        # by running it
         if (end + 1e-12 - start) / step >= MAX_GRID_POINTS:
             raise ValueError(f"grid would hold more than {MAX_GRID_POINTS} times")
+        # the first time at or past end is clamped onto end and is the last:
+        # after it, a step below the tolerance would repeat end
         times = []
         i = 0
         while True:
@@ -131,6 +130,8 @@ class TimeGrid:
             if t > end + 1e-12:
                 break
             times.append(min(t, end))
+            if t >= end:
+                break
             i += 1
         return cls(start, end, tuple(times))
 

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swhile import montecarlo
+from swhile import montecarlo, smallstep
 from swhile.cli import main
 from swhile.parser import parse_file
 
@@ -618,7 +618,7 @@ def test_grid_over_the_maximum_exits_cleanly(capsys, command):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert out == "" and err == (f"error: grid would hold more than "
-                                 f"{montecarlo.MAX_GRID_POINTS} times\n")
+                                 f"{smallstep.MAX_GRID_POINTS} times\n")
 
 
 @pytest.mark.parametrize("grid", ["0:1e-300:1e-300", "1e-300:0:1e-300"])
@@ -630,14 +630,25 @@ def test_a_step_below_the_grid_tolerance_exits_cleanly(capsys, grid):
                              "--seed", "1")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    assert err == f"error: grid would hold more than {montecarlo.MAX_GRID_POINTS} times\n"
+    assert err == f"error: grid would hold more than {smallstep.MAX_GRID_POINTS} times\n"
+
+
+def test_a_step_below_the_grid_tolerance_within_the_maximum_is_simulated(capsys):
+    # a 1e-13 step: the times in (1e-9, 1e-9 + 1e-12] used to be clamped
+    # onto the end as well, so the grid refused its repeated last time
+    code, out, err = run_cli(capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1e-9:1e-13",
+                             "--runs", "1", "--seed", "1", "--check", "p <= 20")
+    assert (code, err) == (0, "")
+    times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert times[0] == 0.0 and times[-1] == 1e-9 and len(times) == 10001
+    assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_grid_of_the_maximum_length_is_accepted():
-    grid = montecarlo.TimeGrid.regular(0.0, montecarlo.MAX_GRID_POINTS - 1.0, 1.0)
-    assert len(grid.times) == montecarlo.MAX_GRID_POINTS
+    grid = smallstep.TimeGrid.regular(0.0, smallstep.MAX_GRID_POINTS - 1.0, 1.0)
+    assert len(grid.times) == smallstep.MAX_GRID_POINTS
     with pytest.raises(ValueError, match="grid would hold more than"):
-        montecarlo.TimeGrid.regular(0.0, float(montecarlo.MAX_GRID_POINTS), 1.0)
+        smallstep.TimeGrid.regular(0.0, float(smallstep.MAX_GRID_POINTS), 1.0)
 
 
 def test_bins_over_the_maximum_exit_cleanly(capsys):

@@ -148,6 +148,44 @@ def test_adequacy_mixed_initial_measure():
     assert report.tv == 0.0
 
 
+def test_adequacy_extends_the_enumeration_kernel_once(monkeypatch):
+    calls = []
+
+    def counting(kernel):
+        calls.append(kernel)
+        return kleisli_extend(kernel)
+
+    monkeypatch.setattr(denotational, "kleisli_extend", counting)
+    program, table = parse_program("x := unif(0,1) ; wait x")
+    mu0 = DiscMeasure({XPoint((0.0,), 0.5): Fraction(1, 2), XPoint((5.0,), 0.5): Fraction(1, 2)})
+    report = adequacy_check(program, mu0, Discretization(2, exact=True), max_unfold=1)
+    assert report.tv == 0 and len(calls) == 1
+
+
+def test_adequacy_merges_an_input_e_point_with_an_enumerated_one(monkeypatch):
+    # x := 0.75 waits past t = 0.5 and stops at EPoint((0.75,)), the point
+    # the input measure already holds: the operational side must add them
+    measures = []
+
+    def recording(mu, nu):
+        measures.append((mu, nu))
+        return tv_distance(mu, nu)
+
+    monkeypatch.setattr(denotational, "tv_distance", recording)
+    program, table = parse_program("x := unif(0,1) ; wait x")
+    e = EPoint((0.75,))
+    mu0 = DiscMeasure({e: Fraction(1, 4), XPoint((0.0,), 0.5): Fraction(1, 2),
+                       XPoint((5.0,), 0.5): Fraction(1, 4)})
+    report = adequacy_check(program, mu0, Discretization(2, exact=True), max_unfold=1)
+    assert report.tv == 0 and report.passed
+    (operational, denotational_side), = measures
+    # 1/4 from the input, plus half of each X-point's mass: 1/4 + 1/4 + 1/8
+    want = Fraction(1, 4) + Fraction(1, 2) * Fraction(1, 2) + Fraction(1, 4) * Fraction(1, 2)
+    assert operational.weight(e) == denotational_side.weight(e) == want == Fraction(5, 8)
+    assert operational.weight(XPoint((0.25,), 0.25)) == Fraction(3, 8)
+    assert report.operational_support == 2 and report.operational_mass == 1.0
+
+
 def test_adequacy_rational_mode_is_exactly_zero():
     program, table = parse_program("x := 0 ; bernoulli(1/2, x++, x--)")
     mu0 = dirac(XPoint(make_store(table), 1.0))

@@ -74,6 +74,53 @@ def test_grid_validation():
     assert TimeGrid.from_times((0.0, 5.0)).end == 5.0
 
 
+def _regular_times_before(start, end, step):
+    """The times `TimeGrid.regular` made before it stopped at its end: every
+    start + i * step up to end + 1e-12, each clamped onto end."""
+    times = []
+    i = 0
+    while True:
+        t = start + i * step
+        if t > end + 1e-12:
+            break
+        times.append(min(t, end))
+        i += 1
+    return TimeGrid(start, end, tuple(times)).times
+
+
+def test_regular_grid_with_a_step_below_the_tolerance_stops_at_its_end():
+    # every time in (end, end + 1e-12] was clamped onto end, so a 1e-13 step
+    # repeated the end and the grid refused itself
+    times = TimeGrid.regular(0.0, 1e-9, 1e-13).times
+    assert times[0] == 0.0 and times[-1] == 1e-9 and len(times) == 10001
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _regular_times_before(0.0, 1e-9, 1e-13)
+
+
+def test_regular_grid_is_unchanged_for_steps_above_the_tolerance():
+    def outcome(make, *args):
+        try:
+            return make(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(2026)
+    clamped = 0
+    for _ in range(1500):
+        start = rng.choice((0.0, 0.5, 1e-9, rng.uniform(0.0, 100.0)))
+        step = rng.choice((0.1, 0.25, 1 / 3, 1e-3, 1.5e-12, rng.uniform(1.01e-12, 1.0),
+                           10 ** rng.uniform(-11.9, 0.0)))
+        end = start + rng.randint(1, 300) * step + rng.choice(
+            (0.0, 1e-13, -1e-13, 5e-13, 2e-12, rng.uniform(-step, step)))
+        if not end > start:
+            continue
+        want = outcome(_regular_times_before, start, end, step)
+        assert outcome(lambda: TimeGrid.regular(start, end, step).times) == want
+        if isinstance(want, tuple) and start + (len(want) - 1) * step > end:
+            clamped += 1
+    assert clamped > 50
+
+
 def test_walkthrough_trajectory_values():
     program, _ = parse_program(WALKTHROUGH)
     grid = TimeGrid.from_times((0.5, 1.5, 2.5))
