@@ -148,18 +148,6 @@ def _regular_grid(text: str):
     return smallstep.TimeGrid.regular(*map(float, parts))
 
 
-def _grid_of(args):
-    if args.grid:
-        if (args.start, args.end, args.step) != (None, None, None):
-            raise ValueError("--grid cannot be combined with --start, --end or --step")
-        return _regular_grid(args.grid)
-    if args.end is None:
-        raise ValueError("simulate needs --grid S:E:STEP or --end E")
-    start = 0.0 if args.start is None else args.start
-    step = 0.1 if args.step is None else args.step
-    return smallstep.TimeGrid.regular(start, args.end, step)
-
-
 def _check_of(args, table):
     """The `--check` condition, with its parse errors placed in its own text."""
     try:
@@ -266,7 +254,7 @@ def cmd_simulate(args) -> int:
     store = _initial_store(table, args.init)
     seed = _seed_of(args)
     method = _flow_method(args.flow)
-    grid = _grid_of(args)
+    grid = _regular_grid(args.grid)
     statistic, write = _statistic(args, table, grid, cond)
     ensemble = montecarlo.run_ensemble(
         program, table, store, grid, args.runs, seed,
@@ -365,10 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("simulate", help="run an ensemble and export statistics")
     s.add_argument("file")
-    s.add_argument("--grid", default=None, metavar="S:E:STEP")
-    s.add_argument("--start", type=float, default=None, help="without --grid (default 0)")
-    s.add_argument("--end", type=float, default=None, help="without --grid")
-    s.add_argument("--step", type=float, default=None, help="without --grid (default 0.1)")
+    s.add_argument("--grid", required=True, metavar="S:E:STEP")
     s.add_argument("--runs", type=int, default=1, metavar="N")
     s.add_argument("--out", default=None, metavar="PATH")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -405,9 +390,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"{getattr(args, 'file', '<input>')}:{exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -37,9 +37,8 @@ the denotational side is `_push` of it.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ode
@@ -374,9 +373,6 @@ class AdequacyReport:
     denotational_support: int
     operational_mass: float
     denotational_mass: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def adequacy_check(

@@ -116,10 +116,6 @@ class Recording:
                    np.array(outcomes, dtype=np.int8), finals)
 
     @property
-    def runs(self) -> int:
-        return len(self.counts)
-
-    @property
     def widest(self) -> int:
         """The most segments of one run."""
         return int(self.counts.max()) if len(self.counts) else 0

@@ -166,9 +166,7 @@ def _trajectory(seed: int, kinds, stores, event_times, fuel: int) -> Trajectory:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Ensemble:
-    program: Program
     table: VarTable
-    store0: Store
     grid: TimeGrid
     base_seed: int
     fuel: int
@@ -305,12 +303,11 @@ def _read_recorded(rec, grid, flow_method, kinds, stores, event_times):
     `rec` is a `frontier.Recording`.
     """
     outcomes, counts = rec.outcomes, rec.counts
-    held = outcomes == frontier.NORMAL
     # every point starts as its run's tail outcome; landed points overwrite it
     grid_times = remaining = np.asarray(grid.times, dtype=float)
     kinds[:] = _TAILS[outcomes][:, None]
-    if held.any():
-        stores[:] = np.where(held[:, None], rec.finals, np.nan)[:, None, :]
+    if (outcomes == frontier.NORMAL).any():
+        stores[:] = rec.finals[:, None, :]  # NaN on every run that is not NORMAL
     if len(rec.durations):
         starts = np.cumsum(counts) - counts  # each run's first segment
         table = np.zeros((len(counts), int(counts.max())))  # 0.0 past a run's end moves nothing
@@ -462,7 +459,7 @@ def run_ensemble(
         arrays = [np.concatenate(part) for part in zip(*parts)]
     else:
         arrays = _read_runs(program, store0, grid, seeds, fuel, fast, flow_method)
-    return Ensemble(program, table, store0, grid, base_seed, fuel, seeds, *arrays)
+    return Ensemble(table, grid, base_seed, fuel, seeds, *arrays)
 
 
 # --- statistics ---------------------------------------------------------------
@@ -528,15 +525,34 @@ def probability_over_time(ensemble: Ensemble, cond) -> ProbabilitySeries:
     return ProbabilitySeries(ensemble.grid.times, tuple(fractions), tuple(excluded))
 
 
-def interval_indices(grid: TimeGrid, t1: float, t2: float) -> list:
-    """The indices of the grid times in [t1, t2]; an interval outside the
-    grid, or holding no grid time, is refused."""
+def _grid_match(times, t: float):
+    """The index of grid time t, or else of the nearest grid time within
+    rounding, or None.
+
+    Regular grid times are start + i * step, so 0:1:0.1 holds
+    0.30000000000000004, which a time typed as 0.3 must still find.
+    """
+    i = bisect.bisect_left(times, t)  # the times strictly increase
+    if i < len(times) and times[i] == t:
+        return i
+    nearest = min((j for j in (i - 1, i) if 0 <= j < len(times)),
+                  key=lambda j: abs(times[j] - t))
+    return nearest if math.isclose(times[nearest], t, rel_tol=1e-9, abs_tol=1e-12) else None
+
+
+def interval_indices(grid: TimeGrid, t1: float, t2: float) -> range:
+    """The indices of the grid times in [t1, t2], where an endpoint that
+    names a grid time, as `histogram` finds one, stands for that time; an
+    interval outside the grid, or holding no grid time, is refused."""
     if not (grid.start <= t1 <= t2 <= grid.end):
         raise ValueError("interval must lie within the grid")
-    indices = [i for i, t in enumerate(grid.times) if t1 <= t <= t2]
-    if not indices:
+    times = grid.times
+    lo, hi = _grid_match(times, t1), _grid_match(times, t2)
+    lo = bisect.bisect_left(times, t1) if lo is None else lo
+    hi = bisect.bisect_right(times, t2) - 1 if hi is None else hi
+    if lo > hi:
         raise ValueError(f"interval [{t1}, {t2}] holds no grid time")
-    return indices
+    return range(lo, hi + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -575,25 +591,21 @@ class HistogramResult:
 
 
 def _grid_index(grid: TimeGrid, t: float) -> int:
-    """Index of grid time t, or of the nearest grid time within rounding.
+    """Index of grid time t as `_grid_match` finds it.
 
-    Regular grid times are start + i * step, so 0:1:0.1 holds
-    0.30000000000000004, which a time typed as 0.3 must still find.  An
-    off-grid time is refused naming the grid: its times, when it holds at
-    most _LISTED_GRID_TIMES of them, or else its extent and the nearest.
+    An off-grid time is refused naming the grid: its times, when it holds
+    at most _LISTED_GRID_TIMES of them, or else its extent and the nearest.
     """
     times = grid.times
-    i = bisect.bisect_left(times, t)  # the times strictly increase
-    if i < len(times) and times[i] == t:
-        return i
-    nearest = min((j for j in (i - 1, i) if 0 <= j < len(times)),
-                  key=lambda j: abs(times[j] - t))
-    if math.isclose(times[nearest], t, rel_tol=1e-9, abs_tol=1e-12):
-        return nearest
+    index = _grid_match(times, t)
+    if index is not None:
+        return index
     if len(times) <= _LISTED_GRID_TIMES:
         raise ValueError(f"time {t!r} is not on the grid {times}")
+    i = bisect.bisect_left(times, t)
+    nearest = min(times[max(i - 1, 0):i + 1], key=lambda s: abs(s - t))
     raise ValueError(f"time {t!r} is not on the grid of {len(times)} times from "
-                     f"{grid.start!r} to {grid.end!r}; the nearest is {times[nearest]!r}")
+                     f"{grid.start!r} to {grid.end!r}; the nearest is {nearest!r}")
 
 
 def _var_index(table: VarTable, variable: str) -> int:

@@ -52,6 +52,15 @@ def test_missing_file_is_io_error(capsys):
     assert "no_such_file" in err
 
 
+def test_unwritable_out_is_io_error_naming_the_write(tmp_path, capsys):
+    # a failed --out write used to be reported as "cannot read PATH"
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5",
+                             "--seed", "1", "--out", target)
+    assert (code, out) == (4, "")
+    assert str(target) in err and "cannot read" not in err
+
+
 def test_run_walkthrough_time_stop(capsys):
     code, out, _ = run_cli(
         capsys, "run", PROGRAMS / "timestop.swl", "--time", "1.5", "--seed", "1"
@@ -129,7 +138,7 @@ def test_simulate_ball_csv(tmp_path, capsys):
     out_file = tmp_path / "ball.csv"
     code, _, _ = run_cli(
         capsys, "simulate", PROGRAMS / "ball.swl",
-        "--runs", "1", "--end", "5", "--seed", "7", "--out", out_file,
+        "--runs", "1", "--grid", "0:5:0.1", "--seed", "7", "--out", out_file,
     )
     assert code == 0
     lines = out_file.read_text().splitlines()
@@ -197,7 +206,7 @@ def test_adequacy_golden_cases_cover_every_bundled_program():
 
 
 def test_simulate_is_reproducible(capsys):
-    args = ("simulate", PROGRAMS / "ball.swl", "--runs", "2", "--end", "2", "--seed", "9")
+    args = ("simulate", PROGRAMS / "ball.swl", "--runs", "2", "--grid", "0:2:0.1", "--seed", "9")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
@@ -506,12 +515,13 @@ def test_check_parse_error_names_the_check_text(capsys, check):
 
 @pytest.mark.parametrize("flag", [("--start", "0"), ("--end", "3"), ("--step", "0.25")])
 def test_simulate_grid_with_another_time_flag_is_an_error(capsys, flag):
-    # the grid used to win and the other flag was dropped without a word
-    code, out, err = run_cli(
+    # the grid used to win and the other flag was dropped without a word;
+    # --grid is now the only way to give the grid
+    code, out, err = usage_exit(
         capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", *flag, "--seed", "1"
     )
     assert code == 1
-    assert out == "" and err == "error: --grid cannot be combined with --start, --end or --step\n"
+    assert out == "" and f"error: unrecognized arguments: {' '.join(flag)}\n" in err
 
 
 def test_adequacy_time_with_grid_is_an_error(capsys):
@@ -540,6 +550,18 @@ def test_interval_holding_no_grid_time_is_an_error(capsys):
     )
     assert code == 1
     assert out == "" and err == "error: interval [0.1, 0.2] holds no grid time\n"
+
+
+@pytest.mark.parametrize("interval, sampled", [(("0.25", "0.3"), 1), (("0.1", "0.3"), 3)])
+def test_interval_endpoints_match_grid_times_as_hist_does(capsys, interval, sampled):
+    # 0:1:0.1 holds 0.30000000000000004, which --hist p@0.3 reads; an interval
+    # ending at 0.3 used to leave it out, and [0.25, 0.3] held no grid time
+    code, out, err = run_cli(
+        capsys, "simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.1", "--runs", "4",
+        "--seed", "1", "--check", "p <= 100", "--interval", *interval,
+    )
+    assert (code, err) == (0, "")
+    assert f"condition sampled at {sampled} grid times in [{interval[0]}, {interval[1]}]" in out
 
 
 def test_inf_time_exits_cleanly(capsys):
@@ -581,6 +603,8 @@ def usage_exit(capsys, *argv):
     (("simulate", PROGRAMS / "ball.swl", "--runs", "x"),
      "argument --runs: invalid int value: 'x'"),
     (("run", PROGRAMS / "timestop.swl"), "the following arguments are required: --time"),
+    (("simulate", PROGRAMS / "ball.swl", "--seed", "1"),
+     "the following arguments are required: --grid"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # argparse exits 2, which the documented codes give to evaluation errors

@@ -394,7 +394,7 @@ def _awkward_ensemble(runs, times, seed):
     random stores; NaN where a point carries no store, as `run_ensemble`
     leaves it."""
     rng = random.Random(seed)
-    program, table = parse_program("x := 0 ; y := 0 ; z := 0")
+    _, table = parse_program("x := 0 ; y := 0 ; z := 0")
     grid = TimeGrid.from_times(times)
     shape = (runs, len(times))
     kinds = np.array(rng.choices(range(4), weights=(6, 2, 1, 1), k=runs * len(times)),
@@ -403,7 +403,7 @@ def _awkward_ensemble(runs, times, seed):
                        for _ in range(kinds.size * 3)]).reshape(*shape, 3)
     stores[kinds > montecarlo.TERMINATED] = np.nan
     seeds = tuple(range(runs))
-    return montecarlo.Ensemble(program, table, (0.0, 0.0, 0.0), grid, 0, DEFAULT_FUEL, seeds,
+    return montecarlo.Ensemble(table, grid, 0, DEFAULT_FUEL, seeds,
                                kinds, stores, np.full(shape, np.nan))
 
 
@@ -457,6 +457,15 @@ def test_interval_holding_no_grid_time_is_an_error():
     with pytest.raises(ValueError, match="holds no grid time"):
         interval_probability(ens, cond, 0.1, 0.2)
     assert interval_probability(ens, cond, 0.1, 0.5).excluded == 0
+
+
+def test_interval_with_grid_time_endpoints_keeps_exactly_those_times():
+    # the grid's step, 1e-13, is below the match's 1e-12 absolute tolerance:
+    # an exact endpoint must not widen onto its neighbours
+    grid = TimeGrid.regular(0.0, 1e-9, 1e-13)
+    times = grid.times
+    assert list(montecarlo.interval_indices(grid, times[5], times[9])) == [5, 6, 7, 8, 9]
+    assert list(montecarlo.interval_indices(grid, times[7], times[7])) == [7]
 
 
 def test_interval_counts_each_run_once():
@@ -586,13 +595,13 @@ def _csv_writer_oracle(ensemble, fh):
 
 def test_csv_cells_are_the_repr_of_each_float():
     awkward = (0.1 + 0.2, 1e16, 1e-05, -0.0)
-    program, table = parse_program("x := 0 ; y := 0")
+    _, table = parse_program("x := 0 ; y := 0")
     grid = TimeGrid.from_times((-0.0, 0.1 + 0.2, 1e16))
     kinds = np.array([[VALUE, montecarlo.TERMINATED, montecarlo.ERROR],
                       [montecarlo.TERMINATED, VALUE, DIVERGED]], dtype=np.int8)
     stores = np.array(awkward * 3).reshape(2, 3, 2)
     stores[kinds > montecarlo.TERMINATED] = np.nan
-    ens = montecarlo.Ensemble(program, table, (0.0, 0.0), grid, 0, DEFAULT_FUEL, (5, 6), kinds,
+    ens = montecarlo.Ensemble(table, grid, 0, DEFAULT_FUEL, (5, 6), kinds,
                               stores, np.full((2, 3), np.nan))
     buf = io.StringIO()
     write_ensemble_csv(ens, buf)
@@ -742,7 +751,7 @@ def test_array_reader_chunks_are_bounded_by_segments_and_points(monkeypatch):
     read = montecarlo._read_recorded
 
     def recorded(chunk, *args):
-        chunks.append((chunk.runs, chunk.widest))
+        chunks.append((len(chunk.counts), chunk.widest))
         return read(chunk, *args)
 
     monkeypatch.setattr(montecarlo, "_read_recorded", recorded)
