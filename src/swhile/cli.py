@@ -331,12 +331,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+class _Subcommand(_ArgumentParser):
+    """A subcommand's parser: it reports leftover arguments itself, so the
+    usage line names the subcommand, not the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="swhile",
         description="Interpreter and semantics toolkit for a stochastic hybrid while-language.",
     )
-    subs = top.add_subparsers(dest="command", required=True)
+    subs = top.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = subs.add_parser("parse", help="parse a program and print its normal form")
     p.add_argument("file")

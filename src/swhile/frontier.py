@@ -24,6 +24,12 @@ neither a long `Seq` chain nor a long loop recurses:
 * `While` pushes itself and its body for the runs whose guard holds, so
   it iterates until no active run's guard holds.
 
+The runs of an item are a bool mask, or no mask for every alive run.  An
+unmasked node pays no per-run bookkeeping: its step is counted once, in a
+scalar shared by every run (a run's step count is that scalar plus its
+entry of the step array, the masked steps it took), and its draws go
+straight into X.
+
 The arithmetic is eval_expr's, value for value.  numpy computes only
 `+ - * /`, `neg` and `sqrt`, which IEEE 754 rounds correctly, so they
 match Python's float operations; `ln`, `exp`, `sin` and `cos` apply
@@ -38,7 +44,8 @@ bit-identical to `entropy._value_at`, and flows go through
 `ode.flow_rows`, whose rows match one `ode.flow` call each.
 
 Every node costs a fixed number of numpy operations whatever the number of
-runs, so the pass pays off only from some ensemble size on (see
+runs (masks are tested with `np.count_nonzero`, the cheapest such test on
+small arrays), so the pass pays off only from some ensemble size on (see
 `montecarlo.FRONTIER_MIN_RUNS`).
 """
 
@@ -214,7 +221,7 @@ def _value(e, X, live, good=None):
         a, good = _value(args[0], X, live, good)
         if not isinstance(a, np.ndarray):
             # a constant call: eval_expr's own answer, if some run gets here
-            if good is not None and not (live & good).any():
+            if good is not None and not np.count_nonzero(live & good):
                 return math.nan, good
             try:
                 return eval_expr(Call(op, (Lit(a),)), ()), good
@@ -281,7 +288,7 @@ class _Pass:
         self.table = np.zeros(0)
         self.ahead = 0
         self.drawn = 0  # an upper bound on the draws of every run since the refill
-        self.steps = np.zeros(runs, dtype=np.int64)
+        self.steps = np.zeros(runs, dtype=np.int64)  # masked steps only (see run)
         self.left = np.full(runs, float(t))  # remaining time
         self.outcomes = np.full(runs, NORMAL, dtype=np.int8)
         self.alive = np.ones(runs, dtype=bool)  # replaced, never changed in place
@@ -323,10 +330,14 @@ class _Pass:
         alive run keeps the mask None."""
         then = live & g
         n = np.count_nonzero(then)
-        if mask is None and n == self.count:
-            stack.append((then_node, None))
-            return None
-        if n < np.count_nonzero(live) and else_node is not None:
+        if mask is None:
+            if n == self.count:
+                stack.append((then_node, None))
+                return None
+            total = self.count  # an unmasked share is every alive run
+        else:
+            total = np.count_nonzero(live)
+        if n < total and else_node is not None:
             stack.append((else_node, live ^ then))
         if not n:
             return False
@@ -335,6 +346,9 @@ class _Pass:
 
     def run(self, program) -> Recording:
         X, steps, fuel = self.X, self.steps, self.fuel
+        # A run's steps are `shared`, the nodes that every alive run took
+        # (mask None), plus its entry of `steps`, the masked nodes it took.
+        shared = 0
         most = 0  # an upper bound on the steps of every alive run
         # (node, runs): the runs are a non-empty bool mask, or None for every
         # alive run
@@ -349,7 +363,7 @@ class _Pass:
                     continue
                 if mask is None:
                     live = self.alive
-                    steps += 1
+                    shared += 1
                 else:
                     live = mask
                     if self.count < self.runs:
@@ -359,11 +373,11 @@ class _Pass:
                     steps += live
                 most += 1
                 if most > fuel:
-                    over = live & (steps > fuel)
+                    over = live & (steps > fuel - shared)
                     if np.count_nonzero(over):
                         self.stop(over, CUT)
                         live = live ^ over
-                    most = int(steps[self.alive].max()) if self.count else 0
+                    most = int(steps[self.alive].max()) + shared if self.count else 0
                     if not np.count_nonzero(live):
                         continue
                 if nt is Assign:
@@ -379,7 +393,9 @@ class _Pass:
                     self.drawn += 1
                     pos = self.pos
                     if mask is None:
-                        X[node.var.index] = self.table.take(pos)
+                        # every pos is in range, so "clip" clips nothing; it
+                        # spares the copy of `out` that the default "raise" makes
+                        self.table.take(pos, out=X[node.var.index], mode="clip")
                         pos += 1
                     else:
                         np.copyto(X[node.var.index], self.table.take(pos), where=live)
@@ -415,24 +431,24 @@ class _Pass:
         elif type(node.duration) is Var:
             d = d.copy()  # a view of X, which the flow moves
         negative = live & (d < 0.0)
-        if negative.any():
+        if np.count_nonzero(negative):
             self.stop(negative, ERR)
-            live = live & ~negative
+            live = live ^ negative
         rows = np.flatnonzero(live & (d > 0.0))
         if len(rows):
             self.segments.append((node, rows, X[:, rows].T, d[rows]))
         over = live & (d > left)
-        if over.any():
+        if np.count_nonzero(over):
             # the run stops in time inside this segment: the reader flows it
             self.stop(over, OPEN)
-            live = live & ~over
+            live = live ^ over
         idx = np.flatnonzero(live)
         if not len(idx):
             return
         if not ode.halts(node, self.flow_method):
             out, defined = ode.flow_rows(node, X[:, idx].T, d[idx], self.flow_method)
             X[:, idx] = out.T
-            if not defined.all():
+            if np.count_nonzero(defined) < len(idx):
                 # inside the segment it recorded, or with no segment recorded
                 bad = np.zeros(self.runs, dtype=bool)
                 bad[idx[~defined]] = True

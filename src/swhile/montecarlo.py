@@ -193,11 +193,12 @@ _CHUNK_CELLS = 2 ** 16
 _CHAIN_CELLS = 2 ** 18
 
 # The fewest runs that fast mode records in one frontier pass.  Recorder
-# time alone, in process, frontier against one eval_big call per run
-# (2-core machine whose speed drifts): at 12 runs 1.0x on ball, brownian
-# and cruise_uniform, 1.4-2.1x on random_walk and ctrw_counting; at 16
-# runs 1.2-3.3x on those five, and 1.0x on the RK4 pendulum, whose flows
-# still take one call per run.
+# time alone, in process, frontier against one eval_big call per run,
+# best of 40 with the two interleaved (2-core machine whose speed drifts):
+# at 12 runs 0.9-1.15x on ball, brownian and cruise_uniform, 1.6-2.6x on
+# random_walk and ctrw_counting; at 16 runs 1.3-1.5x on the first three,
+# 2.1-3.4x on the other two, and 0.9-1.15x on the RK4 pendulum, whose
+# flows still take one call per run.
 FRONTIER_MIN_RUNS = 16
 # The runs of the first frontier chunk; each next chunk doubles, up to the
 # cells bound set by the most segments of one run seen so far.  It is also

@@ -40,7 +40,9 @@ Python function generated from the derivative expressions on the first
 RK4 flow, with each stage's derivatives as straight-line code over one
 local per variable.  Its arithmetic and its errors are those of
 evaluating the derivative trees with `eval_expr` at every stage, bit for
-bit.  A flow that would take more than `MAX_RK4_STEPS` steps
+bit.  A variable whose derivative is the literal +0.0 gains exactly +0.0
+on every step, so the kernel computes its new value x + 0.0 once per flow
+and never steps it.  A flow that would take more than `MAX_RK4_STEPS` steps
 (ceil(tau / step)) is refused as undefined before the kernel starts, so a
 tiny step cannot make one flow run without end.  A stage store that
 overflows makes the flow undefined too, as its state would.
@@ -449,22 +451,23 @@ def _linearize(e, consts: list, code: list):
     return values[0]
 
 
-def _name(ref, roots: dict, inputs: str, slopes: str) -> str:
+def _name(ref, roots: dict, inputs: str, slopes: str, static=()) -> str:
     """The local holding `ref` in a stage that reads the store from
-    `<inputs>0, <inputs>1, ...` and leaves derivative i in `<slopes>i`."""
+    `<inputs>0, <inputs>1, ...` (`z<i>` for a variable i in `static`) and
+    leaves derivative i in `<slopes>i`."""
     kind, i = ref
     if kind == "var":
-        return f"{inputs}{i}"
+        return f"z{i}" if i in static else f"{inputs}{i}"
     if kind == "const":
         return f"K{i}"
     return f"{slopes}{roots[i]}" if i in roots else f"t{i}"
 
 
-def _stage_lines(code, roots: dict, inputs: str, slopes: str) -> list:
+def _stage_lines(code, roots: dict, inputs: str, slopes: str, static=()) -> list:
     """Source lines of one RK4 stage: every derivative, in eval_expr's order."""
     lines = []
     for index, (op, refs) in enumerate(code):
-        a = [_name(r, roots, inputs, slopes) for r in refs]
+        a = [_name(r, roots, inputs, slopes, static) for r in refs]
         if op == "divisor":
             lines.append(f'if {a[0]} == 0.0: raise Undefined("division by zero")')
             continue
@@ -500,14 +503,24 @@ def _rk4_kernel(derivs: tuple):
     x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d), for every variable, so the
     result is bit-identical to evaluating the derivative trees with
     eval_expr at each stage; the state is checked finite after each step.
+
+    A static variable, whose derivative is the literal +0.0, gains exactly
+    +0.0 in each of those sums (h is positive and finite, and so is every
+    store entry), so its stage stores and its value after every step are
+    one z = x + 0.0, computed once per flow, with no update and no
+    finiteness check.  The first step's first stage still reads x itself,
+    which may be -0.0.
     """
     n = len(derivs)
     consts, code = [], []
     outs = [_linearize(d, consts, code) for d in derivs]
     roots = {i: j for j, (kind, i) in enumerate(outs) if kind == "temp"}
+    static = {j for j, d in enumerate(derivs)
+              if type(d) is Lit and d.value == 0.0 and math.copysign(1.0, d.value) > 0.0}
+    moving = [j for j in range(n) if j not in static]
 
     def slope(j: int, inputs: str, slopes: str) -> str:
-        return _name(outs[j], roots, inputs, slopes)
+        return _name(outs[j], roots, inputs, slopes, static if inputs != "x" else ())
 
     def names(prefix: str, count: int) -> str:
         return "(" + "".join(f"{prefix}{i}, " for i in range(count)) + ")"
@@ -515,24 +528,25 @@ def _rk4_kernel(derivs: tuple):
     body = ["h = step if remaining >= step else remaining"]
     body += _stage_lines(code, roots, "x", "a")
     body.append("h2 = 0.5 * h")
-    body += [f"u{j} = x{j} + h2 * {slope(j, 'x', 'a')}" for j in range(n)]
-    body += _stage_lines(code, roots, "u", "b")
-    body += [f"v{j} = x{j} + h2 * {slope(j, 'u', 'b')}" for j in range(n)]
-    body += _stage_lines(code, roots, "v", "c")
-    body += [f"w{j} = x{j} + h * {slope(j, 'v', 'c')}" for j in range(n)]
-    body += _stage_lines(code, roots, "w", "d")
+    body += [f"u{j} = x{j} + h2 * {slope(j, 'x', 'a')}" for j in moving]
+    body += _stage_lines(code, roots, "u", "b", static)
+    body += [f"v{j} = x{j} + h2 * {slope(j, 'u', 'b')}" for j in moving]
+    body += _stage_lines(code, roots, "v", "c", static)
+    body += [f"w{j} = x{j} + h * {slope(j, 'v', 'c')}" for j in moving]
+    body += _stage_lines(code, roots, "w", "d", static)
     body.append("h6 = h / 6.0")
     body += [f"n{j} = x{j} + h6 * ({slope(j, 'x', 'a')} + 2.0 * {slope(j, 'u', 'b')}"
-             f" + 2.0 * {slope(j, 'v', 'c')} + {slope(j, 'w', 'd')})" for j in range(n)]
+             f" + 2.0 * {slope(j, 'v', 'c')} + {slope(j, 'w', 'd')})" for j in moving]
     body += [f'if not isfinite(n{j}): raise Undefined("RK4 state became non-finite")'
-             for j in range(n)]
-    body += [f"x{j} = n{j}" for j in range(n)]
+             for j in moving]
+    body += [f"x{j} = z{j}" if j in static else f"x{j} = n{j}" for j in range(n)]
     body.append("remaining -= h")
     source = "\n".join([
         "def make(K):",
         f"    {names('K', len(consts))} = K",
         "    def rk4(store, tau, step):",
         f"        {names('x', n)} = store",
+        *(f"        z{j} = x{j} + 0.0" for j in sorted(static)),
         "        remaining = tau",
         "        while remaining > 0.0:",
         *("            " + line for line in body),

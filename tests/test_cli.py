@@ -605,6 +605,12 @@ def usage_exit(capsys, *argv):
     (("run", PROGRAMS / "timestop.swl"), "the following arguments are required: --time"),
     (("simulate", PROGRAMS / "ball.swl", "--seed", "1"),
      "the following arguments are required: --grid"),
+    # leftover arguments used to be reported under the top-level usage line,
+    # "usage: swhile [-h] {parse,run,simulate,adequacy} ..."
+    (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--end", "3"),
+     "unrecognized arguments: --end 3"),
+    (("adequacy", PROGRAMS / "ball.swl", "--time", "1", "--bogus"),
+     "unrecognized arguments: --bogus"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # argparse exits 2, which the documented codes give to evaluation errors

@@ -1146,6 +1146,23 @@ def test_recorder_cuts_fuel_on_the_step_where_a_run_would_end(monkeypatch):
     assert len(ends) > 3  # fuels that some run used to its last step
 
 
+def test_recorder_cuts_on_an_unmasked_node_after_masked_ones(monkeypatch):
+    # u <= 1/2 takes three masked steps in the branch, the rest one; the
+    # shares rejoin for x := x + 1 five times and wait 1, which every alive
+    # run takes unmasked: 11 steps against 9, so from fuel 5 to 10 every cut
+    # lands on an unmasked node, at a step count its masked steps decide
+    y = [Assign(_Y, Lit(float(v))) for v in range(4)]
+    x = Assign(_X, _call("+", _X, 1.0))
+    program = _sampled(_half(Seq(y[1], Seq(y[2], y[3])), y[0]), x, x, x, x)
+    grid = TimeGrid.regular(0.0, 3.0, 0.5)
+    seen = []
+    for fuel in range(1, 12):
+        seen.append(_assert_recorder_matches_eval_big(monkeypatch, program, _TABLE, (0.0,) * 3,
+                                                      grid, fuel))
+    cut, normal = {frontier.CUT}, {frontier.NORMAL}
+    assert seen == [cut] * 8 + [cut | normal] * 2 + [normal]
+
+
 def test_recorder_matches_eval_big_on_every_bundled_program(monkeypatch):
     for path in program_files() + [PROGRAMS.parent / "bench" / "pendulum.swl"]:
         program, table = parse_file(path)

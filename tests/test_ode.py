@@ -319,7 +319,7 @@ def test_rk4_kernel_is_bit_identical_to_the_tree_walk():
 
 
 def test_rk4_kernel_edge_systems():
-    x = Var(0, "x")
+    x, d = Var(0, "x"), Var(1, "d")
     cases = [
         ((Lit(math.inf),), (1.0,)),  # a literal inf derivative: the state check raises
         ((Lit(math.inf), Lit(0.0)), (1.0, -0.0)),
@@ -330,10 +330,24 @@ def test_rk4_kernel_edge_systems():
         ((Call("*", (Call("*", (x, Lit(1e200))), Lit(1e200))),), (1.0,)),  # a product overflows
         ((Call("sqrt", (Call("-", (Lit(0.5), x)),)),), (0.4,)),  # sqrt leaves its domain
         ((), ()),  # no variables
+        # a static variable (derivative +0.0) at -0.0, read by another
+        # derivative: the first stage reads -0.0, every later one 0.0
+        ((d, Lit(0.0)), (-0.0, -0.0)),
+        ((Call("ln", (d,)), Lit(0.0)), (1.0, -0.0)),  # the reason names -0.0
+        # a literal -0.0 derivative is not static: x + h * -0.0 keeps -0.0,
+        # in the state and in the stage stores another derivative reads
+        ((Lit(-0.0),), (-0.0,)),
+        ((Lit(-0.0), x), (-0.0, -0.0)),
+        ((Lit(0.0), Lit(0.0)), (-0.0, 2.5)),  # every variable static
     ]
     for derivs, store in cases:
         for tau in (0.0, 0.35, 1.0):
             _assert_kernel_matches_reference(derivs, store, tau, 0.1)
+    # tau = 0 takes no step, so a static -0.0 keeps its sign; one step
+    # adds +0.0 to it
+    block = system(Lit(0.0), d)
+    assert flow(block, (-0.0, 1.0), 0.0, RungeKutta4(0.1))[0].hex() == "-0x0.0p+0"
+    assert flow(block, (-0.0, 1.0), 0.05, RungeKutta4(0.1))[0].hex() == "0x0.0p+0"
 
 
 def test_rk4_kernel_accepts_derivatives_deeper_than_the_recursion_limit():
