@@ -1,10 +1,12 @@
-"""Command-line front door: parse, run, simulate, and adequacy subcommands.
+"""Command-line front door: the parse, run, simulate and adequacy commands.
 
-Output is a pure function of the input files and flags once a seed is
-fixed; when no seed is given, one is generated and reported on stderr.
-Exit codes: 0 success, 1 diagnostics (usage error, syntax error, failed
-adequacy check), 2 evaluation error, 3 fuel exhaustion, 4 I/O failure,
-5 branch explosion during enumeration.
+A command line that names a command is parsed by one parser, built for
+that command alone; any other meets the top-level parser, which prints
+the help or a usage error.  Output is a pure function of the input files
+and flags once a seed is fixed; when no seed is given, one is generated
+and reported on stderr.  Exit codes: 0 success, 1 diagnostics (usage
+error, syntax error, failed adequacy check), 2 evaluation error, 3 fuel
+exhaustion, 4 I/O failure, 5 branch explosion during enumeration.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _bool_json(b):
     return {"kind": "or", "lhs": _bool_json(b.lhs), "rhs": _bool_json(b.rhs)}
 
 
-def _program_json(p, table):
+def _statement_json(p, table):
     if isinstance(p, Assign):
         return {"kind": "assign", "var": p.var.name, "expr": _expr_json(p.expr)}
     if isinstance(p, Sample):
@@ -56,18 +58,27 @@ def _program_json(p, table):
             "derivatives": {n: _expr_json(d) for n, d in zip(table.names, p.derivs)},
             "duration": _expr_json(p.duration),
         }
-    if isinstance(p, Seq):
-        return {"kind": "seq", "first": _program_json(p.first, table), "rest": _program_json(p.rest, table)}
-    if isinstance(p, If):
-        return {
-            "kind": "if",
-            "cond": _bool_json(p.cond),
-            "then": _program_json(p.then_branch, table),
-            "else": _program_json(p.else_branch, table),
-        }
-    if isinstance(p, While):
-        return {"kind": "while", "cond": _bool_json(p.cond), "body": _program_json(p.body, table)}
     raise TypeError(p)
+
+
+def _program_json(p, table) -> str:
+    """`p` as JSON text with sorted keys.  A `Seq` spine is written by a
+    loop, its closing braces last, so a statement list of any length
+    nests the encoder no deeper than its deepest statement."""
+    head = []
+    while isinstance(p, Seq):
+        head.append(f'{{"first": {_program_json(p.first, table)}, "kind": "seq", "rest": ')
+        p = p.rest
+    if isinstance(p, If):
+        last = (f'{{"cond": {json.dumps(_bool_json(p.cond), sort_keys=True)}, '
+                f'"else": {_program_json(p.else_branch, table)}, "kind": "if", '
+                f'"then": {_program_json(p.then_branch, table)}}}')
+    elif isinstance(p, While):
+        last = (f'{{"body": {_program_json(p.body, table)}, '
+                f'"cond": {json.dumps(_bool_json(p.cond), sort_keys=True)}, "kind": "while"}}')
+    else:
+        last = json.dumps(_statement_json(p, table), sort_keys=True)
+    return "".join(head) + last + "}" * len(head)
 
 
 def config_text(config: Config, table: VarTable) -> str:
@@ -93,15 +104,12 @@ def config_json(config: Config, table: VarTable) -> str:
     )
 
 
-def _add_common(sub, seed=True, fuel=True):
-    sub.add_argument("--init", action="append", default=[], metavar="x=V",
-                     help="initial store override (repeatable; default all zeros)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None, metavar="U64")
-    if fuel:
-        sub.add_argument("--fuel", type=int, default=smallstep.DEFAULT_FUEL, metavar="K")
-    sub.add_argument("--flow", default="auto", metavar="exact|rk4:STEP",
-                     help="flow method (default: exact when affine, else rk4:1e-3)")
+def _number(flag: str, text: str, value: str) -> float:
+    """`value`, read from the `flag` value `text`, as a float."""
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"bad {flag} {text!r}: {value!r} is not a number") from None
 
 
 def _flow_method(text: str):
@@ -112,7 +120,7 @@ def _flow_method(text: str):
     if text == "rk4":
         return ode.RungeKutta4()
     if text.startswith("rk4:"):
-        return ode.RungeKutta4(float(text.split(":", 1)[1]))
+        return ode.RungeKutta4(_number("--flow", text, text[4:]))
     raise ValueError(f"unknown flow method {text!r}")
 
 
@@ -122,10 +130,7 @@ def _initial_store(table, overrides):
         name, sep, value = item.partition("=")
         if not sep or name not in table:
             raise ValueError(f"bad --init {item!r}: expected name=value over {list(table.names)}")
-        try:
-            values[name] = float(value)
-        except ValueError:
-            raise ValueError(f"bad --init {item!r}: {value!r} is not a number") from None
+        values[name] = _number("--init", item, value)
     return make_store(table, **values)
 
 
@@ -145,7 +150,7 @@ def _regular_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--grid expects START:END:STEP")
-    return smallstep.TimeGrid.regular(*map(float, parts))
+    return smallstep.TimeGrid.regular(*(_number("--grid", text, part) for part in parts))
 
 
 def _check_of(args, table):
@@ -156,48 +161,42 @@ def _check_of(args, table):
         raise ValueError(f"--check {args.check!r}: {exc}") from None
 
 
-# --- subcommands -----------------------------------------------------------
+# --- commands --------------------------------------------------------------
 
 
 def cmd_parse(args) -> int:
     program, table = parse_file(args.file)
     if args.json:
-        print(json.dumps({"variables": list(table.names),
-                          "program": _program_json(program, table)}, sort_keys=True))
+        print(f'{{"program": {_program_json(program, table)}, '
+              f'"variables": {json.dumps(list(table.names))}}}')
     else:
-        print(f"variables: {', '.join(table.names)}")
-        print(pretty_print(program, table))
+        text = pretty_print(program, table)  # printed whole or not at all
+        print(f"variables: {', '.join(table.names)}\n{text}")
     return 0
 
 
 def cmd_run(args) -> int:
     program, table = parse_file(args.file)
     store = _initial_store(table, args.init)
-    seed = _seed_of(args)
     method = _flow_method(args.flow)
-    config = Config(program, store, args.time, from_seed(seed))
+    config = Config(program, store, args.time, from_seed(_seed_of(args)))
     line = config_json if args.format == "json" else config_text
     # --trace prints each configuration as it is reached and keeps none,
     # so memory stays flat on long runs, traced or not
     sink = (lambda c: print(line(c, table))) if args.trace else None
     result, steps, _ = smallstep._close(config, args.fuel, method, sink)
     rt = type(result)
-    if rt is TimeStop:
-        vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))
-        print(f"time-stop: {vals}")
-        print(f"steps: {steps}")
-        return 0
-    if rt is Normal:
-        vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))
-        print(f"normal: {vals} (remaining time {result.t!r})")
-        print(f"steps: {steps}")
-        return 0
     if rt is Err:
         print("err")
-        print(f"steps: {steps}")
-        return 2
-    print(f"out-of-fuel after {result.steps} steps")
-    return 3
+    elif rt is TimeStop or rt is Normal:
+        vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))
+        print(f"time-stop: {vals}" if rt is TimeStop
+              else f"normal: {vals} (remaining time {result.t!r})")
+    else:
+        print(f"out-of-fuel after {result.steps} steps")
+        return 3
+    print(f"steps: {steps}")
+    return 2 if rt is Err else 0
 
 
 def _write_interval_csv(result, fh) -> None:
@@ -235,7 +234,7 @@ def _statistic(args, table, grid, cond):
         var, _, at = args.hist.rpartition("@")
         if not var:
             raise ValueError("--hist expects VAR@T")
-        t = float(at)
+        t = _number("--hist", args.hist, at)
         bins = 10 if args.bins is None else args.bins
         montecarlo.check_histogram(table, grid, var, t, bins)
         return (lambda ensemble: montecarlo.histogram(ensemble, var, t, bins),
@@ -252,12 +251,11 @@ def cmd_simulate(args) -> int:
     program, table = parse_file(args.file)
     cond = None if args.check is None else _check_of(args, table)
     store = _initial_store(table, args.init)
-    seed = _seed_of(args)
     method = _flow_method(args.flow)
     grid = _regular_grid(args.grid)
     statistic, write = _statistic(args, table, grid, cond)
     ensemble = montecarlo.run_ensemble(
-        program, table, store, grid, args.runs, seed,
+        program, table, store, grid, args.runs, _seed_of(args),
         fuel=args.fuel, flow_method=method, workers=args.parallel,
     )
     # the result exists before its destination is opened, so a run that
@@ -319,10 +317,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
-    def parse_known_args(self, args=None, namespace=None):
+    def parse_known_args(self, args, namespace=None):
         # argparse drops a "--" even when it is an option's own value, as in
         # --time=--, and hands the option an empty list, never converted
-        for arg in sys.argv[1:] if args is None else args:
+        for arg in args:
             if arg == "--":
                 break
             option, sep, value = arg.partition("=")
@@ -331,75 +329,76 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-class _Subcommand(_ArgumentParser):
-    """A subcommand's parser: it reports leftover arguments itself, so the
-    usage line names the subcommand, not the top-level parser."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extra = super().parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {' '.join(extra)}")
-        return namespace, extra
+# name -> (help line, handler)
+COMMANDS = {
+    "parse": ("parse a program and print its normal form", cmd_parse),
+    "run": ("evaluate one program at one time instant", cmd_run),
+    "simulate": ("run an ensemble and export statistics", cmd_simulate),
+    "adequacy": ("compare enumeration against the measure semantics", cmd_adequacy),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _ArgumentParser(
-        prog="swhile",
-        description="Interpreter and semantics toolkit for a stochastic hybrid while-language.",
-    )
-    subs = top.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-
-    p = subs.add_parser("parse", help="parse a program and print its normal form")
+def command_parser(name: str) -> _ArgumentParser:
+    """The parser of the command `name` alone: its own options, then the
+    store, seed, fuel and flow options of the commands that read them."""
+    p = _ArgumentParser(prog=f"swhile {name}")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="print a machine-readable AST")
-    p.set_defaults(func=cmd_parse)
-
-    r = subs.add_parser("run", help="evaluate one program at one time instant")
-    r.add_argument("file")
-    r.add_argument("--time", type=float, required=True, metavar="T")
-    r.add_argument("--trace", action="store_true", help="print the transition chain")
-    r.add_argument("--format", choices=["text", "json"], default="text")
-    _add_common(r)
-    r.set_defaults(func=cmd_run)
-
-    s = subs.add_parser("simulate", help="run an ensemble and export statistics")
-    s.add_argument("file")
-    s.add_argument("--grid", required=True, metavar="S:E:STEP")
-    s.add_argument("--runs", type=int, default=1, metavar="N")
-    s.add_argument("--out", default=None, metavar="PATH")
-    s.add_argument("--format", choices=["csv", "json"], default="csv")
-    s.add_argument("--hist", default=None, metavar="VAR@T")
-    s.add_argument("--bins", type=int, default=None, metavar="B",
-                   help="with --hist: the number of bins (default 10)")
-    s.add_argument("--check", default=None, metavar="EXPR",
-                   help="boolean condition; prints its probability over time")
-    s.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"),
-                   help="with --check: the fraction of runs where it holds at a grid time in [A, B]")
-    s.add_argument("--parallel", type=int, default=None, metavar="P",
-                   help="fan the runs out over min(P, runs // 256, available CPUs) worker "
-                        "processes; serially when that is at most 1")
-    _add_common(s)
-    s.set_defaults(func=cmd_simulate)
-
-    a = subs.add_parser("adequacy", help="compare enumeration against the measure semantics")
-    a.add_argument("file")
-    a.add_argument("--k", type=int, default=2, help="discretization arity")
-    a.add_argument("--unfold", type=int, default=6, metavar="N", help="loop unfolding bound")
-    a.add_argument("--time", type=float, action="append", default=None, metavar="T")
-    a.add_argument("--grid", default=None, metavar="S:E:STEP")
-    a.add_argument("--rational", action="store_true", help="exact rational weights")
-    a.add_argument("--cap", type=int, default=denotational.DEFAULT_BRANCH_CAP)
-    _add_common(a, seed=False, fuel=False)
-    a.set_defaults(func=cmd_adequacy)
-    return top
+    if name == "parse":
+        p.add_argument("--json", action="store_true", help="print a machine-readable AST")
+        return p
+    if name == "run":
+        p.add_argument("--time", type=float, required=True, metavar="T")
+        p.add_argument("--trace", action="store_true", help="print the transition chain")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+    elif name == "simulate":
+        p.add_argument("--grid", required=True, metavar="S:E:STEP")
+        p.add_argument("--runs", type=int, default=1, metavar="N")
+        p.add_argument("--out", default=None, metavar="PATH")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--hist", default=None, metavar="VAR@T")
+        p.add_argument("--bins", type=int, default=None, metavar="B",
+                       help="with --hist: the number of bins (default 10)")
+        p.add_argument("--check", default=None, metavar="EXPR",
+                       help="boolean condition; prints its probability over time")
+        p.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"),
+                       help="with --check: the fraction of runs where it holds at a grid time in [A, B]")
+        p.add_argument("--parallel", type=int, default=None, metavar="P",
+                       help="fan the runs out over min(P, runs // 256, available CPUs) worker "
+                            "processes; serially when that is at most 1")
+    else:
+        p.add_argument("--k", type=int, default=2, help="discretization arity")
+        p.add_argument("--unfold", type=int, default=6, metavar="N", help="loop unfolding bound")
+        p.add_argument("--time", type=float, action="append", default=None, metavar="T")
+        p.add_argument("--grid", default=None, metavar="S:E:STEP")
+        p.add_argument("--rational", action="store_true", help="exact rational weights")
+        p.add_argument("--cap", type=int, default=denotational.DEFAULT_BRANCH_CAP)
+    p.add_argument("--init", action="append", default=[], metavar="x=V",
+                   help="initial store override (repeatable; default all zeros)")
+    if name != "adequacy":  # enumeration draws no seed and burns no fuel
+        p.add_argument("--seed", type=int, default=None, metavar="U64")
+        p.add_argument("--fuel", type=int, default=smallstep.DEFAULT_FUEL, metavar="K")
+    p.add_argument("--flow", default="auto", metavar="exact|rk4:STEP",
+                   help="flow method (default: exact when affine, else rk4:1e-3)")
+    return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in COMMANDS:
+        # no command named: the top-level help (exit 0) or a usage error (exit 1)
+        top = _ArgumentParser(prog="swhile", description="Interpreter and semantics toolkit for "
+                              "a stochastic hybrid while-language.")
+        subs = top.add_subparsers(dest="command", required=True)
+        for name, (help_line, _) in COMMANDS.items():
+            subs.add_parser(name, help=help_line)
+        top.parse_args(argv)
+        # argparse may read a "--" before the command as nothing
+        top.error(f"unrecognized arguments: {' '.join(argv)}")
+    args = command_parser(argv[0]).parse_args(argv[1:])
     try:
-        return args.func(args)
+        return COMMANDS[argv[0]][1](args)
     except ParseError as exc:
-        print(f"{getattr(args, 'file', '<input>')}:{exc}", file=sys.stderr)
+        print(f"{args.file}:{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -410,7 +409,7 @@ def main(argv=None) -> int:
         return 1
     except RecursionError:
         # input nested deeper than the recursive parser and printers follow
-        print("error: nesting too deep to parse", file=sys.stderr)
+        print("error: nesting too deep to parse or print", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import random
 import resource
 import signal
 import subprocess
@@ -10,10 +12,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from swhile import montecarlo, smallstep
+from swhile import cli, montecarlo, smallstep
 from swhile.cli import main
 from swhile.parser import parse_file
 
+from genprog import gen_program, gen_table
 from progpath import PROGRAMS, ROOT, program_files, src_env
 
 
@@ -462,16 +465,45 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys):
     assert out == "" and "nesting too deep" in err
 
 
-def test_deep_parse_json_is_a_diagnostic(tmp_path, capsys):
-    # the parser reads a flat statement list, but its JSON AST nests one
-    # "seq" per statement: that used to end in a RecursionError traceback
-    flat = tmp_path / "flat.swl"
-    flat.write_text(" ;\n".join(["x := x + 1"] * 1500))
+def _parse_json_of_statements(tmp_path, capsys, n):
+    flat = tmp_path / f"flat{n}.swl"
+    flat.write_text(" ;\n".join(["x := x + 1"] * n))
     code, out, err = run_cli(capsys, "parse", "--json", flat)
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "nesting too deep" in err
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_parse_json_prints_a_long_statement_list(tmp_path, capsys):
+    # the JSON AST nests one "seq" per statement: at 1 500 statements that
+    # used to end in "nesting too deep to parse", exit 1
+    statement = json.loads(_parse_json_of_statements(tmp_path, capsys, 1))["program"]
+    program = statement
+    for _ in range(199):
+        program = {"kind": "seq", "first": statement, "rest": program}
+    # the bytes of the recursive encoder, json.dumps of the nested dicts
+    assert _parse_json_of_statements(tmp_path, capsys, 200) == json.dumps(
+        {"variables": ["x"], "program": program}, sort_keys=True) + "\n"
+    text = json.dumps(statement, sort_keys=True)
+    spine = f'{{"first": {text}, "kind": "seq", "rest": '
+    assert _parse_json_of_statements(tmp_path, capsys, 10000) == (
+        '{"program": ' + spine * 9999 + text + "}" * 9999 + ', "variables": ["x"]}\n')
+
+
+def test_program_json_is_the_sorted_key_encoding_of_its_own_value():
+    rng = random.Random(7)
+    for _ in range(200):
+        table = gen_table(rng)
+        text = cli._program_json(gen_program(rng, table, 4), table)
+        assert json.dumps(json.loads(text), sort_keys=True) == text
+
+
+def test_a_nest_too_deep_to_print_is_a_diagnostic(tmp_path, capsys):
+    # 300 nested ifs parse and run, but the recursive printer of `parse`
+    # gives up on them
+    deep = tmp_path / "deep.swl"
+    deep.write_text("if x <= 0 then " * 300 + "x := 1" + " else x := 2" * 300)
+    assert run_cli(capsys, "run", deep, "--time", "1", "--seed", "1")[0] == 0
+    assert run_cli(capsys, "parse", deep) == (1, "", "error: nesting too deep to parse or print\n")
 
 
 def test_auto_seed_is_reported(capsys):
@@ -611,6 +643,9 @@ def usage_exit(capsys, *argv):
      "unrecognized arguments: --end 3"),
     (("adequacy", PROGRAMS / "ball.swl", "--time", "1", "--bogus"),
      "unrecognized arguments: --bogus"),
+    # an option's "--" value used to be reported under the top-level usage line
+    (("run", PROGRAMS / "ball.swl", "--seed", "1", "--time=--"),
+     "argument --time: expected one argument"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # argparse exits 2, which the documented codes give to evaluation errors
@@ -625,6 +660,58 @@ def test_help_exits_0(capsys):
     code, out, err = usage_exit(capsys, "simulate", "--help")
     assert code == 0
     assert out.startswith("usage: swhile simulate ") and err == ""
+
+
+GOLDEN_USAGE = ROOT / "tests" / "golden" / "usage"
+USAGE_CASES = [line.split()
+               for line in (GOLDEN_USAGE / "cases.txt").read_text().splitlines()
+               if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: case[0])
+def test_usage_matches_golden(case, capsys, monkeypatch):
+    # pins the help and usage text of the top-level parser and of each
+    # command's parser, as argparse lays it out 80 columns wide
+    name, want, *args = case
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = usage_exit(capsys, *args)
+    assert code == int(want)
+    text, other = (out, err) if code == 0 else (err, out)
+    assert other == ""
+    assert text.encode() == (GOLDEN_USAGE / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("first", ["--", "--foo"])
+def test_an_option_before_the_command_is_a_top_level_usage_error(capsys, first):
+    code, out, err = usage_exit(capsys, first, "parse", PROGRAMS / "ball.swl")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: swhile [-h] {parse,run,simulate,adequacy} ...\nswhile: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", PROGRAMS / "ball.swl"),
+    ("run", PROGRAMS / "ball.swl", "--time", "1", "--seed", "1"),
+    ("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--seed", "1"),
+    ("adequacy", PROGRAMS / "ball.swl", "--time", "1", "--rational"),
+    ("run", PROGRAMS / "ball.swl", "--seed", "1"),
+], ids=["parse", "run", "simulate", "adequacy", "usage-error"])
+def test_a_command_line_builds_one_parser(monkeypatch, capsys, argv):
+    # the parsers of all four commands used to be built to read one of them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    try:
+        main([str(a) for a in argv])
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert built == [f"swhile {argv[0]}"]
 
 
 @pytest.mark.parametrize("k", [100000, 1000000])
@@ -696,15 +783,18 @@ def test_bins_over_the_maximum_exit_cleanly(capsys):
     (("--hist", "p@1.0", "--bins", "1000001"),
      f"a histogram may hold at most {montecarlo.MAX_HISTOGRAM_BINS} bins"),
     (("--hist", "@1.0"), "--hist expects VAR@T"),
-    (("--hist", "p@soon"), "could not convert string to float: 'soon'"),
+    (("--hist", "p@soon"), "bad --hist 'p@soon': 'soon' is not a number"),
     (("--hist", "q@1.0"), "unknown variable 'q'; have ['p', 'v', 'd']"),
     (("--hist", "p@0.7"), "time 0.7 is not on the grid (0.0, 0.5, 1.0)"),
     (("--check", "p <= 0", "--interval", "0", "2"), "interval must lie within the grid"),
     (("--check", "p <= 0", "--interval", "0.1", "0.2"), "interval [0.1, 0.2] holds no grid time"),
     (("--check", "p <= 5", "--hist", "p@1.0"), "--hist cannot be combined with --check"),
     (("--bins", "3"), "--bins needs --hist"),
+    (("--grid", "0:1:x"), "bad --grid '0:1:x': 'x' is not a number"),
+    (("--flow", "rk4:abc"), "bad --flow 'rk4:abc': 'abc' is not a number"),
 ], ids=["no-bins", "too-many-bins", "no-var", "bad-time", "unknown-var", "off-grid",
-        "interval-outside", "interval-empty", "hist-and-check", "bins-alone"])
+        "interval-outside", "interval-empty", "hist-and-check", "bins-alone", "bad-grid",
+        "bad-flow"])
 def test_statistic_flags_are_refused_before_any_run_is_recorded(monkeypatch, capsys, flags,
                                                                 message):
     # each refusal used to come only after the whole ensemble was recorded
@@ -716,6 +806,18 @@ def test_statistic_flags_are_refused_before_any_run_is_recorded(monkeypatch, cap
                              "--grid", "0:1:0.5", "--seed", "1", *flags)
     assert code == 1
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", PROGRAMS / "ball.swl", "--time", "1", "--flow", "rk4:abc"),
+     "bad --flow 'rk4:abc': 'abc' is not a number"),
+    (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:x"), "bad --grid '0:1:x': 'x' is not a number"),
+    (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--hist", "p@soon"),
+     "bad --hist 'p@soon': 'soon' is not a number"),
+], ids=["run-flow", "simulate-grid", "simulate-hist"])
+def test_a_flag_error_draws_no_seed(capsys, argv, message):
+    # without --seed, a seed used to be drawn and printed before the flag was read
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_an_off_grid_time_on_a_long_grid_is_named_by_the_grid_extent(monkeypatch, capsys):
