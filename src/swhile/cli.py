@@ -186,17 +186,22 @@ def cmd_run(args) -> int:
     sink = (lambda c: print(line(c, table))) if args.trace else None
     result, steps, _ = smallstep._close(config, args.fuel, method, sink)
     rt = type(result)
+    if rt is TimeStop:
+        vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))
+        print(f"time-stop: {vals}")
+        print(f"steps: {steps}")
+        return 0
+    if rt is Normal:
+        vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))
+        print(f"normal: {vals} (remaining time {result.t!r})")
+        print(f"steps: {steps}")
+        return 0
     if rt is Err:
         print("err")
-    elif rt is TimeStop or rt is Normal:
-        vals = ", ".join(f"{n} = {v!r}" for n, v in zip(table.names, result.store))
-        print(f"time-stop: {vals}" if rt is TimeStop
-              else f"normal: {vals} (remaining time {result.t!r})")
-    else:
-        print(f"out-of-fuel after {result.steps} steps")
-        return 3
-    print(f"steps: {steps}")
-    return 2 if rt is Err else 0
+        print(f"steps: {steps}")
+        return 2
+    print(f"out-of-fuel after {result.steps} steps")
+    return 3
 
 
 def _write_interval_csv(result, fh) -> None:
@@ -329,57 +334,45 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-# name -> (help line, handler)
+_INIT = ("--init", dict(action="append", default=[], metavar="x=V",
+                        help="initial store override (repeatable; default all zeros)"))
+_FLOW = ("--flow", dict(default="auto", metavar="exact|rk4:STEP",
+                        help="flow method (default: exact when affine, else rk4:1e-3)"))
+# the options of the commands that sample; enumeration draws no seed and burns no fuel
+_SAMPLING = (_INIT, ("--seed", dict(type=int, default=None, metavar="U64")),
+             ("--fuel", dict(type=int, default=smallstep.DEFAULT_FUEL, metavar="K")), _FLOW)
+
+# name -> (help line, handler, the options after FILE as (flag, add_argument keywords))
 COMMANDS = {
-    "parse": ("parse a program and print its normal form", cmd_parse),
-    "run": ("evaluate one program at one time instant", cmd_run),
-    "simulate": ("run an ensemble and export statistics", cmd_simulate),
-    "adequacy": ("compare enumeration against the measure semantics", cmd_adequacy),
+    "parse": ("parse a program and print its normal form", cmd_parse,
+              (("--json", dict(action="store_true", help="print a machine-readable AST")),)),
+    "run": ("evaluate one program at one time instant", cmd_run, (
+        ("--time", dict(type=float, required=True, metavar="T")),
+        ("--trace", dict(action="store_true", help="print the transition chain")),
+        ("--format", dict(choices=["text", "json"], default="text")), *_SAMPLING)),
+    "simulate": ("run an ensemble and export statistics", cmd_simulate, (
+        ("--grid", dict(required=True, metavar="S:E:STEP")),
+        ("--runs", dict(type=int, default=1, metavar="N")),
+        ("--out", dict(default=None, metavar="PATH")),
+        ("--format", dict(choices=["csv", "json"], default="csv")),
+        ("--hist", dict(default=None, metavar="VAR@T")),
+        ("--bins", dict(type=int, default=None, metavar="B",
+                        help="with --hist: the number of bins (default 10)")),
+        ("--check", dict(default=None, metavar="EXPR",
+                         help="boolean condition; prints its probability over time")),
+        ("--interval", dict(type=float, nargs=2, default=None, metavar=("A", "B"),
+                            help="with --check: the fraction of runs where it holds at a grid time in [A, B]")),
+        ("--parallel", dict(type=int, default=None, metavar="P",
+                            help="fan the runs out over min(P, runs // 256, available CPUs) worker "
+                                 "processes; serially when that is at most 1")), *_SAMPLING)),
+    "adequacy": ("compare enumeration against the measure semantics", cmd_adequacy, (
+        ("--k", dict(type=int, default=2, help="discretization arity")),
+        ("--unfold", dict(type=int, default=6, metavar="N", help="loop unfolding bound")),
+        ("--time", dict(type=float, action="append", default=None, metavar="T")),
+        ("--grid", dict(default=None, metavar="S:E:STEP")),
+        ("--rational", dict(action="store_true", help="exact rational weights")),
+        ("--cap", dict(type=int, default=denotational.DEFAULT_BRANCH_CAP)), _INIT, _FLOW)),
 }
-
-
-def command_parser(name: str) -> _ArgumentParser:
-    """The parser of the command `name` alone: its own options, then the
-    store, seed, fuel and flow options of the commands that read them."""
-    p = _ArgumentParser(prog=f"swhile {name}")
-    p.add_argument("file")
-    if name == "parse":
-        p.add_argument("--json", action="store_true", help="print a machine-readable AST")
-        return p
-    if name == "run":
-        p.add_argument("--time", type=float, required=True, metavar="T")
-        p.add_argument("--trace", action="store_true", help="print the transition chain")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-    elif name == "simulate":
-        p.add_argument("--grid", required=True, metavar="S:E:STEP")
-        p.add_argument("--runs", type=int, default=1, metavar="N")
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--hist", default=None, metavar="VAR@T")
-        p.add_argument("--bins", type=int, default=None, metavar="B",
-                       help="with --hist: the number of bins (default 10)")
-        p.add_argument("--check", default=None, metavar="EXPR",
-                       help="boolean condition; prints its probability over time")
-        p.add_argument("--interval", type=float, nargs=2, default=None, metavar=("A", "B"),
-                       help="with --check: the fraction of runs where it holds at a grid time in [A, B]")
-        p.add_argument("--parallel", type=int, default=None, metavar="P",
-                       help="fan the runs out over min(P, runs // 256, available CPUs) worker "
-                            "processes; serially when that is at most 1")
-    else:
-        p.add_argument("--k", type=int, default=2, help="discretization arity")
-        p.add_argument("--unfold", type=int, default=6, metavar="N", help="loop unfolding bound")
-        p.add_argument("--time", type=float, action="append", default=None, metavar="T")
-        p.add_argument("--grid", default=None, metavar="S:E:STEP")
-        p.add_argument("--rational", action="store_true", help="exact rational weights")
-        p.add_argument("--cap", type=int, default=denotational.DEFAULT_BRANCH_CAP)
-    p.add_argument("--init", action="append", default=[], metavar="x=V",
-                   help="initial store override (repeatable; default all zeros)")
-    if name != "adequacy":  # enumeration draws no seed and burns no fuel
-        p.add_argument("--seed", type=int, default=None, metavar="U64")
-        p.add_argument("--fuel", type=int, default=smallstep.DEFAULT_FUEL, metavar="K")
-    p.add_argument("--flow", default="auto", metavar="exact|rk4:STEP",
-                   help="flow method (default: exact when affine, else rk4:1e-3)")
-    return p
 
 
 def main(argv=None) -> int:
@@ -389,14 +382,19 @@ def main(argv=None) -> int:
         top = _ArgumentParser(prog="swhile", description="Interpreter and semantics toolkit for "
                               "a stochastic hybrid while-language.")
         subs = top.add_subparsers(dest="command", required=True)
-        for name, (help_line, _) in COMMANDS.items():
+        for name, (help_line, _, _) in COMMANDS.items():
             subs.add_parser(name, help=help_line)
         top.parse_args(argv)
         # argparse may read a "--" before the command as nothing
         top.error(f"unrecognized arguments: {' '.join(argv)}")
-    args = command_parser(argv[0]).parse_args(argv[1:])
+    _, handler, options = COMMANDS[argv[0]]
+    parser = _ArgumentParser(prog=f"swhile {argv[0]}")
+    parser.add_argument("file")
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    args = parser.parse_args(argv[1:])
     try:
-        return COMMANDS[argv[0]][1](args)
+        return handler(args)
     except ParseError as exc:
         print(f"{args.file}:{exc}", file=sys.stderr)
         return 1

@@ -682,6 +682,27 @@ def test_usage_matches_golden(case, capsys, monkeypatch):
     assert text.encode() == (GOLDEN_USAGE / f"{name}.txt").read_bytes()
 
 
+def test_an_unknown_command_is_a_top_level_usage_error(capsys):
+    # no golden file: how argparse quotes the list of choices after
+    # "invalid choice" differs between Python releases
+    code, out, err = usage_exit(capsys, "bogus")
+    assert (code, out) == (1, "")
+    usage, message, rest = err.split("\n")
+    assert usage == "usage: swhile [-h] {parse,run,simulate,adequacy} ..."
+    assert message.startswith("swhile: error: argument command: invalid choice: 'bogus' (choose from ")
+    assert all(name in message for name in ("parse", "run", "simulate", "adequacy"))
+    assert rest == ""
+
+
+def test_a_list_default_is_not_shared_between_command_lines(capsys):
+    # the command table holds --init's default list once for every parser;
+    # argparse appends to a copy of it
+    for _ in range(2):
+        assert main(["run", str(PROGRAMS / "ball.swl"), "--time", "0", "--seed", "1",
+                     "--init", "p=3"]) == 0
+    assert cli._INIT[1]["default"] == []
+
+
 @pytest.mark.parametrize("first", ["--", "--foo"])
 def test_an_option_before_the_command_is_a_top_level_usage_error(capsys, first):
     code, out, err = usage_exit(capsys, first, "parse", PROGRAMS / "ball.swl")
