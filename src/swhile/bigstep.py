@@ -32,6 +32,7 @@ from .smallstep import (
     Normal,
     OutOfFuel,
     TimeStop,
+    check_fuel,
     run_to_terminal,
 )
 from .store import Undefined, eval_bool, eval_expr, update
@@ -59,8 +60,7 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
     run appends (None, None, None, last step); after a fuel cut the last
     step is fuel + 1, the one not taken.
     """
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
+    check_fuel(fuel)
     store, t, src = config.store, config.t, config.entropy
     stack = [] if config.program is None else [config.program]
     steps = 0

@@ -176,10 +176,15 @@ def cmd_parse(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.format is not None and not args.trace:
+        raise ValueError("--format needs --trace")
     program, table = parse_file(args.file)
     store = _initial_store(table, args.init)
     method = _flow_method(args.flow)
-    config = Config(program, store, args.time, from_seed(_seed_of(args)))
+    # the time and the fuel are checked before a seed is drawn and printed
+    config = Config(program, store, args.time, None)
+    smallstep.check_fuel(args.fuel)
+    config = dataclasses.replace(config, entropy=from_seed(_seed_of(args)))
     line = config_json if args.format == "json" else config_text
     # --trace prints each configuration as it is reached and keeps none,
     # so memory stays flat on long runs, traced or not
@@ -259,6 +264,9 @@ def cmd_simulate(args) -> int:
     method = _flow_method(args.flow)
     grid = _regular_grid(args.grid)
     statistic, write = _statistic(args, table, grid, cond)
+    # refused before a seed is drawn and printed, as run_ensemble would refuse them
+    montecarlo.check_ensemble(grid, args.runs, args.parallel)
+    smallstep.check_fuel(args.fuel)
     ensemble = montecarlo.run_ensemble(
         program, table, store, grid, args.runs, _seed_of(args),
         fuel=args.fuel, flow_method=method, workers=args.parallel,
@@ -349,7 +357,7 @@ COMMANDS = {
     "run": ("evaluate one program at one time instant", cmd_run, (
         ("--time", dict(type=float, required=True, metavar="T")),
         ("--trace", dict(action="store_true", help="print the transition chain")),
-        ("--format", dict(choices=["text", "json"], default="text")), *_SAMPLING)),
+        ("--format", dict(choices=["text", "json"], default=None)), *_SAMPLING)),
     "simulate": ("run an ensemble and export statistics", cmd_simulate, (
         ("--grid", dict(required=True, metavar="S:E:STEP")),
         ("--runs", dict(type=int, default=1, metavar="N")),

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import ode
 from .entropy import _GAMMA, _MASK64
-from .smallstep import Err, Normal, TimeStop
+from .smallstep import Err, Normal, TimeStop, check_fuel
 from .store import Undefined, eval_expr
 from .syntax import And, Assign, BoolLit, Call, DiffBlock, If, Leq, Lit, Or, Sample, Seq, Var, While
 
@@ -265,8 +265,7 @@ def record(program, store0, t: float, seeds, fuel: int, flow_method=None) -> Rec
     """Record one run per seed from `store0` up to time `t`, as
     `eval_big(Config(program, store0, t, from_seed(seed)), fuel,
     flow_method, segments)` records it (see the module docstring)."""
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
+    check_fuel(fuel)
     return _Pass(store0, t, seeds, fuel, flow_method).run(program)
 
 

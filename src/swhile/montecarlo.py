@@ -415,6 +415,18 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def check_ensemble(grid: TimeGrid, runs: int, workers: int | None) -> None:
+    """Refuse what `run_ensemble` refuses: fewer than one run or worker, or
+    more than MAX_ENSEMBLE_POINTS points."""
+    if runs < 1:
+        raise ValueError("need at least one run")
+    if workers is not None and workers < 1:
+        raise ValueError("need at least one worker")
+    if runs * len(grid.times) > MAX_ENSEMBLE_POINTS:
+        raise ValueError(f"{runs} runs x {len(grid.times)} grid times exceed the ensemble "
+                         f"maximum of {MAX_ENSEMBLE_POINTS} points")
+
+
 def run_ensemble(
     program: Program,
     table: VarTable,
@@ -439,13 +451,7 @@ def run_ensemble(
     An ensemble of more than MAX_ENSEMBLE_POINTS points (runs x grid times)
     is refused before any seed is split.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
-    if workers is not None and workers < 1:
-        raise ValueError("need at least one worker")
-    if runs * len(grid.times) > MAX_ENSEMBLE_POINTS:
-        raise ValueError(f"{runs} runs x {len(grid.times)} grid times exceed the ensemble "
-                         f"maximum of {MAX_ENSEMBLE_POINTS} points")
+    check_ensemble(grid, runs, workers)
     seeds = tuple(split_seed(base_seed, i) for i in range(runs))
     workers = min(workers or 1, runs // _FRONTIER_FIRST, _available_cpus())
     if workers > 1:

@@ -19,10 +19,14 @@ exponential); everywhere else `exp` is the scalar exponential primitive.
 Helper variables (`x_f`, `x1`, `x2`, `x_s`) get a `_2`, `_3`, ... suffix
 when the source already uses the name.
 
-A parse is two walks.  One recursive descent parses and desugars at once:
-each statement becomes the list of core statements it expands to, still
-over names, while the variable table is collected.  Resolution then maps
-names to table indices.
+A parse is three walks.  One recursive descent parses and desugars at
+once: each statement becomes the list of core statements it expands to,
+still over names.  Its expressions are core `Lit` and `Call` nodes whose
+variables and draws are placeholders that know only their name and source
+offset.  A second walk lists the names of that statement list in order,
+which is the variable table, and resolution then maps names to table
+indices.  Tokens carry their source offset; a line and column are worked
+out only when an error is raised.
 
 Variables are declared implicitly: the variable table lists every name
 in the order of its first occurrence in the desugared program, so a
@@ -69,6 +73,11 @@ class ParseError(Exception):
         self.message = message
 
 
+def _error(source: str, pos: int, message: str) -> ParseError:
+    """A ParseError placed at offset `pos` of `source`, with 1-based line and column."""
+    return ParseError(message, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
+
+
 # --- lexer ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -82,74 +91,55 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # "number", "ident", "eof", or the operator text itself
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the source
     value: float = 0.0
 
 
 def tokenize(source: str):
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group()
+    pos = 0
+    for m in _TOKEN_RE.finditer(source):
+        if m.start() != pos:  # no token starts at pos
+            break
         kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            pass
+        if kind == "ident":
+            tokens.append(Token("ident", m.group(), pos))
+        elif kind == "op":
+            text = m.group()
+            tokens.append(Token(text, text, pos))
         elif kind == "number":
+            text = m.group()
             value = float(text)
             if not math.isfinite(value):
-                raise ParseError(f"number literal {text!r} overflows", line, col)
-            tokens.append(Token("number", text, line, col, value))
-        elif kind == "ident":
-            tokens.append(Token("ident", text, line, col))
-        else:
-            tokens.append(Token(text, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
+                raise _error(source, pos, f"number literal {text!r} overflows")
+            tokens.append(Token("number", text, pos, value))
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    if pos < len(source):
+        raise _error(source, pos, f"unexpected character {source[pos]!r}")
+    tokens.append(Token("eof", "", pos))
     return tokens
 
 
 # --- name-level trees ----------------------------------------------------------
+# Expressions are core `Lit` and `Call` nodes over these two placeholders.
 
-@dataclass(frozen=True)
-class RLit:
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RVar:
     name: str
-    line: int
-    col: int
+    pos: int
 
 
-@dataclass(frozen=True)
-class RCall:
-    op: str
-    args: tuple
-
-
-@dataclass
+@dataclass(slots=True)
 class RSampler:
     """A draw in an assignment right-hand side; once expanded, it reads `name`."""
 
     kind: str
     args: tuple
-    line: int
-    col: int
+    pos: int
     name: str | None = None
 
 
@@ -184,15 +174,16 @@ class RWhile:
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = tokenize(source)
         self.i = 0
         # helper variables avoid every name the source mentions
-        self.used = RESERVED | {t.text for t in tokens if t.kind == "ident"}
-        self.vars = {}  # the variable table, in first-occurrence order
+        self.used = RESERVED | {t.text for t in self.tokens if t.kind == "ident"}
 
     def peek(self, k=0) -> Token:
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+        # the eof token is last and never passed; peek(1) is read only past an identifier
+        return self.tokens[self.i + k]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -201,7 +192,7 @@ class _Parser:
         return tok
 
     def at(self, kind: str, k=0) -> bool:
-        return self.peek(k).kind == kind
+        return self.tokens[self.i + k].kind == kind
 
     def at_ident(self, text: str) -> bool:
         tok = self.peek()
@@ -219,8 +210,7 @@ class _Parser:
             self.error(f"unexpected trailing input {tok.text!r}")
 
     def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise _error(self.source, (tok or self.peek()).pos, message)
 
     def fresh(self, base: str) -> str:
         name = base
@@ -230,21 +220,6 @@ class _Parser:
             k += 1
         self.used.add(name)
         return name
-
-    def note(self, *items):
-        """Add the names in `items` (names, expressions, guards, atomic
-        statements) to the variable table, left to right."""
-        for item in items:
-            if isinstance(item, str):
-                self.vars[item] = None
-            elif isinstance(item, (RVar, RSampler, RSample)):
-                self.vars[item.name] = None
-            elif isinstance(item, RAssign):
-                self.note(item.name, item.rhs)
-            elif isinstance(item, RCall):
-                self.note(*item.args)
-            elif isinstance(item, tuple):  # a guard: (tag, operand, ...)
-                self.note(*item[1:])
 
     # -- programs -------------------------------------------------------------
 
@@ -274,7 +249,6 @@ class _Parser:
         if word == "if":
             self.advance()
             cond = self.parse_bool()
-            self.note(cond)
             if not self.at_ident("then"):
                 self.error("expected 'then'")
             self.advance()
@@ -286,27 +260,23 @@ class _Parser:
         if word == "while":
             self.advance()
             cond = self.parse_bool()
-            self.note(cond)
             if self.at_ident("do"):
                 self.advance()
             return [RWhile(cond, self.parse_block())]
         if word == "wait":
             self.advance()
-            duration = self.parse_expr()
-            self.note(duration)
-            return [RDiff({}, duration)]
+            return [RDiff({}, self.parse_expr())]
         if word == "bernoulli":
             self.advance()
             guard = self.fresh("x_f")
             self.expect("(")
             ratio = self.parse_expr()
-            self.note(guard, ratio)
             self.expect(",")
             left = self._bernoulli_branch()
             self.expect(",")
             right = self._bernoulli_branch()
             self.expect(")")
-            return [RSample(guard), RIf(("leq", RVar(guard, tok.line, tok.col), ratio), left, right)]
+            return [RSample(guard), RIf(("leq", RVar(guard, tok.pos), ratio), left, right)]
         if word in RESERVED:
             self.error(f"{word!r} is reserved and cannot start a statement")
         # ident-led: diff list, assignment, or increment sugar
@@ -317,8 +287,7 @@ class _Parser:
         if nxt.kind == "++" or nxt.kind == "--":
             self.advance()
             op = "+" if nxt.kind == "++" else "-"
-            self.note(word)
-            return [RAssign(word, RCall(op, (RVar(word, tok.line, tok.col), RLit(1.0))))]
+            return [RAssign(word, Call(op, (RVar(word, tok.pos), Lit(1.0))))]
         if nxt.kind == ":=":
             self.advance()
             start = self.i
@@ -347,16 +316,13 @@ class _Parser:
             self.expect("'")
             self.expect("=")
             derivs[name] = self.parse_expr()
-            self.note(name, derivs[name])
             if not self.at(","):
                 break
             self.advance()
         if not self.at_ident("for"):
             self.error("expected 'for' after derivative list")
         self.advance()
-        duration = self.parse_expr()
-        self.note(duration)
-        return [RDiff(derivs, duration)]
+        return [RDiff(derivs, self.parse_expr())]
 
     # -- sampler expansion ------------------------------------------------------
 
@@ -371,42 +337,41 @@ class _Parser:
                 self.expand_sampler(s, self.fresh(f"{name}_s"), out)
         if not (isinstance(rhs, RSampler) and rhs.name == name):  # else the draw is all of it
             out.append(RAssign(name, rhs))
-        self.note(*out)
         return out
 
     def expand_sampler(self, s: RSampler, target: str, out: list):
         """Append the core statements that store a draw from `s` in `target`."""
         s.name = target
-        var = RVar(target, s.line, s.col)
+        var = RVar(target, s.pos)
         if s.kind == "unif":
             a, b = s.args
             out.append(RSample(target))
-            if isinstance(a, RLit) and isinstance(b, RLit):
+            if isinstance(a, Lit) and isinstance(b, Lit):
                 if a.value > b.value:
-                    raise ParseError("unif(a,b) needs a <= b", s.line, s.col)
+                    raise _error(self.source, s.pos, "unif(a,b) needs a <= b")
                 if a.value == 0.0 and b.value == 1.0:
                     return
-            out.append(RAssign(target, RCall("+", (RCall("*", (RCall("-", (b, a)), var)), a))))
+            out.append(RAssign(target, Call("+", (Call("*", (Call("-", (b, a)), var)), a))))
         elif s.kind == "exp":
             (lam,) = s.args
             out.append(RSample(target))
-            out.append(RAssign(target, RCall("/", (RCall("neg", (RCall("ln", (var,)),)), lam))))
+            out.append(RAssign(target, Call("/", (Call("neg", (Call("ln", (var,)),)), lam))))
         else:  # normal, by Box-Muller
             m, sd = s.args
-            h1 = RVar(self.fresh("x1"), s.line, s.col)
-            h2 = RVar(self.fresh("x2"), s.line, s.col)
+            h1 = RVar(self.fresh("x1"), s.pos)
+            h2 = RVar(self.fresh("x2"), s.pos)
             out.append(RSample(h1.name))
             out.append(RSample(h2.name))
-            box_muller = RCall(
+            box_muller = Call(
                 "*",
                 (
-                    RCall("sqrt", (RCall("*", (RLit(-2.0), RCall("ln", (h1,)))),)),
-                    RCall("cos", (RCall("*", (RCall("*", (RLit(2.0), RLit(math.pi))), h2)),)),
+                    Call("sqrt", (Call("*", (Lit(-2.0), Call("ln", (h1,)))),)),
+                    Call("cos", (Call("*", (Call("*", (Lit(2.0), Lit(math.pi))), h2)),)),
                 ),
             )
             out.append(RAssign(target, box_muller))
-            if not (isinstance(m, RLit) and m.value == 0.0 and isinstance(sd, RLit) and sd.value == 1.0):
-                out.append(RAssign(target, RCall("+", (m, RCall("*", (sd, var))))))
+            if not (isinstance(m, Lit) and m.value == 0.0 and isinstance(sd, Lit) and sd.value == 1.0):
+                out.append(RAssign(target, Call("+", (m, Call("*", (sd, var))))))
 
     # -- boolean conditions -----------------------------------------------------
 
@@ -452,30 +417,30 @@ class _Parser:
         e = self.parse_term(samplers)
         while self.at("+") or self.at("-"):
             op = self.advance().kind
-            e = RCall(op, (e, self.parse_term(samplers)))
+            e = Call(op, (e, self.parse_term(samplers)))
         return e
 
     def parse_term(self, samplers):
         e = self.parse_factor(samplers)
         while self.at("*") or self.at("/"):
             op = self.advance().kind
-            e = RCall(op, (e, self.parse_factor(samplers)))
+            e = Call(op, (e, self.parse_factor(samplers)))
         return e
 
     def parse_factor(self, samplers):
         if self.at("-"):
             self.advance()
             inner = self.parse_factor(samplers)
-            if isinstance(inner, RLit):
-                return RLit(-inner.value)
-            return RCall("neg", (inner,))
+            if isinstance(inner, Lit):
+                return Lit(-inner.value)
+            return Call("neg", (inner,))
         return self.parse_primary(samplers)
 
     def parse_primary(self, samplers):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return RLit(tok.value)
+            return Lit(tok.value)
         if tok.kind == "(":
             self.advance()
             e = self.parse_expr(samplers)
@@ -486,7 +451,7 @@ class _Parser:
         name = tok.text
         if name == "pi":
             self.advance()
-            return RLit(math.pi)
+            return Lit(math.pi)
         if name in SAMPLERS and self.at("(", 1):
             if samplers is None:
                 if name in FUNCTIONS:  # plain exp(e) outside an assignment RHS
@@ -498,7 +463,7 @@ class _Parser:
             args = self.parse_args()
             if len(args) != SAMPLERS[name]:
                 self.error(f"{name!r} expects {SAMPLERS[name]} arguments", tok)
-            samplers.append(RSampler(name, tuple(args), tok.line, tok.col))
+            samplers.append(RSampler(name, tuple(args), tok.pos))
             return samplers[-1]
         if name in FUNCTIONS:
             return self.parse_call(name)
@@ -507,14 +472,14 @@ class _Parser:
         if self.at("(", 1):
             self.error(f"unknown function {name!r}")
         self.advance()
-        return RVar(name, tok.line, tok.col)
+        return RVar(name, tok.pos)
 
     def parse_call(self, name: str):
         tok = self.advance()
         args = self.parse_args()
         if len(args) != FUNCTIONS[name]:
             self.error(f"{name!r} expects {FUNCTIONS[name]} argument(s)", tok)
-        return RCall(name, tuple(args))
+        return Call(name, tuple(args))
 
     def parse_args(self) -> list:
         """A parenthesised, comma-separated list of draw-free expressions."""
@@ -530,16 +495,45 @@ class _Parser:
 # --- resolution ----------------------------------------------------------------
 
 
+def _table(stmts: list, names: dict) -> dict:
+    """Add the names of `stmts` -- desugared statements, guards or
+    expressions -- to `names`, in order of first occurrence; return it."""
+    for s in stmts:
+        if isinstance(s, (RVar, RSampler, RSample)):  # an expanded draw reads its variable
+            names[s.name] = None
+        elif isinstance(s, Call):
+            _table(s.args, names)
+        elif isinstance(s, RAssign):
+            names[s.name] = None
+            _table((s.rhs,), names)
+        elif isinstance(s, RDiff):
+            for name, e in s.derivs.items():
+                names[name] = None
+                _table((e,), names)
+            _table((s.duration,), names)
+        elif isinstance(s, RIf):
+            _table((s.cond,), names)
+            _table(s.then_branch, names)
+            _table(s.else_branch, names)
+        elif isinstance(s, RWhile):
+            _table((s.cond,), names)
+            _table(s.body, names)
+        elif isinstance(s, tuple):  # a guard: (tag, operand, ...)
+            _table(s[1:], names)
+    return names
+
+
 class _Resolver:
-    def __init__(self, table: VarTable):
+    def __init__(self, table: VarTable, source: str):
         self.table = table
+        self.source = source
 
     def expr(self, e):
-        if isinstance(e, RLit):
-            return Lit(e.value)
+        if isinstance(e, Lit):
+            return e
         if isinstance(e, (RVar, RSampler)):  # an expanded draw reads its variable
             if e.name not in self.table:
-                raise ParseError(f"unknown variable {e.name!r}", e.line, e.col)
+                raise _error(self.source, e.pos, f"unknown variable {e.name!r}")
             return Var(self.table.index(e.name), e.name)
         return Call(e.op, tuple(self.expr(a) for a in e.args))
 
@@ -586,22 +580,22 @@ def parse_program(source: str) -> tuple[Program, VarTable]:
     with a line:col position on any lexical, syntactic, arity, or unknown
     variable problem.
     """
-    tokens = tokenize(source)
-    parser = _Parser(tokens)
+    parser = _Parser(source)
     core = parser.parse_program()
     parser.expect_end()
-    if not parser.vars:
-        raise ParseError("program mentions no variables", tokens[0].line, tokens[0].col)
-    table = VarTable(parser.vars)
-    return _Resolver(table).block(core), table
+    names = _table(core, {})
+    if not names:
+        raise _error(source, parser.tokens[0].pos, "program mentions no variables")
+    table = VarTable(names)
+    return _Resolver(table, source).block(core), table
 
 
 def parse_bool_expr(source: str, table: VarTable):
     """Parse a standalone boolean condition against an existing table."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     raw = parser.parse_bool()
     parser.expect_end()
-    return _Resolver(table).boolean(raw)
+    return _Resolver(table, source).boolean(raw)
 
 
 def parse_file(path) -> tuple[Program, VarTable]:

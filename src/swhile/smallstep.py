@@ -56,6 +56,13 @@ from .syntax import (
 DEFAULT_FUEL = 10 ** 6
 
 
+def check_fuel(fuel: int) -> None:
+    """Refuse a fuel below 1: the closure, `eval_big` and the frontier
+    recorder each check their fuel here."""
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
+
+
 @dataclass(frozen=True, slots=True)
 class Config:
     """A configuration: remaining program, store, remaining time t, entropy.
@@ -215,8 +222,7 @@ def _close(config: Config, fuel: int, flow_method=None, sink=None):
     deeply its Seqs nest.  An `Undefined` raised by an expression, guard
     or flow becomes Err in one place, with the erring node still in focus.
     """
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
+    check_fuel(fuel)
     if sink is not None:
         sink(config)
     focus, store, t, entropy = config.program, config.store, config.t, config.entropy

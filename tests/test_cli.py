@@ -835,10 +835,28 @@ def test_statistic_flags_are_refused_before_any_run_is_recorded(monkeypatch, cap
     (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:x"), "bad --grid '0:1:x': 'x' is not a number"),
     (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--hist", "p@soon"),
      "bad --hist 'p@soon': 'soon' is not a number"),
-], ids=["run-flow", "simulate-grid", "simulate-hist"])
+    # checked by Config, the closure, eval_big or run_ensemble, which run after the seed is drawn
+    (("run", PROGRAMS / "ball.swl", "--time", "inf"), "remaining time must be finite"),
+    (("run", PROGRAMS / "ball.swl", "--time", "-1"), "remaining time must be nonnegative"),
+    (("run", PROGRAMS / "ball.swl", "--time", "1", "--fuel", "0"), "fuel must be at least 1"),
+    (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--runs", "0"), "need at least one run"),
+    (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--parallel", "0"),
+     "need at least one worker"),
+    (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.5", "--fuel", "0"), "fuel must be at least 1"),
+    (("simulate", PROGRAMS / "ball.swl", "--grid", "0:1:0.1", "--runs", "100000000"),
+     "100000000 runs x 11 grid times exceed the ensemble maximum of 100000000 points"),
+], ids=["run-flow", "simulate-grid", "simulate-hist", "run-time-inf", "run-time-negative",
+        "run-fuel", "simulate-runs", "simulate-parallel", "simulate-fuel", "simulate-points"])
 def test_a_flag_error_draws_no_seed(capsys, argv, message):
     # without --seed, a seed used to be drawn and printed before the flag was read
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_run_format_needs_trace(capsys, fmt):
+    # only --trace reads --format: without it, the text result used to be printed (exit 0)
+    assert run_cli(capsys, "run", PROGRAMS / "ball.swl", "--time", "1", "--seed", "1",
+                   "--format", fmt) == (1, "", "error: --format needs --trace\n")
 
 
 def test_an_off_grid_time_on_a_long_grid_is_named_by_the_grid_extent(monkeypatch, capsys):
