@@ -6,7 +6,9 @@ the help or a usage error.  Output is a pure function of the input files
 and flags once a seed is fixed; when no seed is given, one is generated
 and reported on stderr.  Exit codes: 0 success, 1 diagnostics (usage
 error, syntax error, failed adequacy check), 2 evaluation error, 3 fuel
-exhaustion, 4 I/O failure, 5 branch explosion during enumeration.
+exhaustion, 4 I/O failure (a program read, an --out write, or a write to
+stdout, such as one to a pipe closed early), 5 branch explosion during
+enumeration.
 """
 
 from __future__ import annotations
@@ -379,7 +381,9 @@ COMMANDS = {
         ("--time", dict(type=float, action="append", default=None, metavar="T")),
         ("--grid", dict(default=None, metavar="S:E:STEP")),
         ("--rational", dict(action="store_true", help="exact rational weights")),
-        ("--cap", dict(type=int, default=denotational.DEFAULT_BRANCH_CAP)), _INIT, _FLOW)),
+        ("--cap", dict(type=int, default=denotational.DEFAULT_BRANCH_CAP,
+                       help="the most runs of the functional semantics the enumeration may "
+                            "make: the root, then one per resume state and atom")), _INIT, _FLOW)),
 }
 
 

@@ -23,11 +23,9 @@ points are merged, and a loop is a sequence of rounds over its frontier
 (see `_push`).  No step recurses, so neither `max_unfold` nor the length
 of a `Seq` chain is bounded by Python's recursion limit, and the cost
 grows with the number of distinct points rather than the number of
-paths.  The enumeration side stays a walk over every draw sequence: it
-is the independent operational semantics the denotation is checked
-against.  It runs the functional semantics once per edge of the draw
-tree: a branch resumes from its parent's state at the fork, so the cost
-is per draw-tree edge, not per edge times its depth.
+paths.  The enumeration side, the independent operational semantics the
+denotation is checked against, runs the functional semantics over the
+distinct resume states of each draw depth (see `enumerate_operational`).
 
 `adequacy_check` compares the two sides on a whole input measure: the
 operational side is the Kleisli extension (`measure.kleisli_extend`) of
@@ -313,53 +311,54 @@ def enumerate_operational(
     atoms, at weight 1/k per branch; loops run at the same Kleene index
     as `denote`.  Branches ending Bottom contribute no mass.
 
-    The draw tree is walked depth first.  A run that reaches a draw stops
-    there with its state (see `bigstep._functional`), and each child
-    resumes from that state with a source holding just its own atom, so
-    every edge of the tree is evaluated once.  Each open fork is one frame
-    on a stack that hands out its next child, with that child's copy of
-    the work stack, only when the child is due, so the work done before
-    `branch_cap` fires is bounded by the cap, not by k.  `explored` counts
-    the tree's nodes, root included, and `branch_cap` (at least 1) bounds
-    it.
+    A run that reaches a draw stops with its resume state (work stack,
+    store, t; see `bigstep._functional`), on which alone its future
+    depends.  So the draw tree is walked one draw depth at a time over
+    that depth's distinct resume states, each with the number of paths
+    reaching it: every (state, atom) pair resumes once, from a source
+    holding just its atom, and a branch that ends adds
+    paths * weight**depth to its point (at k >= 3, a float weight may so
+    differ in the last bit from the sum over the paths).  A state is keyed
+    by its store, t and the identity of its stack's nodes, all subterms of
+    `program` (a loop frame: its loop's identity and index).  Equal stores
+    differ at most in the sign of a zero, which no later step can tell
+    apart (see `_push`).
+
+    `explored` counts runs of the functional semantics: the root, then one
+    per (state, atom) pair, the draw tree's nodes when no paths meet.
+    `branch_cap` (at least 1) bounds it, and a state's atoms are taken one
+    at a time, so a large k costs nothing before the cap fires.
     """
     _check_bounds(max_unfold, branch_cap)
-    atoms = disc.atoms
-    last_atom = disc.k - 1
-    weight = disc.atom_weight
+    atoms, weight = disc.atoms, disc.atom_weight
     acc: dict = {}
-    # open forks, innermost last: [work stack, store, remaining time,
-    # draws so far, atom index of the next child]
-    forks: list[list] = []
-    stack, source, depth = [] if program is None else [program], Enumerator(atoms, ()), 0
-    explored = 0
+    # the runs of one depth: (work stack, store, t, source, paths)
+    runs = [([] if program is None else [program], store, t, Enumerator(atoms, ()), 1)]
+    depth = explored = 0
     while True:
-        explored += 1
-        if explored > branch_cap:
-            raise BranchExplosion(explored, branch_cap)
-        try:
-            out = _functional(stack, store, t, source, max_unfold, flow_method)
-        except EntropyExhausted as exc:
-            stack, store, t = exc.resume
-            forks.append([stack, store, t, depth + 1, 0])
-        else:
-            if out is not BOTTOM:
-                pt = XPoint(out.store, out.t) if type(out) is Normal else EPoint(out.store)
-                w = weight ** depth
-                old = acc.get(pt)
-                acc[pt] = w if old is None else old + w
-        if not forks:
+        states: dict = {}  # the next depth's resume states
+        w = weight ** depth
+        for stack, store, t, source, paths in runs:
+            explored += 1
+            if explored > branch_cap:
+                raise BranchExplosion(explored, branch_cap)
+            try:
+                out = _functional(stack, store, t, source, max_unfold, flow_method)
+            except EntropyExhausted as exc:
+                stack, store, t = exc.resume
+                key = (store, t, *[id(n) if type(n) is not tuple else (id(n[1]), n[2])
+                                   for n in stack])
+                states.setdefault(key, [stack, store, t, 0])[3] += paths
+            else:
+                if out is not BOTTOM:
+                    pt = XPoint(out.store, out.t) if type(out) is Normal else EPoint(out.store)
+                    old = acc.get(pt)
+                    acc[pt] = paths * w if old is None else old + paths * w
+        if not states:
             return DiscMeasure(acc)
-        # the next child in depth-first, atom order; the last child of a
-        # fork takes the fork's own stack, the others a copy made now
-        fork = forks[-1]
-        stack, store, t, depth, i = fork
-        if i < last_atom:
-            fork[4] = i + 1
-            stack = stack.copy()
-        else:
-            forks.pop()
-        source = Enumerator(atoms, (i,))
+        depth += 1
+        runs = ((stack.copy(), store, t, Enumerator(atoms, (i,)), paths)
+                for stack, store, t, paths in states.values() for i in range(disc.k))
 
 
 @dataclass

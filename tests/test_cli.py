@@ -183,15 +183,22 @@ def test_simulate_out_matches_golden(case, tmp_path, capsys):
 
 
 GOLDEN_ADEQUACY = ROOT / "tests" / "golden" / "adequacy"
-ADEQUACY_CASES = [line.split()
-                  for line in (GOLDEN_ADEQUACY / "cases.txt").read_text().splitlines()
-                  if line and not line.startswith("#")]
 
 
-@pytest.mark.parametrize("case", ADEQUACY_CASES, ids=lambda case: case[0])
+def _adequacy_cases(name):
+    return [line.split() for line in (GOLDEN_ADEQUACY / name).read_text().splitlines()
+            if line and not line.startswith("#")]
+
+
+ADEQUACY_CASES = _adequacy_cases("cases.txt")
+DEEP_ADEQUACY_CASES = _adequacy_cases("deep.txt")
+
+
+@pytest.mark.parametrize("case", ADEQUACY_CASES + DEEP_ADEQUACY_CASES, ids=lambda case: case[0])
 def test_adequacy_matches_golden(case, capsys, monkeypatch):
     # pins the JSON and the exit code, rational and float; the output names
-    # the program by the relative path it was given
+    # the program by the relative path it was given.  The deep cases reach
+    # what a walk over every draw sequence could not (see deep.txt).
     name, want, *args = case
     monkeypatch.chdir(ROOT)
     code, out, _ = run_cli(capsys, "adequacy", *args)
@@ -921,6 +928,21 @@ def test_a_huge_k_meets_the_cap_without_building_its_atoms():
     assert code == 5
     assert json.loads(out) == {"cap": 10, "error": "enumeration explored 11 branches, cap is 10"}
     assert seconds < 2.0
+
+
+def test_a_closed_stdout_is_an_io_failure():
+    # a reader that stops after one line closes the pipe while the trace is
+    # still being written: exit 4 with a diagnostic, not a traceback
+    with subprocess.Popen([sys.executable, "-m", "swhile.cli", "run", PROGRAMS / "timestop.swl",
+                           "--time", "2000", "--seed", "1", "--trace"], env=src_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith("x := 0.0 ; while tt do")
+    assert code == 4
+    assert err == "i/o error: [Errno 32] Broken pipe\n"
 
 
 def test_an_rk4_flow_over_the_step_maximum_is_an_error():

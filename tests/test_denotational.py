@@ -22,6 +22,7 @@ from swhile.store import Undefined, eval_bool, eval_expr, make_store, update
 from swhile.syntax import Assign, Call, DiffBlock, If, Lit, Sample, Seq, Var, While
 
 from genprog import gen_program, gen_store, gen_table
+from progpath import PROGRAMS
 
 WALKTHROUGH = "x := 0 ; while tt { x++ ; wait 1 }"
 
@@ -471,10 +472,28 @@ def test_resumed_enumeration_matches_the_replaying_reference():
     assert kinds == {"explosion", "measure"}
 
 
-def test_each_branch_draws_once(monkeypatch):
-    # a walk of n flips has a full binary draw tree of 2^(n+1) - 1 nodes:
-    # every node but the root makes exactly one successful draw, its own
-    # atom, instead of replaying its parent's draws first
+def _resume_states(program, store, t, disc, max_unfold):
+    """The distinct (depth, resume state) pairs of the draw tree, found by
+    replaying every path from the start as `_enumerate_reference` does; a
+    state is compared by the structure of its work stack, not identity."""
+    states = set()
+    paths = [()]
+    while paths:
+        path = paths.pop()
+        try:
+            eval_functional(program, store, t, Enumerator(disc.atoms, path), max_unfold)
+        except EntropyExhausted as exc:
+            stack, store_at, t_at = exc.resume
+            states.add((len(path), tuple(stack), store_at, t_at))
+            paths.extend(path + (i,) for i in range(disc.k))
+    return states
+
+
+def test_each_resume_state_runs_once_per_atom(monkeypatch):
+    # a walk of n flips has 2^(n+1) - 1 draw-tree nodes, but paths that
+    # reach one store at one draw depth meet there: the walk runs the root,
+    # then k runs per distinct resume state, each making exactly one
+    # successful draw, its own atom
     draw = Enumerator.draw
     drawn = []
 
@@ -483,20 +502,87 @@ def test_each_branch_draws_once(monkeypatch):
         drawn.append(value[0])
         return value
 
-    monkeypatch.setattr(Enumerator, "draw", counting)
     for n in (1, 4, 10):
         program, table = parse_program(
             f"x := 0 ; c := 1 ; while c <= {n} {{ bernoulli(1/2, x++, x--) ; c++ }}")
         disc = Discretization(2, exact=True)
         store = make_store(table)
-        explored = 2 ** (n + 1) - 1
+        explored = 1 + disc.k * len(_resume_states(program, store, 1.0, disc, n + 1))
+        monkeypatch.setattr(Enumerator, "draw", counting)
         with pytest.raises(BranchExplosion) as info:
             enumerate_operational(program, store, 1.0, disc, n + 1, branch_cap=explored - 1)
         assert info.value.explored == explored
         drawn.clear()
         out = enumerate_operational(program, store, 1.0, disc, n + 1, branch_cap=explored)
+        monkeypatch.undo()
         assert out.mass() == 1 and len(out) == 2 * n
         assert len(drawn) == explored - 1
+        if n == 10:
+            assert explored < 2 ** (n + 1) - 1
+
+
+def test_a_tree_whose_paths_never_meet_counts_its_nodes():
+    # ball's draws set d, which the flow then reads: no two paths meet, so
+    # the walk runs each of the 17 nodes of the draw tree at t = 1 once, and
+    # the cap fires where the path walk's does (at 6 for cap 5, as the CLI
+    # reports)
+    program, table = parse_program((PROGRAMS / "ball.swl").read_text())
+    args = (program, make_store(table), 1.0, Discretization(2), 6)
+    for enumerate_ in (enumerate_operational, _enumerate_reference):
+        for cap in (5, 16):
+            with pytest.raises(BranchExplosion) as info:
+                enumerate_(*args, cap)
+            assert info.value.explored == cap + 1
+    assert enumerate_operational(*args, 17) == _enumerate_reference(*args, 17)
+
+
+def test_stores_that_differ_in_the_sign_of_a_zero_merge():
+    # the two paths through the If store x = -0.0 and x = 0.0 and meet at the
+    # second draw; what follows reads x through *, sqrt, a guard and a flow
+    program, table = parse_program(
+        "b := unif(0, 1) ; if b <= 0.5 then x := 0 * -1 else x := 0 ; b := 0 ;"
+        " u := unif(0, 1) ; y := x * u ; z := sqrt(x) ;"
+        " if x <= 0 then w := 1 else w := 2 ; x' = 1, y' = x for u")
+    store = make_store(table)
+    for k in (2, 3):
+        for exact in (True, False):
+            args = (program, store, 1.5, Discretization(k, exact=exact), 2)
+            # the root, k runs to the meeting point, then k from it
+            with pytest.raises(BranchExplosion) as info:
+                enumerate_operational(*args, 2 * k)
+            assert info.value.explored == 2 * k + 1
+            got = enumerate_operational(*args)
+            assert got == _enumerate_reference(*args) and len(got) == k
+
+
+def test_states_in_different_loop_rounds_stay_apart():
+    # after the first draw, atom 1/6 takes one round more than atom 1/2 to
+    # reach the next draw, with the same store and the same nodes on the
+    # stack: only the loop frame's index tells the states apart, and the
+    # Kleene cut falls one round earlier for the first
+    program, table = parse_program(
+        "u := 2 ; x := 0 ; while x <= 0 { if u <= 0.5 then u := 2 else { u := unif(0, 1) ;"
+        " if u <= 0.2 then u := u else { if u <= 0.6 then u := 2 else x := 1 } } }")
+    disc = Discretization(3, exact=True)
+    for unfold in range(1, 7):
+        args = (program, make_store(table), 1.0, disc, unfold)
+        assert enumerate_operational(*args) == _enumerate_reference(*args)
+
+
+def test_a_random_walk_unfolded_past_its_loop_keeps_all_its_mass():
+    # random_walk's loop runs 101 rounds, so at --unfold 102 no mass is cut;
+    # a walk over every draw sequence would need 2^101 leaves
+    program, table = parse_program((PROGRAMS / "random_walk.swl").read_text())
+    pt = XPoint(make_store(table), 1.5)
+    disc = Discretization(2, exact=True)
+    start = time.perf_counter()
+    operational = enumerate_operational(program, pt.store, pt.t, disc, 102)
+    elapsed = time.perf_counter() - start
+    denoted = denote(program, disc, 102)(pt)
+    assert operational == denoted
+    assert len(operational) == 202
+    assert operational.mass() == denoted.mass() == 1
+    assert elapsed < 5.0, elapsed
 
 
 @pytest.mark.parametrize("cap", [0, -1])
