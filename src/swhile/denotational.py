@@ -217,7 +217,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                     todo.append(loop.body)
                     frontier = through
                 else:
-                    frontier = DiscMeasure(stay)
+                    frontier = DiscMeasure._adopt(stay)
             continue
         if not frontier:
             continue
@@ -235,7 +235,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                 q = XPoint(update(pt.store, index, v), pt.t)
                 old = acc.get(q)
                 acc[q] = w if old is None else old + w
-            frontier = DiscMeasure(acc)
+            frontier = DiscMeasure._adopt(acc)
         elif t is Sample:
             index = node.var.index
             acc = {}
@@ -246,7 +246,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                     q = XPoint(update(store, index, a), rem)
                     old = acc.get(q)
                     acc[q] = v if old is None else old + v
-            frontier = DiscMeasure(acc)
+            frontier = DiscMeasure._adopt(acc)
         elif t is DiffBlock:
             duration = node.duration
             acc = {}
@@ -266,7 +266,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                         acc[q] = w if old is None else old + w
                 except Undefined:
                     continue
-            frontier = DiscMeasure(acc)
+            frontier = DiscMeasure._adopt(acc)
         elif t is If:
             cond = node.cond
             then_share, else_share = {}, {}
@@ -285,7 +285,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
             raise TypeError(f"not a program node: {node!r}")
     for pt, w in frontier.items():
         out[pt] = w
-    return DiscMeasure(out)
+    return DiscMeasure._adopt(out)
 
 
 def _check_bounds(max_unfold: int, branch_cap: int) -> None:
@@ -355,7 +355,7 @@ def enumerate_operational(
                     old = acc.get(pt)
                     acc[pt] = paths * w if old is None else old + paths * w
         if not states:
-            return DiscMeasure(acc)
+            return DiscMeasure._adopt(acc)
         depth += 1
         runs = ((stack.copy(), store, t, Enumerator(atoms, (i,)), paths)
                 for stack, store, t, paths in states.values() for i in range(disc.k))

@@ -70,6 +70,27 @@ def _total(weights):
     return Fraction(sum([n * (den // d) for n, d in pairs]), den)
 
 
+def _validated(w: dict) -> dict:
+    """`w` with its zero weights deleted, once every key is a point, every
+    weight nonnegative and the total mass at most one."""
+    zeros = []
+    for pt, v in w.items():
+        if not isinstance(pt, (EPoint, XPoint)):
+            raise TypeError(f"not a point: {pt!r}")
+        if type(v) is Fraction:
+            v = v.numerator  # same sign, and an int compares faster
+        if not v >= 0:  # also rejects NaN, for which v < 0 is false
+            raise ValueError("weights must be nonnegative")
+        if v == 0:
+            zeros.append(pt)
+    for pt in zeros:
+        del w[pt]
+    total = _total(w.values())
+    if total > 1 + _MASS_SLACK + len(w) * 2.0 ** -52:
+        raise ValueError(f"total mass {total} exceeds 1")
+    return w
+
+
 class DiscMeasure:
     """Finite map from points to positive weights, total mass <= 1."""
 
@@ -77,23 +98,15 @@ class DiscMeasure:
 
     def __init__(self, weights=None):
         # copying a dict keeps its stored hashes, so no point is hashed again
-        w = dict(weights or {})
-        zeros = []
-        for pt, v in w.items():
-            if not isinstance(pt, (EPoint, XPoint)):
-                raise TypeError(f"not a point: {pt!r}")
-            if type(v) is Fraction:
-                v = v.numerator  # same sign, and an int compares faster
-            if not v >= 0:  # also rejects NaN, for which v < 0 is false
-                raise ValueError("weights must be nonnegative")
-            if v == 0:
-                zeros.append(pt)
-        for pt in zeros:
-            del w[pt]
-        total = _total(w.values())
-        if total > 1 + _MASS_SLACK + len(w) * 2.0 ** -52:
-            raise ValueError(f"total mass {total} exceeds 1")
-        self._w = w
+        self._w = _validated(dict(weights or {}))
+
+    @classmethod
+    def _adopt(cls, weights: dict) -> "DiscMeasure":
+        """The measure of `weights` itself, validated in place and not
+        copied: for a caller that hands over a dict it no longer uses."""
+        self = cls.__new__(cls)
+        self._w = _validated(weights)
+        return self
 
     def items(self):
         return self._w.items()
@@ -110,14 +123,14 @@ class DiscMeasure:
     def scaled(self, factor) -> "DiscMeasure":
         if not factor >= 0:
             raise ValueError("scale factor must be nonnegative")
-        return DiscMeasure({pt: factor * v for pt, v in self._w.items()})
+        return DiscMeasure._adopt({pt: factor * v for pt, v in self._w.items()})
 
     def __add__(self, other: "DiscMeasure") -> "DiscMeasure":
         acc = dict(self._w)
         for pt, v in other._w.items():
             old = acc.get(pt)
             acc[pt] = v if old is None else old + v
-        return DiscMeasure(acc)
+        return DiscMeasure._adopt(acc)
 
     def __eq__(self, other):
         return isinstance(other, DiscMeasure) and self._w == other._w
@@ -155,7 +168,7 @@ def kleisli_extend(kernel):
                 for q, v in kernel(pt).items():
                     old = acc.get(q)
                     acc[q] = w * v if old is None else old + w * v
-        return DiscMeasure(acc)
+        return DiscMeasure._adopt(acc)
 
     return extended
 

@@ -40,9 +40,17 @@ Python function generated from the derivative expressions on the first
 RK4 flow, with each stage's derivatives as straight-line code over one
 local per variable.  Its arithmetic and its errors are those of
 evaluating the derivative trees with `eval_expr` at every stage, bit for
-bit.  A variable whose derivative is the literal +0.0 gains exactly +0.0
-on every step, so the kernel computes its new value x + 0.0 once per flow
-and never steps it.  A flow that would take more than `MAX_RK4_STEPS` steps
+bit.  It tests a result for finiteness only where the test can fire:
+after every `+ - * /`, whose finite operands may overflow; after `neg`,
+`sqrt`, `ln` and `exp` of a value that may be non-finite, namely a stage
+store x + c * h * k (which may overflow) or an infinite or NaN literal;
+after `sin` and `cos` of a value that may be NaN (on +-inf they raise
+ValueError, mapped to "RK4 stage became non-finite").  Every other
+operand -- a store entry, a state that passed its step's test, a finite
+literal, an earlier call's result -- is finite, and so is its result.  A
+variable whose derivative is the literal +0.0 gains exactly +0.0 on every
+step, so the kernel computes its new value x + 0.0 once per flow and
+never steps it.  A flow that would take more than `MAX_RK4_STEPS` steps
 (ceil(tau / step)) is refused as undefined before the kernel starts, so a
 tiny step cannot make one flow run without end.  A stage store that
 overflows makes the flow undefined too, as its state would.
@@ -402,8 +410,9 @@ def _horner_rows(rows, stores, taus):
 # --- the RK4 kernel: straight-line Python generated from the derivatives ----
 #
 # Each call node becomes one assignment to a temporary followed by the
-# checks eval_expr makes at that node, in eval_expr's order (the divisor of
-# a division is evaluated and tested before its numerator).  Variables and
+# checks eval_expr makes at that node that can fail there, in eval_expr's
+# order (the divisor of a division is evaluated and tested before its
+# numerator; see `_stage_lines` for the finiteness tests).  Variables and
 # literals are read directly: variables from one local per store entry,
 # literals from locals unpacked from a constants tuple, so no value is ever
 # written into the source text; the text holds only generated names,
@@ -463,11 +472,38 @@ def _name(ref, roots: dict, inputs: str, slopes: str, static=()) -> str:
     return f"{slopes}{roots[i]}" if i in roots else f"t{i}"
 
 
-def _stage_lines(code, roots: dict, inputs: str, slopes: str, static=()) -> list:
-    """Source lines of one RK4 stage: every derivative, in eval_expr's order."""
+def _stage_lines(code, consts: list, roots: dict, inputs: str, slopes: str,
+                 static=None, nan=False) -> list:
+    """Source lines of one RK4 stage: every derivative, in eval_expr's order.
+
+    `static` is None for the first stage, which reads the state itself.  A
+    later stage reads variable i in `static` from `z<i>` and every other
+    variable from its stage store, which may be +-inf, and NaN too if `nan`.
+
+    eval_expr tests every call's result for finiteness; the stage keeps a
+    test only where it can fire.  It always follows `+ - * /`, whose finite
+    operands may overflow.  After `neg`, `sqrt`, `ln` and `exp` it is left
+    out when the operand is finite: a state entry, a `z<i>`, a finite
+    literal or a temporary (each of these passed its own test, or could not
+    fail one).  After `sin` and `cos` it is left out when the operand cannot
+    be NaN, since they raise ValueError on +-inf.
+    """
+    def finite(ref) -> bool:
+        kind, i = ref
+        if kind == "var":
+            return static is None or i in static
+        return kind == "temp" or math.isfinite(consts[i])
+
+    def maybe_nan(ref) -> bool:
+        kind, i = ref
+        if kind == "const":
+            return math.isnan(consts[i])
+        return nan and not finite(ref)
+
+    names = static or ()
     lines = []
     for index, (op, refs) in enumerate(code):
-        a = [_name(r, roots, inputs, slopes, static) for r in refs]
+        a = [_name(r, roots, inputs, slopes, names) for r in refs]
         if op == "divisor":
             lines.append(f'if {a[0]} == 0.0: raise Undefined("division by zero")')
             continue
@@ -490,8 +526,13 @@ def _stage_lines(code, roots: dict, inputs: str, slopes: str, static=()) -> list
             lines.append(f"{out} = {op}({a[0]})")
         else:  # pragma: no cover - Call.__post_init__ rejects unknown ops
             raise ValueError(f"unknown primitive {op!r}")
-        lines.append(f"if not isfinite({out}): "
-                     f"raise Undefined(\"non-finite result in '{op}'\")")
+        if op in ("sin", "cos"):
+            checked = maybe_nan(refs[0])
+        else:
+            checked = len(refs) == 2 or not finite(refs[0])
+        if checked:
+            lines.append(f"if not isfinite({out}): "
+                         f"raise Undefined(\"non-finite result in '{op}'\")")
     return lines
 
 
@@ -504,12 +545,22 @@ def _rk4_kernel(derivs: tuple):
     result is bit-identical to evaluating the derivative trees with
     eval_expr at each stage; the state is checked finite after each step.
 
+    The stages test a call's result for finiteness only where the test can
+    fire (see `_stage_lines`): every store entry is finite, and so is each
+    state that passed its step's check, so of the stages' reads only a stage
+    store x + c * h * k may be non-finite.  It overflows to +-inf, but is
+    NaN only when some derivative is a non-finite literal k: a NaN, or an
+    inf times a 0.5 * h that underflowed to 0.0.  A block without such a
+    literal tests no `sin` or `cos` result, and the pendulum's
+    theta' = om, om' = -sin(theta) tests only its two states per step.
+
     A static variable, whose derivative is the literal +0.0, gains exactly
     +0.0 in each of those sums (h is positive and finite, and so is every
     store entry), so its stage stores and its value after every step are
     one z = x + 0.0, computed once per flow, with no update and no
     finiteness check.  The first step's first stage still reads x itself,
-    which may be -0.0.
+    which may be -0.0.  A static variable that no derivative reads takes
+    its z once, after the last step.
     """
     n = len(derivs)
     consts, code = [], []
@@ -518,6 +569,11 @@ def _rk4_kernel(derivs: tuple):
     static = {j for j, d in enumerate(derivs)
               if type(d) is Lit and d.value == 0.0 and math.copysign(1.0, d.value) > 0.0}
     moving = [j for j in range(n) if j not in static]
+    read = {i for _, refs in code for kind, i in refs if kind == "var"}
+    read.update(i for kind, i in outs if kind == "var")
+    unread = sorted(static - read)
+    # a stage store is NaN only through a non-finite literal derivative
+    nan = any(kind == "const" and not math.isfinite(consts[i]) for kind, i in outs)
 
     def slope(j: int, inputs: str, slopes: str) -> str:
         return _name(outs[j], roots, inputs, slopes, static if inputs != "x" else ())
@@ -526,30 +582,33 @@ def _rk4_kernel(derivs: tuple):
         return "(" + "".join(f"{prefix}{i}, " for i in range(count)) + ")"
 
     body = ["h = step if remaining >= step else remaining"]
-    body += _stage_lines(code, roots, "x", "a")
+    body += _stage_lines(code, consts, roots, "x", "a")
     body.append("h2 = 0.5 * h")
     body += [f"u{j} = x{j} + h2 * {slope(j, 'x', 'a')}" for j in moving]
-    body += _stage_lines(code, roots, "u", "b", static)
+    body += _stage_lines(code, consts, roots, "u", "b", static, nan)
     body += [f"v{j} = x{j} + h2 * {slope(j, 'u', 'b')}" for j in moving]
-    body += _stage_lines(code, roots, "v", "c", static)
+    body += _stage_lines(code, consts, roots, "v", "c", static, nan)
     body += [f"w{j} = x{j} + h * {slope(j, 'v', 'c')}" for j in moving]
-    body += _stage_lines(code, roots, "w", "d", static)
+    body += _stage_lines(code, consts, roots, "w", "d", static, nan)
     body.append("h6 = h / 6.0")
     body += [f"n{j} = x{j} + h6 * ({slope(j, 'x', 'a')} + 2.0 * {slope(j, 'u', 'b')}"
              f" + 2.0 * {slope(j, 'v', 'c')} + {slope(j, 'w', 'd')})" for j in moving]
     body += [f'if not isfinite(n{j}): raise Undefined("RK4 state became non-finite")'
              for j in moving]
-    body += [f"x{j} = z{j}" if j in static else f"x{j} = n{j}" for j in range(n)]
+    body += [f"x{j} = z{j}" if j in static else f"x{j} = n{j}"
+             for j in range(n) if j not in unread]
     body.append("remaining -= h")
     source = "\n".join([
         "def make(K):",
         f"    {names('K', len(consts))} = K",
         "    def rk4(store, tau, step):",
         f"        {names('x', n)} = store",
-        *(f"        z{j} = x{j} + 0.0" for j in sorted(static)),
+        *(f"        z{j} = x{j} + 0.0" for j in sorted(static & read)),
         "        remaining = tau",
         "        while remaining > 0.0:",
         *("            " + line for line in body),
+        *(["        if tau > 0.0:"] if unread else []),
+        *(f"            x{j} = x{j} + 0.0" for j in unread),
         f"        return {names('x', n)}",
         "    return rk4",
     ])

@@ -80,15 +80,17 @@ def _error(source: str, pos: int, message: str) -> ParseError:
 
 # --- lexer ------------------------------------------------------------------
 
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*)*"  # blanks and comments
+# One match per token, with the blanks and comments after it: nothing
+# follows the greedy skip, so the match never backtracks into it.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>//[^\n]*)
-      | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>:=|<=|&&|\|\||\+\+|--|[;,(){}'=+\-*/])
-    """,
+    r"""(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+         | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+         | (?P<op>:=|<=|&&|\|\||\+\+|--|[;,(){}'=+\-*/])
+       )""" + _SKIP,
     re.VERBOSE,
 )
+_LEADING = re.compile(_SKIP)
 
 
 @dataclass(slots=True)
@@ -101,18 +103,17 @@ class Token:
 
 def tokenize(source: str):
     tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(source):
+    pos = _LEADING.match(source).end()
+    for m in _TOKEN_RE.finditer(source, pos):
         if m.start() != pos:  # no token starts at pos
             break
         kind = m.lastgroup
+        text = m.group(kind)
         if kind == "ident":
-            tokens.append(Token("ident", m.group(), pos))
+            tokens.append(Token("ident", text, pos))
         elif kind == "op":
-            text = m.group()
             tokens.append(Token(text, text, pos))
-        elif kind == "number":
-            text = m.group()
+        else:
             value = float(text)
             if not math.isfinite(value):
                 raise _error(source, pos, f"number literal {text!r} overflows")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,23 @@ def test_measure_matches_plain_fraction_sums(weights):
     mu = DiscMeasure(weights)
     assert list(mu.items()) == list(kept.items())
     assert _same(mu.mass(), total)
+
+
+@given(_weights(invalid=True))
+def test_an_adopted_dict_is_validated_as_a_copied_one(weights):
+    # _adopt checks and drops zeros as the constructor does, but in the
+    # caller's dict itself, which the measure then holds
+    try:
+        want = DiscMeasure(weights)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+            DiscMeasure._adopt(dict(weights))
+        return
+    handed = dict(weights)
+    mu = DiscMeasure._adopt(handed)
+    assert mu._w is handed
+    assert list(mu.items()) == list(want.items())
+    assert _same(mu.mass(), want.mass())
 
 
 @given(_weights(), _weights())

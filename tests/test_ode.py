@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from swhile.store import Undefined, eval_expr
 from swhile.syntax import Call, DiffBlock, Lit, Var
 
 from genprog import gen_expr, gen_table
+from progpath import ROOT
 
 
 def system(*derivs):
@@ -296,10 +298,19 @@ def _bits(thunk):
 
 
 def _assert_kernel_matches_reference(derivs, store, tau, step):
-    expected = _bits(lambda: _flow_rk4(derivs, store, tau, step))
+    """The kernel's `_bits` equal the tree walk's, which are returned; the
+    tree walk's ValueError (sin or cos of an infinite stage value) reads as
+    the flow's Undefined reason."""
+    def reference():
+        try:
+            return _flow_rk4(derivs, store, tau, step)
+        except ValueError:
+            raise Undefined("RK4 stage became non-finite") from None
+
+    expected = _bits(reference)
     got = _bits(lambda: flow(system(*derivs), store, tau, RungeKutta4(step)))
     assert got == expected, (derivs, store, tau, step)
-    return expected[:1] == ("Undefined",)
+    return expected
 
 
 def test_rk4_kernel_is_bit_identical_to_the_tree_walk():
@@ -313,7 +324,7 @@ def test_rk4_kernel_is_bit_identical_to_the_tree_walk():
                       for _ in table.names)
         tau = rng.choice((0.0, 0.05, 0.3, 1.0, rng.uniform(0.0, 2.0)))
         step = rng.choice((1e-3, 0.01, 0.1, 0.7))
-        undefined += _assert_kernel_matches_reference(derivs, store, tau, step)
+        undefined += _assert_kernel_matches_reference(derivs, store, tau, step)[0] == "Undefined"
     # both sides raise on the same inputs, and there are such inputs
     assert 50 < undefined < 400
 
@@ -328,6 +339,7 @@ def test_rk4_kernel_edge_systems():
         ((Call("/", (Call("ln", (Call("neg", (x,)),)), Call("-", (x, x)))),), (2.0,)),
         ((Call("exp", (Call("*", (x, x)),)),), (30.0,)),  # exp overflow
         ((Call("*", (Call("*", (x, Lit(1e200))), Lit(1e200))),), (1.0,)),  # a product overflows
+        ((Call("*", (Lit(1e200), Lit(1e200))),), (1.0,)),  # so does one of finite literals
         ((Call("sqrt", (Call("-", (Lit(0.5), x)),)),), (0.4,)),  # sqrt leaves its domain
         ((), ()),  # no variables
         # a static variable (derivative +0.0) at -0.0, read by another
@@ -348,6 +360,101 @@ def test_rk4_kernel_edge_systems():
     block = system(Lit(0.0), d)
     assert flow(block, (-0.0, 1.0), 0.0, RungeKutta4(0.1))[0].hex() == "-0x0.0p+0"
     assert flow(block, (-0.0, 1.0), 0.05, RungeKutta4(0.1))[0].hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("op", ["neg", "sqrt", "ln", "exp"])
+def test_rk4_kernel_tests_a_unary_call_on_a_value_that_may_be_infinite(op):
+    # a stage store x + 0.5 * h * k is inf where k is an inf literal, or where
+    # it overflows (x' = 1e308 from 1.7e308 with h = 1), and the state check
+    # never sees it; neg, sqrt, ln and exp of it are non-finite, so the test
+    # after the call must stay, as it must after the call on a non-finite
+    # literal
+    x, y = Var(0, "x"), Var(1, "y")
+    cases = [((Call(op, (y,)), Lit(math.inf)), (0.0, 1.0))]
+    if op != "exp":  # exp(1.7e308) overflows in the first stage
+        cases.append(((Lit(1e308), Call(op, (x,))), (1.7e308, 1.0)))
+    for (dx, dy), store in cases:
+        for derivs in ((dx, dy), (Call("*", (Lit(0.5), dx)), dy)):  # a root, then a temporary
+            want = _assert_kernel_matches_reference(derivs, store, 2.0, 1.0)
+            assert want == ("Undefined", f"non-finite result in {op!r}"), derivs
+    for literal in (math.inf, math.nan):
+        want = _assert_kernel_matches_reference((Call(op, (Lit(literal),)),), (1.0,), 1.0, 0.5)
+        assert want == ("Undefined", f"non-finite result in {op!r}"), literal
+
+
+@pytest.mark.parametrize("op", ["sin", "cos"])
+def test_rk4_kernel_tests_sin_of_a_stage_store_next_to_a_non_finite_literal(op):
+    # a NaN literal derivative makes its variable's stage stores NaN, and
+    # sin(NaN) is NaN, not a ValueError; an inf literal does too once
+    # 0.5 * h underflows to 0.0 (a 5e-324 flow), as 0.0 * inf is NaN
+    x = Var(0, "x")
+    for literal, tau in ((math.nan, 1.0), (math.inf, 5e-324), (-math.inf, 5e-324)):
+        derivs = (Lit(literal), Call(op, (x,)))
+        want = _assert_kernel_matches_reference(derivs, (1.0, 0.0), tau, 0.1)
+        assert want == ("Undefined", f"non-finite result in {op!r}"), (literal, tau)
+
+
+_EDGE_LITERALS = (math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324,
+                  0.0, -0.0, 0.5, -2.0, 3.0)
+_EDGE_STORE = (1.7e308, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 1.0, -3.0)
+
+
+def _edge_expr(rng, n, depth):
+    """A derivative over n variables with hostile literals, half its calls unary."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.4:
+            return Lit(rng.choice(_EDGE_LITERALS))
+        i = rng.randrange(n)
+        return Var(i, f"x{i}")
+    if rng.random() < 0.5:
+        op = rng.choice(("neg", "sqrt", "ln", "exp", "sin", "cos"))
+        return Call(op, (_edge_expr(rng, n, depth - 1),))
+    op = rng.choice(("+", "-", "*", "/"))
+    return Call(op, (_edge_expr(rng, n, depth - 1), _edge_expr(rng, n, depth - 1)))
+
+
+def test_rk4_kernel_matches_the_tree_walk_on_hostile_values():
+    # literal and stage-store infinities and NaNs, overflowing and subnormal
+    # stores, and flows so short that 0.5 * h is 0.0: every finiteness test
+    # the kernel leaves out must be one that could not fire
+    rng = random.Random(30)
+    reasons = set()
+    for _ in range(2500):
+        n = rng.randint(1, 3)
+        derivs = tuple(rng.choice((Lit(rng.choice(_EDGE_LITERALS)), Lit(0.0)))
+                       if rng.random() < 0.25 else _edge_expr(rng, n, 3) for _ in range(n))
+        store = tuple(rng.choice(_EDGE_STORE) for _ in range(n))
+        tau = rng.choice((0.0, 5e-324, 1e-320, 0.05, 0.3, 1.0))
+        step = rng.choice((0.1, 0.7, 1.0))
+        want = _assert_kernel_matches_reference(derivs, store, tau, step)
+        if want[0] == "Undefined":
+            reasons.add(want[1])
+    # both sides reach every way a stage can fail
+    for op in ("neg", "sqrt", "ln", "exp", "sin", "cos", "+", "*"):
+        assert f"non-finite result in {op!r}" in reasons, op
+    assert {"RK4 stage became non-finite", "RK4 state became non-finite",
+            "exp overflow", "division by zero"} <= reasons
+
+
+def test_pendulum_kernel_tests_its_two_states_per_step(monkeypatch):
+    # theta' = om, om' = -sin(theta): no finiteness test after sin or neg can
+    # fire, and d and om_s, whose derivatives are +0.0 and which no
+    # derivative reads, are not written in the loop
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(ode, "compile", capture, raising=False)
+    program, table = parse_program((ROOT / "bench" / "pendulum.swl").read_text())
+    assert table.names == ("theta", "om", "d", "om_s")
+    flow(program.rest.rest.body.rest.first, (1.0, 0.0, 0.5, 0.1), 0.25, RungeKutta4(0.01))
+    lines = sources[0].splitlines()
+    start = lines.index("        while remaining > 0.0:")
+    loop = list(takewhile(lambda line: line.startswith(" " * 12), lines[start + 1:]))
+    assert sum(line.count("isfinite(") for line in loop) == 2
+    assert [line for line in loop if line.strip().startswith(("x2 ", "x3 "))] == []
 
 
 def test_rk4_kernel_accepts_derivatives_deeper_than_the_recursion_limit():

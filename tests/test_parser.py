@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from swhile.parser import ParseError, parse_bool_expr, parse_program
+from swhile.parser import ParseError, parse_bool_expr, parse_program, tokenize
 from swhile.syntax import (
     Assign,
     Call,
@@ -60,6 +60,24 @@ def test_comments_and_trailing_separator():
     program, table = parse_program("// leading note\nx := 1 ; // done\n")
     assert program == Assign(Var(0, "x"), Lit(1.0))
     assert table.names == ("x",)
+
+
+@pytest.mark.parametrize("source, at", [
+    ("x := 1 // y := 2 @\n@", (2, 1)),  # no token is read from a comment
+    ("//\n  @", (2, 3)),
+    ("x := 1" + " \t" * 50000 + "\n  @", (2, 3)),  # one long blank run, skipped once
+])
+def test_unexpected_character_after_blanks_and_comments(source, at):
+    with pytest.raises(ParseError) as info:
+        parse_program(source)
+    assert (info.value.line, info.value.col) == at
+
+
+def test_tokens_end_at_the_end_of_the_source():
+    for source in ("x := 1 // c\n// d\n  ", "x := 1\t\r\n", "x := 1 //"):
+        tokens = tokenize(source)
+        assert [t.kind for t in tokens] == ["ident", ":=", "number", "eof"]
+        assert [t.pos for t in tokens] == [0, 2, 5, len(source)]
 
 
 def test_seq_is_right_associated():
