@@ -1,9 +1,10 @@
 """Flows of differential blocks: the solution map (store, tau) -> store.
 
-Each `DiffBlock` is compiled once, on its first flow, and the result is
-cached on the node itself (its non-compared `compiled` field), so every
-evaluator that flows the same node shares one piece of arithmetic.  The
-exact flow is classified on the first flow that may use it, and is one of:
+Each `DiffBlock` gets one table of flows, `_Flows`, on its first flow by
+any method, and the table is cached on the node itself (its non-compared
+`compiled` field), so every evaluator that flows the same node shares one
+piece of arithmetic.  The table is built by classifying the block's exact
+flow, which is one of:
 
 * halted -- every derivative is zero, the store is returned unchanged;
 * nilpotent -- the system is affine, x' = Ax + c, and the augmented
@@ -14,20 +15,26 @@ exact flow is classified on the first flow that may use it, and is one of:
   routine evaluates the polynomial; variables whose derivative is zero
   keep their value bit for bit;
 * matrix exponential -- affine but not nilpotent: scipy's
-  scaling-and-squaring `expm` of M * tau.  scipy is imported on demand,
-  when the first such block is classified, and its `expm` is bound into
-  that block's flow: importing `scipy.linalg` takes longer and uses more
-  memory than the rest of the package, and no other flow needs it;
-* non-affine -- fixed-step RK4 (the default step, 1e-3).
+  scaling-and-squaring `expm` of M * tau, over M kept as plain rows.
+  numpy and `scipy.linalg` are imported on the first such flow, not when
+  the block is classified: importing `scipy.linalg` takes longer and uses
+  more memory than the rest of the package, and no other flow needs it;
+* non-affine -- no exact flow; the default method flows it by RK4 (step
+  1e-3).  A block is non-affine, too, where folding its constants would
+  meet a value that is not finite (an infinite or NaN literal, or a
+  coefficient or constant that overflows): `eval_expr` refuses such a
+  value, so the default method leaves the block to RK4, which errs
+  exactly where evaluating the derivatives does.
 
 Classification -- the linear parts of the derivatives, M, its powers
 (each entry a left-to-right sum) and the Horner coefficients -- runs in
-plain Python floats, the same bits on every machine, so this module
-imports numpy only in the row flows below and, with scipy, on the
-`expm` path.  `parse`, `run` and `adequacy` never load it.  The linear
-parts are folded over `_linearize`'s code list of a block's call nodes,
-the list the RK4 kernel below is generated from, so one routine walks
-the derivative trees for both.
+plain Python floats, the same bits on every machine, and imports nothing,
+so a block that only RK4 flows loads neither numpy nor scipy.  numpy is
+imported only in the row flows below and, with scipy, on the `expm`
+path; `parse`, `run` and `adequacy` never load it.  The linear parts are
+folded over `_linearize`'s code list of a block's call nodes, the list
+the RK4 kernel below is generated from, so one routine walks the
+derivative trees for both.
 
 `flow_rows` flows many (store, tau) pairs along one block at once, with
 the arithmetic of one `flow` call per pair: a nilpotent block runs the
@@ -131,16 +138,21 @@ def _combine(op: str, parts: list, zero: tuple):
 def classify_affine(block: DiffBlock):
     """(A, c) with x' = Ax + c, by structural inspection; None if non-affine.
 
-    A is a tuple of rows, one per variable, and c a tuple, all of floats.
-    `_combine` folds the linear parts over `_linearize`'s code list, one
-    call node at a time; divisor tests carry no value and are skipped.
-    Subtrees without variables are folded to constants; folding failures
-    (e.g. a division by zero among constants) make the system non-affine
-    so the RK4 fallback surfaces the evaluation error at run time.
+    A is a tuple of rows, one per variable, and c a tuple, all of finite
+    floats.  `_combine` folds the linear parts over `_linearize`'s code
+    list, one call node at a time; divisor tests carry no value and are
+    skipped.  Subtrees without variables are folded to constants by
+    `eval_expr`'s arithmetic, so a constant derivative's c is its value,
+    bit for bit.  What `eval_expr` would refuse makes the system
+    non-affine: a division by zero among constants, a literal that is not
+    finite, or a folded coefficient or constant that is not finite.  The
+    RK4 fallback then surfaces the evaluation error at run time.
     """
     zero = (0.0,) * len(block.derivs)
     consts, code = [], []
     outs = [_linearize(d, consts, code) for d in block.derivs]
+    if not all(map(math.isfinite, consts)):
+        return None
     parts = []  # the linear part of each code entry, None for a divisor test
 
     def part(ref):
@@ -154,27 +166,45 @@ def classify_affine(block: DiffBlock):
             parts.append(None)
             continue
         linear = _combine(op, [part(r) for r in refs], zero)
-        if linear is None:
+        if linear is None or not all(map(math.isfinite, (*linear[0], linear[1]))):
             return None  # a non-affine subterm makes every ancestor non-affine
         parts.append(linear)
     linear = [part(ref) for ref in outs]
     return tuple([coeff for coeff, _ in linear]), tuple([float(k) for _, k in linear])
 
 
-_NON_AFFINE = object()  # exact-flow marker: the system is not affine
-
-
 class _Flows:
-    """A block's compiled flows, each built on its first use."""
+    """A block's compiled flows: its exact flow and that flow's row form,
+    classified when the table is built, and its RK4 kernel, built on the
+    first RK4 flow.
+
+    `exact` is a function (store, tau) -> store, or None for a non-affine
+    block.  `rows` runs the same arithmetic over many rows at once,
+    (stores, taus) -> (out, defined): Horner rows for a nilpotent block, a
+    copy for a halted one, or None where `flow_rows` flows one row at a time.
+    """
 
     __slots__ = ("exact", "rows", "rk4")
 
-    def __init__(self):
-        self.exact = None  # (store, tau) -> store, or _NON_AFFINE
-        # (stores, taus) -> (out, defined) for the exact flow, or None where
-        # `flow_rows` flows one row at a time; set together with `exact`
-        self.rows = None
+    def __init__(self, block: DiffBlock):
+        self.exact = self.rows = None
         self.rk4 = None  # (store, tau, step) -> store, from _rk4_kernel
+        affine = classify_affine(block)
+        if affine is None:
+            return
+        a, c = affine
+        n = len(c)
+        m = [[*row, k] for row, k in zip(a, c)]
+        m.append([0.0] * (n + 1))
+        if not any(map(any, m)):
+            self.exact, self.rows = _halted, _copy_rows
+            return
+        powers = _nilpotent_powers(m, n + 1)
+        if powers is None:
+            self.exact = partial(_flow_expm, m)
+        else:
+            horner = _polynomial_rows(powers, n)
+            self.exact, self.rows = partial(_flow_polynomial, horner), partial(_horner_rows, horner)
 
 
 def _halted(store: Store, tau: float) -> Store:
@@ -211,12 +241,16 @@ def _flow_polynomial(rows, store: Store, tau: float) -> Store:
     return tuple(out)
 
 
-def _flow_expm(expm, m, store: Store, tau: float) -> Store:
-    import numpy as np
+def _flow_expm(m: list, store: Store, tau: float) -> Store:
+    """The matrix-exponential flow of one store along the augmented matrix
+    `m`, a list of float rows."""
+    import numpy as np  # on demand, see the module docstring
+    from scipy.linalg import expm
 
     n = len(store)
-    phi = expm(m * tau)
-    vec = phi[:n, :] @ np.append(np.asarray(store, dtype=float), 1.0)
+    with np.errstate(all="ignore"):  # a non-finite result is undefined below
+        phi = expm(np.array(m) * tau)
+        vec = phi[:n, :] @ np.append(np.asarray(store, dtype=float), 1.0)
     out = tuple(map(float, vec))
     for v in out:
         if not math.isfinite(v):
@@ -229,35 +263,6 @@ def _copy_rows(stores, taus):
     import numpy as np
 
     return stores.copy(), np.ones(len(stores), dtype=bool)
-
-
-def _exact_flow(block: DiffBlock):
-    """The exact flow of `block` and its row form, for `_Flows`.
-
-    The exact flow is a function (store, tau) -> store, or `_NON_AFFINE`.
-    Its row form runs the same arithmetic over many rows at once: Horner
-    rows for a nilpotent block, a copy for a halted one, or None.
-    """
-    exact, rows = _NON_AFFINE, None
-    affine = classify_affine(block)
-    if affine is not None:
-        a, c = affine
-        n = len(c)
-        m = [[*row, k] for row, k in zip(a, c)]
-        m.append([0.0] * (n + 1))
-        if not any(map(any, m)):
-            exact, rows = _halted, _copy_rows
-        else:
-            powers = _nilpotent_powers(m, n + 1)
-            if powers is None:
-                import numpy as np  # on demand, see the module docstring
-                from scipy.linalg import expm
-
-                exact = partial(_flow_expm, expm, np.array(m))
-            else:
-                horner = _polynomial_rows(powers, n)
-                exact, rows = partial(_flow_polynomial, horner), partial(_horner_rows, horner)
-    return exact, rows
 
 
 def _nilpotent_powers(m: list, count: int):
@@ -307,18 +312,11 @@ def _polynomial_rows(powers, n: int):
 
 
 def _flows(block: DiffBlock) -> _Flows:
+    """The block's `_Flows`, built and cached on its first flow."""
     flows = block.compiled
     if flows is None:
-        flows = _Flows()
+        flows = _Flows(block)
         object.__setattr__(block, "compiled", flows)
-    return flows
-
-
-def _classified(block: DiffBlock) -> _Flows:
-    """The block's `_Flows`, with its exact flow classified."""
-    flows = _flows(block)
-    if flows.exact is None:
-        flows.exact, flows.rows = _exact_flow(block)
     return flows
 
 
@@ -332,15 +330,11 @@ def flow(block: DiffBlock, store: Store, tau: float, method: FlowMethod | None =
     """
     if tau < 0:
         raise ValueError("flow time must be nonnegative")
-    flows = block.compiled
-    if flows is None:
-        flows = _flows(block)
+    flows = block.compiled or _flows(block)
     if isinstance(method, RungeKutta4):
         return _rk4(block, flows, store, tau, method.step)
     exact = flows.exact
-    if exact is None:
-        exact = _classified(block).exact
-    if exact is not _NON_AFFINE:
+    if exact is not None:
         return exact(store, tau)
     if method is None:
         return _rk4(block, flows, store, tau, DEFAULT_RK4.step)
@@ -366,7 +360,7 @@ def halts(block: DiffBlock, method: FlowMethod | None = None) -> bool:
     unchanged: the exact flow of a block whose derivatives are all zero."""
     if isinstance(method, RungeKutta4):
         return False  # an RK4 step adds zeros, which turns -0.0 into 0.0
-    return _classified(block).rows is _copy_rows
+    return _flows(block).rows is _copy_rows
 
 
 def flow_rows(block: DiffBlock, stores, taus, method: FlowMethod | None = None):
@@ -378,7 +372,7 @@ def flow_rows(block: DiffBlock, stores, taus, method: FlowMethod | None = None):
     unspecified contents.
     """
     if not isinstance(method, RungeKutta4):
-        rows = _classified(block).rows
+        rows = _flows(block).rows
         if rows is not None:
             return rows(stores, taus)
     import numpy as np

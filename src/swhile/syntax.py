@@ -115,9 +115,9 @@ class DiffBlock:
 
     derivs: tuple
     duration: Expr
-    # the block's flows, compiled by `ode` on first use (the exact flow and
-    # the generated RK4 kernel, each built when a flow first needs it); not
-    # part of the value
+    # the block's flows, compiled by `ode` on its first flow by any method
+    # (the exact flow, classified then, and the generated RK4 kernel, built
+    # on the first RK4 flow); not part of the value
     compiled: object = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __reduce__(self):

@@ -972,6 +972,58 @@ def test_an_rk4_stage_overflow_is_an_evaluation_error(tmp_path, capsys):
     assert json.loads(out)["pass"] is True
 
 
+_OVERFLOWING_FOLDS = [
+    # folded to x' = 0 by the default and exact flows, which printed x = 0.0
+    ("1 / (1e308 * 10)", 2),
+    # folding cos(inf) raised "math domain error": run, simulate and adequacy exited 1
+    ("cos(1e308 * 10)", 2),
+    # A = [[inf]]: the default flow took scipy's expm and erred
+    ("1e308 * x + 1e308 * x", 0),
+]
+
+
+@pytest.mark.parametrize("deriv, want", _OVERFLOWING_FOLDS)
+def test_default_and_rk4_flows_agree_where_a_fold_overflows(deriv, want, tmp_path, capsys):
+    prog = tmp_path / "fold.swl"
+    prog.write_text(f"x := 0 ; x' = {deriv} for 1")
+    for flag in ((), ("--flow", "rk4:0.1")):
+        code, out, err = run_cli(capsys, "run", prog, "--time", "2", "--seed", "1", *flag)
+        assert (code, err) == (want, ""), flag
+        end = "normal: x = 0.0 (remaining time 1.0)" if want == 0 else "err"
+        assert out == end + "\nsteps: 2\n", flag
+    # the block has no exact flow: an overflowing fold is not affine
+    code, out, err = run_cli(capsys, "run", prog, "--time", "2", "--seed", "1", "--flow", "exact")
+    assert (code, out, err) == (2, "err\nsteps: 2\n", "")
+    code, _, err = run_cli(capsys, "simulate", prog, "--grid", "0:2:1", "--runs", "2", "--seed", "1")
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "adequacy", prog, "--time", "2", "--rational")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
+def test_overflowing_flows_print_no_numpy_warning(tmp_path):
+    # x' = x overflows scipy's expm by t = 1000, which printed numpy's
+    # "RuntimeWarning: overflow encountered in exp" ahead of `err`; a new
+    # interpreter shows every warning, as pytest's capture would hide them
+    grow = tmp_path / "grow.swl"
+    grow.write_text("x := 1 ; x' = x for 1000")
+    twice = tmp_path / "twice.swl"
+    twice.write_text("x := 0 ; x' = 1e308 * x + 1e308 * x for 1")
+    commands = [["run", str(grow), "--time", "2000", "--seed", "1"],
+                ["simulate", str(grow), "--grid", "0:2000:1000", "--runs", "2", "--seed", "1"],
+                ["run", str(twice), "--time", "2", "--seed", "1"]]
+    proc = subprocess.run([sys.executable, "-W", "always", "-c", f"""
+import contextlib, io
+from swhile.cli import main
+codes = []
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(*codes)
+"""], capture_output=True, text=True, env=src_env(), cwd=ROOT, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("2 0 0\n", "")
+
+
 def test_an_ensemble_over_the_point_maximum_is_refused_before_its_seeds_are_split():
     # 10^12 runs used to split 10^12 seeds, allocating nothing, for hours
     code, out, seconds = _fresh_cli(10, "simulate", PROGRAMS / "random_walk.swl", "--grid",

@@ -52,6 +52,66 @@ def test_classify_folds_constant_subtrees():
     assert a[0][0] == 1.0 and c[0] == 0.0
 
 
+_FOLD_LITERALS = (0.0, 0.5, -0.5, 2.0, -2.0, 1e308, 5e-324, math.pi)  # all parse as literals
+
+
+def _constant_expr(rng, depth):
+    """A derivative without variables over `_FOLD_LITERALS`."""
+    if depth <= 0 or rng.random() < 0.25:
+        return Lit(rng.choice(_FOLD_LITERALS))
+    if rng.random() < 0.5:
+        op = rng.choice(("neg", "sqrt", "ln", "exp", "sin", "cos"))
+        return Call(op, (_constant_expr(rng, depth - 1),))
+    op = rng.choice(("+", "-", "*", "/"))
+    return Call(op, (_constant_expr(rng, depth - 1), _constant_expr(rng, depth - 1)))
+
+
+def test_classify_folds_constants_exactly_where_eval_expr_evaluates_them():
+    # folding used to skip eval_expr's finiteness tests: 1 / (1e308 * 10)
+    # folded to c = 0.0, and cos(1e308 * 10) raised "math domain error"
+    rng = random.Random(31)
+    reasons = set()
+    for _ in range(3000):
+        e = _constant_expr(rng, 4)
+        affine = classify_affine(system(e))
+        try:
+            want = eval_expr(e, ())
+        except Undefined as exc:
+            reasons.add(exc.reason)
+            assert affine is None, e
+            continue
+        assert affine == (((0.0,),), (want,)), e
+        assert affine[1][0].hex() == want.hex(), e  # the sign of a zero too
+    for op in ("+", "-", "*", "/"):
+        assert f"non-finite result in {op!r}" in reasons, op
+    assert {"division by zero", "exp overflow"} <= reasons
+
+
+@pytest.mark.parametrize("deriv, defined", [
+    ("1 / (1e308 * 10)", False),  # folded to x' = 0 by the exact flow
+    ("cos(1e308 * 10)", False),  # folding cos(inf) raised ValueError
+    ("1e308 * x + 1e308 * x", True),  # A = [[inf]]: scipy's expm flow erred
+])
+def test_flows_agree_with_eval_expr_where_a_fold_overflows(deriv, defined):
+    program, _ = parse_program(f"x' = {deriv} for 1")
+    try:
+        eval_expr(program.derivs[0], (0.0,))
+    except Undefined:
+        assert not defined
+    else:
+        assert defined
+    assert classify_affine(program) is None
+    for method in (None, RungeKutta4(0.1)):
+        if defined:
+            assert flow(program, (0.0,), 1.0, method) == (0.0,)
+        else:
+            with pytest.raises(Undefined, match="non-finite result"):
+                flow(program, (0.0,), 1.0, method)
+    # a block with a non-finite fold has no exact flow
+    with pytest.raises(Undefined, match="non-affine"):
+        flow(program, (0.0,), 1.0, EXACT)
+
+
 def test_flow_double_integrator_matches_closed_form():
     # p = tau^2/2, v = tau
     sys = system(Var(1, "v"), Lit(1.0))
