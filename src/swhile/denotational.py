@@ -2,10 +2,12 @@
 checker that compares it against exhaustive operational enumeration.
 
 Sampling is interpreted through a k-point discretization of the unit
-interval: atoms (2i+1)/2k, each of weight 1/k.  The midpoints avoid
-comparison thresholds such as 0.5 for even k, which keeps branch splits
-of encoded coin flips tie-free.  With `exact=True` weights are rational
-and the operational/denotational comparison comes out exactly zero.
+interval: atoms (2i+1)/2k, each of weight 1/k.  A `Discretization` is
+itself the sequence of its atoms, each computed when it is read.  The
+midpoints avoid comparison thresholds such as 0.5 for even k, which keeps
+branch splits of encoded coin flips tie-free.  With `exact=True` weights
+are rational and the operational/denotational comparison comes out
+exactly zero.
 
 Every clause turns undefinedness into lost mass ("0 otherwise"), so a
 program's missing mass records its error/divergence probability.  `_push`
@@ -61,18 +63,21 @@ class BranchExplosion(Exception):
         self.cap = cap
 
 
-class MidpointAtoms(Sequence):
-    """The k atoms (2i+1)/2k as a read-only sequence, each computed when it
-    is read, so a large k costs no memory until branches are explored.
+@dataclass(frozen=True, slots=True)
+class Discretization(Sequence):
+    """k midpoint atoms of the unit interval, each carrying weight 1/k.
 
-    Equal to another `MidpointAtoms` of the same k, and to the tuple of the
-    same atoms.
+    The discretization is itself the read-only sequence of its atoms
+    (2i+1)/2k, each computed when it is read, so a large k costs no memory
+    until branches are explored.
     """
 
-    __slots__ = ("k",)
+    k: int
+    exact: bool = False
 
-    def __init__(self, k: int):
-        self.k = k
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be positive")
 
     def __len__(self) -> int:
         return self.k
@@ -85,32 +90,6 @@ class MidpointAtoms(Sequence):
     def __iter__(self):
         # (2i + 1) / 2k for i = 0 .. k-1, as int / int true divisions
         return map((2 * self.k).__rtruediv__, range(1, 2 * self.k, 2))
-
-    def __eq__(self, other):
-        if isinstance(other, MidpointAtoms):
-            return self.k == other.k
-        if isinstance(other, tuple):
-            return len(other) == self.k and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))  # as the equal tuple's
-
-
-@dataclass(frozen=True, slots=True)
-class Discretization:
-    """k midpoint atoms of the unit interval, each carrying weight 1/k."""
-
-    k: int
-    exact: bool = False
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
-
-    @property
-    def atoms(self) -> MidpointAtoms:
-        return MidpointAtoms(self.k)
 
     @property
     def atom_weight(self):
@@ -178,7 +157,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
             out[pt] = w
         else:
             frontier[pt] = w
-    atoms, atom_weight = disc.atoms, disc.atom_weight
+    atom_weight = disc.atom_weight
     todo = [program]
     while todo:
         node = todo.pop()
@@ -242,7 +221,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
             for pt, w in frontier.items():
                 store, rem = pt.store, pt.t
                 v = w * atom_weight
-                for a in atoms:
+                for a in disc:
                     q = XPoint(update(store, index, a), rem)
                     old = acc.get(q)
                     acc[q] = v if old is None else old + v
@@ -330,10 +309,10 @@ def enumerate_operational(
     at a time, so a large k costs nothing before the cap fires.
     """
     _check_bounds(max_unfold, branch_cap)
-    atoms, weight = disc.atoms, disc.atom_weight
+    weight = disc.atom_weight
     acc: dict = {}
     # the runs of one depth: (work stack, store, t, source, paths)
-    runs = [([] if program is None else [program], store, t, Enumerator(atoms, ()), 1)]
+    runs = [([] if program is None else [program], store, t, Enumerator(disc, ()), 1)]
     depth = explored = 0
     while True:
         states: dict = {}  # the next depth's resume states
@@ -357,7 +336,7 @@ def enumerate_operational(
         if not states:
             return DiscMeasure._adopt(acc)
         depth += 1
-        runs = ((stack.copy(), store, t, Enumerator(atoms, (i,)), paths)
+        runs = ((stack.copy(), store, t, Enumerator(disc, (i,)), paths)
                 for stack, store, t, paths in states.values() for i in range(disc.k))
 
 

@@ -16,6 +16,7 @@ Three realizations of the same draw interface:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
@@ -73,9 +74,10 @@ class FinitePrefix:
 
 @dataclass(frozen=True, slots=True)
 class Enumerator:
-    """Draws follow `path` through the atom set; the driver extends paths."""
+    """Draws follow `path` through the atoms, a sequence such as a
+    `denotational.Discretization`; the enumeration extends paths."""
 
-    atoms: tuple
+    atoms: Sequence
     path: tuple
     pos: int = 0
 

@@ -550,7 +550,10 @@ def _grid_match(times, t: float):
 def interval_indices(grid: TimeGrid, t1: float, t2: float) -> range:
     """The indices of the grid times in [t1, t2], where an endpoint that
     names a grid time, as `histogram` finds one, stands for that time; an
-    interval outside the grid, or holding no grid time, is refused."""
+    interval that is reversed, outside the grid, or holding no grid time is
+    refused."""
+    if t1 > t2:
+        raise ValueError(f"interval [{t1}, {t2}] is reversed: its start exceeds its end")
     if not (grid.start <= t1 <= t2 <= grid.end):
         raise ValueError("interval must lie within the grid")
     times = grid.times
@@ -643,12 +646,21 @@ def check_histogram(table: VarTable, grid: TimeGrid, variable: str, t: float, bi
 
 
 def histogram(ensemble: Ensemble, variable: str, t: float, bins: int) -> HistogramResult:
-    """Equal-width histogram of a variable's values at a grid time."""
+    """Equal-width histogram of a variable's values at a grid time.
+
+    Where max - min overflows, the edges are 2 * linspace(min/2, max/2),
+    which runs from min to max without forming that difference."""
     check_histogram(ensemble.table, ensemble.grid, variable, t, bins)
     values, excluded = _column(ensemble, variable, t)
     if not len(values):
         return HistogramResult((), (), excluded)
-    counts, edges = np.histogram(values, bins=bins)
+    lo, hi = float(values.min()), float(values.max())
+    if math.isinf(hi - lo):
+        edges = 2 * np.linspace(lo / 2, hi / 2, bins + 1)
+        with np.errstate(all="ignore"):
+            counts, _ = np.histogram(values, bins=edges)
+    else:
+        counts, edges = np.histogram(values, bins=bins)
     return HistogramResult(tuple(counts.tolist()), tuple(edges.tolist()), excluded)
 
 

@@ -6,14 +6,15 @@ any method, and the table is cached on the node itself (its non-compared
 piece of arithmetic.  The table is built by classifying the block's exact
 flow, which is one of:
 
-* halted -- every derivative is zero, the store is returned unchanged;
 * nilpotent -- the system is affine, x' = Ax + c, and the augmented
   (n+1)x(n+1) matrix M = [[A, c], [0, 0]] is nilpotent (every
   double-integrator-style block), so the exponential series terminates
   and each variable is an exact polynomial in tau.  Per variable, the
   sparse coefficients of M^k/k! are kept as plain floats and one Horner
   routine evaluates the polynomial; variables whose derivative is zero
-  keep their value bit for bit;
+  keep their value bit for bit.  A block whose derivatives are all zero
+  has no moving variable and an empty Horner table: it halts, and its
+  flow returns the store itself;
 * matrix exponential -- affine but not nilpotent: scipy's
   scaling-and-squaring `expm` of M * tau, over M kept as plain rows.
   numpy and `scipy.linalg` are imported on the first such flow, not when
@@ -38,8 +39,8 @@ derivative trees for both.
 
 `flow_rows` flows many (store, tau) pairs along one block at once, with
 the arithmetic of one `flow` call per pair: a nilpotent block runs the
-one Horner routine over numpy columns; a halted block copies its stores;
-every other block calls `flow` once per pair.
+one Horner routine over numpy columns (a halted block's empty table
+copies its stores); every other block calls `flow` once per pair.
 
 Every RK4 flow -- a non-affine block under the default method, or any
 block under an explicit `RungeKutta4` -- runs the block's RK4 kernel: one
@@ -180,8 +181,8 @@ class _Flows:
 
     `exact` is a function (store, tau) -> store, or None for a non-affine
     block.  `rows` runs the same arithmetic over many rows at once,
-    (stores, taus) -> (out, defined): Horner rows for a nilpotent block, a
-    copy for a halted one, or None where `flow_rows` flows one row at a time.
+    (stores, taus) -> (out, defined): Horner rows for a nilpotent block, or
+    None where `flow_rows` flows one row at a time.
     """
 
     __slots__ = ("exact", "rows", "rk4")
@@ -196,15 +197,13 @@ class _Flows:
         n = len(c)
         m = [[*row, k] for row, k in zip(a, c)]
         m.append([0.0] * (n + 1))
-        if not any(map(any, m)):
-            self.exact, self.rows = _halted, _copy_rows
-            return
         powers = _nilpotent_powers(m, n + 1)
         if powers is None:
             self.exact = partial(_flow_expm, m)
         else:
-            horner = _polynomial_rows(powers, n)
-            self.exact, self.rows = partial(_flow_polynomial, horner), partial(_horner_rows, horner)
+            horner = _polynomial_rows(powers, n)  # empty exactly when M is all zeros
+            self.exact = partial(_flow_polynomial, horner) if horner else _halted
+            self.rows = partial(_horner_rows, horner)
 
 
 def _halted(store: Store, tau: float) -> Store:
@@ -256,13 +255,6 @@ def _flow_expm(m: list, store: Store, tau: float) -> Store:
         if not math.isfinite(v):
             raise Undefined("flow produced a non-finite value")
     return out
-
-
-def _copy_rows(stores, taus):
-    """`_halted` over rows: every store unchanged, every flow defined."""
-    import numpy as np
-
-    return stores.copy(), np.ones(len(stores), dtype=bool)
 
 
 def _nilpotent_powers(m: list, count: int):
@@ -360,7 +352,7 @@ def halts(block: DiffBlock, method: FlowMethod | None = None) -> bool:
     unchanged: the exact flow of a block whose derivatives are all zero."""
     if isinstance(method, RungeKutta4):
         return False  # an RK4 step adds zeros, which turns -0.0 into 0.0
-    return _flows(block).rows is _copy_rows
+    return _flows(block).exact is _halted
 
 
 def flow_rows(block: DiffBlock, stores, taus, method: FlowMethod | None = None):

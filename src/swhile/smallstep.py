@@ -30,7 +30,8 @@ raised by an expression, guard or flow becomes Err.  A term (built by
 for the trace (a `sink` that takes each configuration as it is reached,
 as `swhile run --trace` prints them) and for the last configuration it
 returns.  Its cost is per step, independent of how deeply the Seqs nest.
-`step` is the closure with one unit of fuel.
+`step` is the closure with one unit of fuel, and returns the successor
+`Config` itself when the step neither errs nor time-stops.
 
 `TimeGrid`, the query times of `simulate` and `adequacy --grid`, lives
 here beside Config, so building a grid loads no numpy.
@@ -154,11 +155,6 @@ class TimeStop:
 
 
 @dataclass(frozen=True, slots=True)
-class Resume:
-    config: Config
-
-
-@dataclass(frozen=True, slots=True)
 class Normal:
     store: Store
     t: float
@@ -172,7 +168,7 @@ class OutOfFuel:
 
 ERR = Err()
 
-StepOutcome = Err | TimeStop | Resume
+StepOutcome = Err | TimeStop | Config
 
 
 def _term(focus, rests):
@@ -188,7 +184,8 @@ def _term(focus, rests):
 
 
 def step(config: Config, flow_method=None) -> StepOutcome:
-    """Apply the unique matching transition rule once.
+    """Apply the unique matching transition rule once: Err, TimeStop, or
+    the successor `Config`.
 
     The configuration's program must be nonempty; stepping the empty
     stack is a caller error.
@@ -198,7 +195,7 @@ def step(config: Config, flow_method=None) -> StepOutcome:
     out, _, last = _close(config, 1, flow_method)
     # one step that completes the program or leaves work stops at Normal
     # or OutOfFuel; either way `last` is the successor configuration
-    return Resume(last) if type(out) in (Normal, OutOfFuel) else out
+    return last if type(out) in (Normal, OutOfFuel) else out
 
 
 def _close(config: Config, fuel: int, flow_method=None, sink=None):

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import random
 import resource
 import signal
@@ -816,13 +817,15 @@ def test_bins_over_the_maximum_exit_cleanly(capsys):
     (("--hist", "p@0.7"), "time 0.7 is not on the grid (0.0, 0.5, 1.0)"),
     (("--check", "p <= 0", "--interval", "0", "2"), "interval must lie within the grid"),
     (("--check", "p <= 0", "--interval", "0.1", "0.2"), "interval [0.1, 0.2] holds no grid time"),
+    (("--check", "p <= 0", "--interval", "0.9", "0.6"),
+     "interval [0.9, 0.6] is reversed: its start exceeds its end"),
     (("--check", "p <= 5", "--hist", "p@1.0"), "--hist cannot be combined with --check"),
     (("--bins", "3"), "--bins needs --hist"),
     (("--grid", "0:1:x"), "bad --grid '0:1:x': 'x' is not a number"),
     (("--flow", "rk4:abc"), "bad --flow 'rk4:abc': 'abc' is not a number"),
 ], ids=["no-bins", "too-many-bins", "no-var", "bad-time", "unknown-var", "off-grid",
-        "interval-outside", "interval-empty", "hist-and-check", "bins-alone", "bad-grid",
-        "bad-flow"])
+        "interval-outside", "interval-empty", "interval-reversed", "hist-and-check",
+        "bins-alone", "bad-grid", "bad-flow"])
 def test_statistic_flags_are_refused_before_any_run_is_recorded(monkeypatch, capsys, flags,
                                                                 message):
     # each refusal used to come only after the whole ensemble was recorded
@@ -921,7 +924,7 @@ def _fresh_cli(budget, *argv):
 
 
 def test_a_huge_k_meets_the_cap_without_building_its_atoms():
-    # Discretization.atoms used to build a tuple of k floats on every access:
+    # the atoms used to be built as a tuple of k floats on every access:
     # at k = 10^8 that reached 1.8 GB and died with a MemoryError traceback
     code, out, seconds = _fresh_cli(10, "adequacy", PROGRAMS / "ball.swl", "--k", 10 ** 8,
                                     "--time", "1", "--cap", "10")
@@ -1022,6 +1025,36 @@ for argv in {commands!r}:
 print(*codes)
 """], capture_output=True, text=True, env=src_env(), cwd=ROOT, timeout=120)
     assert (proc.stdout, proc.stderr) == ("2 0 0\n", "")
+
+
+def test_a_histogram_wider_than_the_largest_float_is_counted(tmp_path):
+    # max - min = 3.4e308 overflows: numpy's own edges printed two
+    # RuntimeWarnings and then refused to make the bins (exit 1)
+    wide = tmp_path / "wide.swl"
+    wide.write_text("x := unif(0, 1) ; if x <= 0.5 then { y := 1.7e308 } "
+                    "else { y := -1.7e308 } ; wait 1")
+    cases = [(bins, fmt) for bins in (1, 2, 4) for fmt in ("csv", "json")]
+    commands = [["simulate", str(wide), "--grid", "0:1:1", "--runs", "8", "--seed", "1",
+                 "--hist", "y@1", "--bins", str(bins), "--format", fmt,
+                 "--out", str(tmp_path / f"{bins}.{fmt}")] for bins, fmt in cases]
+    proc = subprocess.run([sys.executable, "-W", "always", "-c", f"""
+from swhile.cli import main
+print(*[main(argv) for argv in {commands!r}])
+"""], capture_output=True, text=True, env=src_env(), cwd=ROOT, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("0 0 0 0 0 0\n", "")
+    for bins, fmt in cases:
+        text = (tmp_path / f"{bins}.{fmt}").read_text()
+        if fmt == "json":
+            result = json.loads(text)
+            counts, edges, excluded = result["counts"], result["edges"], result["excluded"]
+        else:
+            *rows, last = [line.split(",") for line in text.splitlines()[1:]]
+            counts = [int(row[2]) for row in rows]
+            edges = [float(row[0]) for row in rows] + [float(rows[-1][1])]
+            excluded = int(last[2])
+        assert len(counts) == bins and sum(counts) == 8 - excluded
+        assert all(map(math.isfinite, edges)) and edges == sorted(set(edges))
+        assert len(edges) == bins + 1
 
 
 def test_an_ensemble_over_the_point_maximum_is_refused_before_its_seeds_are_split():

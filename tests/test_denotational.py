@@ -29,27 +29,42 @@ WALKTHROUGH = "x := 0 ; while tt { x++ ; wait 1 }"
 
 def test_discretization_atoms_are_midpoints():
     d = Discretization(2)
-    assert d.atoms == (0.25, 0.75)
+    assert tuple(d) == (0.25, 0.75)
     assert d.atom_weight == 0.5
     d4 = Discretization(4)
-    assert d4.atoms == (0.125, 0.375, 0.625, 0.875)
+    assert tuple(d4) == (0.125, 0.375, 0.625, 0.875)
     with pytest.raises(ValueError):
         Discretization(0)
 
 
-def test_atoms_read_like_the_tuple_of_midpoints():
+def test_discretization_is_the_sequence_of_its_midpoints(monkeypatch):
     # test_cli checks that a huge k costs no memory, in a bounded process
-    atoms = Discretization(7).atoms
-    for i in (7, -1):
-        with pytest.raises(IndexError):
-            atoms[i]
     for k in (1, 2, 3, 7, 100):
         want = tuple((2 * i + 1) / (2 * k) for i in range(k))
-        got = Discretization(k).atoms
-        assert tuple(got) == want and got == want and got == Discretization(k).atoms
-        assert [got[i] for i in range(k)] == list(want) and hash(got) == hash(want)
-    assert Discretization(2).atoms != Discretization(3).atoms
-    assert Discretization(2).atoms != (0.25, 0.75, 1.0)
+        d = Discretization(k)
+        assert tuple(d) == want and [d[i] for i in range(k)] == list(want)
+        assert len(d) == k
+        for i in (k, -1):
+            with pytest.raises(IndexError):
+                d[i]
+        assert d == Discretization(k) and hash(d) == hash(Discretization(k))
+        assert d != Discretization(k + 1) and d != Discretization(k, exact=True)
+    source = Enumerator(Discretization(7), (3, 0, 6))
+    drawn = []
+    for _ in range(3):
+        a, source = source.draw()
+        drawn.append(a)
+    assert drawn == [7 / 14, 1 / 14, 13 / 14]
+    with pytest.raises(EntropyExhausted):
+        source.draw()
+
+    def no_atoms(*_):
+        raise AssertionError("an atom was built")
+
+    monkeypatch.setattr(Discretization, "__iter__", no_atoms)
+    monkeypatch.setattr(Discretization, "__getitem__", no_atoms)
+    huge = Discretization(10 ** 8)
+    assert hash(huge) == hash(Discretization(10 ** 8)) and huge == Discretization(10 ** 8)
 
 
 def test_rational_mode_weights():
@@ -222,8 +237,8 @@ def test_enumeration_agrees_with_functional_prefix_runs():
     out = enumerate_operational(program, (0.0, 0.0), 1.0, d, max_unfold=1)
     assert abs(out.mass() - 1.0) < 1e-12
     total = {}
-    for a in d.atoms:
-        for b in d.atoms:
+    for a in d:
+        for b in d:
             run = eval_functional(program, (0.0, 0.0), 1.0, FinitePrefix((a, b)), fuel=1)
             assert isinstance(run, Normal)
             pt = XPoint(run.store, run.t)
@@ -250,10 +265,10 @@ def _denote_reference(program, disc, max_unfold, flow_method=None):
         return assign_kernel
     if t is Sample:
         index = program.var.index
-        atoms, weight = disc.atoms, disc.atom_weight
+        weight = disc.atom_weight
 
         def sample_kernel(pt):
-            return DiscMeasure({XPoint(update(pt.store, index, a), pt.t): weight for a in atoms})
+            return DiscMeasure({XPoint(update(pt.store, index, a), pt.t): weight for a in disc})
 
         return sample_kernel
     if t is DiffBlock:
@@ -410,7 +425,6 @@ def test_walk_of_18_flips_is_denoted_by_distinct_points():
 # It is the reference that enumerate_operational is checked against.
 def _enumerate_reference(program, store, t, disc, max_unfold,
                          branch_cap=denotational.DEFAULT_BRANCH_CAP, flow_method=None):
-    atoms = disc.atoms
     weight = disc.atom_weight
     acc = {}
     stack = [()]
@@ -420,7 +434,7 @@ def _enumerate_reference(program, store, t, disc, max_unfold,
         explored += 1
         if explored > branch_cap:
             raise BranchExplosion(explored, branch_cap)
-        source = Enumerator(atoms, path)
+        source = Enumerator(disc, path)
         try:
             out = eval_functional(program, store, t, source, max_unfold, flow_method)
         except EntropyExhausted:
@@ -481,7 +495,7 @@ def _resume_states(program, store, t, disc, max_unfold):
     while paths:
         path = paths.pop()
         try:
-            eval_functional(program, store, t, Enumerator(disc.atoms, path), max_unfold)
+            eval_functional(program, store, t, Enumerator(disc, path), max_unfold)
         except EntropyExhausted as exc:
             stack, store_at, t_at = exc.resume
             states.add((len(path), tuple(stack), store_at, t_at))

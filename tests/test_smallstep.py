@@ -15,7 +15,6 @@ from swhile.smallstep import (
     Err,
     Normal,
     OutOfFuel,
-    Resume,
     TimeStop,
     _close,
     run_to_terminal,
@@ -37,11 +36,11 @@ def cfg(source, store, t, entropy):
 def test_sampling_consumes_stream_head():
     config, _ = cfg("x := unif(0, 1)", (0.0,), 3.0, FinitePrefix((0.7, 0.2)))
     out = step(config)
-    assert isinstance(out, Resume)
-    assert out.config.program is None
-    assert out.config.store == (0.7,)
-    assert out.config.t == 3.0
-    assert out.config.entropy == FinitePrefix((0.7, 0.2), 1)
+    assert isinstance(out, Config)
+    assert out.program is None
+    assert out.store == (0.7,)
+    assert out.t == 3.0
+    assert out.entropy == FinitePrefix((0.7, 0.2), 1)
 
 
 def test_wait_longer_than_remaining_time_stops():
@@ -136,7 +135,7 @@ def test_rule_determinism_on_fuzzed_configs():
             err = (not defined) or d < 0.0
             assert stop + skip + err == 1
         out = step(config)
-        assert isinstance(out, (Resume, TimeStop, Err))
+        assert isinstance(out, (Config, TimeStop, Err))
 
 
 def test_time_and_entropy_monotonicity_along_traces():
@@ -176,14 +175,13 @@ def test_progress_lemma_against_big_step():
             out = step(config)
         except EntropyExhausted:
             continue
-        if not isinstance(out, Resume):
+        if not isinstance(out, Config):
             continue
-        inner = out.config
-        if inner.program is None:
-            after = Normal(inner.store, inner.t, inner.entropy)
+        if out.program is None:
+            after = Normal(out.store, out.t, out.entropy)
         else:
             try:
-                after = eval_big(inner, fuel=60)
+                after = eval_big(out, fuel=60)
             except EntropyExhausted:
                 continue
         if isinstance(after, OutOfFuel):
@@ -217,13 +215,13 @@ def _step_reference(config, flow_method=None):
     t = type(p)
     if t is Sample:
         h, src = config.entropy.draw()
-        return Resume(Config(None, update(config.store, p.var.index, h), config.t, src))
+        return Config(None, update(config.store, p.var.index, h), config.t, src)
     if t is Assign:
         try:
             v = eval_expr(p.expr, config.store)
         except Undefined:
             return ERR
-        return Resume(Config(None, update(config.store, p.var.index, v), config.t, config.entropy))
+        return Config(None, update(config.store, p.var.index, v), config.t, config.entropy)
     if t is DiffBlock:
         try:
             d = eval_expr(p.duration, config.store)
@@ -240,28 +238,27 @@ def _step_reference(config, flow_method=None):
             evolved = ode.flow(p, config.store, d, flow_method)
         except Undefined:
             return ERR
-        return Resume(Config(None, evolved, config.t - d, config.entropy))
+        return Config(None, evolved, config.t - d, config.entropy)
     if t is If:
         try:
             guard = eval_bool(p.cond, config.store)
         except Undefined:
             return ERR
         chosen = p.then_branch if guard else p.else_branch
-        return Resume(Config(chosen, config.store, config.t, config.entropy))
+        return Config(chosen, config.store, config.t, config.entropy)
     if t is While:
         try:
             guard = eval_bool(p.cond, config.store)
         except Undefined:
             return ERR
         if guard:
-            return Resume(Config(Seq(p.body, p), config.store, config.t, config.entropy))
-        return Resume(Config(None, config.store, config.t, config.entropy))
+            return Config(Seq(p.body, p), config.store, config.t, config.entropy)
+        return Config(None, config.store, config.t, config.entropy)
     if t is Seq:
         head = _step_reference(Config(p.first, config.store, config.t, config.entropy), flow_method)
-        if type(head) is Resume:
-            inner = head.config
-            rest = p.rest if inner.program is None else Seq(inner.program, p.rest)
-            return Resume(Config(rest, inner.store, inner.t, inner.entropy))
+        if type(head) is Config:
+            rest = p.rest if head.program is None else Seq(head.program, p.rest)
+            return Config(rest, head.store, head.t, head.entropy)
         return head
     raise TypeError(f"not a program node: {p!r}")
 
@@ -277,9 +274,9 @@ def _close_reference(config, fuel, flow_method=None):
             return configs, OutOfFuel(steps), steps, config
         out = _step_reference(config, flow_method)
         steps += 1
-        if type(out) is not Resume:
+        if type(out) is not Config:
             return configs, out, steps, config
-        config = out.config
+        config = out
         if config.program is not None:
             configs.append(config)
 
