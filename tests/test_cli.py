@@ -212,8 +212,12 @@ def test_adequacy_golden_cases_cover_every_bundled_program():
     for _, _, path, *args in ADEQUACY_CASES:
         modes.setdefault(path, []).append(" ".join(args))
     assert sorted(modes) == [f"programs/{p.name}" for p in program_files()]
-    assert all(m == ["--rational --time 0.5 --time 1.0 --time 1.5", "--k 2", "--rational --k 3"]
+    assert all(m[:3] == ["--rational --time 0.5 --time 1.0 --time 1.5", "--k 2", "--rational --k 3"]
                for m in modes.values())
+    # beyond those three, float mode at k = 3 for two programs
+    assert {path: m[3:] for path, m in modes.items() if m[3:]} == {
+        "programs/brownian.swl": ["--k 3 --time 1.5"],
+        "programs/ctrw_counting.swl": ["--k 3 --time 1.5"]}
 
 
 def test_simulate_is_reproducible(capsys):

@@ -1,6 +1,8 @@
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -455,11 +457,10 @@ def _enumeration_outcome(enumerate_, *args):
         return ("explosion", exc.explored)
 
 
-def _enumeration_differences(seed, cases):
+def _fuzz_cases(seed, cases):
+    """Seeded `genprog` cases: (program, store, t, k, unfold, cap)."""
     rng = random.Random(seed)
-    differences = []
-    kinds = set()
-    for case in range(cases):
+    for _ in range(cases):
         table = gen_table(rng)
         program = gen_program(rng, table, depth=4)
         k = rng.choice((1, 2, 3))
@@ -467,6 +468,13 @@ def _enumeration_differences(seed, cases):
         store = gen_store(rng, table)
         t = rng.choice((0.0, 0.5, 1.5, 4.0))
         cap = rng.choice((3, 20, 100, None))
+        yield program, store, t, k, unfold, cap
+
+
+def _enumeration_differences(seed, cases):
+    differences = []
+    kinds = set()
+    for case, (program, store, t, k, unfold, cap) in enumerate(_fuzz_cases(seed, cases)):
         for exact in (True, False):
             disc = Discretization(k, exact=exact)
             args = (program, store, t, disc, unfold)
@@ -484,6 +492,54 @@ def test_resumed_enumeration_matches_the_replaying_reference():
     differences, kinds = _enumeration_differences(8181, 400)
     assert differences == []
     assert kinds == {"explosion", "measure"}
+
+
+# `_push` on the cases of `_enumeration_differences`, one line per case, mode
+# and input measure: the case's point mass, then a mixed measure of two
+# X-points and an E-point with rational weights, then the same with float
+# weights.  A line lists each output point's repr, weight and rank in the
+# output's insertion order, sorted by repr.  A rational weight is written
+# n/d and a float weight as `float.hex`, so the file pins rational weights
+# exactly, and float weights and the order in which float sums add them bit
+# for bit.  Rewrite it from the code under test with
+# `PYTHONPATH=src python tests/test_denotational.py`.
+GOLDEN_DENOTE = Path(__file__).resolve().parent / "golden" / "denote" / "fuzz.jsonl"
+_MIXED_WEIGHTS = {"fractions": (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),
+                  "floats": (0.3, 0.2, 0.1)}
+
+
+def _weight_text(w):
+    if type(w) is float:
+        return w.hex()
+    w = Fraction(w)
+    return f"{w.numerator}/{w.denominator}"
+
+
+def _denote_golden_lines():
+    for case, (program, store, t, k, unfold, _) in enumerate(_fuzz_cases(8181, 400)):
+        rng = random.Random(case)
+        other = tuple(round(rng.uniform(-2.0, 2.0), 3) for _ in store)
+        stopped = tuple(round(rng.uniform(-2.0, 2.0), 3) for _ in store)
+        pt = XPoint(store, t)
+        inputs = {"dirac": dirac(pt)}
+        for name, (a, b, c) in _MIXED_WEIGHTS.items():
+            inputs[name] = DiscMeasure({pt: a, XPoint(other, rng.choice((0.5, 2.0))): b,
+                                        EPoint(stopped): c})
+        for exact in (True, False):
+            disc = Discretization(k, exact=exact)
+            for name, mu in inputs.items():
+                out = _push(program, mu, disc, unfold, None)
+                points = sorted(([repr(q), _weight_text(w), rank]
+                                 for rank, (q, w) in enumerate(out.items())), key=lambda e: e[0])
+                yield json.dumps({"case": case, "exact": exact, "input": name, "points": points})
+
+
+def test_denotation_matches_the_golden_on_fuzzed_programs():
+    want = GOLDEN_DENOTE.read_text().splitlines()
+    got = list(_denote_golden_lines())
+    assert len(got) == len(want) == 2400
+    for g, w in zip(got, want):
+        assert json.loads(g) == json.loads(w)
 
 
 def _resume_states(program, store, t, disc, max_unfold):
@@ -621,3 +677,8 @@ def test_negative_kleene_index_is_rejected():
                  lambda: adequacy_check(program, dirac(EPoint((0.0,))), disc, -1)):
         with pytest.raises(ValueError, match="the Kleene index must be nonnegative"):
             call()
+
+
+if __name__ == "__main__":
+    GOLDEN_DENOTE.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_DENOTE.write_text("".join(line + "\n" for line in _denote_golden_lines()))
