@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import ode
 from .bigstep import BOTTOM, _functional
@@ -118,15 +119,29 @@ def denote(program: Program, disc: Discretization, max_unfold: int, flow_method=
 _ELSE, _JOIN, _ROUND = "else", "join", "round"
 
 
+def _lifted(weights: dict, factor: int) -> dict:
+    return weights if factor == 1 else {key: w * factor for key, w in weights.items()}
+
+
+def _common(a: dict, a_den: int, b: dict, b_den: int):
+    """Weights `a` over `a_den` and `b` over `b_den` over one denominator:
+    (a, b, den).  An empty side takes the other's denominator as it is."""
+    if a_den == b_den or not a:
+        return a, b, b_den
+    if not b:
+        return a, b, a_den
+    den = lcm(a_den, b_den)
+    return _lifted(a, den // a_den), _lifted(b, den // b_den), den
+
+
 def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: int,
           flow_method) -> DiscMeasure:
     """The Kleisli extension of `denote(program, ...)`, applied to `mu`.
 
-    The X-mass is a frontier (point -> weight) pushed through the program
-    one node at a time, with a work stack instead of recursion:
+    The X-mass is a frontier ((store, t) -> weight) pushed through the
+    program one node at a time, with a work stack instead of recursion:
 
-    * an atomic node maps every frontier point once, and its X-output is
-      one validated `DiscMeasure`;
+    * an atomic node maps every frontier point once into a new frontier;
     * `If` splits the frontier by its guard (guard errors lose their mass),
       runs each branch on its share and merges the two outputs;
     * `Seq` pushes its rest, then its first, on the stack;
@@ -137,9 +152,23 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
       the loop denotes its `max_unfold`-th Kleene approximant, the index
       at which `enumerate_operational` truncates.
 
-    E-points, wherever they arise, go straight to the output, as the
-    extension passes them through everything that follows; their weights
-    are validated with the output measure.
+    E-mass, wherever it arises, goes straight to the output (store ->
+    weight), as the extension passes it through everything that follows.
+
+    Weights are carried without building a `Fraction` or a point per step.
+    With an exact discretization and only `int` or `Fraction` weights in
+    `mu`, each weight is an `int` over one denominator per frontier (and
+    one for the E-output): it starts as the lcm of `mu`'s denominators, a
+    `Sample` multiplies it by k, and where two frontiers meet (an `If`'s
+    join, a loop's leaving points, the E-output) the smaller denominator is
+    brought up to their lcm.  Otherwise the denominator stays 1 and the
+    weights are `mu`'s own, multiplied by the atom weight at each `Sample`
+    and summed in frontier order.  `XPoint`s, `EPoint`s and `Fraction`s are
+    built once, for the output, which `DiscMeasure._adopt` validates: its
+    weights, its mass and each `XPoint`'s remaining time.  A frontier's t
+    needs no check of its own: it starts as an input point's checked t0,
+    and a differential block of duration d with 0 <= d <= t keeps t - d,
+    so every t is t0 minus a sum of such durations, in [0, t0].
 
     Equal points are merged as they arrive.  This is the identification
     the output measure makes anyway, and no later step can tell merged
@@ -150,14 +179,22 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
     results or errs on both.  So cost grows with the number of distinct
     points per node, not with the number of paths.
     """
-    out = {}
-    frontier = {}
+    weights = [w for _, w in mu.items()]
+    scaled = disc.exact and all(type(w) is int or type(w) is Fraction for w in weights)
+    if scaled:
+        den = lcm(*[w.denominator for w in weights])
+        step, factor = disc.k, 1
+    else:
+        den, step, factor = 1, 1, disc.atom_weight
+    out, frontier = {}, {}
     for pt, w in mu.items():
+        if scaled:
+            w = w.numerator * (den // w.denominator)
         if type(pt) is EPoint:
-            out[pt] = w
+            out[pt.store] = w
         else:
-            frontier[pt] = w
-    atom_weight = disc.atom_weight
+            frontier[pt.store, pt.t] = w
+    out_den = den
     todo = [program]
     while todo:
         node = todo.pop()
@@ -166,37 +203,41 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
             tag = node[0]
             if tag == _ELSE:
                 # the frontier is the then-branch's output
-                todo.append((_JOIN, frontier))
+                todo.append((_JOIN, frontier, den))
                 todo.append(node[1])
-                frontier = node[2]
+                frontier, den = node[2], node[3]
             elif tag == _JOIN:
-                # a non-empty frontier that has been through a node is a
-                # DiscMeasure, so the two outputs add as measures
-                then_out = node[1]
+                _, then_out, then_den = node
                 if then_out:
-                    frontier = then_out + frontier if frontier else then_out
+                    acc, frontier, den = _common(then_out, then_den, frontier, den)
+                    for key, w in frontier.items():
+                        old = acc.get(key)
+                        acc[key] = w if old is None else old + w
+                    frontier = acc
             else:
                 # _ROUND: the frontier enters the loop's guard
-                _, loop, left, stay = node
+                _, loop, left, stay, stay_den = node
                 through = {}
                 if left:
+                    stay, frontier, den = _common(stay, stay_den, frontier, den)
+                    stay_den = den
                     cond = loop.cond
-                    for pt, w in frontier.items():
+                    for key, w in frontier.items():
                         try:
-                            guard = eval_bool(cond, pt.store)
+                            guard = eval_bool(cond, key[0])
                         except Undefined:
                             continue
                         if guard:
-                            through[pt] = w
+                            through[key] = w
                         else:
-                            old = stay.get(pt)
-                            stay[pt] = w if old is None else old + w
+                            old = stay.get(key)
+                            stay[key] = w if old is None else old + w
                 if through:
-                    todo.append((_ROUND, loop, left - 1, stay))
+                    todo.append((_ROUND, loop, left - 1, stay, stay_den))
                     todo.append(loop.body)
                     frontier = through
                 else:
-                    frontier = DiscMeasure._adopt(stay)
+                    frontier, den = stay, stay_den
             continue
         if not frontier:
             continue
@@ -206,65 +247,71 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
         elif t is Assign:
             index, expr = node.var.index, node.expr
             acc = {}
-            for pt, w in frontier.items():
+            for (store, rem), w in frontier.items():
                 try:
-                    v = eval_expr(expr, pt.store)
+                    v = eval_expr(expr, store)
                 except Undefined:
                     continue
-                q = XPoint(update(pt.store, index, v), pt.t)
+                q = (update(store, index, v), rem)
                 old = acc.get(q)
                 acc[q] = w if old is None else old + w
-            frontier = DiscMeasure._adopt(acc)
+            frontier = acc
         elif t is Sample:
             index = node.var.index
             acc = {}
-            for pt, w in frontier.items():
-                store, rem = pt.store, pt.t
-                v = w * atom_weight
+            for (store, rem), w in frontier.items():
+                v = w * factor
                 for a in disc:
-                    q = XPoint(update(store, index, a), rem)
+                    q = (update(store, index, a), rem)
                     old = acc.get(q)
                     acc[q] = v if old is None else old + v
-            frontier = DiscMeasure._adopt(acc)
+            den *= step
+            if not scaled and 0 in acc.values():
+                # a float weight times the atom weight can round to zero,
+                # here and nowhere else; such a point carries no mass
+                acc = {q: v for q, v in acc.items() if v}
+            frontier = acc
         elif t is DiffBlock:
             duration = node.duration
+            out, frontier, den = _common(out, out_den, frontier, den)
+            out_den = den
             acc = {}
-            for pt, w in frontier.items():
-                store, rem = pt.store, pt.t
+            for (store, rem), w in frontier.items():
                 try:
                     d = eval_expr(duration, store)
                     if d < 0.0:
                         continue
                     if d > rem:
-                        e = EPoint(ode.flow(node, store, rem, flow_method))
+                        e = ode.flow(node, store, rem, flow_method)
                         old = out.get(e)
                         out[e] = w if old is None else old + w
                     else:
-                        q = XPoint(ode.flow(node, store, d, flow_method), rem - d)
+                        q = (ode.flow(node, store, d, flow_method), rem - d)
                         old = acc.get(q)
                         acc[q] = w if old is None else old + w
                 except Undefined:
                     continue
-            frontier = DiscMeasure._adopt(acc)
+            frontier = acc
         elif t is If:
             cond = node.cond
             then_share, else_share = {}, {}
-            for pt, w in frontier.items():
+            for key, w in frontier.items():
                 try:
-                    guard = eval_bool(cond, pt.store)
+                    guard = eval_bool(cond, key[0])
                 except Undefined:
                     continue
-                (then_share if guard else else_share)[pt] = w
-            todo.append((_ELSE, node.else_branch, else_share))
+                (then_share if guard else else_share)[key] = w
+            todo.append((_ELSE, node.else_branch, else_share, den))
             todo.append(node.then_branch)
             frontier = then_share
         elif t is While:
-            todo.append((_ROUND, node, max_unfold, {}))
+            todo.append((_ROUND, node, max_unfold, {}, den))
         else:  # pragma: no cover
             raise TypeError(f"not a program node: {node!r}")
-    for pt, w in frontier.items():
-        out[pt] = w
-    return DiscMeasure._adopt(out)
+    points = {EPoint(store): Fraction(w, out_den) if scaled else w for store, w in out.items()}
+    for (store, rem), w in frontier.items():
+        points[XPoint(store, rem)] = Fraction(w, den) if scaled else w
+    return DiscMeasure._adopt(points)
 
 
 def _check_bounds(max_unfold: int, branch_cap: int) -> None:
@@ -296,8 +343,11 @@ def enumerate_operational(
     that depth's distinct resume states, each with the number of paths
     reaching it: every (state, atom) pair resumes once, from a source
     holding just its atom, and a branch that ends adds
-    paths * weight**depth to its point (at k >= 3, a float weight may so
-    differ in the last bit from the sum over the paths).  A state is keyed
+    paths * weight**depth to its point.  With an exact discretization the
+    sums are path counts in integers at the scale k**depth, and each point
+    gets one `Fraction` at the end; with float weights the sums are taken
+    as written (at k >= 3, they may so differ in the last bit from the sum
+    over the paths).  A state is keyed
     by its store, t and the identity of its stack's nodes, all subterms of
     `program` (a loop frame: its loop's identity and index).  Equal stores
     differ at most in the sign of a zero, which no later step can tell
@@ -309,14 +359,16 @@ def enumerate_operational(
     at a time, so a large k costs nothing before the cap fires.
     """
     _check_bounds(max_unfold, branch_cap)
+    k, exact = disc.k, disc.exact
     weight = disc.atom_weight
-    acc: dict = {}
+    where: dict = {}  # each ending point's place in `sums`, in order of arrival
+    sums = []  # exact: path counts over k**depth; else sums of paths * weight**depth
     # the runs of one depth: (work stack, store, t, source, paths)
     runs = [([] if program is None else [program], store, t, Enumerator(disc, ()), 1)]
     depth = explored = 0
     while True:
         states: dict = {}  # the next depth's resume states
-        w = weight ** depth
+        w = 1 if exact else weight ** depth
         for stack, store, t, source, paths in runs:
             explored += 1
             if explored > branch_cap:
@@ -331,11 +383,18 @@ def enumerate_operational(
             else:
                 if out is not BOTTOM:
                     pt = XPoint(out.store, out.t) if type(out) is Normal else EPoint(out.store)
-                    old = acc.get(pt)
-                    acc[pt] = paths * w if old is None else old + paths * w
+                    i = where.setdefault(pt, len(sums))
+                    if i == len(sums):
+                        sums.append(paths * w)
+                    else:
+                        sums[i] += paths * w
         if not states:
-            return DiscMeasure._adopt(acc)
+            den = k ** depth
+            return DiscMeasure._adopt(
+                {pt: Fraction(n, den) if exact else n for pt, n in zip(where, sums)})
         depth += 1
+        if exact:
+            sums = [n * k for n in sums]
         runs = ((stack.copy(), store, t, Enumerator(disc, (i,)), paths)
                 for stack, store, t, paths in states.values() for i in range(disc.k))
 
