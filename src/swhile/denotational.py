@@ -25,9 +25,18 @@ points are merged, and a loop is a sequence of rounds over its frontier
 (see `_push`).  No step recurses, so neither `max_unfold` nor the length
 of a `Seq` chain is bounded by Python's recursion limit, and the cost
 grows with the number of distinct points rather than the number of
-paths.  The enumeration side, the independent operational semantics the
+paths.  Inside the iteration an X-point is a (store, t) tuple and an
+E-point a store.  In rational mode each weight is an `int` over one
+denominator per frontier, which a `Sample` multiplies by k; otherwise the
+weights are floats summed in frontier order.  `XPoint`s, `EPoint`s and
+`Fraction`s are built once, for the output measure, which is validated as
+every measure is, down to each `XPoint`'s remaining time; a frontier's t
+is an input point's checked t0 less the durations flowed since, each at
+most the time then left, so it lies in [0, t0] and needs no check of its
+own.  The enumeration side, the independent operational semantics the
 denotation is checked against, runs the functional semantics over the
-distinct resume states of each draw depth (see `enumerate_operational`).
+distinct resume states of each draw depth (see `enumerate_operational`),
+with integer path counts at the scale k**depth in rational mode.
 
 `adequacy_check` compares the two sides on a whole input measure: the
 operational side is the Kleisli extension (`measure.kleisli_extend`) of
@@ -134,6 +143,113 @@ def _common(a: dict, a_den: int, b: dict, b_den: int):
     return _lifted(a, den // a_den), _lifted(b, den // b_den), den
 
 
+# `_push`'s steps.  Each builds its output in a local that dies when it
+# returns, so no frontier outlives the step that consumes it.
+
+def _assigned(node: Assign, frontier: dict) -> dict:
+    index, expr = node.var.index, node.expr
+    acc = {}
+    for (store, rem), w in frontier.items():
+        try:
+            v = eval_expr(expr, store)
+        except Undefined:
+            continue
+        q = (update(store, index, v), rem)
+        old = acc.get(q)
+        acc[q] = w if old is None else old + w
+    return acc
+
+
+def _sampled(node: Sample, frontier: dict, disc: Discretization, factor) -> dict:
+    index = node.var.index
+    acc = {}
+    for (store, rem), w in frontier.items():
+        v = w * factor
+        for a in disc:
+            q = (update(store, index, a), rem)
+            old = acc.get(q)
+            acc[q] = v if old is None else old + v
+    return acc
+
+
+def _flowed(node: DiffBlock, frontier: dict, out: dict, flow_method) -> dict:
+    """The points that finish the block; those that reach the end of time
+    first stop as E-points, whose weights are added to `out`."""
+    duration = node.duration
+    acc = {}
+    for (store, rem), w in frontier.items():
+        try:
+            d = eval_expr(duration, store)
+            if d < 0.0:
+                continue
+            if d > rem:
+                e = ode.flow(node, store, rem, flow_method)
+                old = out.get(e)
+                out[e] = w if old is None else old + w
+            else:
+                q = (ode.flow(node, store, d, flow_method), rem - d)
+                old = acc.get(q)
+                acc[q] = w if old is None else old + w
+        except Undefined:
+            continue
+    return acc
+
+
+def _split(cond, frontier: dict, false_share: dict) -> dict:
+    """The points of `frontier` where `cond` holds.  Those where it fails
+    are added to `false_share`; those where it is undefined lose their
+    mass."""
+    true_share = {}
+    for key, w in frontier.items():
+        try:
+            guard = eval_bool(cond, key[0])
+        except Undefined:
+            continue
+        if guard:
+            true_share[key] = w
+        else:
+            old = false_share.get(key)
+            false_share[key] = w if old is None else old + w
+    return true_share
+
+
+def _branched(node: If, frontier: dict, den: int, todo: list) -> dict:
+    """The then-branch's share of `frontier`, with the branches and the
+    else-branch's share pushed on `todo`."""
+    else_share = {}
+    then_share = _split(node.cond, frontier, else_share)
+    todo.append((_ELSE, node.else_branch, else_share, den))
+    todo.append(node.then_branch)
+    return then_share
+
+
+def _joined(then_out: dict, then_den: int, frontier: dict, den: int):
+    """The then-branch's output plus the else-branch's, in that order:
+    (weights, den).  `then_out` is reused."""
+    acc, frontier, den = _common(then_out, then_den, frontier, den)
+    for key, w in frontier.items():
+        old = acc.get(key)
+        acc[key] = w if old is None else old + w
+    return acc, den
+
+
+def _round(frame: tuple, frontier: dict, den: int, todo: list):
+    """A loop round: points where the guard fails join the points that left
+    in earlier rounds; if some hold, the body and the next round are pushed
+    on `todo` and those points are the new frontier, otherwise the points
+    that left are: (weights, den)."""
+    _, loop, left, stay, stay_den = frame
+    if not left:
+        return stay, stay_den
+    stay, frontier, den = _common(stay, stay_den, frontier, den)
+    through = _split(loop.cond, frontier, stay)
+    if not through:
+        return stay, den
+    todo.append((_ROUND, loop, left - 1, stay, den))
+    todo.append(loop.body)
+    return through, den
+
+
 def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: int,
           flow_method) -> DiscMeasure:
     """The Kleisli extension of `denote(program, ...)`, applied to `mu`.
@@ -207,37 +323,11 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
                 todo.append(node[1])
                 frontier, den = node[2], node[3]
             elif tag == _JOIN:
-                _, then_out, then_den = node
-                if then_out:
-                    acc, frontier, den = _common(then_out, then_den, frontier, den)
-                    for key, w in frontier.items():
-                        old = acc.get(key)
-                        acc[key] = w if old is None else old + w
-                    frontier = acc
+                if node[1]:
+                    frontier, den = _joined(node[1], node[2], frontier, den)
             else:
                 # _ROUND: the frontier enters the loop's guard
-                _, loop, left, stay, stay_den = node
-                through = {}
-                if left:
-                    stay, frontier, den = _common(stay, stay_den, frontier, den)
-                    stay_den = den
-                    cond = loop.cond
-                    for key, w in frontier.items():
-                        try:
-                            guard = eval_bool(cond, key[0])
-                        except Undefined:
-                            continue
-                        if guard:
-                            through[key] = w
-                        else:
-                            old = stay.get(key)
-                            stay[key] = w if old is None else old + w
-                if through:
-                    todo.append((_ROUND, loop, left - 1, stay, stay_den))
-                    todo.append(loop.body)
-                    frontier = through
-                else:
-                    frontier, den = stay, stay_den
+                frontier, den = _round(node, frontier, den, todo)
             continue
         if not frontier:
             continue
@@ -245,65 +335,20 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
             todo.append(node.rest)
             todo.append(node.first)
         elif t is Assign:
-            index, expr = node.var.index, node.expr
-            acc = {}
-            for (store, rem), w in frontier.items():
-                try:
-                    v = eval_expr(expr, store)
-                except Undefined:
-                    continue
-                q = (update(store, index, v), rem)
-                old = acc.get(q)
-                acc[q] = w if old is None else old + w
-            frontier = acc
+            frontier = _assigned(node, frontier)
         elif t is Sample:
-            index = node.var.index
-            acc = {}
-            for (store, rem), w in frontier.items():
-                v = w * factor
-                for a in disc:
-                    q = (update(store, index, a), rem)
-                    old = acc.get(q)
-                    acc[q] = v if old is None else old + v
+            frontier = _sampled(node, frontier, disc, factor)
             den *= step
-            if not scaled and 0 in acc.values():
+            if not scaled and 0 in frontier.values():
                 # a float weight times the atom weight can round to zero,
                 # here and nowhere else; such a point carries no mass
-                acc = {q: v for q, v in acc.items() if v}
-            frontier = acc
+                frontier = {key: w for key, w in frontier.items() if w}
         elif t is DiffBlock:
-            duration = node.duration
             out, frontier, den = _common(out, out_den, frontier, den)
             out_den = den
-            acc = {}
-            for (store, rem), w in frontier.items():
-                try:
-                    d = eval_expr(duration, store)
-                    if d < 0.0:
-                        continue
-                    if d > rem:
-                        e = ode.flow(node, store, rem, flow_method)
-                        old = out.get(e)
-                        out[e] = w if old is None else old + w
-                    else:
-                        q = (ode.flow(node, store, d, flow_method), rem - d)
-                        old = acc.get(q)
-                        acc[q] = w if old is None else old + w
-                except Undefined:
-                    continue
-            frontier = acc
+            frontier = _flowed(node, frontier, out, flow_method)
         elif t is If:
-            cond = node.cond
-            then_share, else_share = {}, {}
-            for key, w in frontier.items():
-                try:
-                    guard = eval_bool(cond, key[0])
-                except Undefined:
-                    continue
-                (then_share if guard else else_share)[key] = w
-            todo.append((_ELSE, node.else_branch, else_share, den))
-            todo.append(node.then_branch)
-            frontier = then_share
+            frontier = _branched(node, frontier, den, todo)
         elif t is While:
             todo.append((_ROUND, node, max_unfold, {}, den))
         else:  # pragma: no cover

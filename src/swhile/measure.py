@@ -10,6 +10,13 @@ mode is just a matter of feeding rational weights in.  Sums over
 `Fraction` weights only are taken in integers over a common denominator
 (see `_total`), with the value of the left-to-right sum.
 
+Points and measures are built where a result leaves a semantics, not per
+step: `denotational._push` carries its weights as `int`s over one
+denominator (rational mode) or as floats in frontier order, keyed by
+(store, t) tuples and stores, and builds each `XPoint`, `EPoint` and
+`Fraction` once, for the output measure, which `_validated` checks like
+any other.  The `XPoint` constructor is where a remaining time is checked.
+
 Kernels (functions from X-points to measures) extend to measures: E-mass
 passes through untouched while X-mass is pushed through the kernel and
 re-aggregated.  That extension is linear and never increases total mass.

@@ -672,12 +672,28 @@ class Moments:
 
 
 def moments(ensemble: Ensemble, variable: str, t: float) -> Moments:
-    """Sample mean and standard deviation at a grid time (errors excluded)."""
+    """Sample mean and standard deviation at a grid time (errors excluded).
+
+    Store values are finite, but their sum or the squares of their
+    deviations can overflow.  Where the plain result is not finite it is
+    computed again from the values divided by max |v|, which lie in
+    [-1, 1], and multiplied back; a std beyond the largest float is then
+    inf.  Every finite plain result is kept as it is.
+    """
     values, _ = _column(ensemble, variable, t)
     if not len(values):
         return Moments(float("nan"), float("nan"), 0)
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return Moments(float(np.mean(values)), std, len(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        top = float(np.max(np.abs(values)))
+        scaled = values / top
+        if not math.isfinite(mean):
+            mean = float(np.mean(scaled)) * top
+        if not math.isfinite(std):
+            std = float(np.std(scaled, ddof=1)) * top
+    return Moments(mean, std, len(values))
 
 
 # --- export -------------------------------------------------------------------

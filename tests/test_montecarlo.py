@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -516,6 +517,37 @@ def test_moments_constant_variable():
     assert m.mean == 3.0
     assert m.std == 0.0
     assert m.count == 5
+
+
+def _quiet_moments(ens, variable, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return moments(ens, variable, t)
+
+
+def test_moments_of_values_near_the_largest_float_are_finite():
+    # y = +-1.7e308: the plain sum and squares overflow, and numpy gave
+    # mean = std = inf with two RuntimeWarnings
+    a = 1.7e308
+    program, table = parse_program(f"x := unif(0, 1) ; if x <= 0.5 then {{ y := {a!r} }} "
+                                   f"else {{ y := {-a!r} }} ; wait 1")
+    grid = TimeGrid.from_times((0.0, 1.0))
+    ens = run_ensemble(program, table, (0.0, 0.0), grid, runs=8, base_seed=1)
+    values = ens.stores[:, 1, table.index("y")].tolist()
+    up, down = values.count(a), values.count(-a)
+    assert up + down == 8 and up and down
+    m = _quiet_moments(ens, "y", 1.0)
+    assert m.count == 8
+    # the mean is a (up - down) / n and the std 2 a sqrt(up down / (n (n - 1)))
+    assert math.isclose(m.mean, a / 8 * (up - down), rel_tol=1e-15)
+    assert math.isclose(m.std, a * (2 * math.sqrt(up * down / 56)), rel_tol=1e-15)
+    # one value: its own mean, with std 0; a and -a: mean 0 and std a sqrt(2),
+    # beyond the largest float
+    for seed, ys, want in ((1, [a], (a, 0.0)), (2, [a, -a], (0.0, math.inf))):
+        ens = run_ensemble(program, table, (0.0, 0.0), grid, runs=len(ys), base_seed=seed)
+        assert ens.stores[:, 1, table.index("y")].tolist() == ys
+        m = _quiet_moments(ens, "y", 1.0)
+        assert (m.mean, m.std, m.count) == (*want, len(ys))
 
 
 def test_moments_accept_a_time_that_rounds_to_a_grid_time():
