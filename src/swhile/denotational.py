@@ -234,10 +234,12 @@ def _joined(then_out: dict, then_den: int, frontier: dict, den: int):
 
 
 def _round(frame: tuple, frontier: dict, den: int, todo: list):
-    """A loop round: points where the guard fails join the points that left
-    in earlier rounds; if some hold, the body and the next round are pushed
-    on `todo` and those points are the new frontier, otherwise the points
-    that left are: (weights, den)."""
+    """One round of a loop on `frontier`: the next frontier, (weights, den).
+
+    Points where the guard fails join `stay`, the points that left the loop
+    in earlier rounds.  Points where it holds are the next frontier, with
+    the body and the next round pushed on `todo`; when there are none, or
+    the rounds have run out, `stay` is."""
     _, loop, left, stay, stay_den = frame
     if not left:
         return stay, stay_den

@@ -534,6 +534,15 @@ def _denote_golden_lines():
                 yield json.dumps({"case": case, "exact": exact, "input": name, "points": points})
 
 
+def test_a_float_weight_that_rounds_to_zero_leaves_at_its_sampling_step():
+    # 5e-324 / 2 rounds to 0.0; the reordered zero-weight points would take
+    # the first places at the last assignment, where the others meet them
+    program, _ = parse_program("x := unif(0, 1) ; if y <= 1 then x := 1 - x else y := y ; y := 0")
+    mu = DiscMeasure({XPoint((0.0, 1.0), 1.0): 5e-324, XPoint((0.0, 2.0), 1.0): 0.5})
+    out = _push(program, mu, Discretization(2), 1, None)
+    assert list(out.items()) == [(XPoint((0.25, 0.0), 1.0), 0.25), (XPoint((0.75, 0.0), 1.0), 0.25)]
+
+
 def test_denotation_matches_the_golden_on_fuzzed_programs():
     want = GOLDEN_DENOTE.read_text().splitlines()
     got = list(_denote_golden_lines())
