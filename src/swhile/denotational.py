@@ -343,7 +343,8 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
             den *= step
             if not scaled and 0 in frontier.values():
                 # a float weight times the atom weight can round to zero,
-                # here and nowhere else; such a point carries no mass
+                # here and nowhere else; drop such a point at once, as a
+                # zero-weight key would still fix its place in later dicts
                 frontier = {key: w for key, w in frontier.items() if w}
         elif t is DiffBlock:
             out, frontier, den = _common(out, out_den, frontier, den)

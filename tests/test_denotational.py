@@ -535,8 +535,9 @@ def _denote_golden_lines():
 
 
 def test_a_float_weight_that_rounds_to_zero_leaves_at_its_sampling_step():
-    # 5e-324 / 2 rounds to 0.0; the reordered zero-weight points would take
-    # the first places at the last assignment, where the others meet them
+    # 5e-324 / 2 rounds to 0.0.  The then-branch swaps x, so zero-weight
+    # points kept past the sampling step would reach the last assignment
+    # first and put (0.75, 0) before (0.25, 0) in the output
     program, _ = parse_program("x := unif(0, 1) ; if y <= 1 then x := 1 - x else y := y ; y := 0")
     mu = DiscMeasure({XPoint((0.0, 1.0), 1.0): 5e-324, XPoint((0.0, 2.0), 1.0): 0.5})
     out = _push(program, mu, Discretization(2), 1, None)
