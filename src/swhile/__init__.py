@@ -34,7 +34,7 @@ _SOURCE = {name: module for module, names in {
     "store": ("Store", "Undefined", "eval_bool", "eval_expr", "make_store", "update"),
     "syntax": ("And", "Assign", "BoolLit", "Call", "DiffBlock", "If", "Leq", "Lit", "Or",
                "Program", "Sample", "Seq", "Var", "VarTable", "While", "pretty_print",
-               "seq_normal", "wait_block"),
+               "seq_normal"),
 }.items() for name in names}
 
 __all__ = list(_SOURCE)

@@ -451,8 +451,6 @@ def enumerate_operational(
 class AdequacyReport:
     tv: float
     passed: bool
-    exact: bool
-    k: int
     max_unfold: int
     operational_support: int
     denotational_support: int
@@ -484,8 +482,6 @@ def adequacy_check(
     return AdequacyReport(
         tv=float(tv),
         passed=tv <= TV_TOLERANCE,
-        exact=disc.exact,
-        k=disc.k,
         max_unfold=max_unfold,
         operational_support=len(operational),
         denotational_support=len(denotational),

@@ -127,18 +127,6 @@ class DiscMeasure:
     def mass(self):
         return _total(self._w.values())
 
-    def scaled(self, factor) -> "DiscMeasure":
-        if not factor >= 0:
-            raise ValueError("scale factor must be nonnegative")
-        return DiscMeasure._adopt({pt: factor * v for pt, v in self._w.items()})
-
-    def __add__(self, other: "DiscMeasure") -> "DiscMeasure":
-        acc = dict(self._w)
-        for pt, v in other._w.items():
-            old = acc.get(pt)
-            acc[pt] = v if old is None else old + v
-        return DiscMeasure._adopt(acc)
-
     def __eq__(self, other):
         return isinstance(other, DiscMeasure) and self._w == other._w
 
@@ -148,9 +136,6 @@ class DiscMeasure:
     def __repr__(self):
         entries = ", ".join(f"{v!r}*{pt!r}" for pt, v in sorted(self._w.items(), key=repr))
         return f"DiscMeasure({entries})"
-
-
-ZERO = DiscMeasure()
 
 
 def dirac(pt: Point) -> DiscMeasure:

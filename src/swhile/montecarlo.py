@@ -41,19 +41,23 @@ Two evaluation modes fill the arrays:
   its final store; inside its last segment, OPEN, whether it stopped in
   time there or that segment's flow erred; with another error; or cut by
   fuel); then one array pass per chunk of consecutive runs reads their
-  grid points off those segments (`_read_recorded`).  A chunk of at
-  least FRONTIER_MIN_RUNS runs is recorded by one frontier pass over the
-  program for all of its runs (`frontier.record`), bit for bit what
-  `frontier.Recording.of_runs` makes of `eval_big`'s runs; smaller
-  ensembles, and what is left below that count, are recorded with one
-  `eval_big` call per seed.  The frontier pass costs a fixed number of
-  numpy operations per program node, so on fewer runs the per-run
-  interpreter is faster: FRONTIER_MIN_RUNS is where the two met, measured
-  on the bundled programs.  `eval_big` stays the single-run recorder and
-  the oracle the frontier is tested against.  A chunk's runs x max(grid
-  points, segments of one run) is bounded, so the recordings and
-  temporaries held while reading do not grow with the number of runs (the
-  arrays themselves do).
+  grid points off those segments (`_read_recorded`).  The first chunk
+  holds min(_FRONTIER_FIRST, _CHUNK_CELLS // points) runs, sized before
+  any segment is seen, and each next one twice as many, up to
+  _CHUNK_CELLS // max(points, most segments of one run so far); a chunk
+  that would leave fewer than FRONTIER_MIN_RUNS runs takes them too.
+  While that size and the runs left are both at least FRONTIER_MIN_RUNS,
+  a chunk is recorded by one frontier pass (`frontier.record`), bit for
+  bit what `frontier.Recording.of_runs` makes of `eval_big`'s runs.  Once
+  either falls below it (fewer than 16 runs left, a grid of more than
+  4 096 points, a run of more than 4 096 segments seen), every remaining
+  run is recorded with one `eval_big` call, read in chunks of runs x
+  max(points, segments of one run) <= _CHUNK_CELLS.  A frontier pass
+  costs a fixed number of numpy operations per program node, so on fewer
+  runs the per-run interpreter is faster: FRONTIER_MIN_RUNS is where the
+  two met on the bundled programs.  `eval_big` also stays the oracle the
+  frontier is tested against.  No chunk's run count grows with the number
+  of runs, so neither do the recordings held at once (the arrays do).
 
 Fast mode replays exactly the canonical arithmetic: a grid time g walks
 its run's segments subtracting durations from g in run order (the same
@@ -184,11 +188,10 @@ class Ensemble:
 
 # --- reading runs into arrays -------------------------------------------------
 
-# Fast mode reads its runs in chunks of consecutive runs whose runs times
-# max(grid points, most segments of one run) stays within about
-# _CHUNK_CELLS (see `_read_fast`), and a chunk's remainder chains span at
-# most _CHAIN_CELLS floats, so no temporary grows with runs x segments x
-# points.
+# Fast mode sizes its chunks of consecutive runs by _CHUNK_CELLS over
+# max(grid points, most segments of one run seen so far), as the module
+# docstring says, and a chunk's remainder chains span at most _CHAIN_CELLS
+# floats, so no temporary grows with the runs or with segments x points.
 _CHUNK_CELLS = 2 ** 16
 _CHAIN_CELLS = 2 ** 18
 
@@ -244,16 +247,12 @@ def _read_canonical(program, store0, grid, seeds, fuel, flow_method, kinds, stor
 
 
 def _read_fast(program, store0, grid, seeds, fuel, flow_method, kinds, stores, event_times):
-    """Record the runs and read their grid points, a chunk of runs at a time.
-
-    Chunks of at least FRONTIER_MIN_RUNS runs are recorded by one frontier
-    pass each (`frontier.record`); a chunk starts at _FRONTIER_FIRST runs
-    and each next one is twice as large, up to runs x max(grid points, most
-    segments of one run so far) <= _CHUNK_CELLS.  Fewer runs are recorded
-    one at a time with `eval_big` and read once one more run would make the
-    chunk's runs x max(grid points, most segments of one run) exceed
-    _CHUNK_CELLS (a run that alone exceeds it is read alone).
-    """
+    """Record the runs and read their grid points, a chunk of runs at a
+    time: frontier passes while a chunk of FRONTIER_MIN_RUNS fits, then one
+    `eval_big` call per run (see the module docstring).  A per-run chunk is
+    read once one more run would make its runs x max(grid points, most
+    segments of one run) exceed _CHUNK_CELLS (a run that alone exceeds it
+    is read alone)."""
     last, points, width = grid.times[-1], len(grid.times), len(store0)
     lo, size, widest = 0, _FRONTIER_FIRST, 0
     while True:

@@ -25,18 +25,16 @@ class Undefined(Exception):
         self.reason = reason
 
 
-def make_store(table: VarTable, values=None, **overrides) -> Store:
+def make_store(table: VarTable, **overrides) -> Store:
     """All-zero store over `table`, with optional per-name overrides."""
     vec = [0.0] * len(table)
-    if values is not None:
-        vec = [float(v) for v in values]
-        if len(vec) != len(table):
-            raise ValueError("store length does not match the variable table")
     for name, v in overrides.items():
-        vec[table.index(name)] = float(v)
-    for v in vec:
+        if name not in table:
+            raise ValueError(f"unknown variable {name!r}; have {list(table.names)}")
+        v = float(v)
         if not math.isfinite(v):
             raise ValueError("store entries must be finite")
+        vec[table.index(name)] = v
     return tuple(vec)
 
 

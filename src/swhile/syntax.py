@@ -86,9 +86,6 @@ class Or:
 
 BoolExpr = Union[BoolLit, Leq, And, Or]
 
-TT = BoolLit(True)
-FF = BoolLit(False)
-
 
 # --- atomic statements and programs ---------------------------------------
 
@@ -255,11 +252,6 @@ class VarTable:
 
     def __repr__(self):
         return f"VarTable({', '.join(self.names)})"
-
-
-def wait_block(duration: Expr, var_count: int) -> DiffBlock:
-    """`wait e`: the differential block whose derivatives are all zero."""
-    return DiffBlock((Lit(0.0),) * var_count, duration)
 
 
 def seq_normal(p: Program) -> Program:

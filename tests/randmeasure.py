@@ -30,3 +30,13 @@ def random_kernel(rng_seed: int):
         return random_measure(rng)
 
     return kernel
+
+
+def mixture(*terms) -> DiscMeasure:
+    """The measure a1*mu1 + a2*mu2 + ... of the (a, mu) terms, summed point
+    by point in term order."""
+    acc = {}
+    for a, mu in terms:
+        for pt, v in mu.items():
+            acc[pt] = acc.get(pt, 0) + a * v
+    return DiscMeasure(acc)

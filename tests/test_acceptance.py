@@ -28,7 +28,7 @@ from swhile.ode import RungeKutta4
 from swhile.parser import parse_bool_expr, parse_file, parse_program
 from swhile.smallstep import Config, Normal, TimeStop, run_to_terminal
 from swhile.store import make_store
-from swhile.syntax import Assign, Call, DiffBlock, If, Leq, Lit, Sample, Seq, TT, Var, While
+from swhile.syntax import Assign, BoolLit, Call, DiffBlock, If, Leq, Lit, Sample, Seq, Var, While
 
 from genprog import gen_program, gen_store, gen_table
 from progpath import PROGRAMS
@@ -129,7 +129,7 @@ def _exhaustive_corpus():
         Assign(y, Lit(-2.0)),
         DiffBlock((Lit(1.0), Lit(0.0)), y),
     ]
-    bools = [TT, Leq(x, Lit(0.5)), Leq(Call("/", (Lit(1.0), y)), x)]
+    bools = [BoolLit(True), Leq(x, Lit(0.5)), Leq(Call("/", (Lit(1.0), y)), x)]
     level1 = list(atoms)
     level2 = list(level1)
     level2 += [Seq(p, q) for p in level1 for q in level1]
@@ -224,7 +224,7 @@ def test_criterion_04_adequacy_on_example_programs():
 
 
 def test_criterion_05_monad_and_measure_laws():
-    from randmeasure import random_kernel, random_measure, random_point
+    from randmeasure import mixture, random_kernel, random_measure, random_point
 
     t0 = time.perf_counter()
     rng = random.Random(161803)
@@ -247,8 +247,8 @@ def test_criterion_05_monad_and_measure_laws():
             failures += 1
         # linearity
         a, b = rng.uniform(0, 0.5), rng.uniform(0, 0.5)
-        lin_l = extended_f(mu.scaled(a) + nu.scaled(b))
-        lin_r = extended_f(mu).scaled(a) + extended_f(nu).scaled(b)
+        lin_l = extended_f(mixture((a, mu), (b, nu)))
+        lin_r = mixture((a, extended_f(mu)), (b, extended_f(nu)))
         if tv_distance(lin_l, lin_r) > 1e-12:
             failures += 1
         # mass contraction

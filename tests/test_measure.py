@@ -15,7 +15,7 @@ from swhile.measure import (
     tv_distance,
 )
 
-from randmeasure import random_kernel, random_measure, random_point
+from randmeasure import mixture, random_kernel, random_measure, random_point
 
 
 def test_dirac_has_unit_mass():
@@ -68,7 +68,7 @@ def test_extension_is_linear_on_finite_support():
     mu = DiscMeasure({x1: 0.5, x2: 0.5})
     k = random_kernel(11)
     out = kleisli_extend(k)(mu)
-    expected = k(x1).scaled(0.5) + k(x2).scaled(0.5)
+    expected = mixture((0.5, k(x1)), (0.5, k(x2)))
     assert tv_distance(out, expected) < 1e-15
 
 
@@ -105,8 +105,8 @@ def test_linearity_randomized():
         k = random_kernel(i + 1000)
         mu, nu = random_measure(rng, total=0.5), random_measure(rng, total=0.5)
         a, b = rng.uniform(0, 0.5), rng.uniform(0, 0.5)
-        lhs = kleisli_extend(k)(mu.scaled(a) + nu.scaled(b))
-        rhs = kleisli_extend(k)(mu).scaled(a) + kleisli_extend(k)(nu).scaled(b)
+        lhs = kleisli_extend(k)(mixture((a, mu), (b, nu)))
+        rhs = mixture((a, kleisli_extend(k)(mu)), (b, kleisli_extend(k)(nu)))
         assert tv_distance(lhs, rhs) < 1e-12
 
 
@@ -144,7 +144,7 @@ def test_fraction_weights_supported():
     pt = XPoint((0.0,), 1.0)
     mu = DiscMeasure({pt: Fraction(1, 3), EPoint((0.0,)): Fraction(2, 3)})
     assert mu.mass() == 1
-    half = mu.scaled(Fraction(1, 2))
+    half = mixture((Fraction(1, 2), mu))
     assert half.weight(pt) == Fraction(1, 6)
     assert tv_distance(mu, mu) == 0
 
@@ -157,8 +157,6 @@ def test_nan_weights_are_refused():
         DiscMeasure({a: 0.5, b: float("nan"), c: 0.7})
     with pytest.raises(ValueError, match="nonnegative"):
         DiscMeasure({a: float("nan")})
-    with pytest.raises(ValueError, match="nonnegative"):
-        dirac(a).scaled(float("nan"))
 
 
 class CountingPoint(XPoint):

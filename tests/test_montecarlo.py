@@ -51,7 +51,6 @@ from swhile.syntax import (
     Var,
     VarTable,
     While,
-    wait_block,
 )
 
 from genprog import gen_program, gen_store, gen_table
@@ -799,6 +798,52 @@ def test_array_reader_chunks_are_bounded_by_segments_and_points(monkeypatch):
     assert [n for n, _ in chunks] == [1] * 12
 
 
+def _frontier_passes(monkeypatch, path, grid, runs):
+    """The runs of each frontier pass, and the eval_big calls, that fast mode
+    takes on `runs` runs; its arrays equal those of one eval_big per run."""
+    program, table = parse_file(PROGRAMS / path)
+    store = make_store(table)
+    passes, calls = [], []
+    record, big = frontier.record, montecarlo.eval_big
+
+    def counted_record(program, store, t, seeds, *args):
+        passes.append(len(seeds))
+        return record(program, store, t, seeds, *args)
+
+    def counted_big(*args):
+        calls.append(1)
+        return big(*args)
+
+    monkeypatch.setattr(frontier, "record", counted_record)
+    monkeypatch.setattr(montecarlo, "eval_big", counted_big)
+    ens = run_ensemble(program, table, store, grid, runs=runs, base_seed=6)
+    found = passes.copy(), len(calls)
+    monkeypatch.setattr(montecarlo, "FRONTIER_MIN_RUNS", 10 ** 9)
+    _assert_same_arrays(ens, run_ensemble(program, table, store, grid, runs=runs, base_seed=6))
+    return found
+
+
+def test_a_grid_of_more_than_4096_points_is_recorded_per_run(monkeypatch):
+    # a frontier chunk holds at most _CHUNK_CELLS // points runs, fewer than
+    # FRONTIER_MIN_RUNS past 4 096 points
+    grid = TimeGrid.regular(0.0, 2.0, 0.0005)
+    assert len(grid.times) == 4001
+    assert _frontier_passes(monkeypatch, "ball.swl", grid, 20) == ([20], 0)
+    grid = TimeGrid.regular(0.0, 2.0, 0.0004)
+    assert len(grid.times) == 5001
+    assert _frontier_passes(monkeypatch, "ball.swl", grid, 20) == ([], 20)
+
+
+def test_runs_left_after_a_wide_frontier_pass_are_recorded_per_run(monkeypatch):
+    # brownian to t = 30 records more than 60 segments per run, so after the
+    # first 16-run pass no 16 runs fit in 960 cells: the other 24 runs are
+    # recorded with eval_big and read from run 16 on
+    monkeypatch.setattr(montecarlo, "_FRONTIER_FIRST", 16)
+    monkeypatch.setattr(montecarlo, "_CHUNK_CELLS", 960)
+    grid = TimeGrid.regular(0.0, 30.0, 15.0)
+    assert _frontier_passes(monkeypatch, "brownian.swl", grid, 40) == ([16], 24)
+
+
 def _assert_same_arrays(a, b):
     assert np.array_equal(a.kinds, b.kinds)
     assert np.array_equal(a.stores, b.stores, equal_nan=True)
@@ -997,7 +1042,7 @@ def _call(op, *args):
 
 def _sampled(*statements):
     """u := unif(0, 1) ; statements... ; wait 1 ; x := x + 1, so runs part ways."""
-    program = Seq(Assign(_X, _call("+", _X, 1.0)), wait_block(Lit(1.0), 3))
+    program = Seq(Assign(_X, _call("+", _X, 1.0)), DiffBlock((Lit(0.0),) * 3, Lit(1.0)))
     for statement in reversed(statements):
         program = Seq(statement, program)
     return Seq(Sample(_U), program)
@@ -1054,7 +1099,7 @@ def test_recorder_matches_eval_big_on_strict_connectives_and_signed_zeros(monkey
     # -0.0 in the store, through a halted block, a zero-duration flow and neg
     zero = (-0.0, -0.0, -0.0)
     programs = [
-        _sampled(wait_block(Lit(0.5), 3), Assign(_Y, _call("neg", _Y))),
+        _sampled(DiffBlock((Lit(0.0),) * 3, Lit(0.5)), Assign(_Y, _call("neg", _Y))),
         _sampled(DiffBlock((Lit(1.0), Lit(0.0), Lit(0.0)), Lit(0.0))),
         _sampled(_half(DiffBlock((Lit(0.0), Lit(0.0), Var(0, "x")), Lit(0.0)),
                        Assign(_X, _call("neg", _X)))),

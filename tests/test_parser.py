@@ -5,6 +5,7 @@ import pytest
 from swhile.parser import ParseError, parse_bool_expr, parse_program, tokenize
 from swhile.syntax import (
     Assign,
+    BoolLit,
     Call,
     DiffBlock,
     If,
@@ -12,7 +13,6 @@ from swhile.syntax import (
     Lit,
     Sample,
     Seq,
-    TT,
     Var,
     While,
 )
@@ -24,7 +24,7 @@ def test_parse_loop_with_wait_sugar():
     x = Var(0, "x")
     expected = Seq(
         Assign(x, Lit(0.0)),
-        While(TT, Seq(Assign(x, Call("+", (x, Lit(1.0)))), DiffBlock((Lit(0.0),), Lit(1.0)))),
+        While(BoolLit(True), Seq(Assign(x, Call("+", (x, Lit(1.0)))), DiffBlock((Lit(0.0),), Lit(1.0)))),
     )
     assert program == expected
 

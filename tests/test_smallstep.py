@@ -44,9 +44,9 @@ def test_sampling_consumes_stream_head():
 
 
 def test_wait_longer_than_remaining_time_stops():
-    from swhile.syntax import Lit, wait_block
+    from swhile.syntax import DiffBlock, Lit
 
-    config = Config(wait_block(Lit(1.0), 1), (4.0,), 0.5, from_seed(0))
+    config = Config(DiffBlock((Lit(0.0),), Lit(1.0)), (4.0,), 0.5, from_seed(0))
     assert step(config) == TimeStop((4.0,))
     chained, _ = cfg("x := 4 ; wait 1", (0.0,), 0.5, from_seed(0))
     assert run_to_terminal(chained) == TimeStop((4.0,))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,8 +124,11 @@ def test_make_store_overrides_and_validation():
     table = VarTable(("p", "v"))
     assert make_store(table) == (0.0, 0.0)
     assert make_store(table, p=1.5) == (1.5, 0.0)
-    assert make_store(table, values=(1.0, 2.0)) == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        make_store(table, values=(1.0,))
     with pytest.raises(ValueError):
         make_store(table, p=float("inf"))
+
+
+def test_make_store_names_an_unknown_variable():
+    table = VarTable(("x",))
+    with pytest.raises(ValueError, match=re.escape("unknown variable 'q'; have ['x']")):
+        make_store(table, q=1)

@@ -5,8 +5,8 @@ import pytest
 
 from swhile.parser import parse_file, parse_program
 from swhile.syntax import (
-    TT,
     Assign,
+    BoolLit,
     Call,
     DiffBlock,
     If,
@@ -18,7 +18,6 @@ from swhile.syntax import (
     While,
     pretty_print,
     seq_normal,
-    wait_block,
 )
 
 from genprog import gen_declared_program, gen_program, gen_table
@@ -43,21 +42,21 @@ def test_vartable_rejects_duplicates_and_empty():
 
 
 def test_wait_block_is_all_zero_derivatives():
-    block = wait_block(Lit(1.0), 3)
-    assert block == DiffBlock((Lit(0.0), Lit(0.0), Lit(0.0)), Lit(1.0))
-    assert wait_block(Lit(0.0), 1).duration == Lit(0.0)
-    dur = Call("+", (Var(0, "x"), Lit(1.0)))
-    assert wait_block(dur, 1).duration == dur
+    program, _ = parse_program("x := 1 ; y := 2 ; z := 3 ; wait 1")
+    assert program.rest.rest.rest == DiffBlock((Lit(0.0), Lit(0.0), Lit(0.0)), Lit(1.0))
+    assert parse_program("x := 1 ; wait 0")[0].rest == DiffBlock((Lit(0.0),), Lit(0.0))
+    program, _ = parse_program("x := 1 ; wait x + 1")
+    assert program.rest.duration == Call("+", (Var(0, "x"), Lit(1.0)))
 
 
 def test_seq_normal_right_associates():
     a = Assign(Var(0, "x"), Lit(1.0))
     b = Sample(Var(0, "x"))
-    c = wait_block(Lit(1.0), 1)
+    c = DiffBlock((Lit(0.0),), Lit(1.0))
     left = Seq(Seq(a, b), c)
     assert seq_normal(left) == Seq(a, Seq(b, c))
     # nested bodies are normalized too
-    loop = While(TT, Seq(Seq(a, b), c))
+    loop = While(BoolLit(True), Seq(Seq(a, b), c))
     assert seq_normal(loop).body == Seq(a, Seq(b, c))
 
 
