@@ -108,6 +108,13 @@ def eval_big(config: Config, fuel: int = DEFAULT_FUEL, flow_method=None, segment
             segments.append((None, None, None, steps))
 
 
+def check_index(n: int) -> None:
+    """Refuse a negative Kleene index: `eval_functional`, `denote` and the
+    adequacy enumeration each check their loop index here."""
+    if n < 0:
+        raise ValueError("the Kleene index must be nonnegative")
+
+
 def eval_functional(program, store, t: float, entropy, fuel: int, flow_method=None):
     """Functional semantics at Kleene index `fuel` for every loop.
 
@@ -119,14 +126,18 @@ def eval_functional(program, store, t: float, entropy, fuel: int, flow_method=No
     state, so each branch of its draw tree starts at its fork instead of
     replaying the draws before it.
     """
-    if fuel < 0:
-        raise ValueError("the Kleene index must be nonnegative")
+    check_index(fuel)
     return _functional([] if program is None else [program], store, t, entropy, fuel, flow_method)
 
 
 def _functional(stack, store, t: float, src, fuel: int, flow_method):
     """The loop of `eval_functional`, run from a work stack of program nodes
     and loop frames.
+
+    A loop frame is a pair (loop, index): the loop still to run at Kleene
+    index `index`.  A `While` node enters as its frame at index `fuel`;
+    at index 0 the frame is Bottom whatever the guard, and otherwise, when
+    the guard holds, the body runs and then the frame at index - 1.
 
     When a draw exhausts `src`, the Sample node goes back on the stack and
     the exception carries `resume = (stack, store, t)`: calling
@@ -138,9 +149,12 @@ def _functional(stack, store, t: float, src, fuel: int, flow_method):
             node = stack.pop()
             nt = type(node)
             if nt is tuple:
-                _, wnode, index = node
-                if _functional_while(wnode, index, store, stack):
-                    return BOTTOM
+                loop, index = node
+                if index == 0:
+                    return BOTTOM  # approximant 0 ignores the guard
+                if eval_bool(loop.cond, store):
+                    stack.append((loop, index - 1))
+                    stack.append(loop.body)
             elif nt is Seq:
                 stack.append(node.rest)
                 stack.append(node.first)
@@ -167,26 +181,12 @@ def _functional(stack, store, t: float, src, fuel: int, flow_method):
                 guard = eval_bool(node.cond, store)
                 stack.append(node.then_branch if guard else node.else_branch)
             elif nt is While:
-                if _functional_while(node, fuel, store, stack):
-                    return BOTTOM
+                stack.append((node, fuel))
             else:  # pragma: no cover
                 raise TypeError(f"not a program node: {node!r}")
     except Undefined:
         return BOTTOM
     return Normal(store, t, src)
-
-
-def _functional_while(wnode: While, index: int, store, stack) -> bool:
-    """Whether the loop `wnode` at Kleene index `index` is Bottom here;
-    when it is not and its guard holds, its body and its next frame go on
-    `stack`.  An undefined guard raises Undefined to `_functional`."""
-    if index == 0:
-        return True  # approximant 0 ignores the guard
-    guard = eval_bool(wnode.cond, store)
-    if guard:
-        stack.append(("wh", wnode, index - 1))
-        stack.append(wnode.body)
-    return False
 
 
 # --- agreement between the three evaluators ---------------------------------

@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import ode
-from .bigstep import BOTTOM, _functional
+from .bigstep import BOTTOM, _functional, check_index
 # The enumeration resumes branches through `_functional`; eval_functional
 # stays a module attribute because bench/tracing.py wraps it by name.
 from .bigstep import eval_functional  # noqa: F401
@@ -115,8 +115,7 @@ def denote(program: Program, disc: Discretization, max_unfold: int, flow_method=
     are summed in frontier order, so they may differ in the last bit from
     a per-path evaluation.
     """
-    if max_unfold < 0:
-        raise ValueError("the Kleene index must be nonnegative")
+    check_index(max_unfold)
 
     def kernel(pt: XPoint) -> DiscMeasure:
         return _push(program, dirac(pt), disc, max_unfold, flow_method)
@@ -363,8 +362,7 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
 
 
 def _check_bounds(max_unfold: int, branch_cap: int) -> None:
-    if max_unfold < 0:
-        raise ValueError("the Kleene index must be nonnegative")
+    check_index(max_unfold)
     if branch_cap < 1:
         # every enumeration explores its root, so a smaller cap always fires
         raise ValueError("the branch cap must be at least 1")
@@ -425,7 +423,7 @@ def enumerate_operational(
                 out = _functional(stack, store, t, source, max_unfold, flow_method)
             except EntropyExhausted as exc:
                 stack, store, t = exc.resume
-                key = (store, t, *[id(n) if type(n) is not tuple else (id(n[1]), n[2])
+                key = (store, t, *[id(n) if type(n) is not tuple else (id(n[0]), n[1])
                                    for n in stack])
                 states.setdefault(key, [stack, store, t, 0])[3] += paths
             else:

@@ -45,11 +45,8 @@ bit-identical to `entropy._value_at`, and flows go through
 
 Every node costs a fixed number of numpy operations whatever the number of
 runs (masks are tested with `np.count_nonzero`, the cheapest such test on
-small arrays), so the pass pays off only from `montecarlo.FRONTIER_MIN_RUNS`
-(16) runs on.  Fast mode records chunks of at least that many runs here,
-and every remaining run with `eval_big` once fewer are left or 16 runs no
-longer fit in a chunk's cells: on a grid of more than 4 096 points, or
-after a run of more than 4 096 segments.
+small arrays), so the pass pays off only on enough runs; the `montecarlo`
+docstring states when fast mode records here and when with `eval_big`.
 """
 
 from __future__ import annotations

@@ -532,18 +532,18 @@ def probability_over_time(ensemble: Ensemble, cond) -> ProbabilitySeries:
 
 
 def _grid_match(times, t: float):
-    """The index of grid time t, or else of the nearest grid time within
-    rounding, or None.
+    """The index of the grid time nearest t, the earlier of two as near,
+    and whether that time matches t: equals it, or lies within rounding.
 
     Regular grid times are start + i * step, so 0:1:0.1 holds
     0.30000000000000004, which a time typed as 0.3 must still find.
     """
     i = bisect.bisect_left(times, t)  # the times strictly increase
     if i < len(times) and times[i] == t:
-        return i
+        return i, True
     nearest = min((j for j in (i - 1, i) if 0 <= j < len(times)),
                   key=lambda j: abs(times[j] - t))
-    return nearest if math.isclose(times[nearest], t, rel_tol=1e-9, abs_tol=1e-12) else None
+    return nearest, math.isclose(times[nearest], t, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def interval_indices(grid: TimeGrid, t1: float, t2: float) -> range:
@@ -556,9 +556,9 @@ def interval_indices(grid: TimeGrid, t1: float, t2: float) -> range:
     if not (grid.start <= t1 <= t2 <= grid.end):
         raise ValueError("interval must lie within the grid")
     times = grid.times
-    lo, hi = _grid_match(times, t1), _grid_match(times, t2)
-    lo = bisect.bisect_left(times, t1) if lo is None else lo
-    hi = bisect.bisect_right(times, t2) - 1 if hi is None else hi
+    (lo, lo_named), (hi, hi_named) = _grid_match(times, t1), _grid_match(times, t2)
+    lo = lo if lo_named else bisect.bisect_left(times, t1)
+    hi = hi if hi_named else bisect.bisect_right(times, t2) - 1
     if lo > hi:
         raise ValueError(f"interval [{t1}, {t2}] holds no grid time")
     return range(lo, hi + 1)
@@ -606,15 +606,13 @@ def _grid_index(grid: TimeGrid, t: float) -> int:
     at most _LISTED_GRID_TIMES of them, or else its extent and the nearest.
     """
     times = grid.times
-    index = _grid_match(times, t)
-    if index is not None:
+    index, matched = _grid_match(times, t)
+    if matched:
         return index
     if len(times) <= _LISTED_GRID_TIMES:
         raise ValueError(f"time {t!r} is not on the grid {times}")
-    i = bisect.bisect_left(times, t)
-    nearest = min(times[max(i - 1, 0):i + 1], key=lambda s: abs(s - t))
     raise ValueError(f"time {t!r} is not on the grid of {len(times)} times from "
-                     f"{grid.start!r} to {grid.end!r}; the nearest is {nearest!r}")
+                     f"{grid.start!r} to {grid.end!r}; the nearest is {times[index]!r}")
 
 
 def _var_index(table: VarTable, variable: str) -> int:

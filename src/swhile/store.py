@@ -25,7 +25,7 @@ class Undefined(Exception):
         self.reason = reason
 
 
-def make_store(table: VarTable, **overrides) -> Store:
+def make_store(table: VarTable, /, **overrides) -> Store:
     """All-zero store over `table`, with optional per-name overrides."""
     vec = [0.0] * len(table)
     for name, v in overrides.items():

@@ -126,11 +126,11 @@ class DiffBlock:
 class Seq:
     """p ; q.
 
-    `==`, `hash` and `repr` return what the dataclass methods would -- the
-    comparison, hash and text of the tuple (first, rest) -- but walk a
-    chain of `Seq`s, nested to either side, over an explicit stack, so a
-    statement list longer than the recursion limit compares, hashes and
-    prints.
+    `==` and `repr` return what the dataclass methods would -- the
+    comparison and text of the tuple (first, rest) -- and `hash` is the
+    hash of the statement list.  All three walk a chain of `Seq`s, nested
+    to either side, over an explicit stack, so a statement list longer
+    than the recursion limit compares, hashes and prints.
     """
 
     first: "Program"
@@ -152,18 +152,7 @@ class Seq:
         return True
 
     def __hash__(self):
-        hashes = []  # post-order: a Seq's hash follows its parts'
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node is _JOIN:
-                rest, first = hashes.pop(), hashes.pop()
-                hashes.append(_Hash(hash((first, rest))))
-            elif node.__class__ is Seq:
-                stack += (_JOIN, node.rest, node.first)
-            else:
-                hashes.append(_Hash(hash(node)))
-        return hashes[0].value
+        return hash(tuple(_stmt_list(self)))
 
     def __repr__(self):
         parts = []
@@ -182,23 +171,8 @@ class Seq:
         return "".join(parts)
 
 
-# markers on the stacks of `Seq.__hash__` (both parts of a Seq are hashed)
-# and `Seq.__repr__` (its first part is printed, or its rest)
-_JOIN, _REST, _CLOSE = object(), object(), object()
-
-
-class _Hash:
-    """A stand-in whose hash is `value`: hashing a tuple reads only the
-    hashes of its items, so (_Hash(hash(a)), _Hash(hash(b))) hashes as
-    (a, b) does."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
+# markers on the stack of `Seq.__repr__`: its first part is printed, or its rest
+_REST, _CLOSE = object(), object()
 
 
 @dataclass(frozen=True, slots=True)

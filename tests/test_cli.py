@@ -138,6 +138,15 @@ def test_run_with_init_override(tmp_path, capsys):
     assert "x = 42.0" in out
 
 
+def test_init_sets_a_variable_named_table(tmp_path, capsys):
+    # make_store's table parameter used to take --init table=3 too: a TypeError
+    f = tmp_path / "t.swl"
+    f.write_text("table := table + 1 ; wait 1\n")
+    code, out, _ = run_cli(capsys, "run", f, "--time", "2", "--seed", "1", "--init", "table=3")
+    assert code == 0
+    assert out.splitlines()[0] == "normal: table = 4.0 (remaining time 1.0)"
+
+
 def test_simulate_ball_csv(tmp_path, capsys):
     out_file = tmp_path / "ball.csv"
     code, _, _ = run_cli(

@@ -128,6 +128,11 @@ def test_make_store_overrides_and_validation():
         make_store(table, p=float("inf"))
 
 
+def test_make_store_takes_a_variable_named_table():
+    # the table parameter used to collide with the override for "table"
+    assert make_store(VarTable(["table"]), table=2.0) == (2.0,)
+
+
 def test_make_store_names_an_unknown_variable():
     table = VarTable(("x",))
     with pytest.raises(ValueError, match=re.escape("unknown variable 'q'; have ['x']")):

@@ -151,7 +151,6 @@ def test_seq_methods_return_what_the_dataclass_methods_return():
     for p in programs:
         plain = _plain(p)
         assert repr(p) == repr(plain).replace("_PlainSeq(", "Seq(")
-        assert hash(p) == hash(plain)
     for p, q in zip(programs, programs[1:] + programs[:1]):
         assert (p == q) == (_plain(p) == _plain(q))
         copy = _plain(p)  # rebuilt with fresh Seq nodes, equal to p
