@@ -224,11 +224,18 @@ def _write_json(result, fh) -> None:
 
 def _statistic(args, table, grid, cond):
     """The result the flags ask for, as a function of the ensemble -- a
-    statistic, or the ensemble itself when they ask for none -- and its
-    writer (result, fh) for `args.format`.  The statistic's flags are
-    checked here, as the statistic itself checks them, so that a bad one is
+    statistic, or the ensemble itself when they ask for none -- its
+    writer (result, fh) for `args.format`, and the grid of the times it
+    reads: the one time of `--hist VAR@T`, the times of `--interval A B`,
+    every time of `grid` for a `--check` series and the ensemble dumps.
+    That grid keeps `grid`'s start and end, so the statistic finds its
+    times in it as it would in `grid`.  The statistic's flags are checked
+    here, as the statistic itself checks them, so that a bad one is
     refused before any run is recorded."""
     from . import montecarlo
+
+    def reads(lo, hi):
+        return smallstep.TimeGrid(grid.start, grid.end, grid.times[lo:hi])
 
     as_json = args.format == "json"
     if args.hist is not None and cond is not None:
@@ -236,12 +243,13 @@ def _statistic(args, table, grid, cond):
     if args.bins is not None and args.hist is None:
         raise ValueError("--bins needs --hist")
     if cond is not None and args.interval is not None:
-        montecarlo.interval_indices(grid, *args.interval)
+        window = montecarlo.interval_indices(grid, *args.interval)
         return (lambda ensemble: montecarlo.interval_probability(ensemble, cond, *args.interval),
-                _write_json if as_json else _write_interval_csv)
+                _write_json if as_json else _write_interval_csv,
+                reads(window.start, window.stop))
     if cond is not None:
         return (lambda ensemble: montecarlo.probability_over_time(ensemble, cond),
-                _write_json if as_json else montecarlo.write_series_csv)
+                _write_json if as_json else montecarlo.write_series_csv, grid)
     if args.hist is not None:
         var, _, at = args.hist.rpartition("@")
         if not var:
@@ -249,10 +257,12 @@ def _statistic(args, table, grid, cond):
         t = _number("--hist", args.hist, at)
         bins = 10 if args.bins is None else args.bins
         montecarlo.check_histogram(table, grid, var, t, bins)
+        index = montecarlo._grid_index(grid, t)
         return (lambda ensemble: montecarlo.histogram(ensemble, var, t, bins),
-                _write_json if as_json else montecarlo.write_histogram_csv)
+                _write_json if as_json else montecarlo.write_histogram_csv,
+                reads(index, index + 1))
     return (lambda ensemble: ensemble,
-            montecarlo.write_ensemble_json if as_json else montecarlo.write_ensemble_csv)
+            montecarlo.write_ensemble_json if as_json else montecarlo.write_ensemble_csv, grid)
 
 
 def cmd_simulate(args) -> int:
@@ -265,12 +275,16 @@ def cmd_simulate(args) -> int:
     store = _initial_store(table, args.init)
     method = _flow_method(args.flow)
     grid = _regular_grid(args.grid)
-    statistic, write = _statistic(args, table, grid, cond)
-    # refused before a seed is drawn and printed, as run_ensemble would refuse them
+    statistic, write, read = _statistic(args, table, grid, cond)
+    # refused before a seed is drawn and printed, as run_ensemble would refuse
+    # them; the ensemble limit counts the whole --grid, whatever is read of it
     montecarlo.check_ensemble(grid, args.runs, args.parallel)
     smallstep.check_fuel(args.fuel)
+    # each run is recorded to the last time the statistic reads, and read at
+    # its times alone: a run's point at a grid time is the rerun to that time,
+    # whichever other times the grid holds
     ensemble = montecarlo.run_ensemble(
-        program, table, store, grid, args.runs, _seed_of(args),
+        program, table, store, read, args.runs, _seed_of(args),
         fuel=args.fuel, flow_method=method, workers=args.parallel,
     )
     # the result exists before its destination is opened, so a run that

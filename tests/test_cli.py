@@ -893,6 +893,87 @@ def test_an_off_grid_time_on_a_long_grid_is_named_by_the_grid_extent(monkeypatch
     assert len(err) < 200
 
 
+_TENTHS = smallstep.TimeGrid.regular(0.0, 1.0, 0.1).times  # 0.30000000000000004 among them
+
+
+@pytest.mark.parametrize("flags, read", [
+    (("--hist", "p@0.3"), _TENTHS[3:4]),
+    (("--hist", "p@0.0"), _TENTHS[:1]),
+    (("--hist", "p@1.0", "--bins", "3"), _TENTHS[-1:]),
+    (("--check", "p <= 9.9", "--interval", "0.25", "0.3"), _TENTHS[3:4]),
+    (("--check", "p <= 9.9", "--interval", "0.3", "0.7"), _TENTHS[3:8]),
+    (("--check", "p <= 9.9", "--interval", "0.15", "0.55"), _TENTHS[2:6]),
+    (("--check", "p <= 9.9", "--interval", "0", "1"), _TENTHS),
+    (("--check", "p <= 9.9"), _TENTHS),
+    ((), _TENTHS),
+    (("--format", "json"), _TENTHS),
+], ids=["hist-named", "hist-first", "hist-last", "interval-named", "interval-rounded-ends",
+        "interval-between", "interval-whole", "series", "csv", "json"])
+def test_simulate_records_the_grid_times_its_statistic_reads(monkeypatch, capsys, flags, read):
+    # a histogram and an interval used to record and read every grid time,
+    # then keep one time or one window of them
+    grids = []
+    run_ensemble = montecarlo.run_ensemble
+
+    def spy(program, table, store0, grid, *args, **kwargs):
+        grids.append(grid)
+        return run_ensemble(program, table, store0, grid, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", spy)
+    code, _, _ = run_cli(capsys, "simulate", PROGRAMS / "ball.swl", "--runs", "3",
+                         "--grid", "0:1:0.1", "--seed", "1", *flags)
+    assert code == 0
+    assert [(g.start, g.end, g.times) for g in grids] == [(0.0, 1.0, read)]
+
+
+# (program, table, --hist variable, --check condition): mixed.swl's runs
+# terminate, err or loop without end, ball's flow
+_READ_CASES = [(*parse_file(ROOT / "tests" / "golden" / "simulate" / "mixed.swl"), "x", "x <= 0"),
+               (*parse_file(PROGRAMS / "ball.swl"), "p", "p <= 9.9")]
+
+
+@st.composite
+def _statistic_on_a_grid(draw):
+    """A program, a regular grid and `--hist` or `--check … --interval` flags
+    on it, the times typed as a user would: rounded grid times, or any time
+    in the grid."""
+    program, table, var, check = draw(st.sampled_from(_READ_CASES))
+    start = draw(st.sampled_from([0.0, 0.1, 1.5]))
+    step = draw(st.sampled_from([0.05, 0.1, 0.25, 1 / 3]))
+    end = start + draw(st.integers(1, 8)) * step + draw(st.sampled_from([0.0, step / 2]))
+    grid = smallstep.TimeGrid.regular(start, end, step)
+    typed = st.sampled_from(grid.times).map(lambda t: round(t, 9))
+    args = argparse.Namespace(format="csv", bins=None, hist=None, interval=None, check=None)
+    if draw(st.booleans()):
+        args.hist = f"{var}@{draw(typed)!r}"
+    else:
+        args.check = check
+        args.interval = sorted(draw(st.lists(st.one_of(typed, st.floats(start, grid.end)),
+                                             min_size=2, max_size=2)))
+    return program, table, grid, args
+
+
+@given(_statistic_on_a_grid(), st.booleans(), st.sampled_from([3, 17]))
+@settings(max_examples=100, deadline=None)
+def test_a_statistic_on_the_times_it_reads_is_the_statistic_on_the_whole_grid(case, fast, runs):
+    # 17 runs take the frontier recorder, 3 the per-run one; fuel 30 cuts
+    # mixed.swl's endless loops and ball's bounces
+    program, table, grid, args = case
+    if args.interval is not None:
+        try:
+            montecarlo.interval_indices(grid, *args.interval)
+        except ValueError:  # an interval that holds no grid time
+            assume(False)
+    cond = None if args.check is None else cli._check_of(args, table)
+    statistic, _, read = cli._statistic(args, table, grid, cond)
+
+    def ensemble(on):
+        return montecarlo.run_ensemble(program, table, (0.0,) * len(table), on, runs, 7,
+                                       fuel=30, fast=fast)
+
+    assert statistic(ensemble(read)) == statistic(ensemble(grid))
+
+
 # Run in a small intermediate process: a child's peak RSS starts from that of
 # the process it was forked from, which for pytest would hide the difference.
 _MEASURE = """
