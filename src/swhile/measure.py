@@ -157,9 +157,13 @@ def kleisli_extend(kernel):
                 old = acc.get(pt)
                 acc[pt] = w if old is None else old + w
             else:
+                # the int 1 of a point mass scales nothing; 1.0 * Fraction is a float
+                scale = not (type(w) is int and w == 1)
                 for q, v in kernel(pt).items():
+                    if scale:
+                        v = w * v
                     old = acc.get(q)
-                    acc[q] = w * v if old is None else old + w * v
+                    acc[q] = v if old is None else old + v
         return DiscMeasure._adopt(acc)
 
     return extended

@@ -82,6 +82,18 @@ def test_left_unit_law_randomized():
         assert tv_distance(kleisli_extend(k)(dirac(pt)), k(pt)) < 1e-12
 
 
+def test_a_point_mass_passes_its_kernel_weights_on_unscaled():
+    # every kernel weight used to be multiplied by the int 1 of a point mass:
+    # one Fraction product per enumerated point of every adequacy check
+    pt, q = XPoint((0.0,), 1.0), EPoint((1.0,))
+    third = Fraction(1, 3)
+    out = kleisli_extend(lambda x: DiscMeasure({q: third}))(dirac(pt))
+    assert out.weight(q) is third
+    # a float 1.0 still scales: 1.0 * Fraction is a float
+    out = kleisli_extend(lambda x: DiscMeasure({q: third}))(DiscMeasure({pt: 1.0}))
+    assert type(out.weight(q)) is float and out.weight(q) == 1 / 3
+
+
 def test_right_unit_law():
     rng = random.Random(2)
     for _ in range(100):
