@@ -5,9 +5,9 @@ Sampling is interpreted through a k-point discretization of the unit
 interval: atoms (2i+1)/2k, each of weight 1/k.  A `Discretization` is
 itself the sequence of its atoms, each computed when it is read.  The
 midpoints avoid comparison thresholds such as 0.5 for even k, which keeps
-branch splits of encoded coin flips tie-free.  With `exact=True` weights
-are rational and the operational/denotational comparison comes out
-exactly zero.
+branch splits of encoded coin flips tie-free.  Weights are exact
+rationals, so the operational/denotational comparison is an equality:
+a check passes only at total variation exactly zero.
 
 Every clause turns undefinedness into lost mass ("0 otherwise"), so a
 program's missing mass records its error/divergence probability.  `_push`
@@ -26,9 +26,8 @@ points are merged, and a loop is a sequence of rounds over its frontier
 of a `Seq` chain is bounded by Python's recursion limit, and the cost
 grows with the number of distinct points rather than the number of
 paths.  Inside the iteration an X-point is a (store, t) tuple and an
-E-point a store.  In rational mode each weight is an `int` over one
-denominator per frontier, which a `Sample` multiplies by k; otherwise the
-weights are floats summed in frontier order.  `XPoint`s, `EPoint`s and
+E-point a store.  Each weight is an `int` over one denominator per
+frontier, which a `Sample` multiplies by k.  `XPoint`s, `EPoint`s and
 `Fraction`s are built once, for the output measure, which is validated as
 every measure is, down to each `XPoint`'s remaining time; a frontier's t
 is an input point's checked t0 less the durations flowed since, each at
@@ -36,7 +35,7 @@ most the time then left, so it lies in [0, t0] and needs no check of its
 own.  The enumeration side, the independent operational semantics the
 denotation is checked against, runs the functional semantics over the
 distinct resume states of each draw depth (see `enumerate_operational`),
-with integer path counts at the scale k**depth in rational mode.
+with integer path counts at the scale k**depth.
 
 `adequacy_check` compares the two sides on a whole input measure: the
 operational side is the Kleisli extension (`measure.kleisli_extend`) of
@@ -62,7 +61,6 @@ from .smallstep import Normal
 from .store import Undefined, eval_bool, eval_expr, update
 from .syntax import Assign, DiffBlock, If, Program, Sample, Seq, While
 
-TV_TOLERANCE = 1e-9
 DEFAULT_BRANCH_CAP = 10 ** 7
 
 
@@ -83,7 +81,6 @@ class Discretization(Sequence):
     """
 
     k: int
-    exact: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -101,19 +98,12 @@ class Discretization(Sequence):
         # (2i + 1) / 2k for i = 0 .. k-1, as int / int true divisions
         return map((2 * self.k).__rtruediv__, range(1, 2 * self.k, 2))
 
-    @property
-    def atom_weight(self):
-        return Fraction(1, self.k) if self.exact else 1.0 / self.k
-
 
 def denote(program: Program, disc: Discretization, max_unfold: int, flow_method=None):
     """The program's kernel: X-point -> finite-support subdistribution.
 
     Applying the kernel pushes the point mass through the program as a
-    frontier (see `_push`).  With rational weights the result is exact;
-    with float weights, weights reaching one point along several paths
-    are summed in frontier order, so they may differ in the last bit from
-    a per-path evaluation.
+    frontier (see `_push`); its weights are exact rationals.
     """
     check_index(max_unfold)
 
@@ -127,8 +117,8 @@ def denote(program: Program, disc: Discretization, max_unfold: int, flow_method=
 _ELSE, _JOIN, _ROUND = "else", "join", "round"
 
 
-def _lifted(weights: dict, factor: int) -> dict:
-    return weights if factor == 1 else {key: w * factor for key, w in weights.items()}
+def _lifted(weights: dict, m: int) -> dict:
+    return weights if m == 1 else {key: w * m for key, w in weights.items()}
 
 
 def _common(a: dict, a_den: int, b: dict, b_den: int):
@@ -159,15 +149,14 @@ def _assigned(node: Assign, frontier: dict) -> dict:
     return acc
 
 
-def _sampled(node: Sample, frontier: dict, disc: Discretization, factor) -> dict:
+def _sampled(node: Sample, frontier: dict, disc: Discretization) -> dict:
     index = node.var.index
     acc = {}
     for (store, rem), w in frontier.items():
-        v = w * factor
         for a in disc:
             q = (update(store, index, a), rem)
             old = acc.get(q)
-            acc[q] = v if old is None else old + v
+            acc[q] = w if old is None else old + w
     return acc
 
 
@@ -273,14 +262,12 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
     weight), as the extension passes it through everything that follows.
 
     Weights are carried without building a `Fraction` or a point per step.
-    With an exact discretization and only `int` or `Fraction` weights in
-    `mu`, each weight is an `int` over one denominator per frontier (and
-    one for the E-output): it starts as the lcm of `mu`'s denominators, a
-    `Sample` multiplies it by k, and where two frontiers meet (an `If`'s
-    join, a loop's leaving points, the E-output) the smaller denominator is
-    brought up to their lcm.  Otherwise the denominator stays 1 and the
-    weights are `mu`'s own, multiplied by the atom weight at each `Sample`
-    and summed in frontier order.  `XPoint`s, `EPoint`s and `Fraction`s are
+    `mu`'s weights are `int`s and `Fraction`s (see `DiscMeasure`), so each
+    weight is an `int` over one denominator per frontier (and one for the
+    E-output): it starts as the lcm of `mu`'s denominators, a `Sample`
+    multiplies it by k, and where two frontiers meet (an `If`'s join, a
+    loop's leaving points, the E-output) the smaller denominator is brought
+    up to their lcm.  `XPoint`s, `EPoint`s and `Fraction`s are
     built once, for the output, which `DiscMeasure._adopt` validates: its
     weights, its mass and each `XPoint`'s remaining time.  A frontier's t
     needs no check of its own: it starts as an input point's checked t0,
@@ -296,17 +283,10 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
     results or errs on both.  So cost grows with the number of distinct
     points per node, not with the number of paths.
     """
-    weights = [w for _, w in mu.items()]
-    scaled = disc.exact and all(type(w) is int or type(w) is Fraction for w in weights)
-    if scaled:
-        den = lcm(*[w.denominator for w in weights])
-        step, factor = disc.k, 1
-    else:
-        den, step, factor = 1, 1, disc.atom_weight
+    den = lcm(*[w.denominator for _, w in mu.items()])
     out, frontier = {}, {}
     for pt, w in mu.items():
-        if scaled:
-            w = w.numerator * (den // w.denominator)
+        w = w.numerator * (den // w.denominator)
         if type(pt) is EPoint:
             out[pt.store] = w
         else:
@@ -338,13 +318,8 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
         elif t is Assign:
             frontier = _assigned(node, frontier)
         elif t is Sample:
-            frontier = _sampled(node, frontier, disc, factor)
-            den *= step
-            if not scaled and 0 in frontier.values():
-                # a float weight times the atom weight can round to zero,
-                # here and nowhere else; drop such a point at once, as a
-                # zero-weight key would still fix its place in later dicts
-                frontier = {key: w for key, w in frontier.items() if w}
+            frontier = _sampled(node, frontier, disc)
+            den *= disc.k
         elif t is DiffBlock:
             out, frontier, den = _common(out, out_den, frontier, den)
             out_den = den
@@ -355,9 +330,9 @@ def _push(program: Program, mu: DiscMeasure, disc: Discretization, max_unfold: i
             todo.append((_ROUND, node, max_unfold, {}, den))
         else:  # pragma: no cover
             raise TypeError(f"not a program node: {node!r}")
-    points = {EPoint(store): Fraction(w, out_den) if scaled else w for store, w in out.items()}
+    points = {EPoint(store): Fraction(w, out_den) for store, w in out.items()}
     for (store, rem), w in frontier.items():
-        points[XPoint(store, rem)] = Fraction(w, den) if scaled else w
+        points[XPoint(store, rem)] = Fraction(w, den)
     return DiscMeasure._adopt(points)
 
 
@@ -388,12 +363,9 @@ def enumerate_operational(
     depends.  So the draw tree is walked one draw depth at a time over
     that depth's distinct resume states, each with the number of paths
     reaching it: every (state, atom) pair resumes once, from a source
-    holding just its atom, and a branch that ends adds
-    paths * weight**depth to its point.  With an exact discretization the
-    sums are path counts in integers at the scale k**depth, and each point
-    gets one `Fraction` at the end; with float weights the sums are taken
-    as written (at k >= 3, they may so differ in the last bit from the sum
-    over the paths).  A state is keyed
+    holding just its atom, and a branch that ends adds paths * (1/k)**depth
+    to its point.  The sums are path counts in integers at the scale
+    k**depth, and each point gets one `Fraction` at the end.  A state is keyed
     by its store, t and the identity of its stack's nodes, all subterms of
     `program` (a loop frame: its loop's identity and index).  Equal stores
     differ at most in the sign of a zero, which no later step can tell
@@ -405,16 +377,14 @@ def enumerate_operational(
     at a time, so a large k costs nothing before the cap fires.
     """
     _check_bounds(max_unfold, branch_cap)
-    k, exact = disc.k, disc.exact
-    weight = disc.atom_weight
+    k = disc.k
     where: dict = {}  # each ending point's place in `sums`, in order of arrival
-    sums = []  # exact: path counts over k**depth; else sums of paths * weight**depth
+    sums = []  # path counts over k**depth
     # the runs of one depth: (work stack, store, t, source, paths)
     runs = [([] if program is None else [program], store, t, Enumerator(disc, ()), 1)]
     depth = explored = 0
     while True:
         states: dict = {}  # the next depth's resume states
-        w = 1 if exact else weight ** depth
         for stack, store, t, source, paths in runs:
             explored += 1
             if explored > branch_cap:
@@ -431,18 +401,16 @@ def enumerate_operational(
                     pt = XPoint(out.store, out.t) if type(out) is Normal else EPoint(out.store)
                     i = where.setdefault(pt, len(sums))
                     if i == len(sums):
-                        sums.append(paths * w)
+                        sums.append(paths)
                     else:
-                        sums[i] += paths * w
+                        sums[i] += paths
         if not states:
             den = k ** depth
-            return DiscMeasure._adopt(
-                {pt: Fraction(n, den) if exact else n for pt, n in zip(where, sums)})
+            return DiscMeasure._adopt({pt: Fraction(n, den) for pt, n in zip(where, sums)})
         depth += 1
-        if exact:
-            sums = [n * k for n in sums]
+        sums = [n * k for n in sums]
         runs = ((stack.copy(), store, t, Enumerator(disc, (i,)), paths)
-                for stack, store, t, paths in states.values() for i in range(disc.k))
+                for stack, store, t, paths in states.values() for i in range(k))
 
 
 @dataclass
@@ -470,7 +438,8 @@ def adequacy_check(
     kernel applied to `mu0`; the denotational side pushes `mu0` through
     the program.  Both truncate every loop at the same Kleene index, so
     they must coincide point for point; the report's tv field is the total
-    variation distance between them.
+    variation distance between them, and the check passes only where it is
+    exactly zero.
     """
     _check_bounds(max_unfold, branch_cap)
     operational = kleisli_extend(lambda pt: enumerate_operational(
@@ -479,7 +448,7 @@ def adequacy_check(
     tv = tv_distance(operational, denotational)
     return AdequacyReport(
         tv=float(tv),
-        passed=tv <= TV_TOLERANCE,
+        passed=tv == 0,
         max_unfold=max_unfold,
         operational_support=len(operational),
         denotational_support=len(denotational),

@@ -4,18 +4,18 @@ Outcomes are points of two kinds: an E-point carries just a store (a
 time-based termination), an X-point carries a store plus the remaining
 time (a normal termination).  A measure maps finitely many points to
 positive weights with total mass at most one; the missing mass encodes
-divergence and evaluation errors.  Weights may be floats or
-`fractions.Fraction`s -- all operations are agnostic, so an exact-weight
-mode is just a matter of feeding rational weights in.  Sums over
-`Fraction` weights only are taken in integers over a common denominator
-(see `_total`), with the value of the left-to-right sum.
+divergence and evaluation errors.  Weights are exact rationals: `int`s
+and `fractions.Fraction`s.  A measure takes any other weight, such as a
+float, as the exact rational it is (`Fraction(w)`), so ten weights of
+0.1 exceed mass one.  Sums are taken in integers over a common
+denominator (see `_total`), with the value of the left-to-right sum.
 
 Points and measures are built where a result leaves a semantics, not per
 step: `denotational._push` carries its weights as `int`s over one
-denominator (rational mode) or as floats in frontier order, keyed by
-(store, t) tuples and stores, and builds each `XPoint`, `EPoint` and
-`Fraction` once, for the output measure, which `_validated` checks like
-any other.  The `XPoint` constructor is where a remaining time is checked.
+denominator, keyed by (store, t) tuples and stores, and builds each
+`XPoint`, `EPoint` and `Fraction` once, for the output measure, which
+`_validated` checks like any other.  The `XPoint` constructor is where a
+remaining time is checked.
 
 Kernels (functions from X-points to measures) extend to measures: E-mass
 passes through untouched while X-mass is pushed through the kernel and
@@ -28,10 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-# A total may exceed one by rounding: _MASS_SLACK for the rounding inside
-# the weights, plus 2**-52 per weight for a left-to-right float sum of n
-# weights near one, which errs by less than n * 2**-52.
-_MASS_SLACK = 1e-12
 _INF = float("inf")
 
 
@@ -61,39 +57,44 @@ Point = EPoint | XPoint
 
 
 def _total(weights):
-    """The sum of `weights`, a sized iterable, equal to their left-to-right
-    sum from 0.
+    """The sum of `weights`, `int`s and `Fraction`s, as a `Fraction`.
 
-    When every weight is a `Fraction`, the numerators are summed as
-    integers over the lcm of the denominators and one `Fraction` is built
-    at the end, instead of normalising the sum after every add.
+    The numerators are summed as integers over the lcm of the denominators
+    and one `Fraction` is built at the end, instead of normalising the sum
+    after every add.
     """
-    pairs = [v.as_integer_ratio() for v in weights if type(v) is Fraction]
-    if len(pairs) < len(weights):
-        return sum(weights)
-    if not pairs:
-        return 0
+    pairs = [v.as_integer_ratio() for v in weights]
     den = lcm(*{d for _, d in pairs})
     return Fraction(sum([n * (den // d) for n, d in pairs]), den)
 
 
 def _validated(w: dict) -> dict:
-    """`w` with its zero weights deleted, once every key is a point, every
-    weight nonnegative and the total mass at most one."""
+    """`w` with its zero weights deleted and any weight that is neither an
+    `int` nor a `Fraction` replaced by the exact rational it is, once every
+    key is a point, every weight finite and nonnegative and the total mass
+    at most one."""
     zeros = []
     for pt, v in w.items():
         if not isinstance(pt, (EPoint, XPoint)):
             raise TypeError(f"not a point: {pt!r}")
-        if type(v) is Fraction:
+        t = type(v)
+        if t is Fraction:
             v = v.numerator  # same sign, and an int compares faster
-        if not v >= 0:  # also rejects NaN, for which v < 0 is false
+        elif t is not int:
+            # a float, say, checked first: Fraction(inf) raises
+            # OverflowError, and NaN fails both comparisons
+            if not 0 <= v < _INF:
+                raise ValueError("weights must be finite" if v == _INF
+                                 else "weights must be nonnegative")
+            w[pt] = v = Fraction(v)
+        if v < 0:
             raise ValueError("weights must be nonnegative")
         if v == 0:
             zeros.append(pt)
     for pt in zeros:
         del w[pt]
     total = _total(w.values())
-    if total > 1 + _MASS_SLACK + len(w) * 2.0 ** -52:
+    if total > 1:
         raise ValueError(f"total mass {total} exceeds 1")
     return w
 
@@ -157,8 +158,8 @@ def kleisli_extend(kernel):
                 old = acc.get(pt)
                 acc[pt] = w if old is None else old + w
             else:
-                # the int 1 of a point mass scales nothing; 1.0 * Fraction is a float
-                scale = not (type(w) is int and w == 1)
+                # a weight of one, such as a point mass's, scales nothing
+                scale = w != 1
                 for q, v in kernel(pt).items():
                     if scale:
                         v = w * v
@@ -172,16 +173,12 @@ def kleisli_extend(kernel):
 def tv_distance(mu: DiscMeasure, nu: DiscMeasure):
     """Total variation norm of mu - nu: sum of |weight differences|.
 
-    With only `Fraction` weights on both sides, the differences are taken
-    as integers over the lcm of the denominators, as in `_total`.
+    The differences are taken as integers over the lcm of the
+    denominators, as in `_total`.
     """
     mw, nw = mu._w, nu._w
-    weights = (*mw.values(), *nw.values())
-    if weights and all(type(v) is Fraction for v in weights):
-        den = lcm(*{v.denominator for v in weights})
-        diff = {pt: v.numerator * (den // v.denominator) for pt, v in mw.items()}
-        for pt, v in nw.items():
-            diff[pt] = diff.get(pt, 0) - v.numerator * (den // v.denominator)
-        return Fraction(sum(map(abs, diff.values())), den)
-    points = set(mu.support()) | set(nu.support())
-    return sum(abs(mu.weight(pt) - nu.weight(pt)) for pt in points)
+    den = lcm(*{v.denominator for v in (*mw.values(), *nw.values())})
+    diff = {pt: v.numerator * (den // v.denominator) for pt, v in mw.items()}
+    for pt, v in nw.items():
+        diff[pt] = diff.get(pt, 0) - v.numerator * (den // v.denominator)
+    return Fraction(sum(map(abs, diff.values())), den)

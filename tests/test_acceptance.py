@@ -198,28 +198,19 @@ def test_criterion_04_adequacy_on_example_programs():
         ("positioning", parse_file(PROGRAMS / "positioning.swl"), (0.0, 1.0, 2.0, 3.0, 5.0)),
         ("cruise", parse_file(PROGRAMS / "cruise_exponential.swl"), (0.0, 1.0, 2.0, 3.0, 4.0)),
     ]
-    worst_float = 0.0
-    rational_all_zero = True
-    surviving_mass = 0.0
+    worst = 0.0
     for _, (program, table), times in cases:
         store = make_store(table)
         for t in times:
-            mu0 = dirac(XPoint(store, t))
-            float_report = adequacy_check(program, mu0, Discretization(2), max_unfold=6)
-            assert float_report.passed
-            worst_float = max(worst_float, float_report.tv)
-            surviving_mass += float_report.operational_mass
-            exact_report = adequacy_check(
-                program, mu0, Discretization(2, exact=True), max_unfold=6
-            )
-            rational_all_zero = rational_all_zero and exact_report.tv == 0
+            check = adequacy_check(program, dirac(XPoint(store, t)), Discretization(2), max_unfold=6)
+            assert check.passed
+            worst = max(worst, check.tv)
     elapsed = time.perf_counter() - t0
     report(
         4,
-        worst_float <= 1e-9 and rational_all_zero and elapsed < 120,
-        f"six example programs, 5-point grids, k=2, N=6: worst tv "
-        f"{worst_float!r} (rational mode exactly zero: {rational_all_zero}) "
-        f"in {elapsed:.1f}s",
+        worst == 0 and elapsed < 120,
+        f"six example programs, 5-point grids, k=2, N=6, exact weights: worst tv "
+        f"{worst!r} in {elapsed:.1f}s",
     )
 
 

@@ -206,9 +206,9 @@ DEEP_ADEQUACY_CASES = _adequacy_cases("deep.txt")
 
 @pytest.mark.parametrize("case", ADEQUACY_CASES + DEEP_ADEQUACY_CASES, ids=lambda case: case[0])
 def test_adequacy_matches_golden(case, capsys, monkeypatch):
-    # pins the JSON and the exit code, rational and float; the output names
-    # the program by the relative path it was given.  The deep cases reach
-    # what a walk over every draw sequence could not (see deep.txt).
+    # pins the JSON and the exit code, with and without --rational; the
+    # output names the program by the relative path it was given.  The deep
+    # cases reach what a walk over every draw sequence could not (see deep.txt).
     name, want, *args = case
     monkeypatch.chdir(ROOT)
     code, out, _ = run_cli(capsys, "adequacy", *args)
@@ -221,12 +221,20 @@ def test_adequacy_golden_cases_cover_every_bundled_program():
     for _, _, path, *args in ADEQUACY_CASES:
         modes.setdefault(path, []).append(" ".join(args))
     assert sorted(modes) == [f"programs/{p.name}" for p in program_files()]
-    assert all(m[:3] == ["--rational --time 0.5 --time 1.0 --time 1.5", "--k 2", "--rational --k 3"]
+    assert all(m == ["--rational --time 0.5 --time 1.0 --time 1.5", "--k 2", "--rational --k 3"]
                for m in modes.values())
-    # beyond those three, float mode at k = 3 for two programs
-    assert {path: m[3:] for path, m in modes.items() if m[3:]} == {
-        "programs/brownian.swl": ["--k 3 --time 1.5"],
-        "programs/ctrw_counting.swl": ["--k 3 --time 1.5"]}
+
+
+@pytest.mark.parametrize("program", program_files(), ids=lambda p: p.stem)
+def test_adequacy_prints_the_same_with_and_without_rational(program, capsys):
+    # weights are always exact: --rational is accepted and changes nothing,
+    # and every check passes at tv exactly 0
+    args = ("adequacy", program, "--k", "3", "--time", "1.0")
+    code, out, _ = run_cli(capsys, *args)
+    assert (code, out) == run_cli(capsys, *args, "--rational")[:2]
+    payload = json.loads(out)
+    assert code == 0 and payload["rational"] is True
+    assert [check["tv"] for check in payload["checks"]] == [0.0]
 
 
 def test_simulate_is_reproducible(capsys):

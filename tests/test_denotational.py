@@ -32,7 +32,6 @@ WALKTHROUGH = "x := 0 ; while tt { x++ ; wait 1 }"
 def test_discretization_atoms_are_midpoints():
     d = Discretization(2)
     assert tuple(d) == (0.25, 0.75)
-    assert d.atom_weight == 0.5
     d4 = Discretization(4)
     assert tuple(d4) == (0.125, 0.375, 0.625, 0.875)
     with pytest.raises(ValueError):
@@ -50,7 +49,7 @@ def test_discretization_is_the_sequence_of_its_midpoints(monkeypatch):
             with pytest.raises(IndexError):
                 d[i]
         assert d == Discretization(k) and hash(d) == hash(Discretization(k))
-        assert d != Discretization(k + 1) and d != Discretization(k, exact=True)
+        assert d != Discretization(k + 1)
     source = Enumerator(Discretization(7), (3, 0, 6))
     drawn = []
     for _ in range(3):
@@ -70,8 +69,11 @@ def test_discretization_is_the_sequence_of_its_midpoints(monkeypatch):
 
 
 def test_rational_mode_weights():
-    d = Discretization(3, exact=True)
-    assert d.atom_weight == Fraction(1, 3)
+    # each of k = 3 atoms carries exactly 1/3, a weight no float holds
+    program, _ = parse_program("x := unif(0, 1)")
+    out = denote(program, Discretization(3), max_unfold=1)(XPoint((0.0,), 1.0))
+    assert [w for _, w in out.items()] == [Fraction(1, 3)] * 3
+    assert all(type(w) is Fraction for _, w in out.items()) and out.mass() == 1
 
 
 def test_sampling_clause_splits_evenly():
@@ -176,7 +178,7 @@ def test_adequacy_extends_the_enumeration_kernel_once(monkeypatch):
     monkeypatch.setattr(denotational, "kleisli_extend", counting)
     program, table = parse_program("x := unif(0,1) ; wait x")
     mu0 = DiscMeasure({XPoint((0.0,), 0.5): Fraction(1, 2), XPoint((5.0,), 0.5): Fraction(1, 2)})
-    report = adequacy_check(program, mu0, Discretization(2, exact=True), max_unfold=1)
+    report = adequacy_check(program, mu0, Discretization(2), max_unfold=1)
     assert report.tv == 0 and len(calls) == 1
 
 
@@ -194,7 +196,7 @@ def test_adequacy_merges_an_input_e_point_with_an_enumerated_one(monkeypatch):
     e = EPoint((0.75,))
     mu0 = DiscMeasure({e: Fraction(1, 4), XPoint((0.0,), 0.5): Fraction(1, 2),
                        XPoint((5.0,), 0.5): Fraction(1, 4)})
-    report = adequacy_check(program, mu0, Discretization(2, exact=True), max_unfold=1)
+    report = adequacy_check(program, mu0, Discretization(2), max_unfold=1)
     assert report.tv == 0 and report.passed
     (operational, denotational_side), = measures
     # 1/4 from the input, plus half of each X-point's mass: 1/4 + 1/4 + 1/8
@@ -207,7 +209,7 @@ def test_adequacy_merges_an_input_e_point_with_an_enumerated_one(monkeypatch):
 def test_adequacy_rational_mode_is_exactly_zero():
     program, table = parse_program("x := 0 ; bernoulli(1/2, x++, x--)")
     mu0 = dirac(XPoint(make_store(table), 1.0))
-    report = adequacy_check(program, mu0, Discretization(2, exact=True), max_unfold=2)
+    report = adequacy_check(program, mu0, Discretization(2), max_unfold=2)
     assert report.tv == 0
     assert report.passed
 
@@ -225,7 +227,7 @@ def test_kleene_approximants_increase_pointwise():
             current = denote(program, d, max_unfold=i)(pt)
             if previous is not None:
                 for point, w in previous.items():
-                    assert current.weight(point) >= w - 1e-12
+                    assert current.weight(point) >= w
             previous = current
         checked += 1
     assert checked == 60
@@ -236,7 +238,7 @@ def test_enumeration_agrees_with_functional_prefix_runs():
     program, table = parse_program("x := unif(0,1) ; y := unif(0,1) ; x := x + y")
     d = Discretization(2)
     out = enumerate_operational(program, (0.0, 0.0), 1.0, d, max_unfold=1)
-    assert abs(out.mass() - 1.0) < 1e-12
+    assert out.mass() == 1
     total = {}
     for a in d:
         for b in d:
@@ -266,7 +268,7 @@ def _denote_reference(program, disc, max_unfold, flow_method=None):
         return assign_kernel
     if t is Sample:
         index = program.var.index
-        weight = disc.atom_weight
+        weight = Fraction(1, disc.k)
 
         def sample_kernel(pt):
             return DiscMeasure({XPoint(update(pt.store, index, a), pt.t): weight for a in disc})
@@ -331,14 +333,6 @@ def _denote_reference(program, disc, max_unfold, flow_method=None):
     raise TypeError(f"not a program node: {program!r}")
 
 
-def _assert_matches(got, want, exact):
-    if exact:
-        assert got == want
-    else:
-        assert set(got.support()) == set(want.support())
-        assert tv_distance(got, want) <= 1e-12
-
-
 def test_frontier_matches_the_recursive_reference_on_fuzzed_programs():
     rng = random.Random(6061)
     masses = set()
@@ -348,20 +342,17 @@ def test_frontier_matches_the_recursive_reference_on_fuzzed_programs():
         k = rng.choice((1, 2, 3))
         unfold = rng.randrange(5)
         pt = XPoint(gen_store(rng, table), rng.choice((0.0, 0.5, 1.5, 4.0)))
-        for exact in (True, False):
-            disc = Discretization(k, exact=exact)
-            got = denote(program, disc, unfold)(pt)
-            _assert_matches(got, _denote_reference(program, disc, unfold)(pt), exact)
-            if exact:
-                m = got.mass()
-                masses.add("zero" if m == 0 else "full" if m == 1 else "partial")
+        disc = Discretization(k)
+        got = denote(program, disc, unfold)(pt)
+        assert got == _denote_reference(program, disc, unfold)(pt)
+        m = got.mass()
+        masses.add("zero" if m == 0 else "full" if m == 1 else "partial")
         if case % 4 == 0:
             # a mixed input measure: E-mass passes through, X-mass is pushed
             # as one frontier
             other = XPoint(gen_store(rng, table), rng.choice((0.0, 0.5, 1.5, 4.0)))
             mu = DiscMeasure({pt: Fraction(1, 2), other: Fraction(1, 4),
                               EPoint(gen_store(rng, table)): Fraction(1, 8)})
-            disc = Discretization(k, exact=True)
             want = kleisli_extend(_denote_reference(program, disc, unfold))(mu)
             assert _push(program, mu, disc, unfold, None) == want
     assert masses == {"zero", "partial", "full"}
@@ -373,7 +364,7 @@ def test_negative_zero_and_zero_stores_merge(monkeypatch):
     program, table = parse_program(
         "b := unif(0, 1) ; if b <= 0.5 then x := 0 * -1 else x := 0 ; b := 0 ;"
         " while x <= 1 { x := x + 1 }")
-    disc = Discretization(2, exact=True)
+    disc = Discretization(2)
     pt = XPoint((0.7, 0.7), 1.0)
     calls = []
 
@@ -403,14 +394,14 @@ def test_seq_of_500_assignments():
 
 def test_loop_unfolded_2000_times():
     program, _ = parse_program("x := 0 ; while x <= 1000 { x++ }")
-    out = denote(program, Discretization(2, exact=True), 2000)(XPoint((0.0,), 1.0))
+    out = denote(program, Discretization(2), 2000)(XPoint((0.0,), 1.0))
     assert out == DiscMeasure({XPoint((1001.0,), 1.0): 1})
 
 
 def test_walk_of_18_flips_is_denoted_by_distinct_points():
     program, table = parse_program(
         "x := 0 ; c := 1 ; while c <= 18 { bernoulli(1/2, x++, x--) ; c++ }")
-    disc = Discretization(2, exact=True)
+    disc = Discretization(2)
     start = time.perf_counter()
     out = denote(program, disc, 19)(XPoint(make_store(table), 1.0))
     elapsed = time.perf_counter() - start
@@ -426,7 +417,7 @@ def test_walk_of_18_flips_is_denoted_by_distinct_points():
 # It is the reference that enumerate_operational is checked against.
 def _enumerate_reference(program, store, t, disc, max_unfold,
                          branch_cap=denotational.DEFAULT_BRANCH_CAP, flow_method=None):
-    weight = disc.atom_weight
+    weight = Fraction(1, disc.k)
     acc = {}
     stack = [()]
     explored = 0
@@ -474,16 +465,14 @@ def _enumeration_differences(seed, cases):
     differences = []
     kinds = set()
     for case, (program, store, t, k, unfold, cap) in enumerate(_fuzz_cases(seed, cases)):
-        for exact in (True, False):
-            disc = Discretization(k, exact=exact)
-            args = (program, store, t, disc, unfold)
-            if cap is not None:
-                args += (cap,)
-            got = _enumeration_outcome(enumerate_operational, *args)
-            want = _enumeration_outcome(_enumerate_reference, *args)
-            if got != want:
-                differences.append((case, exact))
-            kinds.add("explosion" if type(want) is tuple else "measure")
+        args = (program, store, t, Discretization(k), unfold)
+        if cap is not None:
+            args += (cap,)
+        got = _enumeration_outcome(enumerate_operational, *args)
+        want = _enumeration_outcome(_enumerate_reference, *args)
+        if got != want:
+            differences.append(case)
+        kinds.add("explosion" if type(want) is tuple else "measure")
     return differences, kinds
 
 
@@ -493,25 +482,13 @@ def test_resumed_enumeration_matches_the_replaying_reference():
     assert kinds == {"explosion", "measure"}
 
 
-# `_push` on the cases of `_enumeration_differences`, one line per case, mode
-# and input measure: the case's point mass, then a mixed measure of two
-# X-points and an E-point with rational weights, then the same with float
-# weights.  A line lists each output point's repr, weight and rank in the
-# output's insertion order, sorted by repr.  A rational weight is written
-# n/d and a float weight as `float.hex`, so the file pins rational weights
-# exactly, and float weights and the order in which float sums add them bit
-# for bit.  Rewrite it from the code under test with
-# `PYTHONPATH=src python tests/test_denotational.py`.
+# `_push` on the cases of `_enumeration_differences`, one line per case and
+# input measure: the case's point mass, then a mixed measure of two X-points
+# and an E-point.  A line lists each output point's repr, its weight, written
+# n/d, and its rank in the output's insertion order, sorted by repr.  Every
+# line says "exact": true, as every weight is exact.  Rewrite the file from
+# the code under test with `PYTHONPATH=src python tests/test_denotational.py`.
 GOLDEN_DENOTE = Path(__file__).resolve().parent / "golden" / "denote" / "fuzz.jsonl"
-_MIXED_WEIGHTS = {"fractions": (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),
-                  "floats": (0.3, 0.2, 0.1)}
-
-
-def _weight_text(w):
-    if type(w) is float:
-        return w.hex()
-    w = Fraction(w)
-    return f"{w.numerator}/{w.denominator}"
 
 
 def _denote_golden_lines():
@@ -520,33 +497,21 @@ def _denote_golden_lines():
         other = tuple(round(rng.uniform(-2.0, 2.0), 3) for _ in store)
         stopped = tuple(round(rng.uniform(-2.0, 2.0), 3) for _ in store)
         pt = XPoint(store, t)
-        inputs = {"dirac": dirac(pt)}
-        for name, (a, b, c) in _MIXED_WEIGHTS.items():
-            inputs[name] = DiscMeasure({pt: a, XPoint(other, rng.choice((0.5, 2.0))): b,
-                                        EPoint(stopped): c})
-        for exact in (True, False):
-            disc = Discretization(k, exact=exact)
-            for name, mu in inputs.items():
-                out = _push(program, mu, disc, unfold, None)
-                points = sorted(([repr(q), _weight_text(w), rank]
-                                 for rank, (q, w) in enumerate(out.items())), key=lambda e: e[0])
-                yield json.dumps({"case": case, "exact": exact, "input": name, "points": points})
-
-
-def test_a_float_weight_that_rounds_to_zero_leaves_at_its_sampling_step():
-    # 5e-324 / 2 rounds to 0.0.  The then-branch swaps x, so zero-weight
-    # points kept past the sampling step would reach the last assignment
-    # first and put (0.75, 0) before (0.25, 0) in the output
-    program, _ = parse_program("x := unif(0, 1) ; if y <= 1 then x := 1 - x else y := y ; y := 0")
-    mu = DiscMeasure({XPoint((0.0, 1.0), 1.0): 5e-324, XPoint((0.0, 2.0), 1.0): 0.5})
-    out = _push(program, mu, Discretization(2), 1, None)
-    assert list(out.items()) == [(XPoint((0.25, 0.0), 1.0), 0.25), (XPoint((0.75, 0.0), 1.0), 0.25)]
+        inputs = {"dirac": dirac(pt),
+                  "fractions": DiscMeasure({pt: Fraction(1, 3),
+                                            XPoint(other, rng.choice((0.5, 2.0))): Fraction(1, 5),
+                                            EPoint(stopped): Fraction(1, 7)})}
+        for name, mu in inputs.items():
+            out = _push(program, mu, Discretization(k), unfold, None)
+            points = sorted(([repr(q), f"{w.numerator}/{w.denominator}", rank]
+                             for rank, (q, w) in enumerate(out.items())), key=lambda e: e[0])
+            yield json.dumps({"case": case, "exact": True, "input": name, "points": points})
 
 
 def test_denotation_matches_the_golden_on_fuzzed_programs():
     want = GOLDEN_DENOTE.read_text().splitlines()
     got = list(_denote_golden_lines())
-    assert len(got) == len(want) == 2400
+    assert len(got) == len(want) == 800
     for g, w in zip(got, want):
         assert json.loads(g) == json.loads(w)
 
@@ -584,7 +549,7 @@ def test_each_resume_state_runs_once_per_atom(monkeypatch):
     for n in (1, 4, 10):
         program, table = parse_program(
             f"x := 0 ; c := 1 ; while c <= {n} {{ bernoulli(1/2, x++, x--) ; c++ }}")
-        disc = Discretization(2, exact=True)
+        disc = Discretization(2)
         store = make_store(table)
         explored = 1 + disc.k * len(_resume_states(program, store, 1.0, disc, n + 1))
         monkeypatch.setattr(Enumerator, "draw", counting)
@@ -624,14 +589,13 @@ def test_stores_that_differ_in_the_sign_of_a_zero_merge():
         " if x <= 0 then w := 1 else w := 2 ; x' = 1, y' = x for u")
     store = make_store(table)
     for k in (2, 3):
-        for exact in (True, False):
-            args = (program, store, 1.5, Discretization(k, exact=exact), 2)
-            # the root, k runs to the meeting point, then k from it
-            with pytest.raises(BranchExplosion) as info:
-                enumerate_operational(*args, 2 * k)
-            assert info.value.explored == 2 * k + 1
-            got = enumerate_operational(*args)
-            assert got == _enumerate_reference(*args) and len(got) == k
+        args = (program, store, 1.5, Discretization(k), 2)
+        # the root, k runs to the meeting point, then k from it
+        with pytest.raises(BranchExplosion) as info:
+            enumerate_operational(*args, 2 * k)
+        assert info.value.explored == 2 * k + 1
+        got = enumerate_operational(*args)
+        assert got == _enumerate_reference(*args) and len(got) == k
 
 
 def test_states_in_different_loop_rounds_stay_apart():
@@ -642,7 +606,7 @@ def test_states_in_different_loop_rounds_stay_apart():
     program, table = parse_program(
         "u := 2 ; x := 0 ; while x <= 0 { if u <= 0.5 then u := 2 else { u := unif(0, 1) ;"
         " if u <= 0.2 then u := u else { if u <= 0.6 then u := 2 else x := 1 } } }")
-    disc = Discretization(3, exact=True)
+    disc = Discretization(3)
     for unfold in range(1, 7):
         args = (program, make_store(table), 1.0, disc, unfold)
         assert enumerate_operational(*args) == _enumerate_reference(*args)
@@ -653,7 +617,7 @@ def test_a_random_walk_unfolded_past_its_loop_keeps_all_its_mass():
     # a walk over every draw sequence would need 2^101 leaves
     program, table = parse_program((PROGRAMS / "random_walk.swl").read_text())
     pt = XPoint(make_store(table), 1.5)
-    disc = Discretization(2, exact=True)
+    disc = Discretization(2)
     start = time.perf_counter()
     operational = enumerate_operational(program, pt.store, pt.t, disc, 102)
     elapsed = time.perf_counter() - start

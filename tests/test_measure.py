@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from swhile.measure import (
-    _MASS_SLACK,
     DiscMeasure,
     EPoint,
     XPoint,
@@ -36,13 +35,33 @@ def test_measure_invariants():
     assert len(mu) == 1
 
 
-def test_mass_slack_grows_with_the_number_of_float_weights():
-    # the left-to-right float sum of these weights is 1 + 4.6e-12
-    n = 300000
-    mu = DiscMeasure({EPoint((float(i),)): 1.0 / n for i in range(n)})
-    assert len(mu) == n
-    with pytest.raises(ValueError):
-        DiscMeasure({EPoint((0.0,)): 0.5, EPoint((1.0,)): 0.25, EPoint((2.0,)): 0.25 + 1e-6})
+def test_a_float_weight_is_the_exact_rational_it_is():
+    pt = EPoint((0.0,))
+    for w in (0.1, 0.5, 1.0, 5e-324):
+        v = DiscMeasure({pt: w}).weight(pt)
+        assert type(v) is Fraction and v == Fraction(w)
+    assert DiscMeasure({pt: 0.1}).weight(pt) != Fraction(1, 10)
+    assert DiscMeasure({pt: 0.1}) == DiscMeasure({pt: Fraction(0.1)})
+
+
+def test_ten_weights_of_a_tenth_exceed_mass_one():
+    # the float 0.1 lies just above 1/10, so ten of them exceed 1 exactly,
+    # although their left-to-right float sum is 0.9999999999999999
+    assert sum([0.1] * 10) < 1 < 10 * Fraction(0.1)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        DiscMeasure({EPoint((float(i),)): 0.1 for i in range(10)})
+    nine = DiscMeasure({EPoint((float(i),)): 0.1 for i in range(9)})
+    assert nine.mass() == 9 * Fraction(0.1)
+
+
+@pytest.mark.parametrize("w, message", [(float("inf"), "finite"), (float("nan"), "nonnegative"),
+                                        (-0.25, "nonnegative"), (float("-inf"), "nonnegative")])
+def test_infinite_nan_and_negative_float_weights_are_refused(w, message):
+    # Fraction(inf) raises OverflowError, so the checks come before the conversion
+    with pytest.raises(ValueError, match=message):
+        DiscMeasure({EPoint((0.0,)): w})
+    with pytest.raises(ValueError, match=message):
+        DiscMeasure._adopt({XPoint((0.0,), 1.0): 0.5, EPoint((0.0,)): w})
 
 
 def test_xpoint_time_nonnegative():
@@ -87,11 +106,11 @@ def test_a_point_mass_passes_its_kernel_weights_on_unscaled():
     # one Fraction product per enumerated point of every adequacy check
     pt, q = XPoint((0.0,), 1.0), EPoint((1.0,))
     third = Fraction(1, 3)
-    out = kleisli_extend(lambda x: DiscMeasure({q: third}))(dirac(pt))
-    assert out.weight(q) is third
-    # a float 1.0 still scales: 1.0 * Fraction is a float
-    out = kleisli_extend(lambda x: DiscMeasure({q: third}))(DiscMeasure({pt: 1.0}))
-    assert type(out.weight(q)) is float and out.weight(q) == 1 / 3
+    for one in (1, Fraction(1), 1.0):
+        out = kleisli_extend(lambda x: DiscMeasure({q: third}))(DiscMeasure({pt: one}))
+        assert out.weight(q) is third
+    half = kleisli_extend(lambda x: DiscMeasure({q: third}))(DiscMeasure({pt: 0.5}))
+    assert half.weight(q) == Fraction(1, 6)
 
 
 def test_right_unit_law():
@@ -184,14 +203,15 @@ def test_building_a_measure_hashes_no_point():
     # the weights are copied with their stored hashes; each point is hashed
     # once, when the caller's dict is built
     d = {CountingPoint((float(i),), 1.0): Fraction(1, 4 + i) for i in range(4)}
-    d[EPoint((9.0,))] = 0.125
+    d[EPoint((9.0,))] = Fraction(1, 8)
     CountingPoint.hashes = 0
     mu = DiscMeasure(d)
     assert CountingPoint.hashes == 0
     assert list(mu.support()) == list(d)
 
 
-# Points and weights for the comparison with plain left-to-right sums.
+# Points and weights for the comparison with plain left-to-right `Fraction`
+# sums.
 _POINTS = [EPoint((0.0,)), EPoint((1.0,)), XPoint((0.0,), 1.0), XPoint((1.0,), 0.5),
            XPoint((2.0,), 0.0), EPoint((-0.5,))]
 _DENOMINATORS = [1, 2, 3, 5, 7, 8, 12, 27, 64, 1000, 2 ** 40, 3 ** 20]
@@ -216,7 +236,7 @@ def _weights(draw, invalid=False):
     n = max(len(points), 1)
     weights = {pt: draw(_weight(n)) for pt in points}
     if invalid and draw(st.booleans()):
-        bad = draw(st.sampled_from([-Fraction(1, 3), -1, -0.25, float("nan")]))
+        bad = draw(st.sampled_from([-Fraction(1, 3), -1, -0.25, float("nan"), float("inf")]))
         weights[draw(st.sampled_from(_POINTS))] = bad
     if invalid and draw(st.booleans()):
         weights[(float(draw(st.integers(0, 3))),)] = draw(_weight(n))
@@ -225,24 +245,29 @@ def _weights(draw, invalid=False):
 
 def _plain_measure(weights):
     """The checks and the mass of a measure as one left-to-right loop with
-    plain `Fraction` arithmetic: (nonzero weights, total) or the exception."""
-    kept, total = {}, 0
+    plain `Fraction` arithmetic, a float weight taken as `Fraction(w)`:
+    (nonzero weights, total) or the exception."""
+    kept, total = {}, Fraction(0)
     for pt, v in weights.items():
         if not isinstance(pt, (EPoint, XPoint)):
             return TypeError(f"not a point: {pt!r}")
         if not v >= 0:
             return ValueError("weights must be nonnegative")
+        if v == float("inf"):
+            return ValueError("weights must be finite")
         if v == 0:
             continue
+        if type(v) not in (int, Fraction):
+            v = Fraction(v)
         kept[pt] = v
         total += v
-    if total > 1 + _MASS_SLACK + len(kept) * 2.0 ** -52:
+    if total > 1:
         return ValueError(f"total mass {total} exceeds 1")
     return kept, total
 
 
 def _same(a, b):
-    # equal value and type, and bit for bit for floats
+    # equal value and type
     return type(a) is type(b) and repr(a) == repr(b)
 
 
@@ -257,6 +282,7 @@ def test_measure_matches_plain_fraction_sums(weights):
     kept, total = want
     mu = DiscMeasure(weights)
     assert list(mu.items()) == list(kept.items())
+    assert all(_same(v, kept[pt]) for pt, v in mu.items())
     assert _same(mu.mass(), total)
 
 
@@ -283,7 +309,7 @@ def test_tv_distance_matches_plain_fraction_sums(mw, nw):
     assume(not isinstance(_plain_measure(nw), Exception))
     mu, nu = DiscMeasure(mw), DiscMeasure(nw)
     points = set(mu.support()) | set(nu.support())
-    want = 0
+    want = Fraction(0)
     for pt in points:
         want += abs(mu.weight(pt) - nu.weight(pt))
     assert _same(tv_distance(mu, nu), want)
